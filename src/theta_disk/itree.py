@@ -18,6 +18,7 @@ pair exchanges the two flavors contravariantly and is mutually inverse.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import product
 
 from theta_disk.ordinal import (
@@ -89,6 +90,21 @@ class ITreeObj:
                 f"got {len(self.children)}"
             )
 
+    def __hash__(self) -> int:
+        # Computed once per node: the generated hash would walk the whole
+        # tree on every dict or set lookup.
+        try:
+            return self._hash
+        except AttributeError:
+            h = hash((self.flavor, self.root, self.children))
+            object.__setattr__(self, "_hash", h)
+            return h
+
+    def __reduce__(self):
+        # Rebuild through the initializer, so no cached hash (which depends
+        # on the process's string hash seed) is carried across a pickle.
+        return ITreeObj, (self.flavor, self.root, self.children)
+
     @property
     def is_trivial(self) -> bool:
         return not self.children
@@ -110,7 +126,9 @@ class ITreeObj:
         )
 
 
+@lru_cache(maxsize=None)
 def trivial_obj(flavor: str) -> ITreeObj:
+    """The trivial object of ``flavor``, one shared instance per flavor."""
     return ITreeObj(flavor, trivial_root(flavor))
 
 
@@ -250,16 +268,34 @@ def compose(g: ITreeMor, f: ITreeMor) -> ITreeMor:
     return ITreeMor(f.dom, g.cod, root, kids)
 
 
+# Object duals, memoized per distinct tree: dualizing a morphism dualizes
+# its ends at every level of recursion.  Each table holds only its own
+# function's images and is not seeded from the other, so a round trip
+# still computes both directions and a substituted functor never hits them.
+@lru_cache(maxsize=None)
+def _vee_tree(x: ITreeObj) -> ITreeObj:
+    if x.is_trivial:
+        return trivial_obj(ORDINAL)
+    return ITreeObj(
+        ORDINAL, vee_obj(x.root), tuple(_vee_tree(c) for c in x.children)
+    )
+
+
+@lru_cache(maxsize=None)
+def _wedge_tree(x: ITreeObj) -> ITreeObj:
+    if x.is_trivial:
+        return trivial_obj(INTERVAL)
+    return ITreeObj(
+        INTERVAL, wedge_obj(x.root), tuple(_wedge_tree(c) for c in x.children)
+    )
+
+
 def vee(x: ITreeObj | ITreeMor):
     """The interval-to-ordinal dualization, contravariant on morphisms."""
     if isinstance(x, ITreeObj):
         if x.flavor != INTERVAL:
             raise ValueError("vee consumes interval-flavor trees")
-        if x.is_trivial:
-            return trivial_obj(ORDINAL)
-        return ITreeObj(
-            ORDINAL, vee_obj(x.root), tuple(vee(c) for c in x.children)
-        )
+        return _vee_tree(x)
     if x.flavor != INTERVAL:
         raise ValueError("vee consumes interval-flavor morphisms")
     dom, cod = vee(x.cod), vee(x.dom)
@@ -275,11 +311,7 @@ def wedge(x: ITreeObj | ITreeMor):
     if isinstance(x, ITreeObj):
         if x.flavor != ORDINAL:
             raise ValueError("wedge consumes ordinal-flavor trees")
-        if x.is_trivial:
-            return trivial_obj(INTERVAL)
-        return ITreeObj(
-            INTERVAL, wedge_obj(x.root), tuple(wedge(c) for c in x.children)
-        )
+        return _wedge_tree(x)
     if x.flavor != ORDINAL:
         raise ValueError("wedge consumes ordinal-flavor morphisms")
     dom, cod = wedge(x.cod), wedge(x.dom)
@@ -303,6 +335,7 @@ def enumerate_objects(
         raise ValueError(f"unknown flavor {flavor!r}")
     lo = 1 if flavor == INTERVAL else 0
     nontrivial: list[ITreeObj] = []
+    seen: set[ITreeObj] = set()
     for _ in range(max_height):
         layer: list[ITreeObj] = []
         previous = list(nontrivial)
@@ -321,9 +354,10 @@ def enumerate_objects(
                     else:
                         kids.append(next(it))
                 candidate = ITreeObj(flavor, root, tuple(kids))
-                if candidate not in nontrivial:
+                if candidate not in seen:
                     layer.append(candidate)
         nontrivial.extend(layer)
+        seen.update(layer)
     return [trivial_obj(flavor)] + nontrivial
 
 

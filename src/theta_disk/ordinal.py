@@ -15,6 +15,7 @@ inverse; the rest of the package leans on them for every duality.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations_with_replacement
 
 
@@ -174,6 +175,7 @@ def vee_obj(m: Ordinal) -> Ordinal:
     return Ordinal(m.n - 1)
 
 
+@lru_cache(maxsize=None)
 def vee_map(f: OrdMap) -> OrdMap:
     """Turn an interval map ``[m] -> [n]`` into the monotone map
     ``[n-1] -> [m-1]`` restricting its right adjoint below the top."""
@@ -187,6 +189,7 @@ def wedge_obj(m: Ordinal) -> Ordinal:
     return Ordinal(m.n + 1)
 
 
+@lru_cache(maxsize=None)
 def wedge_map(g: OrdMap) -> OrdMap:
     """Turn a monotone map ``[m] -> [n]`` into the interval map
     ``[n+1] -> [m+1]``: extend by topmost values, pass to the left adjoint."""

@@ -259,8 +259,10 @@ def check_itree_duality(bounds: Bounds, *, vee_fn=vee, wedge_fn=wedge) -> Report
             for b in pool:
                 mors = enumerate_morphisms(a, b)
                 if len(mors) > MORPHISM_PAIR_CAP:
+                    # A hom-set beyond the cap is not checked, so the check
+                    # cannot pass.
                     counts["capped_pairs"] += 1
-                    mors = mors[:MORPHISM_PAIR_CAP]
+                    return report(_fail("hom-set-cap", dom=a, cod=b))
                 for m in mors:
                     counts[key] += 1
                     if backward(forward(m)) != m:

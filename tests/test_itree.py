@@ -2,8 +2,15 @@
 
 from __future__ import annotations
 
+import os
+import pickle
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import theta_disk
 from theta_disk.itree import (
     INTERVAL,
     ORDINAL,
@@ -19,6 +26,7 @@ from theta_disk.itree import (
     wedge,
 )
 from theta_disk.ordinal import Ordinal
+from theta_disk.verify import Bounds
 
 T_I = trivial_obj(INTERVAL)
 T_O = trivial_obj(ORDINAL)
@@ -189,3 +197,76 @@ class TestEnumeration:
         ordinal_objs = enumerate_objects(ORDINAL, 3, 3)
         assert len(interval_objs) == len(ordinal_objs)
         assert {vee(o) for o in interval_objs} == set(ordinal_objs)
+
+    @pytest.mark.parametrize("flavor, max_root", [(ORDINAL, 3), (INTERVAL, 4)])
+    def test_height_four_counts(self, flavor, max_root):
+        objs = enumerate_objects(flavor, 4, max_root)
+        assert len(objs) == 184
+        assert len(set(objs)) == len(objs)
+
+
+def default_objects() -> list[ITreeObj]:
+    b = Bounds()
+    return [
+        *enumerate_objects(INTERVAL, b.max_height, b.max_label),
+        *enumerate_objects(ORDINAL, b.max_height, b.max_label),
+    ]
+
+
+def dual(h: ITreeObj) -> ITreeObj:
+    return vee(h) if h.flavor == INTERVAL else wedge(h)
+
+
+class TestSharedTrees:
+    """The cached hash, the shared trivial objects and the memoized
+    ``vee``/``wedge`` on objects must agree with fresh constructions."""
+
+    def test_trivial_object_is_shared(self):
+        for flavor in (INTERVAL, ORDINAL):
+            assert trivial_obj(flavor) is trivial_obj(flavor)
+
+    def test_rebuilt_trees_match(self):
+        for h in default_objects():
+            dual(h)  # warm the tables with h itself
+            clone = ITreeObj.from_dict(h.to_dict())
+            assert clone is not h
+            assert clone == h
+            assert hash(clone) == hash(h)
+            assert dual(clone) == dual(h)
+
+    def test_wrong_flavor_still_rejected_when_warm(self):
+        objs = default_objects()
+        for h in objs:
+            dual(h)
+        for h in objs:
+            wrong = wedge if h.flavor == INTERVAL else vee
+            with pytest.raises(ValueError, match="consumes"):
+                wrong(h)
+            with pytest.raises(ValueError, match="consumes"):
+                wrong(identity(h))
+
+    def test_pickle_drops_the_cached_hash(self):
+        # The hash of a flavor string differs between hash seeds, so a
+        # cached hash must not travel to another process.
+        hash(I3)
+        code = (
+            "import pickle, sys; "
+            "from theta_disk.itree import ITreeObj; "
+            "h = pickle.loads(sys.stdin.buffer.read()); "
+            "assert hash(h) == hash((h.flavor, h.root, h.children)); "
+            "assert {h: 1}[ITreeObj.from_dict(h.to_dict())] == 1"
+        )
+        env = dict(os.environ)
+        env["PYTHONHASHSEED"] = "2" if env.get("PYTHONHASHSEED") == "1" else "1"
+        source_root = str(Path(theta_disk.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (source_root, env.get("PYTHONPATH")) if p
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", code],
+            input=pickle.dumps(I3),
+            env=env,
+            capture_output=True,
+            timeout=60,
+        )
+        assert result.returncode == 0, result.stderr.decode()

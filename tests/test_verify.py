@@ -6,6 +6,8 @@ import json
 
 import pytest
 
+from theta_disk import verify
+from theta_disk.cli import main
 from theta_disk.globular import POINT_CARDINAL
 from theta_disk.itree import (
     INTERVAL,
@@ -47,6 +49,20 @@ TI = trivial_obj(INTERVAL)
 I1 = ITreeObj(INTERVAL, Ordinal(1), (TI, TI))
 
 
+def corrupt_vee_map(f):
+    """``vee_map`` with the identity on [2] sent to the wrong map."""
+    if f.dom == Ordinal(2) and f.images == (0, 1, 2):
+        return vee_map(type(f)(Ordinal(2), Ordinal(2), (0, 2, 2)))
+    return vee_map(f)
+
+
+def corrupt_vee(x):
+    """``vee`` with the tree ``I1`` collapsed to the trivial object."""
+    if x == I1:
+        return vee(TI)
+    return vee(x)
+
+
 class TestBounds:
     def test_defaults(self):
         b = Bounds()
@@ -84,15 +100,13 @@ class TestOrdinalDualityCheck:
         assert report.instances["hom_pairs"] == 25
 
     def test_negative_control(self):
-        target = Ordinal(2)
-        identity = tuple(range(3))
+        report = check_ordinal_duality(Bounds(), vee_map_fn=corrupt_vee_map)
+        assert not report.passed
+        assert report.counterexample["law"] == "interval-map-round-trip"
 
-        def corrupt(f):
-            if f.dom == target and f.images == identity:
-                return vee_map(type(f)(target, target, (0, 2, 2)))
-            return vee_map(f)
-
-        report = check_ordinal_duality(Bounds(), vee_map_fn=corrupt)
+    def test_negative_control_after_the_memo_is_warm(self):
+        assert check_ordinal_duality(Bounds()).passed
+        report = check_ordinal_duality(Bounds(), vee_map_fn=corrupt_vee_map)
         assert not report.passed
         assert report.counterexample["law"] == "interval-map-round-trip"
 
@@ -111,14 +125,28 @@ class TestITreeDualityCheck:
         assert report.instances["interval_morphisms"] > 0
 
     def test_negative_control(self):
-        def corrupt(x):
-            if x == I1:
-                return vee(TI)
-            return vee(x)
-
-        report = check_itree_duality(Bounds(), vee_fn=corrupt)
+        report = check_itree_duality(Bounds(), vee_fn=corrupt_vee)
         assert not report.passed
         assert report.counterexample["law"] == "object-round-trip"
+
+    def test_negative_control_after_the_memo_is_warm(self):
+        assert check_itree_duality(Bounds()).passed
+        report = check_itree_duality(Bounds(), vee_fn=corrupt_vee)
+        assert not report.passed
+        assert report.counterexample["law"] == "object-round-trip"
+
+    def test_hom_set_over_the_cap_fails(self, capsys, monkeypatch):
+        monkeypatch.setattr(verify, "MORPHISM_PAIR_CAP", 3)
+        report = check_itree_duality(Bounds())
+        assert not report.passed
+        assert report.counterexample["law"] == "hom-set-cap"
+        assert report.instances["capped_pairs"] == 1
+        dom = ITreeObj.from_dict(report.counterexample["dom"])
+        cod = ITreeObj.from_dict(report.counterexample["cod"])
+        assert len(enumerate_morphisms(dom, cod)) > 3
+        monkeypatch.delenv("THETA_DISK_BOUNDS", raising=False)
+        assert main(["verify", "--check", "itree-duality"]) != 0
+        assert json.loads(capsys.readouterr().out)["passed"] is False
 
 
 class TestPhiCheck:
