@@ -6,6 +6,7 @@ import argparse
 import json
 import os
 import sys
+from collections.abc import Callable
 from pathlib import Path
 
 from theta_disk.disk import (
@@ -82,33 +83,6 @@ _PARSERS = {
     "omega-presentation": OmegaPresentation.from_dict,
 }
 
-FUNCTORS = (
-    "vee",
-    "wedge",
-    "phi",
-    "phi-inverse",
-    "gamma",
-    "gamma-prime",
-    "upsilon",
-    "upsilon-prime",
-    "xi",
-    "xi-inverse",
-    "L",
-    "psi",
-    "con-dualize",
-)
-
-ENUMERATIONS = (
-    "ordinal",
-    "disk",
-    "itree-interval",
-    "itree-ordinal",
-    "globcard",
-    "ograph",
-    "cropped-interval",
-    "cropped-ordinal",
-)
-
 _INPUT_HELP = (
     'Objects are JSON with a "kind" field, given as a file path or inline.\n'
     "Examples:\n"
@@ -163,138 +137,111 @@ def _resolve_bounds(flag: str | None) -> Bounds:
     return parse_bounds(flag or "", base=base)
 
 
-def _apply_functor(name: str, obj):
-    if name == "vee":
-        if isinstance(obj, Ordinal):
-            return vee_obj(obj)
-        if isinstance(obj, OrdMap):
-            return vee_map(obj)
-        if isinstance(obj, ITreeObj):
-            return vee(obj)
-    elif name == "wedge":
-        if isinstance(obj, Ordinal):
-            return wedge_obj(obj)
-        if isinstance(obj, OrdMap):
-            return wedge_map(obj)
-        if isinstance(obj, ITreeObj):
-            return wedge(obj)
-    elif name == "phi":
-        if isinstance(obj, Disk):
-            return phi_obj(obj)
-    elif name == "phi-inverse":
-        if isinstance(obj, ITreeObj):
-            return phi_inverse_obj(obj)
-    elif name == "gamma":
-        if isinstance(obj, GlobCard):
-            return gamma(obj)
-    elif name == "gamma-prime":
-        if isinstance(obj, OGraph):
-            return gamma_prime(obj)
-    elif name == "upsilon":
-        if isinstance(obj, ITreeObj):
-            return upsilon(obj)
-    elif name == "upsilon-prime":
-        if isinstance(obj, OGraph):
-            return upsilon_prime(obj)
-    elif name == "xi":
-        if isinstance(obj, LabeledTree):
-            convert = xi_interval if obj.flavor == INTERVAL else xi_ordinal
-            return convert(obj)
-    elif name == "xi-inverse":
-        if isinstance(obj, ITreeObj):
-            return xi_inverse(obj)
-    elif name == "L":
-        if isinstance(obj, Cell):
-            return comparison_L(obj)
-    elif name == "psi":
-        if isinstance(obj, ITreeObj):
-            return psi_obj(obj)
-    elif name == "con-dualize":
-        if isinstance(obj, LabeledTreeMor):
-            return con_dualize_mor(obj)
-        if isinstance(obj, LabeledTree):
-            return con_dualize(obj)
-    raise ValueError(
-        f"functor {name!r} does not apply to {type(obj).__name__} inputs"
-    )
+def _functors() -> dict:
+    """The function that each functor name applies to each input type.
+
+    Built on every call from the module globals, so that a function
+    rebound on this module (a test double, a tracing wrapper) is the one
+    that runs.
+    """
+    return {
+        ("vee", Ordinal): vee_obj,
+        ("vee", OrdMap): vee_map,
+        ("vee", ITreeObj): vee,
+        ("wedge", Ordinal): wedge_obj,
+        ("wedge", OrdMap): wedge_map,
+        ("wedge", ITreeObj): wedge,
+        ("phi", Disk): phi_obj,
+        ("phi-inverse", ITreeObj): phi_inverse_obj,
+        ("gamma", GlobCard): gamma,
+        ("gamma-prime", OGraph): gamma_prime,
+        ("upsilon", ITreeObj): upsilon,
+        ("upsilon-prime", OGraph): upsilon_prime,
+        ("xi", LabeledTree): lambda t: (
+            xi_interval(t) if t.flavor == INTERVAL else xi_ordinal(t)
+        ),
+        ("xi-inverse", ITreeObj): xi_inverse,
+        ("L", Cell): comparison_L,
+        ("psi", ITreeObj): psi_obj,
+        ("con-dualize", LabeledTree): con_dualize,
+        ("con-dualize", LabeledTreeMor): con_dualize_mor,
+    }
 
 
-def _enumerate(kind: str, bounds: Bounds) -> list:
-    if kind == "ordinal":
-        return [Ordinal(n) for n in range(-1, bounds.max_label + 1)]
-    if kind == "disk":
-        return enumerate_disks(bounds.max_degree, bounds.max_label)
-    if kind == "itree-interval":
-        return enumerate_objects(INTERVAL, bounds.max_height, bounds.max_label)
-    if kind == "itree-ordinal":
-        return enumerate_objects(ORDINAL, bounds.max_height, bounds.max_label)
-    if kind == "globcard":
-        return [
+FUNCTORS = tuple(dict.fromkeys(name for name, _ in _functors()))
+
+
+def _families(bounds: Bounds) -> dict:
+    """For each enumerable family, a function listing it under ``bounds``."""
+    height, label = bounds.max_height, bounds.max_label
+    return {
+        "ordinal": lambda: [Ordinal(n) for n in range(-1, label + 1)],
+        "disk": lambda: enumerate_disks(bounds.max_degree, label),
+        "itree-interval": lambda: enumerate_objects(INTERVAL, height, label),
+        "itree-ordinal": lambda: enumerate_objects(ORDINAL, height, label),
+        "globcard": lambda: [
             gamma_prime(g)
             for g in enumerate_ographs(bounds.max_vertices, bounds.max_dim)
-        ]
-    if kind == "ograph":
-        return enumerate_ographs(bounds.max_vertices, bounds.max_dim)
-    if kind == "cropped-interval":
-        return enumerate_cropped_trees(
-            INTERVAL, bounds.max_height, bounds.max_label + 1
+        ],
+        "ograph": lambda: enumerate_ographs(bounds.max_vertices, bounds.max_dim),
+        "cropped-interval": lambda: enumerate_cropped_trees(
+            INTERVAL, height, label + 1
+        ),
+        "cropped-ordinal": lambda: enumerate_cropped_trees(ORDINAL, height, label),
+    }
+
+
+ENUMERATIONS = tuple(_families(Bounds()))
+
+
+def _apply_functor(name: str, obj):
+    functor = _functors().get((name, type(obj)))
+    if functor is None:
+        raise ValueError(
+            f"functor {name!r} does not apply to {type(obj).__name__} inputs"
         )
-    return enumerate_cropped_trees(ORDINAL, bounds.max_height, bounds.max_label)
+    return functor(obj)
 
 
 def _hom_count(a, b, maps: str) -> int:
-    if isinstance(a, Ordinal) and isinstance(b, Ordinal):
-        if maps == "interval":
-            return len(enumerate_interval_maps(a, b))
-        return len(enumerate_ord_maps(a, b))
-    if isinstance(a, Disk) and isinstance(b, Disk):
-        return len(enumerate_disk_morphisms(a, b))
-    if isinstance(a, ITreeObj) and isinstance(b, ITreeObj):
-        return len(enumerate_morphisms(a, b))
-    if isinstance(a, GlobCard) and isinstance(b, GlobCard):
-        return len(enumerate_glob_morphisms(a, b))
-    if isinstance(a, OGraph) and isinstance(b, OGraph):
+    kind = type(a)
+    if kind is OGraph and type(b) is OGraph:
+        # Counted by recurrence, without listing the morphisms.
         return count_ograph_morphisms(a, b)
-    if isinstance(a, LabeledTree) and isinstance(b, LabeledTree):
-        return len(enumerate_labeled_mors(a, b))
+    homs = {
+        Ordinal: enumerate_interval_maps if maps == "interval" else enumerate_ord_maps,
+        Disk: enumerate_disk_morphisms,
+        ITreeObj: enumerate_morphisms,
+        GlobCard: enumerate_glob_morphisms,
+        LabeledTree: enumerate_labeled_mors,
+    }
+    if kind is not type(b) or kind not in homs:
+        raise ValueError(
+            "hom-count requires two objects of the same kind; got "
+            f"{kind.__name__} and {type(b).__name__}"
+        )
+    return len(homs[kind](a, b))
+
+
+def _level_view(obj) -> tuple[LevelTree, Callable[[int, int], str]]:
+    """The level tree drawn for a tree-shaped object, and the note that
+    follows the position of vertex ``(n, i)`` in its label."""
+    if type(obj) is LevelTree:
+        return obj, lambda n, i: ""
+    if type(obj) is Disk:
+        return obj.tree, lambda n, i: (
+            f" fiber {len(obj.fiber(n, i))}" if n < obj.tree.depth else ""
+        )
+    if type(obj) is LabeledTree:
+        return obj.tree, lambda n, i: f" [{obj.labels[n][i].n}]"
     raise ValueError(
-        "hom-count requires two objects of the same kind; got "
-        f"{type(a).__name__} and {type(b).__name__}"
+        f"rendering covers tree-shaped objects, not {type(obj).__name__}"
     )
 
 
-def _walk_level_tree(tree: LevelTree, line_for) -> list[str]:
-    lines: list[str] = []
-
-    def rec(level: int, index: int, depth: int) -> None:
-        lines.append("  " * depth + line_for(level, index))
-        if level < tree.depth:
-            for child in tree.children(level, index):
-                rec(level + 1, child, depth + 1)
-
-    for root in range(tree.levels[0]):
-        rec(0, root, 0)
-    return lines
-
-
 def _render_text(obj) -> str:
-    if isinstance(obj, LabeledTree):
-        lines = _walk_level_tree(
-            obj.tree,
-            lambda n, i: f"({n}, {i}) [{obj.labels[n][i].n}]",
-        )
-    elif isinstance(obj, Disk):
-        def disk_line(n: int, i: int) -> str:
-            if n < obj.tree.depth:
-                return f"({n}, {i}) fiber {len(obj.fiber(n, i))}"
-            return f"({n}, {i})"
-
-        lines = _walk_level_tree(obj.tree, disk_line)
-    elif isinstance(obj, LevelTree):
-        lines = _walk_level_tree(obj, lambda n, i: f"({n}, {i})")
-    elif isinstance(obj, ITreeObj):
-        lines = []
-
+    lines: list[str] = []
+    if type(obj) is ITreeObj:
         def rec(node: ITreeObj, depth: int) -> None:
             lines.append("  " * depth + f"[{node.root.n}]")
             for child in node.children:
@@ -302,50 +249,26 @@ def _render_text(obj) -> str:
 
         rec(obj, 0)
     else:
-        raise ValueError(
-            f"rendering covers tree-shaped objects, not {type(obj).__name__}"
-        )
+        tree, note = _level_view(obj)
+
+        def walk(level: int, index: int, depth: int) -> None:
+            lines.append("  " * depth + f"({level}, {index}){note(level, index)}")
+            if level < tree.depth:
+                for child in tree.children(level, index):
+                    walk(level + 1, child, depth + 1)
+
+        for root in range(tree.levels[0]):
+            walk(0, root, 0)
     return "\n".join(lines) + "\n"
 
 
-def _dot_level_tree(tree: LevelTree, label_for) -> str:
+def _render_dot(obj) -> str:
     lines = [
         "digraph tree {",
         "  rankdir=TB;",
         "  node [shape=box, ordering=out];",
     ]
-    for n in range(tree.depth + 1):
-        for i in range(tree.levels[n]):
-            lines.append(f'  v{n}_{i} [label="{label_for(n, i)}"];')
-        members = " ".join(f"v{n}_{i};" for i in range(tree.levels[n]))
-        lines.append(f"  {{ rank=same; {members} }}")
-    for n, row in enumerate(tree.parents):
-        for child, parent in enumerate(row):
-            lines.append(f"  v{n}_{parent} -> v{n + 1}_{child};")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
-
-
-def _render_dot(obj) -> str:
-    if isinstance(obj, LabeledTree):
-        return _dot_level_tree(
-            obj.tree, lambda n, i: f"({n},{i}) [{obj.labels[n][i].n}]"
-        )
-    if isinstance(obj, Disk):
-        def disk_label(n: int, i: int) -> str:
-            if n < obj.tree.depth:
-                return f"({n},{i}) fiber {len(obj.fiber(n, i))}"
-            return f"({n},{i})"
-
-        return _dot_level_tree(obj.tree, disk_label)
-    if isinstance(obj, LevelTree):
-        return _dot_level_tree(obj, lambda n, i: f"({n},{i})")
-    if isinstance(obj, ITreeObj):
-        lines = [
-            "digraph tree {",
-            "  rankdir=TB;",
-            "  node [shape=box, ordering=out];",
-        ]
+    if type(obj) is ITreeObj:
         counter = iter(range(10**9))
 
         def rec(node: ITreeObj) -> int:
@@ -357,11 +280,18 @@ def _render_dot(obj) -> str:
             return my_id
 
         rec(obj)
-        lines.append("}")
-        return "\n".join(lines) + "\n"
-    raise ValueError(
-        f"rendering covers tree-shaped objects, not {type(obj).__name__}"
-    )
+    else:
+        tree, note = _level_view(obj)
+        for n in range(tree.depth + 1):
+            for i in range(tree.levels[n]):
+                lines.append(f'  v{n}_{i} [label="({n},{i}){note(n, i)}"];')
+            members = " ".join(f"v{n}_{i};" for i in range(tree.levels[n]))
+            lines.append(f"  {{ rank=same; {members} }}")
+        for n, row in enumerate(tree.parents):
+            for child, parent in enumerate(row):
+                lines.append(f"  v{n}_{parent} -> v{n + 1}_{child};")
+    lines.append("}")
+    return "\n".join(lines) + "\n"
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -461,18 +391,17 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return _dispatch(args)
-    except (ValueError, KeyError, TypeError, OSError) as exc:
+    except (
+        ValueError, KeyError, TypeError, OSError, OverflowError, RecursionError
+    ) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except json.JSONDecodeError as exc:
-        print(f"error: invalid JSON ({exc})", file=sys.stderr)
         return 2
 
 
 def _dispatch(args: argparse.Namespace) -> int:
     bounds = _resolve_bounds(args.bounds)
     if args.verb == "enumerate":
-        objects = _enumerate(args.kind, bounds)
+        objects = _families(bounds)[args.kind]()
         _emit("".join(_dump(o.to_dict()) for o in objects), args.out)
         return 0
     if args.verb == "convert":

@@ -7,10 +7,8 @@ singleton fibers (parent maps are bijections from there on), and validity
 requires the truncation to be minimal.  Vertices are addressed as
 ``(level, index)`` pairs.
 
-Bare forests are unordered: isomorphism is decided by a canonical form
-that encodes each vertex as the sorted multiset of its children's
-encodings.  Sibling order only becomes meaningful in the modules that add
-interval structure on fibers.
+Bare forests are unordered; sibling order only becomes meaningful in the
+modules that add interval structure on fibers.
 """
 
 from __future__ import annotations
@@ -189,30 +187,6 @@ def coproduct(forests: list[LevelTree]) -> LevelTree:
             offset += f.level_size(n - 1)
         parents.append(tuple(step))
     return make_level_tree(levels, tuple(parents))
-
-
-def _encode_at_depth(a: LevelTree, depth: int) -> tuple:
-    """Canonical unordered encoding of the forest truncated at ``depth``."""
-    sizes = [a.level_size(n) for n in range(depth + 1)]
-    encs: list[tuple] = [() for _ in range(sizes[depth])]
-    for lvl in range(depth - 1, -1, -1):
-        groups: list[list[tuple]] = [[] for _ in range(sizes[lvl])]
-        for j in range(sizes[lvl + 1]):
-            groups[a.parent(lvl + 1, j)].append(encs[j])
-        encs = [tuple(sorted(g)) for g in groups]
-    return tuple(sorted(encs))
-
-
-def canonical_encoding(a: LevelTree) -> tuple:
-    """A value equal for two forests exactly when they are isomorphic."""
-    return (a.depth, _encode_at_depth(a, a.depth))
-
-
-def is_isomorphic(a: LevelTree, b: LevelTree) -> bool:
-    """Unordered isomorphism of forests (levels and parent fibers match)."""
-    if a.depth != b.depth:
-        return False
-    return _encode_at_depth(a, a.depth) == _encode_at_depth(b, b.depth)
 
 
 @dataclass(frozen=True)

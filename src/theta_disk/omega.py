@@ -318,22 +318,6 @@ def compose_cells(beta: Cell, alpha: Cell, m: int) -> Cell:
     return Cell(alpha.base, glued_shape, glued_map, n)
 
 
-def is_indecomposable(c: Cell) -> bool:
-    """Whether the cell is proper with a globe shape."""
-    n = c.nominal_dim
-    return c.is_proper and c.shape.gset.levels == (2,) * n + (1,)
-
-
-def is_m_indecomposable(c: Cell, m: int) -> bool:
-    """Whether no band at level ``m`` has more than two cells (more than
-    two object cells for ``m = 0``)."""
-    if m >= len(c.shape.gset.levels):
-        return True
-    if m == 0:
-        return c.shape.gset.levels[0] <= 2
-    return all(len(band) <= 2 for band in _bands(c.shape, m))
-
-
 def zero_decompose(c: Cell) -> list[Cell]:
     """The column cells between consecutive object cells of the shape."""
     if c.nominal_dim < 1:

@@ -199,32 +199,6 @@ def wedge_map(g: OrdMap) -> OrdMap:
     return left_adjoint(ext)
 
 
-def wedge_fiber(g: OrdMap, j: int) -> set[int]:
-    """The fiber of ``wedge_map(g)`` over ``j`` in ``wedge_obj(g.dom)``.
-
-    Equals ``{g(j-1)+1, ..., g(j)}`` with the conventions ``g(-1)+1 = 0``
-    at the bottom and a top fiber running up to ``g.cod.n + 1``.
-    """
-    if not 0 <= j <= g.dom.n + 1:
-        raise ValueError(f"{j} is not an element of {wedge_obj(g.dom)}")
-    w = wedge_map(g)
-    return {i for i in range(w.dom.size) if w.images[i] == j}
-
-
-def endpoint_outside(g: OrdMap, i: int) -> bool:
-    """Whether ``wedge_map(g)`` sends ``i`` to an endpoint of its codomain.
-
-    Computed directly from the image of ``g``: true iff ``i`` is at most the
-    least value of ``g`` or exceeds the greatest (always true for the empty
-    map).
-    """
-    if not 0 <= i <= g.cod.n + 1:
-        raise ValueError(f"{i} is not an element of {wedge_obj(g.cod)}")
-    if not g.images:
-        return True
-    return i <= g.images[0] or i > g.images[-1]
-
-
 def enumerate_ord_maps(m: Ordinal, n: Ordinal) -> list[OrdMap]:
     """All monotone maps ``m -> n`` in lexicographic order of value tuples."""
     if m.n == -1:

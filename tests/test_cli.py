@@ -12,14 +12,16 @@ from pathlib import Path
 import pytest
 
 import theta_disk
-from theta_disk.cli import main
+from theta_disk import cli
+from theta_disk.cli import _PARSERS, FUNCTORS, main
 from theta_disk.disk import trivial_disk
-from theta_disk.globular import ARROW_CARDINAL
+from theta_disk.forest import POINT_TREE
+from theta_disk.globular import ARROW_CARDINAL, enumerate_glob_morphisms
 from theta_disk.itree import INTERVAL, ORDINAL, trivial_obj
-from theta_disk.labeled import suspend_labeled, trivial_labeled
+from theta_disk.labeled import enumerate_labeled_mors, suspend_labeled, trivial_labeled
 from theta_disk.ograph import OGraph, POINT_OGRAPH, enumerate_ographs, gamma_prime
-from theta_disk.omega import enumerate_cells
-from theta_disk.ordinal import Ordinal
+from theta_disk.omega import EnrichedCell, enumerate_cells, psi_obj
+from theta_disk.ordinal import OrdMap, Ordinal
 from theta_disk.verify import CHECKS, Bounds, Report
 
 
@@ -71,6 +73,16 @@ class TestParsing:
 
     def test_bad_bounds_text(self, capsys):
         assert main(["enumerate", "--kind", "ordinal", "--bounds", "width=2"]) == 2
+
+    def test_number_too_large_for_an_integer(self, capsys):
+        code = main(["convert", "--functor", "vee", '{"kind": "ordinal", "n": 1e400}'])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_deeply_nested_json(self, capsys):
+        deep = "[" * 100_000 + "]" * 100_000
+        assert main(["convert", "--functor", "vee", deep]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
 
 
 class TestEnumerate:
@@ -209,6 +221,76 @@ class TestConvert:
         source.write_text('{"kind": "ordinal", "n": 3}')
         data = run_json(capsys, "convert", "--functor", "vee", str(source))
         assert data == {"kind": "ordinal", "n": 2}
+
+
+def _dispatch_samples() -> dict[str, list[str]]:
+    """Inputs per object kind that each functor defined on the kind accepts
+    (inductive trees need one of each flavor)."""
+    interval = trivial_labeled(INTERVAL)
+    objects = {
+        "ordinal": [Ordinal(3)],
+        "ordmap": [OrdMap(Ordinal(2), Ordinal(1), (0, 0, 1))],
+        "tree": [POINT_TREE],
+        "disk": [trivial_disk()],
+        "itree": [trivial_obj(INTERVAL), trivial_obj(ORDINAL)],
+        "globcard": [ARROW_CARDINAL],
+        "globmor": [enumerate_glob_morphisms(ARROW_CARDINAL, ARROW_CARDINAL)[0]],
+        "ograph": [ARROW_OGRAPH],
+        "labeled-tree": [interval],
+        "labeled-tree-mor": [enumerate_labeled_mors(interval, interval)[0]],
+        "cell": [enumerate_cells(ARROW_CARDINAL, 0)[0]],
+        "enriched-cell": [EnrichedCell(0, 0, 0)],
+        "omega-presentation": [psi_obj(trivial_obj(ORDINAL))],
+    }
+    return {
+        kind: [json.dumps(obj.to_dict()) for obj in objs]
+        for kind, objs in objects.items()
+    }
+
+
+# The (functor, object kind) pairs that ``convert`` applies.
+CONVERTIBLE = {
+    ("vee", "ordinal"),
+    ("vee", "ordmap"),
+    ("vee", "itree"),
+    ("wedge", "ordinal"),
+    ("wedge", "ordmap"),
+    ("wedge", "itree"),
+    ("phi", "disk"),
+    ("phi-inverse", "itree"),
+    ("gamma", "globcard"),
+    ("gamma-prime", "ograph"),
+    ("upsilon", "itree"),
+    ("upsilon-prime", "ograph"),
+    ("xi", "labeled-tree"),
+    ("xi-inverse", "itree"),
+    ("L", "cell"),
+    ("psi", "itree"),
+    ("con-dualize", "labeled-tree"),
+    ("con-dualize", "labeled-tree-mor"),
+}
+
+
+class TestDispatch:
+    def test_samples_cover_every_kind(self):
+        assert set(_dispatch_samples()) == set(_PARSERS)
+        assert len(CONVERTIBLE) == 18
+        assert {functor for functor, _ in CONVERTIBLE} == set(FUNCTORS)
+
+    @pytest.mark.parametrize("functor", FUNCTORS)
+    def test_functor_applies_exactly_to_its_kinds(self, capsys, functor):
+        for kind, samples in _dispatch_samples().items():
+            codes = []
+            for sample in samples:
+                codes.append(main(["convert", "--functor", functor, sample]))
+                mismatch = "does not apply" in capsys.readouterr().err
+                assert mismatch == ((functor, kind) not in CONVERTIBLE), kind
+            expected = 0 if (functor, kind) in CONVERTIBLE else 2
+            assert min(codes) == expected, kind
+
+    def test_rebound_functor_is_the_one_that_runs(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "vee_obj", lambda m: Ordinal(m.n))
+        assert run_json(capsys, *CONVERT_ARGS) == {"kind": "ordinal", "n": 3}
 
 
 class TestHomCount:

@@ -9,12 +9,10 @@ from theta_disk.forest import (
     POINT_TREE,
     LevelTree,
     TreeMap,
-    canonical_encoding,
     compose_tree_maps,
     coproduct,
     degree,
     identity_tree_map,
-    is_isomorphic,
     make_level_tree,
     restrict,
     restrict_map,
@@ -122,24 +120,6 @@ class TestSuspendCoproduct:
             for i, t in enumerate(collection):
                 back = restrict(s, (1, i))
                 assert back == t
-                assert is_isomorphic(back, t)
-
-
-class TestCanonicalForm:
-    def test_sibling_permutation_is_isomorphic(self):
-        a = LevelTree((1, 2, 3), ((0, 0), (0, 0, 1)))
-        b = LevelTree((1, 2, 3), ((0, 0), (0, 1, 1)))
-        assert a != b
-        assert is_isomorphic(a, b)
-        assert canonical_encoding(a) == canonical_encoding(b)
-
-    def test_distinguishes_bare_point_from_chain(self):
-        assert not is_isomorphic(POINT_TREE, suspend(EMPTY_FOREST))
-
-    def test_distinguishes_shapes(self):
-        a = LevelTree((1, 2, 3), ((0, 0), (0, 0, 1)))
-        c = LevelTree((1, 3), ((0, 0, 0),))
-        assert not is_isomorphic(a, c)
 
 
 class TestTreeMap:

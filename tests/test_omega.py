@@ -51,8 +51,6 @@ from theta_disk.omega import (
     hom_graph_count,
     identity_action,
     identity_cell,
-    is_indecomposable,
-    is_m_indecomposable,
     m_source,
     m_target,
     promote_cell,
@@ -245,25 +243,6 @@ class TestCompose:
 
 
 class TestDecompose:
-    def test_globes_are_indecomposable(self):
-        assert is_indecomposable(total_cell(POINT))
-        assert is_indecomposable(total_cell(ARROW))
-        assert is_indecomposable(total_cell(GLOBE2))
-        assert not is_indecomposable(total_cell(CHAIN2))
-        assert not is_indecomposable(identity_cell(total_cell(ARROW)))
-
-    def test_zero_indecomposability(self):
-        assert is_m_indecomposable(total_cell(POINT), 0)
-        assert is_m_indecomposable(total_cell(ARROW), 0)
-        assert not is_m_indecomposable(total_cell(CHAIN2), 0)
-
-    def test_higher_indecomposability(self):
-        w = total_cell(WHISKER)
-        assert is_m_indecomposable(w, 1)
-        col = gamma_prime(OGraph(2, (CHAIN2_OGRAPH,)))
-        assert not is_m_indecomposable(total_cell(col), 1)
-        assert is_m_indecomposable(total_cell(ARROW), 5)
-
     def test_zero_decompose_chain(self):
         parts = zero_decompose(total_cell(CHAIN2))
         assert [p.shape for p in parts] == [ARROW, ARROW]

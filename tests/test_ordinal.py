@@ -10,7 +10,6 @@ from theta_disk.ordinal import (
     OrdMap,
     Ordinal,
     compose,
-    endpoint_outside,
     enumerate_interval_maps,
     enumerate_ord_maps,
     identity,
@@ -18,7 +17,6 @@ from theta_disk.ordinal import (
     right_adjoint,
     vee_map,
     vee_obj,
-    wedge_fiber,
     wedge_map,
     wedge_obj,
 )
@@ -154,37 +152,15 @@ class TestVeeWedge:
         assert wedge_map(om(0, 1, 0)) == om(2, 1, 0, 1, 1)
         assert wedge_map(om(-1, -1)) == om(0, 0, 0)
 
-    def test_wedge_fiber_examples(self):
-        g = om(0, 1, 0)
-        assert wedge_fiber(g, 0) == {0}
-        assert wedge_fiber(g, 1) == {1, 2}
-        with pytest.raises(ValueError):
-            wedge_fiber(g, 2)
-
     @given(ord_maps(max_n=5))
     def test_wedge_fiber_matches_interval_formula(self, g: OrdMap):
         m, n = g.dom.n, g.cod.n
+        w = wedge_map(g)
         for j in range(m + 2):
             lo = 0 if j == 0 else g.images[j - 1] + 1
             hi = g.images[j] if j <= m else n + 1
-            assert wedge_fiber(g, j) == set(range(lo, hi + 1))
-
-    def test_endpoint_outside_examples(self):
-        g = om(0, 2, 1)
-        assert endpoint_outside(g, 0) is True
-        assert endpoint_outside(g, 1) is True
-        assert endpoint_outside(identity(Ordinal(1)), 1) is False
-        empty = om(-1, 2)
-        assert all(endpoint_outside(empty, i) for i in range(4))
-        with pytest.raises(ValueError):
-            endpoint_outside(g, 4)
-
-    @given(ord_maps(max_n=5))
-    def test_endpoint_outside_matches_wedge(self, g: OrdMap):
-        w = wedge_map(g)
-        for i in range(g.cod.n + 2):
-            hits_endpoint = w(i) in (0, g.dom.n + 1)
-            assert endpoint_outside(g, i) == hits_endpoint
+            fiber = {i for i in range(w.dom.size) if w.images[i] == j}
+            assert fiber == set(range(lo, hi + 1))
 
     @given(ord_maps(max_n=5))
     def test_wedge_then_vee_is_identity(self, g: OrdMap):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 
 import pytest
@@ -44,6 +45,56 @@ from theta_disk.verify import (
     run_all,
 )
 
+
+# Instance counts of every check at ``Bounds()``, in ``CHECKS`` order.
+DEFAULT_INSTANCES = {
+    "ordinal-duality": {
+        "objects": 8,
+        "interval_maps": 35,
+        "ordinal_maps": 35,
+        "composable_pairs": 36,
+        "hom_pairs": 9,
+    },
+    "itree-duality": {
+        "interval_objects": 4,
+        "ordinal_objects": 14,
+        "interval_morphisms": 26,
+        "ordinal_morphisms": 5463,
+        "capped_pairs": 0,
+    },
+    "phi": {"disks": 3, "tree_objects": 4, "hom_pairs": 9, "morphisms": 10},
+    "gamma": {"cardinals": 5, "hom_pairs": 25, "morphisms": 20},
+    "upsilon": {"tree_objects": 14, "graphs": 5},
+    "L": {
+        "cells": 52,
+        "proper_cells": 15,
+        "boundary_checks": 89,
+        "composition_checks": 114,
+    },
+    "omega-laws": {
+        "unit_checks": 89,
+        "associativity_checks": 142,
+        "globularity_checks": 60,
+        "composite_boundary_checks": 114,
+    },
+    "psi": {"pairs": 9, "morphisms": 10},
+    "xi": {
+        "interval_objects": 14,
+        "ordinal_objects": 14,
+        "hom_pairs": 18,
+        "morphisms": 20,
+        "square_objects": 14,
+        "square_morphisms": 10,
+    },
+}
+
+# SHA-256 of ``theta-disk verify --all`` stdout per ``--bounds`` text.
+VERIFY_ALL_SHA256 = {
+    "": "4f2420a6f1f27c0db0979136aa4c1dcc8d85c5bb809c229a4c43659e65727a7e",
+    "height=1,label=1,vertices=2,dim=1": (
+        "4b88941d8ddb30f7b197760a9a287578c7b079082fb98f237ab972398e49ab07"
+    ),
+}
 
 TI = trivial_obj(INTERVAL)
 I1 = ITreeObj(INTERVAL, Ordinal(1), (TI, TI))
@@ -273,6 +324,14 @@ class TestRunAll:
         assert [r.check for r in reports] == list(CHECKS)
         assert all(r.passed for r in reports)
         assert all(r.counterexample is None for r in reports)
+        assert {r.check: r.instances for r in reports} == DEFAULT_INSTANCES
+
+    @pytest.mark.parametrize("bounds", sorted(VERIFY_ALL_SHA256))
+    def test_verify_all_stdout_is_pinned(self, capsys, monkeypatch, bounds):
+        monkeypatch.delenv("THETA_DISK_BOUNDS", raising=False)
+        assert main(["verify", "--all", "--bounds", bounds]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_ALL_SHA256[bounds]
 
     def test_reports_render_deterministically(self):
         bounds = Bounds(max_height=1, max_label=1, max_vertices=2, max_dim=1)
