@@ -25,8 +25,11 @@ from itertools import product
 from theta_disk.forest import (
     LevelTree,
     TreeMap,
+    collapse_map,
+    compose_tree_maps,
     coproduct,
-    make_level_tree,
+    glue_tree_maps,
+    identity_tree_map,
     restrict,
     restrict_map,
     suspend,
@@ -38,7 +41,12 @@ from theta_disk.itree import (
     marker,
     trivial_obj,
 )
-from theta_disk.ordinal import OrdMap, Ordinal, enumerate_interval_maps
+from theta_disk.ordinal import (
+    OrdMap,
+    Ordinal,
+    enumerate_interval_maps,
+    json_int,
+)
 
 
 @dataclass(frozen=True)
@@ -91,15 +99,10 @@ class Disk:
 
     @staticmethod
     def from_dict(data: dict) -> "Disk":
-        d = Disk(
-            make_level_tree(
-                tuple(int(s) for s in data["levels"]),
-                tuple(tuple(int(p) for p in pmap) for pmap in data["parents"]),
-            )
-        )
+        d = Disk(LevelTree.from_dict(data))
         if "fiber_sizes" in data:
             declared = [
-                [int(v) for v in row] for row in data["fiber_sizes"]
+                [json_int(v) for v in row] for row in data["fiber_sizes"]
             ]
             actual = [
                 [len(d.fiber(n, i)) for i in range(size)]
@@ -198,14 +201,10 @@ class DiskMor:
 
 
 def identity_disk_mor(d: Disk) -> DiskMor:
-    from theta_disk.forest import identity_tree_map
-
     return DiskMor(d, d, identity_tree_map(d.tree))
 
 
 def compose_disk_mors(g: DiskMor, f: DiskMor) -> DiskMor:
-    from theta_disk.forest import compose_tree_maps
-
     if f.cod != g.dom:
         raise ValueError("disk morphisms do not compose")
     return DiskMor(f.dom, g.cod, compose_tree_maps(g.tree_map, f.tree_map))
@@ -290,13 +289,7 @@ def _nontrivial_disks(max_degree: int, max_fiber: int) -> list[Disk]:
 def enumerate_disk_morphisms(a: Disk, b: Disk) -> list[DiskMor]:
     """All disk morphisms ``a -> b``, deterministically ordered."""
     if b.is_trivial:
-        span = max(a.tree.depth, 0) + 1
-        collapse = TreeMap(
-            a.tree,
-            b.tree,
-            tuple((0,) * a.tree.level_size(n) for n in range(span)),
-        )
-        return [DiskMor(a, b, collapse)]
+        return [DiskMor(a, b, collapse_map(a.tree, b.tree))]
     if a.is_trivial:
         return []
     k_dom, k_cod = a.tree.levels[1], b.tree.levels[1]
@@ -311,34 +304,9 @@ def enumerate_disk_morphisms(a: Disk, b: Disk) -> list[DiskMor]:
         if any(not opts for opts in sub_options):
             continue
         for subs in product(*sub_options):
-            out.append(_assemble_mor(a, b, root, list(subs)))
+            tree_map = glue_tree_maps(
+                a.tree, b.tree, root, [sub.tree_map for sub in subs]
+            )
+            out.append(DiskMor(a, b, tree_map))
     return out
 
-
-def _assemble_mor(
-    a: Disk, b: Disk, root: OrdMap, subs: list[DiskMor]
-) -> DiskMor:
-    """Glue per-subtree morphisms under a root-fiber map into one."""
-    span = max(a.tree.depth, b.tree.depth) + 1
-    level_maps: list[tuple[int, ...]] = [(0,)]
-    if span > 1:
-        level_maps.append(tuple(root.images))
-    for lvl in range(2, span):
-        row: list[int] = []
-        for i, sub in enumerate(subs):
-            dom_base = sum(
-                s.dom.tree.level_size(lvl - 1) for s in subs[:i]
-            )
-            cod_base = sum(
-                restrict_disk(b, j).tree.level_size(lvl - 1)
-                for j in range(root(i))
-            )
-            local = sub.tree_map.at_level(lvl - 1)
-            row.extend(
-                local[x]
-                + cod_base
-                for x in range(sub.dom.tree.level_size(lvl - 1))
-            )
-            assert dom_base == len(row) - sub.dom.tree.level_size(lvl - 1)
-        level_maps.append(tuple(row))
-    return DiskMor(a, b, TreeMap(a.tree, b.tree, tuple(level_maps)))

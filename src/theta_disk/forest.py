@@ -13,7 +13,10 @@ modules that add interval structure on fibers.
 
 from __future__ import annotations
 
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
+
+from theta_disk.ordinal import json_int
 
 Vertex = tuple[int, int]
 
@@ -97,8 +100,10 @@ class LevelTree:
     @staticmethod
     def from_dict(data: dict) -> "LevelTree":
         return make_level_tree(
-            tuple(int(s) for s in data["levels"]),
-            tuple(tuple(int(p) for p in pmap) for pmap in data["parents"]),
+            tuple(json_int(s) for s in data["levels"]),
+            tuple(
+                tuple(json_int(p) for p in pmap) for pmap in data["parents"]
+            ),
         )
 
 
@@ -126,9 +131,10 @@ def degree(a: LevelTree) -> int:
     return a.depth
 
 
-def _restrict_keep(a: LevelTree, x: Vertex) -> list[list[int]]:
+def subtree_rows(a: LevelTree, x: Vertex) -> list[list[int]]:
     """Per-level original indices of the subtree over ``x`` (stored part).
 
+    ``rows[k]`` lists the descendants of ``x`` at level ``x[0] + k``.
     Vertices beyond the stored depth belong to the implicit chain
     continuation, so their subtree is a single chain.
     """
@@ -148,7 +154,7 @@ def _restrict_keep(a: LevelTree, x: Vertex) -> list[list[int]]:
 
 def restrict(a: LevelTree, x: Vertex) -> LevelTree:
     """The subtree rooted at vertex ``x``, re-truncated at its own degree."""
-    keep = _restrict_keep(a, x)
+    keep = subtree_rows(a, x)
     n = x[0]
     levels = tuple(len(part) for part in keep)
     parents = []
@@ -253,8 +259,8 @@ def restrict_map(f: TreeMap, x: Vertex) -> TreeMap:
     y = f(x)
     sub_dom = restrict(f.dom, x)
     sub_cod = restrict(f.cod, y)
-    keep_dom = _restrict_keep(f.dom, x)
-    keep_cod = _restrict_keep(f.cod, y)
+    keep_dom = subtree_rows(f.dom, x)
+    keep_cod = subtree_rows(f.cod, y)
     span = max(sub_dom.depth, sub_cod.depth) + 1
     maps = []
     for k in range(span):
@@ -265,3 +271,46 @@ def restrict_map(f: TreeMap, x: Vertex) -> TreeMap:
             tuple(cod_pos[f.at_level(n + k)[old]] for old in old_dom)
         )
     return TreeMap(sub_dom, sub_cod, tuple(maps))
+
+
+def collapse_map(a: LevelTree, point: LevelTree) -> TreeMap:
+    """The map sending every vertex of ``a`` to the one-vertex tree
+    ``point``."""
+    return TreeMap(
+        a, point, tuple((0,) * a.level_size(n) for n in range(a.depth + 1))
+    )
+
+
+def glue_tree_maps(
+    dom: LevelTree,
+    cod: LevelTree,
+    child_of: Callable[[int], int],
+    subs: Sequence[TreeMap],
+) -> TreeMap:
+    """The tree map ``dom -> cod`` that sends the root to the root and the
+    subtree over the root's child ``(1, j)`` into the subtree over
+    ``(1, child_of(j))`` by ``subs[j]``.
+
+    Each level of ``dom`` must list its vertices subtree by subtree, in
+    the order of the root's children, as trees whose fibers are stored in
+    parent order do.
+    """
+    dom_rows = [subtree_rows(dom, (1, j)) for j in range(len(subs))]
+    cod_rows = [subtree_rows(cod, (1, j)) for j in range(cod.level_size(1))]
+    level_maps: list[tuple[int, ...]] = [(0,)]
+    for lvl in range(1, max(dom.depth, cod.depth) + 1):
+        here = [rows[min(lvl, dom.depth) - 1] for rows in dom_rows]
+        if [v for part in here for v in part] != list(
+            range(dom.level_size(lvl))
+        ):
+            raise ValueError(
+                f"level {lvl} of the domain is not stored subtree by "
+                "subtree in child order"
+            )
+        row: list[int] = []
+        for j, sub in enumerate(subs):
+            there = cod_rows[child_of(j)][min(lvl, cod.depth) - 1]
+            local = sub.at_level(lvl - 1)
+            row.extend(there[local[t]] for t in range(len(here[j])))
+        level_maps.append(tuple(row))
+    return TreeMap(dom, cod, tuple(level_maps))

@@ -15,8 +15,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cmp_to_key, lru_cache
-from itertools import product
+from itertools import accumulate, product
 from typing import Iterable, Sequence
+
+from theta_disk.ordinal import json_int
 
 Vertex = tuple[int, int]
 
@@ -78,9 +80,9 @@ class GlobSet:
     @staticmethod
     def from_dict(data: dict) -> "GlobSet":
         return GlobSet(
-            tuple(int(v) for v in data["levels"]),
-            tuple(tuple(int(v) for v in s) for s in data["src"]),
-            tuple(tuple(int(v) for v in t) for t in data["tgt"]),
+            tuple(json_int(v) for v in data["levels"]),
+            tuple(tuple(json_int(v) for v in s) for s in data["src"]),
+            tuple(tuple(json_int(v) for v in t) for t in data["tgt"]),
         )
 
 
@@ -181,34 +183,55 @@ POINT_CARDINAL = GlobCard(GlobSet((1,), (), ()))
 ARROW_CARDINAL = GlobCard(GlobSet((2, 1), ((0,),), ((1,),)))
 
 
-def linearize(gset: GlobSet) -> GlobCard | None:
-    """Canonically renumber a globular set into a cardinal, if it is one."""
+def _induced(
+    gset: GlobSet, kept: Sequence[Sequence[int]], start: int
+) -> GlobSet:
+    """The globular set on the kept cells, numbered in list order.
+
+    ``kept[m]`` lists cell indices of dimension ``start + m``; the result
+    starts at dimension 0.  The kept cells must be closed under sources
+    and targets within the kept dimensions.
+    """
+    rank = [{old: new for new, old in enumerate(level)} for level in kept]
+    src: list[tuple[int, ...]] = []
+    tgt: list[tuple[int, ...]] = []
+    for m in range(1, len(kept)):
+        below = rank[m - 1]
+        s, t = gset.src[start + m - 1], gset.tgt[start + m - 1]
+        try:
+            src.append(tuple(below[s[i]] for i in kept[m]))
+            tgt.append(tuple(below[t[i]] for i in kept[m]))
+        except KeyError:
+            raise ValueError(
+                "kept cells are not closed under sources and targets"
+            ) from None
+    return GlobSet(tuple(len(level) for level in kept), tuple(src), tuple(tgt))
+
+
+def canonical_form(
+    gset: GlobSet,
+) -> tuple[GlobCard, dict[Vertex, int]] | None:
+    """The canonical renumbering of a globular set, if it is a cardinal.
+
+    Returns the cardinal together with ``rank``, which sends each cell
+    ``(k, i)`` of ``gset`` to its index within dimension ``k`` of the
+    cardinal.
+    """
     order = _linear_order(gset)
     if order is None:
         return None
     rank: dict[Vertex, int] = {}
-    counters = [0] * len(gset.levels)
+    inverse: list[list[int]] = [[] for _ in gset.levels]
     for k, i in order:
-        rank[(k, i)] = counters[k]
-        counters[k] += 1
-    inverse: list[list[int]] = [[0] * size for size in gset.levels]
-    for (k, i), r in rank.items():
-        inverse[k][r] = i
-    src = tuple(
-        tuple(
-            rank[(k - 1, gset.src[k - 1][inverse[k][ni]])]
-            for ni in range(gset.levels[k])
-        )
-        for k in range(1, len(gset.levels))
-    )
-    tgt = tuple(
-        tuple(
-            rank[(k - 1, gset.tgt[k - 1][inverse[k][ni]])]
-            for ni in range(gset.levels[k])
-        )
-        for k in range(1, len(gset.levels))
-    )
-    return GlobCard(GlobSet(gset.levels, src, tgt))
+        rank[(k, i)] = len(inverse[k])
+        inverse[k].append(i)
+    return GlobCard(_induced(gset, inverse, 0)), rank
+
+
+def linearize(gset: GlobSet) -> GlobCard | None:
+    """Canonically renumber a globular set into a cardinal, if it is one."""
+    canon = canonical_form(gset)
+    return None if canon is None else canon[0]
 
 
 def consecutive(x: GlobCard, u: Vertex, v: Vertex) -> bool:
@@ -276,7 +299,7 @@ class GlobMor:
         return GlobMor(
             GlobCard.from_dict(data["dom"]),
             GlobCard.from_dict(data["cod"]),
-            tuple(tuple(int(v) for v in m) for m in data["level_maps"]),
+            tuple(tuple(json_int(v) for v in m) for m in data["level_maps"]),
         )
 
 
@@ -361,30 +384,7 @@ def sub_globcard(
         kept.pop()
     if len(kept) > len(x.gset.levels):
         raise ValueError("kept cells exceed the dimensions present")
-    rank: list[dict[int, int]] = [
-        {old: new for new, old in enumerate(level)} for level in kept
-    ]
-    for k in range(1, len(kept)):
-        for i in kept[k]:
-            if (
-                x.gset.src[k - 1][i] not in rank[k - 1]
-                or x.gset.tgt[k - 1][i] not in rank[k - 1]
-            ):
-                raise ValueError(
-                    "kept cells are not closed under sources and targets"
-                )
-    gset = GlobSet(
-        tuple(len(level) for level in kept),
-        tuple(
-            tuple(rank[k - 1][x.gset.src[k - 1][i]] for i in kept[k])
-            for k in range(1, len(kept))
-        ),
-        tuple(
-            tuple(rank[k - 1][x.gset.tgt[k - 1][i]] for i in kept[k])
-            for k in range(1, len(kept))
-        ),
-    )
-    sub = GlobCard(gset)
+    sub = GlobCard(_induced(x.gset, kept, 0))
     incl = GlobMor(sub, x, tuple(tuple(level) for level in kept))
     return sub, incl
 
@@ -418,23 +418,7 @@ def _restrict_data(
         if not layer:
             break
         kept.append(layer)
-    rank = [{old: new for new, old in enumerate(level)} for level in kept]
-    gset = GlobSet(
-        tuple(len(level) for level in kept),
-        tuple(
-            tuple(
-                rank[m - 1][x.gset.src[n + m][i]] for i in kept[m]
-            )
-            for m in range(1, len(kept))
-        ),
-        tuple(
-            tuple(
-                rank[m - 1][x.gset.tgt[n + m][i]] for i in kept[m]
-            )
-            for m in range(1, len(kept))
-        ),
-    )
-    return GlobCard(gset), kept
+    return GlobCard(_induced(x.gset, kept, n + 1)), kept
 
 
 def restrict_gc(x: GlobCard, a: Vertex, b: Vertex) -> GlobCard:
@@ -466,6 +450,15 @@ def restrict_gc_mor(f: GlobMor, a: Vertex, b: Vertex) -> GlobMor:
     return GlobMor(dom, cod, tuple(maps))
 
 
+def _offsets(components: Sequence[GlobCard], k: int) -> list[int]:
+    """Where each component's dimension-``k`` cells start when they are
+    listed one component after another, followed by their total."""
+    sizes = (
+        c.gset.levels[k] if k < len(c.gset.levels) else 0 for c in components
+    )
+    return list(accumulate(sizes, initial=0))
+
+
 def suspend_gc(components: Sequence[GlobCard]) -> GlobCard:
     """One dimension up: object cells separating the given cardinals.
 
@@ -479,50 +472,23 @@ def suspend_gc(components: Sequence[GlobCard]) -> GlobCard:
     levels = [len(components) + 1]
     src: list[tuple[int, ...]] = []
     tgt: list[tuple[int, ...]] = []
+    below: list[int] = []
     for k in range(depth):
-        sizes = [
-            c.gset.levels[k] if k < len(c.gset.levels) else 0
-            for c in components
-        ]
-        offsets = [sum(sizes[:i]) for i in range(len(components))]
-        levels.append(sum(sizes))
-        if k == 0:
-            src.append(
-                tuple(
-                    i
-                    for i, c in enumerate(components)
-                    for _ in range(sizes[i])
-                )
-            )
-            tgt.append(
-                tuple(
-                    i + 1
-                    for i, c in enumerate(components)
-                    for _ in range(sizes[i])
-                )
-            )
-        else:
-            prev_sizes = [
-                c.gset.levels[k - 1] if k - 1 < len(c.gset.levels) else 0
-                for c in components
-            ]
-            prev_offsets = [
-                sum(prev_sizes[:i]) for i in range(len(components))
-            ]
-            src.append(
-                tuple(
-                    prev_offsets[i] + c.gset.src[k - 1][j]
-                    for i, c in enumerate(components)
-                    for j in range(sizes[i])
-                )
-            )
-            tgt.append(
-                tuple(
-                    prev_offsets[i] + c.gset.tgt[k - 1][j]
-                    for i, c in enumerate(components)
-                    for j in range(sizes[i])
-                )
-            )
+        starts = _offsets(components, k)
+        levels.append(starts[-1])
+        src_row: list[int] = []
+        tgt_row: list[int] = []
+        for i, c in enumerate(components):
+            for j in range(starts[i + 1] - starts[i]):
+                if k == 0:
+                    src_row.append(i)
+                    tgt_row.append(i + 1)
+                else:
+                    src_row.append(below[i] + c.gset.src[k - 1][j])
+                    tgt_row.append(below[i] + c.gset.tgt[k - 1][j])
+        src.append(tuple(src_row))
+        tgt.append(tuple(tgt_row))
+        below = starts
     return GlobCard(GlobSet(tuple(levels), tuple(src), tuple(tgt)))
 
 
@@ -545,16 +511,12 @@ def suspend_gc_mor(
         tuple(i + offset for i in range(len(dom_components) + 1))
     ]
     for k in range(1, len(dom.gset.levels)):
-        cod_sizes = [
-            c.gset.levels[k - 1] if k - 1 < len(c.gset.levels) else 0
-            for c in cod_components
-        ]
-        cod_offsets = [sum(cod_sizes[:i]) for i in range(len(cod_components))]
+        starts = _offsets(cod_components, k - 1)
         row: list[int] = []
         for i, f in enumerate(family):
             if k - 1 >= len(f.level_maps):
                 continue
-            base = cod_offsets[offset + i]
+            base = starts[offset + i]
             row.extend(base + v for v in f.level_maps[k - 1])
         maps.append(tuple(row))
     return GlobMor(dom, cod, tuple(maps))

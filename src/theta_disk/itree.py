@@ -26,6 +26,7 @@ from theta_disk.ordinal import (
     Ordinal,
     enumerate_interval_maps,
     enumerate_ord_maps,
+    json_int,
 )
 from theta_disk.ordinal import (
     compose as compose_ord,
@@ -121,7 +122,7 @@ class ITreeObj:
     def from_dict(data: dict) -> "ITreeObj":
         return ITreeObj(
             data["flavor"],
-            Ordinal(int(data["root"])),
+            Ordinal(json_int(data["root"])),
             tuple(ITreeObj.from_dict(c) for c in data["children"]),
         )
 

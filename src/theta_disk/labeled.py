@@ -29,12 +29,14 @@ from theta_disk.forest import (
     POINT_TREE,
     TreeMap,
     Vertex,
+    collapse_map,
     compose_tree_maps,
     coproduct,
+    glue_tree_maps,
     identity_tree_map,
-    make_level_tree,
     restrict,
     restrict_map,
+    subtree_rows,
     suspend,
 )
 from theta_disk.itree import (
@@ -54,6 +56,7 @@ from theta_disk.ordinal import (
     enumerate_interval_maps,
     enumerate_ord_maps,
     identity as identity_ord,
+    json_int,
     vee_map,
     vee_obj,
     wedge_map,
@@ -139,12 +142,9 @@ class LabeledTree:
 
     @staticmethod
     def from_dict(data: dict) -> "LabeledTree":
-        tree = make_level_tree(
-            tuple(int(s) for s in data["levels"]),
-            tuple(tuple(int(p) for p in pmap) for pmap in data["parents"]),
-        )
+        tree = LevelTree.from_dict(data)
         rows = tuple(
-            tuple(Ordinal(int(n)) for n in row) for row in data["labels"]
+            tuple(Ordinal(json_int(n)) for n in row) for row in data["labels"]
         )
         return LabeledTree(data["flavor"], tree, rows[: tree.depth + 1])
 
@@ -221,24 +221,10 @@ def validate_cropped(t: LabeledTree) -> list[str]:
     return problems
 
 
-def _subtree_rows(tree: LevelTree, x: Vertex) -> list[list[int]]:
-    """Per-level original indices of the stored subtree over ``x``."""
-    n, i = x
-    if n < 0 or not 0 <= i < tree.level_size(n):
-        raise ValueError(f"unknown vertex {x}")
-    rows = [[i]]
-    for lvl in range(n + 1, tree.depth + 1):
-        members = set(rows[-1])
-        rows.append(
-            [j for j, p in enumerate(tree.parents[lvl - 1]) if p in members]
-        )
-    return rows
-
-
 def restrict_labeled(t: LabeledTree, x: Vertex) -> LabeledTree:
     """The labeled subtree over vertex ``x``, re-truncated at its degree."""
     shape = restrict(t.tree, x)
-    rows = _subtree_rows(t.tree, x)
+    rows = subtree_rows(t.tree, x)
     n = x[0]
     labels = tuple(
         tuple(t.label((n + k, j)) for j in rows[k])
@@ -395,7 +381,9 @@ class LabeledTreeMor:
             cod.tree,
             dom.tree,
         )
-        rows = tuple(tuple(int(v) for v in row) for row in data["level_maps"])
+        rows = tuple(
+            tuple(json_int(v) for v in row) for row in data["level_maps"]
+        )
         alphas = tuple(
             tuple(OrdMap.from_dict(a) for a in row) for row in data["alphas"]
         )
@@ -460,7 +448,7 @@ def restrict_labeled_mor(m: LabeledTreeMor, x: Vertex) -> LabeledTreeMor:
     sub_here = restrict_labeled(index_tree, x)
     sub_there = restrict_labeled(other, m.tree_map(x))
     sub_tm = restrict_map(m.tree_map, x)
-    rows = _subtree_rows(index_tree.tree, x)
+    rows = subtree_rows(index_tree.tree, x)
     n = x[0]
     alphas = tuple(
         tuple(_alpha_at(m, n + k, j) for j in rows[k])
@@ -577,7 +565,7 @@ def _assemble_mor(
     cod: LabeledTree,
     root_alpha: OrdMap,
     subs: tuple[LabeledTreeMor, ...],
-    child_of: OrdMap | None,
+    child_of: OrdMap,
 ) -> LabeledTreeMor:
     """Glue a root component and per-child morphisms into one morphism.
 
@@ -590,34 +578,21 @@ def _assemble_mor(
         index_side, value_side = dom, cod
     else:
         index_side, value_side = cod, dom
-    index_rows = [
-        _subtree_rows(index_side.tree, (1, j))
-        for j in range(index_side.tree.levels[1])
-    ]
-    value_rows = [
-        _subtree_rows(value_side.tree, (1, j))
-        for j in range(value_side.tree.levels[1])
-    ]
-    span = max(index_side.depth, value_side.depth) + 1
-    level_maps: list[tuple[int, ...]] = [(0,)]
-    for lvl in range(1, span):
-        row: list[int] = []
-        for j, sub in enumerate(subs):
-            here = index_rows[j][min(lvl, index_side.depth) - 1]
-            there = value_rows[child_of(j)][min(lvl, value_side.depth) - 1]
-            local = sub.tree_map.at_level(lvl - 1)
-            row.extend(there[local[t]] for t in range(len(here)))
-        level_maps.append(tuple(row))
+    tree_map = glue_tree_maps(
+        index_side.tree,
+        value_side.tree,
+        child_of,
+        [sub.tree_map for sub in subs],
+    )
     alphas: list[tuple[OrdMap, ...]] = [(root_alpha,)]
     for lvl in range(1, index_side.depth + 1):
         alphas.append(
             tuple(
                 _alpha_at(sub, lvl - 1, t)
-                for j, sub in enumerate(subs)
-                for t in range(len(index_rows[j][lvl - 1]))
+                for sub in subs
+                for t in range(sub.tree_map.dom.level_size(lvl - 1))
             )
         )
-    tree_map = TreeMap(index_side.tree, value_side.tree, tuple(level_maps))
     return LabeledTreeMor(dom, cod, tree_map, tuple(alphas))
 
 
@@ -628,12 +603,6 @@ def _enum_mors(a: LabeledTree, b: LabeledTree) -> list[LabeledTreeMor]:
         if a.depth == 0:
             return []
         if b.depth == 0:
-            span = a.depth + 1
-            tree_map = TreeMap(
-                a.tree,
-                b.tree,
-                tuple((0,) * a.tree.level_size(n) for n in range(span)),
-            )
             alphas = tuple(
                 tuple(
                     OrdMap(lab, trivial_root(INTERVAL), (0,) * lab.size)
@@ -641,7 +610,9 @@ def _enum_mors(a: LabeledTree, b: LabeledTree) -> list[LabeledTreeMor]:
                 )
                 for row in a.labels
             )
-            return [LabeledTreeMor(a, b, tree_map, alphas)]
+            return [
+                LabeledTreeMor(a, b, collapse_map(a.tree, b.tree), alphas)
+            ]
         out: list[LabeledTreeMor] = []
         for g in enumerate_interval_maps(a.labels[0][0], b.labels[0][0]):
             options = [
@@ -656,17 +627,11 @@ def _enum_mors(a: LabeledTree, b: LabeledTree) -> list[LabeledTreeMor]:
                 out.append(_assemble_mor(a, b, g, combo, g))
         return out
     if a.depth == 0:
-        span = b.depth + 1
-        tree_map = TreeMap(
-            b.tree,
-            a.tree,
-            tuple((0,) * b.tree.level_size(n) for n in range(span)),
-        )
         alphas = tuple(
             tuple(OrdMap(Ordinal(-1), lab, ()) for lab in row)
             for row in b.labels
         )
-        return [LabeledTreeMor(a, b, tree_map, alphas)]
+        return [LabeledTreeMor(a, b, collapse_map(b.tree, a.tree), alphas)]
     if b.depth == 0:
         return []
     out = []

@@ -27,7 +27,7 @@ from theta_disk.globular import (
     suspend_gc_mor,
 )
 from theta_disk.itree import ORDINAL, ITreeObj, trivial_obj
-from theta_disk.ordinal import Ordinal
+from theta_disk.ordinal import Ordinal, json_int
 
 
 @dataclass(frozen=True)
@@ -75,7 +75,7 @@ class OGraph:
     @staticmethod
     def from_dict(data: dict) -> "OGraph":
         return OGraph(
-            int(data["vertices"]),
+            json_int(data["vertices"]),
             tuple(OGraph.from_dict(e) for e in data["edges"]),
         )
 

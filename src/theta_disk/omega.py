@@ -33,7 +33,7 @@ from theta_disk.globular import (
     GlobCard,
     GlobMor,
     GlobSet,
-    _linear_order,
+    canonical_form,
     comp_subfunctor,
     compose_glob_mors,
     enumerate_glob_morphisms,
@@ -46,9 +46,10 @@ from theta_disk.ograph import (
     OGraph,
     enumerate_ographs,
     gamma,
+    gamma_prime,
     upsilon,
 )
-from theta_disk.ordinal import wedge_map
+from theta_disk.ordinal import json_int, wedge_map
 
 # ---------------------------------------------------------------------------
 # Cells over a globular cardinal
@@ -94,8 +95,9 @@ class Cell:
     def from_dict(data: dict) -> "Cell":
         base = GlobCard.from_dict(data["base"])
         shape = GlobCard.from_dict(data["shape"])
-        level_maps = tuple(tuple(int(v) for v in m) for m in data["map"])
-        return Cell(base, shape, GlobMor(shape, base, level_maps), int(data["dim"]))
+        level_maps = tuple(tuple(json_int(v) for v in m) for m in data["map"])
+        dim = json_int(data["dim"])
+        return Cell(base, shape, GlobMor(shape, base, level_maps), dim)
 
 
 def promote_cell(c: Cell, n: int) -> Cell:
@@ -118,7 +120,7 @@ def enumerate_cells(x: GlobCard, n: int) -> list[Cell]:
     for g in enumerate_ographs(x.size(), n):
         if g.is_empty:
             continue
-        shape = _cardinal_of_graph(g)
+        shape = gamma_prime(g)
         if len(shape.gset.levels) > len(x.gset.levels):
             continue
         if any(
@@ -129,12 +131,6 @@ def enumerate_cells(x: GlobCard, n: int) -> list[Cell]:
         for f in enumerate_glob_morphisms(shape, x):
             out.append(Cell(x, shape, f, n))
     return out
-
-
-def _cardinal_of_graph(g: OGraph) -> GlobCard:
-    from theta_disk.ograph import gamma_prime
-
-    return gamma_prime(g)
 
 
 def _bands(shape: GlobCard, m: int) -> list[list[int]]:
@@ -206,111 +202,51 @@ def compose_cells(beta: Cell, alpha: Cell, m: int) -> Cell:
         if m < z.dim
         else [list(range(s)) for s in z.gset.levels]
     )
-    # Position of each identified z-cell and its y-counterpart.
-    glued: dict[tuple[int, int], tuple[int, int]] = {}
-    for lvl in range(len(keep_z)):
-        for pos, zi in enumerate(keep_z[lvl]):
-            glued[(lvl, zi)] = (lvl, keep_y[lvl][pos])
+    # Raw numbering of the glued shape: the cells of y keep their indices
+    # and the cells of z off the shared boundary follow them, in order.
     depth = max(len(y.gset.levels), len(z.gset.levels))
-    y_sizes = [
-        y.gset.levels[k] if k < len(y.gset.levels) else 0
-        for k in range(depth)
-    ]
-    extra_z: list[list[int]] = [
-        [
-            i
-            for i in range(
-                z.gset.levels[k] if k < len(z.gset.levels) else 0
-            )
-            if (k, i) not in glued
-        ]
-        for k in range(depth)
-    ]
-    z_rank: dict[tuple[int, int], int] = {}
-    for k, extras in enumerate(extra_z):
-        for offset, i in enumerate(extras):
-            z_rank[(k, i)] = y_sizes[k] + offset
-
-    def raw_of_z(v: tuple[int, int]) -> tuple[int, int]:
-        if v in glued:
-            return glued[v]
-        return (v[0], z_rank[v])
-
-    levels = tuple(
-        y_sizes[k] + len(extra_z[k]) for k in range(depth)
-    )
-    src: list[list[int]] = [[0] * size for size in levels[1:]]
-    tgt: list[list[int]] = [[0] * size for size in levels[1:]]
-    for k in range(1, len(y.gset.levels)):
-        for i in range(y.gset.levels[k]):
-            src[k - 1][i] = y.gset.src[k - 1][i]
-            tgt[k - 1][i] = y.gset.tgt[k - 1][i]
-    for k in range(1, len(z.gset.levels)):
-        for i in extra_z[k]:
-            raw = z_rank[(k, i)]
-            src[k - 1][raw] = raw_of_z((k - 1, z.gset.src[k - 1][i]))[1]
-            tgt[k - 1][raw] = raw_of_z((k - 1, z.gset.tgt[k - 1][i]))[1]
+    missing = depth - len(y.gset.levels)
+    levels = list(y.gset.levels) + [0] * missing
+    src = [list(row) for row in y.gset.src] + [[] for _ in range(missing)]
+    tgt = [list(row) for row in y.gset.tgt] + [[] for _ in range(missing)]
+    y_raw = [list(range(size)) for size in y.gset.levels]
+    z_raw: list[list[int]] = []
+    for k, size in enumerate(z.gset.levels):
+        shared = dict(zip(keep_z[k], keep_y[k])) if k < len(keep_z) else {}
+        row = []
+        for i in range(size):
+            if i in shared:
+                row.append(shared[i])
+                continue
+            row.append(levels[k])
+            levels[k] += 1
+            if k:
+                src[k - 1].append(z_raw[k - 1][z.gset.src[k - 1][i]])
+                tgt[k - 1].append(z_raw[k - 1][z.gset.tgt[k - 1][i]])
+        z_raw.append(row)
     raw = GlobSet(
-        levels, tuple(tuple(r) for r in src), tuple(tuple(r) for r in tgt)
+        tuple(levels), tuple(map(tuple, src)), tuple(map(tuple, tgt))
     )
-    order = _linear_order(raw)
-    if order is None:
+    canon = canonical_form(raw)
+    if canon is None:
         raise ValueError("glued shape is not a cardinal")
-    rank: dict[tuple[int, int], int] = {}
-    counters = [0] * len(levels)
-    for k, i in order:
-        rank[(k, i)] = counters[k]
-        counters[k] += 1
-    inverse: list[list[int]] = [[0] * size for size in levels]
-    for (k, i), r in rank.items():
-        inverse[k][r] = i
-    glued_shape = GlobCard(
-        GlobSet(
-            levels,
+    glued_shape, rank = canon
+    combined = [[0] * size for size in levels]
+    incl_y, incl_z = [
+        GlobMor(
+            shape,
+            glued_shape,
             tuple(
-                tuple(
-                    rank[(k - 1, src[k - 1][inverse[k][ni]])]
-                    for ni in range(levels[k])
-                )
-                for k in range(1, len(levels))
-            ),
-            tuple(
-                tuple(
-                    rank[(k - 1, tgt[k - 1][inverse[k][ni]])]
-                    for ni in range(levels[k])
-                )
-                for k in range(1, len(levels))
+                tuple(rank[(k, r)] for r in row) for k, row in enumerate(raws)
             ),
         )
-    )
-    incl_y = GlobMor(
-        y,
-        glued_shape,
-        tuple(
-            tuple(rank[(k, i)] for i in range(y.gset.levels[k]))
-            for k in range(len(y.gset.levels))
-        ),
-    )
-    incl_z = GlobMor(
-        z,
-        glued_shape,
-        tuple(
-            tuple(
-                rank[raw_of_z((k, i))] for i in range(z.gset.levels[k])
-            )
-            for k in range(len(z.gset.levels))
-        ),
-    )
-    combined: list[list[int]] = [[0] * size for size in levels]
-    for k in range(len(y.gset.levels)):
-        for i in range(y.gset.levels[k]):
-            combined[k][rank[(k, i)]] = alpha.map.level_maps[k][i]
-    for k in range(len(z.gset.levels)):
-        for i in range(z.gset.levels[k]):
-            combined[k][rank[raw_of_z((k, i))]] = beta.map.level_maps[k][i]
-    glued_map = GlobMor(
-        glued_shape, alpha.base, tuple(tuple(r) for r in combined)
-    )
+        for shape, raws in ((y, y_raw), (z, z_raw))
+    ]
+    for incl, cell in ((incl_y, alpha), (incl_z, beta)):
+        for k, row in enumerate(incl.level_maps):
+            for i, target in enumerate(row):
+                combined[k][target] = cell.map.level_maps[k][i]
+    glued_map = GlobMor(glued_shape, alpha.base, tuple(map(tuple, combined)))
     if compose_glob_mors(glued_map, incl_y) != alpha.map:
         raise AssertionError("glued map does not restrict to the first cell")
     if compose_glob_mors(glued_map, incl_z) != beta.map:
@@ -385,9 +321,9 @@ class EnrichedCell:
     @staticmethod
     def from_dict(data: dict) -> "EnrichedCell":
         return EnrichedCell(
-            int(data["dim"]),
-            int(data["h"]),
-            int(data["k"]),
+            json_int(data["dim"]),
+            json_int(data["h"]),
+            json_int(data["k"]),
             tuple(EnrichedCell.from_dict(p) for p in data["parts"]),
         )
 

@@ -19,6 +19,17 @@ from functools import lru_cache
 from itertools import combinations_with_replacement
 
 
+def json_int(value: object) -> int:
+    """``value`` if it is a JSON integer.
+
+    Non-integer numbers, booleans and strings are rejected, where
+    ``int()`` would truncate or convert them.
+    """
+    if type(value) is not int:
+        raise ValueError(f"expected an integer, got {value!r}")
+    return value
+
+
 @dataclass(frozen=True, order=True)
 class Ordinal:
     """The finite linear order ``[n] = {0, ..., n}``; ``[-1]`` is empty."""
@@ -44,7 +55,7 @@ class Ordinal:
 
     @staticmethod
     def from_dict(data: dict) -> "Ordinal":
-        return Ordinal(int(data["n"]))
+        return Ordinal(json_int(data["n"]))
 
 
 @dataclass(frozen=True)
@@ -97,9 +108,9 @@ class OrdMap:
     @staticmethod
     def from_dict(data: dict) -> "OrdMap":
         return OrdMap(
-            Ordinal(int(data["dom"])),
-            Ordinal(int(data["cod"])),
-            tuple(int(v) for v in data["images"]),
+            Ordinal(json_int(data["dom"])),
+            Ordinal(json_int(data["cod"])),
+            tuple(json_int(v) for v in data["images"]),
         )
 
 

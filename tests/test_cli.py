@@ -79,6 +79,27 @@ class TestParsing:
         assert code == 2
         assert capsys.readouterr().err.startswith("error: ")
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"kind": "ordinal", "n": 1.5}',
+            '{"kind": "ordinal", "n": 1.0}',
+            '{"kind": "ordinal", "n": true}',
+            '{"kind": "ordinal", "n": "1"}',
+            '{"kind": "ordmap", "dom": 1, "cod": 1, "images": [0, 1.5]}',
+            '{"kind": "disk", "levels": [1, 2.0], "parents": [[0, 0]]}',
+            '{"kind": "labeled-tree", "flavor": "interval", "levels": [1], '
+            '"parents": [], "labels": [[0.0]]}',
+            '{"kind": "itree", "flavor": "interval", "root": 1, "children": '
+            '[{"kind": "itree", "flavor": "interval", "root": false, '
+            '"children": []}, {"kind": "itree", "flavor": "interval", '
+            '"root": 0, "children": []}]}',
+        ],
+    )
+    def test_non_integer_number_is_a_usage_error(self, capsys, text):
+        assert main(["render", "--format", "json", text]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_deeply_nested_json(self, capsys):
         deep = "[" * 100_000 + "]" * 100_000
         assert main(["convert", "--functor", "vee", deep]) == 2

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+import json
 from itertools import product
 
 import pytest
@@ -240,6 +242,19 @@ class TestDiskMorphisms:
                     m.tree_map.level_maps for m in slow
                 }
                 assert len(fast) == len(slow)
+
+    def test_level_maps_are_pinned(self):
+        disks = enumerate_disks(2, 5)
+        rows = [
+            f.tree_map.level_maps
+            for a in disks
+            for b in disks
+            for f in enumerate_disk_morphisms(a, b)
+        ]
+        assert len(rows) == 126
+        assert hashlib.sha256(json.dumps(rows).encode()).hexdigest() == (
+            "db96c2e2d839734c9ca5cae9145b1d80b7a49b69a8d97ceb480824a65288cff9"
+        )
 
     def test_frozen_hom_counts(self):
         assert len(enumerate_disk_morphisms(two_disk(), tall_disk())) == 1

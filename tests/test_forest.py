@@ -9,9 +9,11 @@ from theta_disk.forest import (
     POINT_TREE,
     LevelTree,
     TreeMap,
+    collapse_map,
     compose_tree_maps,
     coproduct,
     degree,
+    glue_tree_maps,
     identity_tree_map,
     make_level_tree,
     restrict,
@@ -158,6 +160,30 @@ class TestTreeMap:
     def test_restrict_map_collapse(self):
         t = LevelTree((1, 2, 3), ((0, 0), (0, 0, 1)))
         collapse = TreeMap(t, POINT_TREE, ((0,), (0, 0), (0, 0, 0)))
+        assert collapse_map(t, POINT_TREE) == collapse
         sub = restrict_map(collapse, (1, 0))
         assert sub.dom == restrict(t, (1, 0))
         assert sub.cod == POINT_TREE
+
+    def test_glue_restricted_maps(self):
+        shallow = LevelTree((1, 2), ((0, 0),))
+        deep = LevelTree((1, 2, 3), ((0, 0), (0, 0, 1)))
+        maps = [
+            identity_tree_map(example_tree()),
+            TreeMap(shallow, deep, ((0,), (0, 1), (0, 2))),
+            TreeMap(deep, shallow, ((0,), (0, 1), (0, 0, 1))),
+        ]
+        for f in maps:
+            subs = [
+                restrict_map(f, (1, j)) for j in range(f.dom.level_size(1))
+            ]
+            child_of = f.at_level(1).__getitem__
+            assert glue_tree_maps(f.dom, f.cod, child_of, subs) == f
+
+    def test_glue_rejects_levels_out_of_child_order(self):
+        # Level 2 lists the child of root-child 1 first.
+        t = LevelTree((1, 2, 3), ((0, 0), (1, 0, 0)))
+        ident = identity_tree_map(t)
+        subs = [restrict_map(ident, (1, j)) for j in range(2)]
+        with pytest.raises(ValueError, match="child order"):
+            glue_tree_maps(t, t, lambda j: j, subs)

@@ -13,6 +13,7 @@ from theta_disk.globular import (
     GlobCard,
     GlobMor,
     GlobSet,
+    canonical_form,
     comp_subfunctor,
     compose_glob_mors,
     consecutive,
@@ -143,13 +144,19 @@ class TestLinearOrder:
             GlobSet((2,), (), ()),
             GlobSet((2, 2), ((0, 0),), ((1, 1),)),
             GlobSet((1, 1), ((0,),), ((0,),)),
+            GlobSet((3, 1), ((0,),), ((1,),)),
         ]
         for g in cardinals:
             assert count_linear_extensions(g) == 1
             assert linearize(g) is not None
+            assert canonical_form(g) == (
+                GlobCard(g),
+                {v: v[1] for v in g.vertices()},
+            )
         for g in non_cardinals:
             assert count_linear_extensions(g) != 1
             assert linearize(g) is None
+            assert canonical_form(g) is None
 
     def test_non_cardinal_rejected(self):
         with pytest.raises(ValueError, match="not total"):
@@ -162,8 +169,27 @@ class TestLinearOrder:
         assert linearize(reversed_arrow) == ARROW_CARDINAL
 
     def test_linearize_permuted_chain(self):
-        scrambled = GlobSet((3, 2), ((2, 0),), ((0, 1),))
-        assert linearize(scrambled) == chain2()
+        scrambled_chain = GlobSet((3, 2), ((2, 0),), ((0, 1),))
+        chain_rank = {(0, 2): 0, (0, 0): 1, (0, 1): 2, (1, 0): 0, (1, 1): 1}
+        # The whisker with its objects and arrows numbered in another order.
+        scrambled_whisker = GlobSet(
+            (3, 3, 1), ((0, 2, 2), (1,)), ((1, 0, 0), (2,))
+        )
+        whisker_rank = {
+            (0, 2): 0,
+            (0, 0): 1,
+            (0, 1): 2,
+            (1, 1): 0,
+            (1, 2): 1,
+            (1, 0): 2,
+            (2, 0): 0,
+        }
+        for scrambled, card, rank in (
+            (scrambled_chain, chain2(), chain_rank),
+            (scrambled_whisker, whisker(), whisker_rank),
+        ):
+            assert linearize(scrambled) == card
+            assert canonical_form(scrambled) == (card, rank)
 
     def test_positions(self):
         assert globe2().position((2, 0)) == 2

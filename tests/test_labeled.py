@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import hashlib
+import json
+
 import pytest
 
 from theta_disk.forest import POINT_TREE, TreeMap, make_level_tree
@@ -281,6 +284,34 @@ class TestSuspendCoproduct:
 
 
 class TestMorphisms:
+    @pytest.mark.parametrize(
+        "flavor, max_root, digest",
+        [
+            (
+                INTERVAL,
+                3,
+                "74a7061753a16bebbca06643ff4b0149125a7bf3370311b4e3023b0833bc1fc5",
+            ),
+            (
+                ORDINAL,
+                2,
+                "c477e42b23c6594571f64ed349074c21f483e985763680e2eb2832b5bfc268ed",
+            ),
+        ],
+        ids=[INTERVAL, ORDINAL],
+    )
+    def test_enumerated_morphisms_are_pinned(self, flavor, max_root, digest):
+        trees = enumerate_cropped_trees(flavor, 3, max_root)
+        rows = [
+            m.to_dict()
+            for a in trees
+            for b in trees
+            for m in enumerate_labeled_mors(a, b)
+        ]
+        assert len(rows) == 26
+        text = json.dumps(rows, sort_keys=True)
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+
     def test_identity_is_accepted_and_composes(self):
         for t in (deep(), trivial_labeled(INTERVAL), trivial_labeled(ORDINAL)):
             ident = identity_labeled(t)

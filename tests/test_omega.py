@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+import json
 from itertools import product
 
 import pytest
@@ -240,6 +242,40 @@ class TestCompose:
         rows_first = compose_cells(top, bottom, 1)
         assert columns_first == rows_first
         assert columns_first == total_cell(GRID22)
+
+
+    @pytest.mark.parametrize(
+        "vertices, dim, count, digest",
+        [
+            (
+                7,
+                2,
+                238,
+                "9fb2d7acc19945f83d53db72c9fec3cffcda915bcda9606871d6cc600624f176",
+            ),
+            (
+                5,
+                3,
+                114,
+                "82c99e1ea5f75bc6d20bb078d5224f7db66ec51ab17df7a92a73f550f42b3333",
+            ),
+        ],
+        ids=["vertices7-dim2", "vertices5-dim3"],
+    )
+    def test_composites_are_pinned(self, vertices, dim, count, digest):
+        rows = []
+        for g in enumerate_ographs(vertices, dim):
+            if g.is_empty:
+                continue
+            x = gamma_prime(g)
+            for n in range(1, dim + 1):
+                cells = enumerate_cells(x, n)
+                for m in range(n):
+                    for alpha, beta in composable_pairs(cells, m):
+                        rows.append(compose_cells(beta, alpha, m).to_dict())
+        assert len(rows) == count
+        text = json.dumps(rows, sort_keys=True)
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 class TestDecompose:
