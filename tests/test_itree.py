@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import os
 import pickle
 import subprocess
@@ -14,18 +15,21 @@ import theta_disk
 from theta_disk.itree import (
     INTERVAL,
     ORDINAL,
+    ITreeMor,
     ITreeObj,
     compose,
     enumerate_morphisms,
     enumerate_objects,
     height,
     identity,
+    marker,
     trivial_obj,
     validate,
     vee,
     wedge,
 )
-from theta_disk.ordinal import Ordinal
+from theta_disk.ordinal import Ordinal, OrdMap
+from theta_disk.ordinal import identity as identity_ord
 from theta_disk.verify import Bounds
 
 T_I = trivial_obj(INTERVAL)
@@ -111,8 +115,10 @@ class TestMorphisms:
         assert len(enumerate_morphisms(O0, O1)) == 2
         assert len(enumerate_morphisms(O1, O1)) == 3
 
-    def test_composition_closure(self):
-        objs = [T_O, O0, O1]
+    @pytest.mark.parametrize(
+        "objs", [[T_I, I1, I2, I3], [T_O, O0, O1]], ids=[INTERVAL, ORDINAL]
+    )
+    def test_composition_closure(self, objs):
         for a in objs:
             for b in objs:
                 for c in objs:
@@ -122,8 +128,10 @@ class TestMorphisms:
                             assert gf.dom == a and gf.cod == c
                             assert gf in enumerate_morphisms(a, c)
 
-    def test_associativity_small(self):
-        objs = [T_I, I1, I2]
+    @pytest.mark.parametrize(
+        "objs", [[T_I, I1, I2], [T_O, O0, O1]], ids=[INTERVAL, ORDINAL]
+    )
+    def test_associativity_small(self, objs):
         homs = {
             (a, b): enumerate_morphisms(a, b) for a in objs for b in objs
         }
@@ -137,6 +145,130 @@ class TestMorphisms:
                                     assert compose(h, compose(g, f)) == compose(
                                         compose(h, g), f
                                     )
+
+    @pytest.mark.parametrize(
+        "flavor, max_root, count, digest",
+        [
+            (
+                INTERVAL,
+                3,
+                26,
+                "220bed315b53e8e52ca60f57ebe55818ac08b42f8be0dedcac73276c841c5f58",
+            ),
+            (
+                ORDINAL,
+                3,
+                5463,
+                "6482aaff194cdbb18ac93e02e713707836fae90ce099872fdaf989123aa1bd88",
+            ),
+            (
+                INTERVAL,
+                4,
+                5463,
+                "feffb7fdfcf7d23be0362468dd0131309c879c01def42f8adfc8bf51d27a8cbb",
+            ),
+        ],
+    )
+    def test_enumeration_order_is_pinned(self, flavor, max_root, count, digest):
+        objs = enumerate_objects(flavor, 3, max_root)
+        reprs = [
+            repr(f) for a in objs for b in objs for f in enumerate_morphisms(a, b)
+        ]
+        assert len(reprs) == count
+        assert hashlib.sha256("\n".join(reprs).encode()).hexdigest() == digest
+
+
+def _hom(a: ITreeObj, b: ITreeObj) -> ITreeMor:
+    return enumerate_morphisms(a, b)[0]
+
+
+class TestMorphismValidation:
+    """Each rejection path of ``ITreeMor``, in both flavors.
+
+    Interval morphisms are indexed by the domain's children and send
+    child ``i`` to the codomain's child ``root_map(i)``; ordinal morphisms
+    are indexed by the codomain's children and take child ``j`` from the
+    domain's child ``wedge_map(root_map)(j)``.
+    """
+
+    def test_identities_are_accepted(self):
+        for obj in (I2, O1):
+            ident = identity(obj)
+            assert ITreeMor(obj, obj, ident.root_map, ident.children) == ident
+
+    def test_interval_child_with_wrong_index_end(self):
+        kids = list(identity(I2).children)
+        kids[1] = _hom(I2, I1)  # should start at I2.children[1] == I1
+        with pytest.raises(ValueError, match="child 1 has the wrong domain"):
+            ITreeMor(I2, I2, identity_ord(Ordinal(2)), tuple(kids))
+
+    def test_interval_child_with_wrong_value_end(self):
+        kids = list(identity(I2).children)
+        kids[1] = _hom(I1, I2)  # should land in I2.children[1] == I1
+        with pytest.raises(ValueError, match="child 1 has the wrong codomain"):
+            ITreeMor(I2, I2, identity_ord(Ordinal(2)), tuple(kids))
+
+    def test_ordinal_child_with_wrong_index_end(self):
+        kids = list(identity(O1).children)
+        kids[1] = _hom(O0, O1)  # should land in O1.children[1] == O0
+        with pytest.raises(ValueError, match="child 1 has the wrong codomain"):
+            ITreeMor(O1, O1, identity_ord(Ordinal(1)), tuple(kids))
+
+    def test_ordinal_child_with_wrong_value_end(self):
+        kids = list(identity(O1).children)
+        kids[1] = marker(T_O, O0)  # should start at O1.children[1] == O0
+        with pytest.raises(ValueError, match="child 1 has the wrong domain"):
+            ITreeMor(O1, O1, identity_ord(Ordinal(1)), tuple(kids))
+
+    @pytest.mark.parametrize("obj", [I2, O1], ids=[INTERVAL, ORDINAL])
+    def test_wrong_child_count(self, obj):
+        ident = identity(obj)
+        for kids in (ident.children[:-1], ident.children + ident.children[:1]):
+            with pytest.raises(ValueError, match="one child morphism per"):
+                ITreeMor(obj, obj, ident.root_map, kids)
+
+    def test_interval_root_map_must_preserve_endpoints(self):
+        squash = OrdMap(Ordinal(1), Ordinal(1), (0, 0))
+        with pytest.raises(ValueError, match="not an interval map"):
+            ITreeMor(I1, I1, squash, (marker(T_I, T_I), marker(T_I, T_I)))
+
+    def test_ordinal_root_map_need_not_preserve_endpoints(self):
+        squash = OrdMap(Ordinal(1), Ordinal(1), (0, 0))
+        assert ITreeMor(O1, O1, squash, _hom(O1, O1).children) in (
+            enumerate_morphisms(O1, O1)
+        )
+
+    @pytest.mark.parametrize("obj", [I1, O0], ids=[INTERVAL, ORDINAL])
+    def test_root_map_with_wrong_ends(self, obj):
+        ident = identity(obj)
+        wider = identity_ord(Ordinal(obj.root.n + 1))
+        with pytest.raises(ValueError, match="root map has the wrong ends"):
+            ITreeMor(obj, obj, wider, ident.children)
+
+    def test_marker_on_the_wrong_side(self):
+        # The trivial object is terminal for intervals, initial for ordinals.
+        assert marker(I1, T_I).is_marker and marker(T_O, O0).is_marker
+        with pytest.raises(ValueError, match="marker morphism"):
+            marker(T_I, I1)
+        with pytest.raises(ValueError, match="marker morphism"):
+            marker(O0, T_O)
+
+    @pytest.mark.parametrize("obj", [I1, O0], ids=[INTERVAL, ORDINAL])
+    def test_marker_has_no_children(self, obj):
+        t = trivial_obj(obj.flavor)
+        dom, cod = (obj, t) if obj.flavor == INTERVAL else (t, obj)
+        with pytest.raises(ValueError, match="marker morphism"):
+            ITreeMor(dom, cod, None, (identity(t),))
+
+    @pytest.mark.parametrize("obj", [I1, O0], ids=[INTERVAL, ORDINAL])
+    def test_root_map_touching_the_trivial_object(self, obj):
+        t = trivial_obj(obj.flavor)
+        with pytest.raises(ValueError, match="use the marker form"):
+            ITreeMor(t, t, identity_ord(t.root), ())
+
+    def test_ends_must_share_a_flavor(self):
+        with pytest.raises(ValueError, match="share a flavor"):
+            ITreeMor(I1, O0, None)
 
 
 class TestDuality:

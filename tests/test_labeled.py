@@ -312,6 +312,63 @@ class TestMorphisms:
         text = json.dumps(rows, sort_keys=True)
         assert hashlib.sha256(text.encode()).hexdigest() == digest
 
+    @pytest.mark.parametrize(
+        "flavor, max_root, digest",
+        [
+            (
+                INTERVAL,
+                3,
+                "cdc35297d7b7b0134e78317373524abde9b724d9844abae500c39d972e23ff0e",
+            ),
+            (
+                ORDINAL,
+                2,
+                "cdcc79c578b80df43495ae4626359aa2ae7cfeb19700f399e10a69604717d132",
+            ),
+        ],
+        ids=[INTERVAL, ORDINAL],
+    )
+    def test_restrictions_and_composites_are_pinned(
+        self, flavor, max_root, digest
+    ):
+        # Restricted at every vertex of the side that indexes the
+        # components: the domain for intervals, the codomain for ordinals.
+        trees = enumerate_cropped_trees(flavor, 3, max_root)
+        homs = {(a, b): enumerate_labeled_mors(a, b) for a in trees for b in trees}
+        rows = []
+        for (a, b), fs in homs.items():
+            for f in fs:
+                index = f.dom if flavor == INTERVAL else f.cod
+                for n in range(index.depth + 1):
+                    for i in range(index.tree.levels[n]):
+                        rows.append(restrict_labeled_mor(f, (n, i)).to_dict())
+                for c in trees:
+                    for g in homs[(b, c)]:
+                        rows.append(compose_labeled(g, f).to_dict())
+        assert len(rows) == 469
+        text = json.dumps(rows, sort_keys=True)
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("flavor", [INTERVAL, ORDINAL])
+    def test_components_must_run_between_the_labels(self, flavor):
+        t = xi_inverse(I2 if flavor == INTERVAL else O1)
+        ident = identity_labeled(t)
+        wider = OrdMap(o(2), o(2), (0, 1, 2))
+        rows = (ident.alphas[0], (ident.alphas[1][0], wider, ident.alphas[1][2]))
+        rows += ident.alphas[2:]
+        with pytest.raises(ValueError, match=r"component at vertex \(1, 1\)"):
+            LabeledTreeMor(t, t, ident.tree_map, rows)
+
+    @pytest.mark.parametrize("flavor", [INTERVAL, ORDINAL])
+    def test_one_component_row_per_index_level(self, flavor):
+        t = xi_inverse(I2 if flavor == INTERVAL else O1)
+        ident = identity_labeled(t)
+        with pytest.raises(ValueError, match="component rows"):
+            LabeledTreeMor(t, t, ident.tree_map, ident.alphas[:-1])
+        short = ident.alphas[:1] + (ident.alphas[1][:2],) + ident.alphas[2:]
+        with pytest.raises(ValueError, match="wrong arity"):
+            LabeledTreeMor(t, t, ident.tree_map, short)
+
     def test_identity_is_accepted_and_composes(self):
         for t in (deep(), trivial_labeled(INTERVAL), trivial_labeled(ORDINAL)):
             ident = identity_labeled(t)
@@ -544,16 +601,21 @@ class TestXiMorphisms:
                     enumerate_morphisms(xi_ordinal(a), xi_ordinal(b))
                 )
 
-    def test_conversion_respects_composition(self):
-        zoo = enumerate_cropped_trees(ORDINAL, 2, 2)
+    @pytest.mark.parametrize(
+        "flavor, cap, xi_mor",
+        [(INTERVAL, 3, xi_interval_mor), (ORDINAL, 2, xi_ordinal_mor)],
+        ids=[INTERVAL, ORDINAL],
+    )
+    def test_conversion_respects_composition(self, flavor, cap, xi_mor):
+        zoo = enumerate_cropped_trees(flavor, 2, cap)
         for a in zoo:
             for b in zoo:
                 for f in enumerate_labeled_mors(a, b):
                     for c in zoo:
                         for g in enumerate_labeled_mors(b, c):
-                            assert xi_ordinal_mor(
-                                compose_labeled(g, f)
-                            ) == compose_itree(xi_ordinal_mor(g), xi_ordinal_mor(f))
+                            assert xi_mor(compose_labeled(g, f)) == compose_itree(
+                                xi_mor(g), xi_mor(f)
+                            )
 
 
 class TestDualitySquare:
