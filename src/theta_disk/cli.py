@@ -58,8 +58,8 @@ from theta_disk.omega import (
 from theta_disk.ordinal import (
     OrdMap,
     Ordinal,
-    enumerate_interval_maps,
-    enumerate_ord_maps,
+    count_interval_maps,
+    count_ord_maps,
     vee_map,
     vee_obj,
     wedge_map,
@@ -204,23 +204,26 @@ def _apply_functor(name: str, obj):
 
 
 def _hom_count(a, b, maps: str) -> int:
-    kind = type(a)
-    if kind is OGraph and type(b) is OGraph:
-        # Counted by recurrence, without listing the morphisms.
-        return count_ograph_morphisms(a, b)
-    homs = {
-        Ordinal: enumerate_interval_maps if maps == "interval" else enumerate_ord_maps,
-        Disk: enumerate_disk_morphisms,
-        ITreeObj: enumerate_morphisms,
-        GlobCard: enumerate_glob_morphisms,
-        LabeledTree: enumerate_labeled_mors,
+    def listed(enumerate_homs):
+        return lambda a, b: len(enumerate_homs(a, b))
+
+    # Ordinals and ordinal graphs are counted by formula or recurrence,
+    # without listing the morphisms.
+    counters = {
+        Ordinal: count_interval_maps if maps == "interval" else count_ord_maps,
+        OGraph: count_ograph_morphisms,
+        Disk: listed(enumerate_disk_morphisms),
+        ITreeObj: listed(enumerate_morphisms),
+        GlobCard: listed(enumerate_glob_morphisms),
+        LabeledTree: listed(enumerate_labeled_mors),
     }
-    if kind is not type(b) or kind not in homs:
+    kind = type(a)
+    if kind is not type(b) or kind not in counters:
         raise ValueError(
             "hom-count requires two objects of the same kind; got "
             f"{kind.__name__} and {type(b).__name__}"
         )
-    return len(homs[kind](a, b))
+    return counters[kind](a, b)
 
 
 def _level_view(obj) -> tuple[LevelTree, Callable[[int, int], str]]:
@@ -398,46 +401,61 @@ def main(argv: list[str] | None = None) -> int:
         return 2
 
 
-def _dispatch(args: argparse.Namespace) -> int:
-    bounds = _resolve_bounds(args.bounds)
-    if args.verb == "enumerate":
-        objects = _families(bounds)[args.kind]()
-        _emit("".join(_dump(o.to_dict()) for o in objects), args.out)
-        return 0
-    if args.verb == "convert":
-        image = _apply_functor(args.functor, _load_object(args.input))
-        _emit(_dump(image.to_dict()), args.out)
-        return 0
-    if args.verb == "hom-count":
-        count = _hom_count(
-            _load_object(args.dom), _load_object(args.cod), args.kind
-        )
-        _emit(_dump({"kind": "hom-count", "count": count}), args.out)
-        return 0
-    if args.verb == "cells":
-        base = _load_object(args.input)
-        if isinstance(base, OGraph):
-            base = gamma_prime(base)
-        if not isinstance(base, GlobCard):
-            raise ValueError("cells requires a globcard or ograph input")
-        counts = [
-            len(enumerate_cells(base, n)) for n in range(bounds.max_dim + 1)
-        ]
-        _emit(_dump({"kind": "cell-counts", "counts": counts}), args.out)
-        return 0
-    if args.verb == "verify":
-        reports = (
-            run_all(bounds) if args.all else [CHECKS[args.check](bounds)]
-        )
-        _emit(render_reports(reports), args.out)
-        return 0 if all(r.passed for r in reports) else 1
+def _enumerate(args: argparse.Namespace, bounds: Bounds) -> tuple[str, int]:
+    objects = _families(bounds)[args.kind]()
+    return "".join(_dump(o.to_dict()) for o in objects), 0
+
+
+def _convert(args: argparse.Namespace, bounds: Bounds) -> tuple[str, int]:
+    image = _apply_functor(args.functor, _load_object(args.input))
+    return _dump(image.to_dict()), 0
+
+
+def _count(args: argparse.Namespace, bounds: Bounds) -> tuple[str, int]:
+    count = _hom_count(_load_object(args.dom), _load_object(args.cod), args.kind)
+    return _dump({"kind": "hom-count", "count": count}), 0
+
+
+def _cells(args: argparse.Namespace, bounds: Bounds) -> tuple[str, int]:
+    base = _load_object(args.input)
+    if isinstance(base, OGraph):
+        base = gamma_prime(base)
+    if not isinstance(base, GlobCard):
+        raise ValueError("cells requires a globcard or ograph input")
+    counts = [len(enumerate_cells(base, n)) for n in range(bounds.max_dim + 1)]
+    return _dump({"kind": "cell-counts", "counts": counts}), 0
+
+
+def _verify(args: argparse.Namespace, bounds: Bounds) -> tuple[str, int]:
+    reports = run_all(bounds) if args.all else [CHECKS[args.check](bounds)]
+    return render_reports(reports), 0 if all(r.passed for r in reports) else 1
+
+
+def _render(args: argparse.Namespace, bounds: Bounds) -> tuple[str, int]:
     renderer = {
         "text": _render_text,
         "dot": _render_dot,
         "json": lambda obj: _dump(obj.to_dict()),
     }[args.format]
-    _emit(renderer(_load_object(args.input)), args.out)
-    return 0
+    return renderer(_load_object(args.input)), 0
+
+
+# Each verb returns its output and exit status; nothing is written until
+# the verb has finished, so a failing request prints only its error.
+_VERBS = {
+    "enumerate": _enumerate,
+    "convert": _convert,
+    "hom-count": _count,
+    "cells": _cells,
+    "verify": _verify,
+    "render": _render,
+}
+
+
+def _dispatch(args: argparse.Namespace) -> int:
+    text, status = _VERBS[args.verb](args, _resolve_bounds(args.bounds))
+    _emit(text, args.out)
+    return status
 
 
 if __name__ == "__main__":

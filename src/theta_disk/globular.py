@@ -319,26 +319,6 @@ def compose_glob_mors(g: GlobMor, f: GlobMor) -> GlobMor:
     return GlobMor(f.dom, g.cod, maps)
 
 
-def is_incremental_map(values: Sequence[int]) -> bool:
-    """Whether a map of linear orders is injective with an interval image."""
-    if any(values[i] >= values[i + 1] for i in range(len(values) - 1)):
-        return False
-    return not values or values[-1] - values[0] + 1 == len(values)
-
-
-def is_order_embedding(f: GlobMor) -> bool:
-    """Whether every cell map is strictly increasing.
-
-    This holds for all morphisms of globular cardinals; on top of it the
-    dimension-0 map always has an interval image (is incremental), while
-    higher cell maps may skip cells.
-    """
-    return all(
-        all(fmap[i] < fmap[i + 1] for i in range(len(fmap) - 1))
-        for fmap in f.level_maps
-    )
-
-
 def enumerate_glob_morphisms(x: GlobCard, y: GlobCard) -> list[GlobMor]:
     """All globular morphisms ``x -> y``, deterministically ordered."""
     dlevels = x.gset.levels

@@ -17,6 +17,7 @@ pair exchanges the two flavors contravariantly and is mutually inverse.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
@@ -24,17 +25,11 @@ from itertools import product
 from theta_disk.ordinal import (
     OrdMap,
     Ordinal,
+    compose as compose_ord,
     enumerate_interval_maps,
     enumerate_ord_maps,
-    json_int,
-)
-from theta_disk.ordinal import (
-    compose as compose_ord,
-)
-from theta_disk.ordinal import (
     identity as identity_ord,
-)
-from theta_disk.ordinal import (
+    json_int,
     require_interval,
     vee_map,
     vee_obj,
@@ -46,17 +41,69 @@ INTERVAL = "interval"
 ORDINAL = "ordinal"
 
 
+@dataclass(frozen=True)
+class Flavor:
+    """Everything that tells the two flavors apart.
+
+    A morphism has an *index end*, whose children (or labeled vertices)
+    index its child morphisms, and a *value end*, which the slot map of
+    its root map picks children from.  The interval flavor is indexed by
+    the domain and routes child ``i`` to ``root_map(i)``; the ordinal
+    flavor is the same construction read through the op: indexed by the
+    codomain, routing child ``j`` by ``wedge_map(root_map)(j)``.
+    """
+
+    trivial_root: Ordinal  # the root of the trivial object
+    extra_slot: int  # children of a root beyond its elements
+    least_root: int  # the least ``n`` of a non-trivial root ``[n]``
+    cod_indexes: bool  # whether the codomain is the index end
+    root_maps: Callable[[Ordinal, Ordinal], list[OrdMap]]  # all root maps
+    slot_map: Callable[[OrdMap], OrdMap]  # index slots to value slots
+
+    def slots(self, root: Ordinal) -> int:
+        """Number of children a non-trivial ``root`` carries."""
+        return root.size + self.extra_slot
+
+    def orient(self, dom, cod):
+        """``(index, value)`` from ``(dom, cod)``, and back again."""
+        return (cod, dom) if self.cod_indexes else (dom, cod)
+
+    def routed(self, root_map: OrdMap, value_children: tuple) -> list:
+        """The value-end child that each index-end child is routed to."""
+        return [value_children[j] for j in self.slot_map(root_map).images]
+
+
+# The enumerators and slot maps go through the module globals at call
+# time, so a function rebound on this module (a tracing wrapper) runs.
+FLAVORS = {
+    INTERVAL: Flavor(
+        trivial_root=Ordinal(0),
+        extra_slot=0,
+        least_root=1,
+        cod_indexes=False,
+        root_maps=lambda a, b: enumerate_interval_maps(a, b),
+        slot_map=lambda f: f,
+    ),
+    ORDINAL: Flavor(
+        trivial_root=Ordinal(-1),
+        extra_slot=1,
+        least_root=0,
+        cod_indexes=True,
+        root_maps=lambda a, b: enumerate_ord_maps(a, b),
+        slot_map=lambda f: wedge_map(f),
+    ),
+}
+
+
+def flavor_of(name: str) -> Flavor:
+    try:
+        return FLAVORS[name]
+    except KeyError:
+        raise ValueError(f"unknown flavor {name!r}") from None
+
+
 def trivial_root(flavor: str) -> Ordinal:
-    return Ordinal(0) if flavor == INTERVAL else Ordinal(-1)
-
-
-def _child_count(flavor: str, root: Ordinal) -> int:
-    return root.size if flavor == INTERVAL else root.size + 1
-
-
-def _is_endpoint(flavor: str, root: Ordinal, i: int) -> bool:
-    top = root.n if flavor == INTERVAL else root.n + 1
-    return i == 0 or i == top
+    return flavor_of(flavor).trivial_root
 
 
 @dataclass(frozen=True)
@@ -73,18 +120,17 @@ class ITreeObj:
     children: tuple[ITreeObj, ...] = ()
 
     def __post_init__(self) -> None:
-        if self.flavor not in (INTERVAL, ORDINAL):
-            raise ValueError(f"unknown flavor {self.flavor!r}")
+        spec = flavor_of(self.flavor)
         if not self.children:
-            if self.root != trivial_root(self.flavor):
+            if self.root != spec.trivial_root:
                 raise ValueError(
                     f"the trivial {self.flavor} object has root "
-                    f"{trivial_root(self.flavor)}, got {self.root}"
+                    f"{spec.trivial_root}, got {self.root}"
                 )
             return
         if any(c.flavor != self.flavor for c in self.children):
             raise ValueError("children must share the parent's flavor")
-        expected = _child_count(self.flavor, self.root)
+        expected = spec.slots(self.root)
         if len(self.children) != expected:
             raise ValueError(
                 f"root {self.root} requires {expected} children, "
@@ -143,24 +189,23 @@ def height(h: ITreeObj) -> int:
 def validate(h: ITreeObj) -> list[str]:
     """Diagnostics for the inductive validity rules; empty means valid."""
     problems: list[str] = []
+    floor = FLAVORS[h.flavor].least_root
 
     def walk(node: ITreeObj, path: str) -> None:
         if node.is_trivial:
             return
-        floor = 1 if node.flavor == INTERVAL else 0
         if node.root.n < floor:
             problems.append(
                 f"{path}: non-trivial {node.flavor} root must be at least "
                 f"[{floor}], got {node.root}"
             )
+        last = len(node.children) - 1
         for i, child in enumerate(node.children):
-            endpoint = _is_endpoint(node.flavor, node.root, i)
+            endpoint = i == 0 or i == last
             if endpoint and not child.is_trivial:
                 problems.append(f"{path}.{i}: endpoint child must be trivial")
             if not endpoint and child.is_trivial:
-                problems.append(
-                    f"{path}.{i}: interior child must be non-trivial"
-                )
+                problems.append(f"{path}.{i}: interior child must be non-trivial")
             walk(child, f"{path}.{i}")
 
     walk(h, "root")
@@ -173,9 +218,9 @@ class ITreeMor:
 
     ``root_map is None`` marks the canonical morphism into the terminal
     trivial object (interval flavor) or out of the initial trivial object
-    (ordinal flavor).  Otherwise both ends are non-trivial, ``root_map``
-    runs between the roots, and ``children`` holds one morphism per
-    domain root element (interval) or codomain wedge element (ordinal).
+    (ordinal flavor): the value end is trivial.  Otherwise both ends are
+    non-trivial, ``root_map`` runs between the roots, and ``children``
+    holds one morphism per child of the index end (see :class:`Flavor`).
     """
 
     dom: ITreeObj
@@ -186,41 +231,34 @@ class ITreeMor:
     def __post_init__(self) -> None:
         if self.dom.flavor != self.cod.flavor:
             raise ValueError("morphism ends must share a flavor")
-        flavor = self.dom.flavor
+        spec = FLAVORS[self.dom.flavor]
+        index, value = spec.orient(self.dom, self.cod)
         if self.root_map is None:
-            terminal_end = self.cod if flavor == INTERVAL else self.dom
-            if not terminal_end.is_trivial or self.children:
+            if not value.is_trivial or self.children:
                 raise ValueError(
                     "a marker morphism requires the trivial object on the "
                     "collapsing side and has no children"
                 )
             return
-        if self.dom.is_trivial or self.cod.is_trivial:
+        if index.is_trivial or value.is_trivial:
             raise ValueError(
                 "morphisms touching the trivial object use the marker form"
             )
         if self.root_map.dom != self.dom.root or self.root_map.cod != self.cod.root:
             raise ValueError("root map has the wrong ends")
-        if flavor == INTERVAL:
+        if self.dom.flavor == INTERVAL:
             require_interval(self.root_map)
-            if len(self.children) != self.dom.root.size:
-                raise ValueError("one child morphism per domain root element")
-            for i, sub in enumerate(self.children):
-                if sub.dom != self.dom.children[i]:
-                    raise ValueError(f"child {i} has the wrong domain")
-                if sub.cod != self.cod.children[self.root_map(i)]:
-                    raise ValueError(f"child {i} has the wrong codomain")
-        else:
-            if len(self.children) != self.cod.root.size + 1:
-                raise ValueError(
-                    "one child morphism per codomain wedge element"
-                )
-            back = wedge_map(self.root_map)
-            for j, sub in enumerate(self.children):
-                if sub.dom != self.dom.children[back(j)]:
-                    raise ValueError(f"child {j} has the wrong domain")
-                if sub.cod != self.cod.children[j]:
-                    raise ValueError(f"child {j} has the wrong codomain")
+        if len(self.children) != len(index.children):
+            end = spec.orient("domain", "codomain")[0]
+            raise ValueError(f"one child morphism per child of the {end}")
+        doms, cods = spec.orient(
+            index.children, spec.routed(self.root_map, value.children)
+        )
+        for i, sub in enumerate(self.children):
+            if sub.dom != doms[i]:
+                raise ValueError(f"child {i} has the wrong domain")
+            if sub.cod != cods[i]:
+                raise ValueError(f"child {i} has the wrong codomain")
 
     @property
     def flavor(self) -> str:
@@ -247,26 +285,22 @@ def compose(g: ITreeMor, f: ITreeMor) -> ITreeMor:
     """The composite ``g after f``."""
     if f.cod != g.dom:
         raise ValueError("tree morphisms do not compose")
-    flavor = f.flavor
-    if flavor == INTERVAL:
-        if g.cod.is_trivial:
-            return marker(f.dom, g.cod)
-        # f.cod = g.dom is non-trivial here, so neither morphism is a marker
-        root = compose_ord(g.root_map, f.root_map)
-        kids = tuple(
-            compose(g.children[f.root_map(i)], f.children[i])
-            for i in range(f.dom.root.size)
-        )
-        return ITreeMor(f.dom, g.cod, root, kids)
-    if f.dom.is_trivial:
+    spec = FLAVORS[f.flavor]
+    if spec.orient(f.dom, g.cod)[1].is_trivial:
         return marker(f.dom, g.cod)
-    root = compose_ord(g.root_map, f.root_map)
-    back_g = wedge_map(g.root_map)
-    kids = tuple(
-        compose(g.children[j], f.children[back_g(j)])
-        for j in range(g.cod.root.size + 1)
-    )
-    return ITreeMor(f.dom, g.cod, root, kids)
+    # The value end is non-trivial, so neither morphism is a marker.
+    # ``first`` shares the composite's index end; ``second`` continues it.
+    first, second = spec.orient(f, g)
+    picked = spec.routed(first.root_map, second.children)
+    kids = tuple(map(compose, *spec.orient(picked, first.children)))
+    return ITreeMor(f.dom, g.cod, compose_ord(g.root_map, f.root_map), kids)
+
+
+def _dual_tree(x: ITreeObj, flavor: str, dual_root, dual_child) -> ITreeObj:
+    if x.is_trivial:
+        return trivial_obj(flavor)
+    kids = tuple(dual_child(c) for c in x.children)
+    return ITreeObj(flavor, dual_root(x.root), kids)
 
 
 # Object duals, memoized per distinct tree: dualizing a morphism dualizes
@@ -275,52 +309,40 @@ def compose(g: ITreeMor, f: ITreeMor) -> ITreeMor:
 # still computes both directions and a substituted functor never hits them.
 @lru_cache(maxsize=None)
 def _vee_tree(x: ITreeObj) -> ITreeObj:
-    if x.is_trivial:
-        return trivial_obj(ORDINAL)
-    return ITreeObj(
-        ORDINAL, vee_obj(x.root), tuple(_vee_tree(c) for c in x.children)
-    )
+    return _dual_tree(x, ORDINAL, vee_obj, _vee_tree)
 
 
 @lru_cache(maxsize=None)
 def _wedge_tree(x: ITreeObj) -> ITreeObj:
-    if x.is_trivial:
-        return trivial_obj(INTERVAL)
-    return ITreeObj(
-        INTERVAL, wedge_obj(x.root), tuple(_wedge_tree(c) for c in x.children)
-    )
+    return _dual_tree(x, INTERVAL, wedge_obj, _wedge_tree)
+
+
+def _dual_mor(f: ITreeMor, dual_tree, dual_map) -> ITreeMor:
+    """``f`` dualized contravariantly, node by node."""
+    dom, cod = dual_tree(f.cod), dual_tree(f.dom)
+    if f.is_marker:
+        return marker(dom, cod)
+    kids = tuple(_dual_mor(c, dual_tree, dual_map) for c in f.children)
+    return ITreeMor(dom, cod, dual_map(f.root_map), kids)
+
+
+def _dualize(x, name: str, source: str, dual_tree, dual_map):
+    if x.flavor != source:
+        noun = "trees" if isinstance(x, ITreeObj) else "morphisms"
+        raise ValueError(f"{name} consumes {source}-flavor {noun}")
+    if isinstance(x, ITreeObj):
+        return dual_tree(x)
+    return _dual_mor(x, dual_tree, dual_map)
 
 
 def vee(x: ITreeObj | ITreeMor):
     """The interval-to-ordinal dualization, contravariant on morphisms."""
-    if isinstance(x, ITreeObj):
-        if x.flavor != INTERVAL:
-            raise ValueError("vee consumes interval-flavor trees")
-        return _vee_tree(x)
-    if x.flavor != INTERVAL:
-        raise ValueError("vee consumes interval-flavor morphisms")
-    dom, cod = vee(x.cod), vee(x.dom)
-    if x.is_marker:
-        return marker(dom, cod)
-    return ITreeMor(
-        dom, cod, vee_map(x.root_map), tuple(vee(c) for c in x.children)
-    )
+    return _dualize(x, "vee", INTERVAL, _vee_tree, vee_map)
 
 
 def wedge(x: ITreeObj | ITreeMor):
     """The ordinal-to-interval dualization, contravariant on morphisms."""
-    if isinstance(x, ITreeObj):
-        if x.flavor != ORDINAL:
-            raise ValueError("wedge consumes ordinal-flavor trees")
-        return _wedge_tree(x)
-    if x.flavor != ORDINAL:
-        raise ValueError("wedge consumes ordinal-flavor morphisms")
-    dom, cod = wedge(x.cod), wedge(x.dom)
-    if x.is_marker:
-        return marker(dom, cod)
-    return ITreeMor(
-        dom, cod, wedge_map(x.root_map), tuple(wedge(c) for c in x.children)
-    )
+    return _dualize(x, "wedge", ORDINAL, _wedge_tree, wedge_map)
 
 
 def enumerate_objects(
@@ -332,67 +354,41 @@ def enumerate_objects(
     Deterministic order: by height layer, then root size, then children
     lexicographically in enumeration order.
     """
-    if flavor not in (INTERVAL, ORDINAL):
-        raise ValueError(f"unknown flavor {flavor!r}")
-    lo = 1 if flavor == INTERVAL else 0
+    spec = flavor_of(flavor)
+    trivial = trivial_obj(flavor)
     nontrivial: list[ITreeObj] = []
     seen: set[ITreeObj] = set()
     for _ in range(max_height):
         layer: list[ITreeObj] = []
         previous = list(nontrivial)
-        for root_n in range(lo, max_root):
+        for root_n in range(spec.least_root, max_root):
             root = Ordinal(root_n)
-            slots = _child_count(flavor, root)
-            interior = [
-                i for i in range(slots) if not _is_endpoint(flavor, root, i)
-            ]
-            for combo in product(previous, repeat=len(interior)):
-                kids: list[ITreeObj] = []
-                it = iter(combo)
-                for i in range(slots):
-                    if _is_endpoint(flavor, root, i):
-                        kids.append(trivial_obj(flavor))
-                    else:
-                        kids.append(next(it))
-                candidate = ITreeObj(flavor, root, tuple(kids))
+            # every slot but the two endpoints holds a non-trivial child
+            for combo in product(previous, repeat=spec.slots(root) - 2):
+                candidate = ITreeObj(flavor, root, (trivial, *combo, trivial))
                 if candidate not in seen:
                     layer.append(candidate)
         nontrivial.extend(layer)
         seen.update(layer)
-    return [trivial_obj(flavor)] + nontrivial
+    return [trivial] + nontrivial
 
 
 def enumerate_morphisms(h: ITreeObj, k: ITreeObj) -> list[ITreeMor]:
     """All morphisms ``h -> k``, deterministically ordered."""
     if h.flavor != k.flavor:
         raise ValueError("hom-sets require a common flavor")
-    if h.flavor == INTERVAL:
-        if k.is_trivial:
-            return [marker(h, k)]
-        if h.is_trivial:
-            return []
-        out = []
-        for root in enumerate_interval_maps(h.root, k.root):
-            child_options = [
-                enumerate_morphisms(h.children[i], k.children[root(i)])
-                for i in range(h.root.size)
-            ]
-            if any(not opts for opts in child_options):
-                continue
-            for kids in product(*child_options):
-                out.append(ITreeMor(h, k, root, tuple(kids)))
-        return out
-    if h.is_trivial:
+    spec = FLAVORS[h.flavor]
+    index, value = spec.orient(h, k)
+    if value.is_trivial:
         return [marker(h, k)]
-    if k.is_trivial:
+    if index.is_trivial:
         return []
     out = []
-    for root in enumerate_ord_maps(h.root, k.root):
-        back = wedge_map(root)
-        child_options = [
-            enumerate_morphisms(h.children[back(j)], k.children[j])
-            for j in range(k.root.size + 1)
-        ]
+    for root in spec.root_maps(h.root, k.root):
+        picked = spec.routed(root, value.children)
+        child_options = list(
+            map(enumerate_morphisms, *spec.orient(index.children, picked))
+        )
         if any(not opts for opts in child_options):
             continue
         for kids in product(*child_options):

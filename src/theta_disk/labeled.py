@@ -40,11 +40,13 @@ from theta_disk.forest import (
     suspend,
 )
 from theta_disk.itree import (
+    FLAVORS,
     INTERVAL,
     ORDINAL,
     ITreeMor,
     ITreeObj,
     enumerate_objects,
+    flavor_of,
     marker,
     trivial_obj,
     trivial_root,
@@ -53,8 +55,6 @@ from theta_disk.ordinal import (
     OrdMap,
     Ordinal,
     compose as compose_ord,
-    enumerate_interval_maps,
-    enumerate_ord_maps,
     identity as identity_ord,
     json_int,
     vee_map,
@@ -66,11 +66,7 @@ from theta_disk.ordinal import (
 
 def label_slots(flavor: str, label: Ordinal) -> int:
     """Number of child slots a vertex label prescribes."""
-    if flavor == INTERVAL:
-        return label.size
-    if flavor == ORDINAL:
-        return label.size + 1
-    raise ValueError(f"unknown flavor {flavor!r}")
+    return flavor_of(flavor).slots(label)
 
 
 @dataclass(frozen=True, eq=False)
@@ -78,7 +74,6 @@ class LabeledTree:
     """A stored forest with one interval- or ordinal-label per vertex.
 
     Vertices beyond the stored depth continue as single chains and
-
     implicitly carry the single-slot label of the flavor.
     """
 
@@ -87,8 +82,7 @@ class LabeledTree:
     labels: tuple[tuple[Ordinal, ...], ...]
 
     def __post_init__(self) -> None:
-        if self.flavor not in (INTERVAL, ORDINAL):
-            raise ValueError(f"unknown flavor {self.flavor!r}")
+        flavor_of(self.flavor)
         if len(self.labels) != len(self.tree.levels):
             raise ValueError("one label row per stored level is required")
         for n, row in enumerate(self.labels):
@@ -142,11 +136,21 @@ class LabeledTree:
 
     @staticmethod
     def from_dict(data: dict) -> "LabeledTree":
+        flavor = data["flavor"]
         tree = LevelTree.from_dict(data)
         rows = tuple(
             tuple(Ordinal(json_int(n)) for n in row) for row in data["labels"]
         )
-        return LabeledTree(data["flavor"], tree, rows[: tree.depth + 1])
+        # Rows past the stored depth describe the chain continuation, whose
+        # labels are implicit; dropping them must not lose a label.
+        single = trivial_root(flavor)
+        for n, row in enumerate(rows[tree.depth + 1 :], tree.depth + 1):
+            if any(lab != single for lab in row):
+                raise ValueError(
+                    f"label row {n} lies below the stored depth, where every "
+                    f"label is {single}; got {list(row)}"
+                )
+        return LabeledTree(flavor, tree, rows[: tree.depth + 1])
 
 
 @dataclass(frozen=True, eq=False)
@@ -272,7 +276,9 @@ def suspend_labeled(forest: list[LabeledTree], c: Ordinal) -> LabeledTree:
 class LabeledTreeMor:
     """A fiber-compatible morphism between cropped labeled forests.
 
-    Interval flavor: ``tree_map`` runs from the domain's tree to the
+    As for inductive trees (see :class:`theta_disk.itree.Flavor`), one end
+    indexes the components and the tree map runs from it to the other
+    end.  Interval flavor: ``tree_map`` runs from the domain's tree to the
     codomain's and ``alphas[n][i]`` is an endpoint-preserving component
     from the domain label to the codomain label at the image vertex.
     Ordinal flavor (op-morphisms): ``tree_map`` runs from the codomain's
@@ -294,37 +300,26 @@ class LabeledTreeMor:
             problems = validate_cropped(end)
             if problems:
                 raise ValueError(f"{name} is not cropped: {problems[0]}")
-        if self.flavor == INTERVAL:
-            index_side, value_side = self.dom, self.cod
-            if self.tree_map.dom != self.dom.tree:
-                raise ValueError("tree map must start at the domain's tree")
-            if self.tree_map.cod != self.cod.tree:
-                raise ValueError("tree map must land in the codomain's tree")
-        else:
-            index_side, value_side = self.cod, self.dom
-            if self.tree_map.dom != self.cod.tree:
-                raise ValueError(
-                    "op-morphism tree map must start at the codomain's tree"
-                )
-            if self.tree_map.cod != self.dom.tree:
-                raise ValueError(
-                    "op-morphism tree map must land in the domain's tree"
-                )
-        if len(self.alphas) != index_side.depth + 1:
+        spec = FLAVORS[self.flavor]
+        index, value = spec.orient(self.dom, self.cod)
+        index_name, value_name = spec.orient("domain", "codomain")
+        if (self.tree_map.dom, self.tree_map.cod) != (index.tree, value.tree):
             raise ValueError(
-                f"expected {index_side.depth + 1} component rows, "
+                f"tree map must run from the {index_name}'s tree to the "
+                f"{value_name}'s tree"
+            )
+        if len(self.alphas) != index.depth + 1:
+            raise ValueError(
+                f"expected {index.depth + 1} component rows, "
                 f"got {len(self.alphas)}"
             )
         for n, row in enumerate(self.alphas):
-            if len(row) != index_side.tree.levels[n]:
+            if len(row) != index.tree.levels[n]:
                 raise ValueError(f"component row {n} has the wrong arity")
             for i, alpha in enumerate(row):
-                here = index_side.labels[n][i]
-                there = value_side.label(self.tree_map((n, i)))
-                if self.flavor == INTERVAL:
-                    want_dom, want_cod = here, there
-                else:
-                    want_dom, want_cod = there, here
+                want_dom, want_cod = spec.orient(
+                    index.labels[n][i], value.label(self.tree_map((n, i)))
+                )
                 if alpha.dom != want_dom or alpha.cod != want_cod:
                     raise ValueError(
                         f"component at vertex ({n}, {i}) must run "
@@ -336,17 +331,13 @@ class LabeledTreeMor:
                         f"component at vertex ({n}, {i}) must preserve "
                         "both endpoints"
                     )
-        for n in range(index_side.depth):
-            for i in range(index_side.tree.levels[n]):
-                kids_here = index_side.tree.children(n, i)
-                target = self.tree_map.at_level(n)[i]
-                kids_there = value_side.tree.children(n, target)
-                alpha = self.alphas[n][i]
-                slot_map = alpha if self.flavor == INTERVAL else wedge_map(alpha)
-                for pos, j in enumerate(kids_here):
-                    if self.tree_map.at_level(n + 1)[j] != kids_there[
-                        slot_map(pos)
-                    ]:
+        for n in range(index.depth):
+            here, there = self.tree_map.at_level(n), self.tree_map.at_level(n + 1)
+            for i in range(index.tree.levels[n]):
+                kids_there = value.tree.children(n, here[i])
+                picked = spec.routed(self.alphas[n][i], kids_there)
+                for j, want in zip(index.tree.children(n, i), picked):
+                    if there[j] != want:
                         raise ValueError(
                             f"children of vertex ({n}, {i}) do not land in "
                             "the slots its component selects"
@@ -377,16 +368,11 @@ class LabeledTreeMor:
             raise ValueError(
                 f"direction {direction!r} does not match flavor {dom.flavor!r}"
             )
-        ends = (dom.tree, cod.tree) if direction == "forward" else (
-            cod.tree,
-            dom.tree,
-        )
-        rows = tuple(
-            tuple(json_int(v) for v in row) for row in data["level_maps"]
-        )
+        rows = tuple(tuple(json_int(v) for v in row) for row in data["level_maps"])
         alphas = tuple(
             tuple(OrdMap.from_dict(a) for a in row) for row in data["alphas"]
         )
+        ends = FLAVORS[dom.flavor].orient(dom.tree, cod.tree)
         return LabeledTreeMor(dom, cod, TreeMap(*ends, rows), alphas)
 
 
@@ -398,42 +384,27 @@ def _alpha_at(m: LabeledTreeMor, level: int, i: int) -> OrdMap:
 
 
 def identity_labeled(t: LabeledTree) -> LabeledTreeMor:
-    return LabeledTreeMor(
-        t,
-        t,
-        identity_tree_map(t.tree),
-        tuple(tuple(identity_ord(lab) for lab in row) for row in t.labels),
-    )
+    alphas = tuple(tuple(identity_ord(lab) for lab in row) for row in t.labels)
+    return LabeledTreeMor(t, t, identity_tree_map(t.tree), alphas)
 
 
 def compose_labeled(g: LabeledTreeMor, f: LabeledTreeMor) -> LabeledTreeMor:
     """The composite ``g after f``."""
-    if f.flavor != g.flavor:
-        raise ValueError("morphisms must share a flavor")
     if f.cod != g.dom:
         raise ValueError("labeled morphisms do not compose")
-    if f.flavor == INTERVAL:
-        tree_map = compose_tree_maps(g.tree_map, f.tree_map)
-        alphas = tuple(
-            tuple(
-                compose_ord(
-                    _alpha_at(g, n, f.tree_map.at_level(n)[i]), f.alphas[n][i]
-                )
-                for i in range(len(f.alphas[n]))
-            )
-            for n in range(len(f.alphas))
-        )
-        return LabeledTreeMor(f.dom, g.cod, tree_map, alphas)
-    tree_map = compose_tree_maps(f.tree_map, g.tree_map)
+    orient = FLAVORS[f.flavor].orient
+    # ``first`` shares the composite's index end; ``second`` continues it.
+    first, second = orient(f, g)
     alphas = tuple(
         tuple(
             compose_ord(
-                g.alphas[n][x], _alpha_at(f, n, g.tree_map.at_level(n)[x])
+                *orient(_alpha_at(second, n, first.tree_map.at_level(n)[i]), a)
             )
-            for x in range(len(g.alphas[n]))
+            for i, a in enumerate(row)
         )
-        for n in range(len(g.alphas))
+        for n, row in enumerate(first.alphas)
     )
+    tree_map = compose_tree_maps(second.tree_map, first.tree_map)
     return LabeledTreeMor(f.dom, g.cod, tree_map, alphas)
 
 
@@ -443,20 +414,31 @@ def restrict_labeled_mor(m: LabeledTreeMor, x: Vertex) -> LabeledTreeMor:
     ``x`` addresses the side that indexes the components: the domain for
     the interval flavor, the codomain for the ordinal flavor.
     """
-    index_tree = m.dom if m.flavor == INTERVAL else m.cod
-    other = m.cod if m.flavor == INTERVAL else m.dom
-    sub_here = restrict_labeled(index_tree, x)
-    sub_there = restrict_labeled(other, m.tree_map(x))
-    sub_tm = restrict_map(m.tree_map, x)
-    rows = subtree_rows(index_tree.tree, x)
+    orient = FLAVORS[m.flavor].orient
+    index, value = orient(m.dom, m.cod)
+    sub_index = restrict_labeled(index, x)
+    sub_value = restrict_labeled(value, m.tree_map(x))
+    rows = subtree_rows(index.tree, x)
     n = x[0]
     alphas = tuple(
         tuple(_alpha_at(m, n + k, j) for j in rows[k])
-        for k in range(sub_here.depth + 1)
+        for k in range(sub_index.depth + 1)
     )
-    if m.flavor == INTERVAL:
-        return LabeledTreeMor(sub_here, sub_there, sub_tm, alphas)
-    return LabeledTreeMor(sub_there, sub_here, sub_tm, alphas)
+    return LabeledTreeMor(
+        *orient(sub_index, sub_value), restrict_map(m.tree_map, x), alphas
+    )
+
+
+def _duality(flavor: str):
+    """The other flavor, and the maps taking labels and components there.
+
+    Built on every call from the module globals, so that a function
+    rebound on this module (a tracing wrapper) is the one that runs.
+    """
+    return {
+        INTERVAL: (ORDINAL, vee_obj, vee_map),
+        ORDINAL: (INTERVAL, wedge_obj, wedge_map),
+    }[flavor]
 
 
 def con_dualize(t: LabeledTree) -> CroppedTree:
@@ -464,33 +446,27 @@ def con_dualize(t: LabeledTree) -> CroppedTree:
     problems = validate_cropped(t)
     if problems:
         raise ValueError(problems[0])
-    if t.flavor == INTERVAL:
-        flavor, relabel = ORDINAL, vee_obj
-    else:
-        flavor, relabel = INTERVAL, wedge_obj
+    flavor, relabel, _ = _duality(t.flavor)
     labels = tuple(tuple(relabel(lab) for lab in row) for row in t.labels)
     return CroppedTree(flavor, t.tree, labels)
 
 
 def con_dualize_mor(m: LabeledTreeMor) -> LabeledTreeMor:
     """The dual of a labeled morphism; contravariant, same tree map."""
-    recomponent = vee_map if m.flavor == INTERVAL else wedge_map
-    alphas = tuple(
-        tuple(recomponent(a) for a in row) for row in m.alphas
-    )
-    return LabeledTreeMor(
-        con_dualize(m.cod), con_dualize(m.dom), m.tree_map, alphas
-    )
+    _, _, recomponent = _duality(m.flavor)
+    alphas = tuple(tuple(recomponent(a) for a in row) for row in m.alphas)
+    return LabeledTreeMor(con_dualize(m.cod), con_dualize(m.dom), m.tree_map, alphas)
 
 
-def _require_cropped_tree(t: LabeledTree, flavor: str) -> None:
-    if t.flavor != flavor:
-        raise ValueError(f"expected {flavor}-flavor labels, got {t.flavor}")
-    problems = validate_cropped(t)
-    if problems:
-        raise ValueError(problems[0])
-    if not t.tree.is_tree:
-        raise ValueError("a single-root tree is required")
+def _require_cropped_trees(flavor: str, *trees: LabeledTree) -> None:
+    for t in trees:
+        if t.flavor != flavor:
+            raise ValueError(f"expected {flavor}-flavor labels, got {t.flavor}")
+        problems = validate_cropped(t)
+        if problems:
+            raise ValueError(problems[0])
+        if not t.tree.is_tree:
+            raise ValueError("a single-root tree is required")
 
 
 def _xi_obj(t: LabeledTree) -> ITreeObj:
@@ -505,41 +481,38 @@ def _xi_obj(t: LabeledTree) -> ITreeObj:
 
 def xi_interval(t: LabeledTree) -> ITreeObj:
     """Convert a cropped interval-labeled tree to an inductive tree."""
-    _require_cropped_tree(t, INTERVAL)
+    _require_cropped_trees(INTERVAL, t)
     return _xi_obj(t)
 
 
 def xi_ordinal(t: LabeledTree) -> ITreeObj:
     """Convert a cropped ordinal-labeled tree to an inductive tree."""
-    _require_cropped_tree(t, ORDINAL)
+    _require_cropped_trees(ORDINAL, t)
     return _xi_obj(t)
 
 
 def _xi_mor(m: LabeledTreeMor) -> ITreeMor:
     dom_obj = _xi_obj(m.dom)
     cod_obj = _xi_obj(m.cod)
-    collapsing_end = cod_obj if m.flavor == INTERVAL else dom_obj
-    if collapsing_end.is_trivial:
+    orient = FLAVORS[m.flavor].orient
+    if orient(dom_obj, cod_obj)[1].is_trivial:
         return marker(dom_obj, cod_obj)
-    index_tree = m.dom if m.flavor == INTERVAL else m.cod
     kids = tuple(
         _xi_mor(restrict_labeled_mor(m, (1, j)))
-        for j in index_tree.tree.children(0, 0)
+        for j in orient(m.dom, m.cod)[0].tree.children(0, 0)
     )
     return ITreeMor(dom_obj, cod_obj, m.alphas[0][0], kids)
 
 
 def xi_interval_mor(m: LabeledTreeMor) -> ITreeMor:
     """Convert an interval-labeled morphism to an inductive tree morphism."""
-    _require_cropped_tree(m.dom, INTERVAL)
-    _require_cropped_tree(m.cod, INTERVAL)
+    _require_cropped_trees(INTERVAL, m.dom, m.cod)
     return _xi_mor(m)
 
 
 def xi_ordinal_mor(m: LabeledTreeMor) -> ITreeMor:
     """Convert an ordinal-labeled op-morphism to an inductive tree morphism."""
-    _require_cropped_tree(m.dom, ORDINAL)
-    _require_cropped_tree(m.cod, ORDINAL)
+    _require_cropped_trees(ORDINAL, m.dom, m.cod)
     return _xi_mor(m)
 
 
@@ -569,84 +542,56 @@ def _assemble_mor(
 ) -> LabeledTreeMor:
     """Glue a root component and per-child morphisms into one morphism.
 
-    ``dom``/``cod`` are the morphism's ends; the tree map runs from
-    ``index`` (the domain for the interval flavor, the codomain for the
-    ordinal flavor) to ``value``, and ``child_of`` sends an index-side
-    child position to the value-side child position it lands on.
+    ``dom``/``cod`` are the morphism's ends; the tree map runs from the
+    index end to the value end, and ``child_of`` sends an index-end child
+    position to the value-end child position it lands on.
     """
-    if dom.flavor == INTERVAL:
-        index_side, value_side = dom, cod
-    else:
-        index_side, value_side = cod, dom
+    index, value = FLAVORS[dom.flavor].orient(dom, cod)
     tree_map = glue_tree_maps(
-        index_side.tree,
-        value_side.tree,
-        child_of,
-        [sub.tree_map for sub in subs],
+        index.tree, value.tree, child_of, [sub.tree_map for sub in subs]
     )
-    alphas: list[tuple[OrdMap, ...]] = [(root_alpha,)]
-    for lvl in range(1, index_side.depth + 1):
-        alphas.append(
-            tuple(
-                _alpha_at(sub, lvl - 1, t)
-                for sub in subs
-                for t in range(sub.tree_map.dom.level_size(lvl - 1))
-            )
+    below = tuple(
+        tuple(
+            _alpha_at(sub, n, t)
+            for sub in subs
+            for t in range(sub.tree_map.dom.level_size(n))
         )
-    return LabeledTreeMor(dom, cod, tree_map, tuple(alphas))
+        for n in range(index.depth)
+    )
+    return LabeledTreeMor(dom, cod, tree_map, ((root_alpha,), *below))
 
 
 def _enum_mors(a: LabeledTree, b: LabeledTree) -> list[LabeledTreeMor]:
-    if a.depth == 0 and b.depth == 0:
-        return [identity_labeled(a)]
-    if a.flavor == INTERVAL:
-        if a.depth == 0:
-            return []
-        if b.depth == 0:
-            alphas = tuple(
-                tuple(
-                    OrdMap(lab, trivial_root(INTERVAL), (0,) * lab.size)
-                    for lab in row
-                )
-                for row in a.labels
-            )
-            return [
-                LabeledTreeMor(a, b, collapse_map(a.tree, b.tree), alphas)
-            ]
-        out: list[LabeledTreeMor] = []
-        for g in enumerate_interval_maps(a.labels[0][0], b.labels[0][0]):
-            options = [
-                _enum_mors(
-                    restrict_labeled(a, (1, i)), restrict_labeled(b, (1, g(i)))
-                )
-                for i in range(a.tree.levels[1])
-            ]
-            if any(not opts for opts in options):
-                continue
-            for combo in product(*options):
-                out.append(_assemble_mor(a, b, g, combo, g))
-        return out
-    if a.depth == 0:
-        alphas = tuple(
-            tuple(OrdMap(Ordinal(-1), lab, ()) for lab in row)
-            for row in b.labels
-        )
-        return [LabeledTreeMor(a, b, collapse_map(b.tree, a.tree), alphas)]
-    if b.depth == 0:
+    spec = FLAVORS[a.flavor]
+    index, value = spec.orient(a, b)
+    if value.depth == 0:
+        # Everything collapses onto the trivial value end, whose label has
+        # exactly one component to (interval) or from (ordinal) each label.
+        def unique(lab: Ordinal) -> OrdMap:
+            dom, cod = spec.orient(lab, value.labels[0][0])
+            return OrdMap(dom, cod, (0,) * dom.size)
+
+        alphas = tuple(tuple(unique(lab) for lab in row) for row in index.labels)
+        tree_map = collapse_map(index.tree, value.tree)
+        return [LabeledTreeMor(a, b, tree_map, alphas)]
+    if index.depth == 0:
         return []
-    out = []
-    for g in enumerate_ord_maps(a.labels[0][0], b.labels[0][0]):
-        back = wedge_map(g)
+    out: list[LabeledTreeMor] = []
+    for g in spec.root_maps(a.labels[0][0], b.labels[0][0]):
+        slot = spec.slot_map(g)
         options = [
             _enum_mors(
-                restrict_labeled(a, (1, back(j))), restrict_labeled(b, (1, j))
+                *spec.orient(
+                    restrict_labeled(index, (1, i)),
+                    restrict_labeled(value, (1, slot(i))),
+                )
             )
-            for j in range(b.tree.levels[1])
+            for i in range(index.tree.levels[1])
         ]
         if any(not opts for opts in options):
             continue
         for combo in product(*options):
-            out.append(_assemble_mor(a, b, g, combo, back))
+            out.append(_assemble_mor(a, b, g, combo, slot))
     return out
 
 
@@ -656,6 +601,5 @@ def enumerate_labeled_mors(
     """All morphisms ``a -> b`` of cropped trees, deterministically ordered."""
     if a.flavor != b.flavor:
         raise ValueError("hom-sets require a common flavor")
-    _require_cropped_tree(a, a.flavor)
-    _require_cropped_tree(b, b.flavor)
+    _require_cropped_trees(a.flavor, a, b)
     return _enum_mors(a, b)

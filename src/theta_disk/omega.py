@@ -34,7 +34,6 @@ from theta_disk.globular import (
     GlobMor,
     GlobSet,
     canonical_form,
-    comp_subfunctor,
     compose_glob_mors,
     enumerate_glob_morphisms,
     restrict_gc,
@@ -254,27 +253,6 @@ def compose_cells(beta: Cell, alpha: Cell, m: int) -> Cell:
     return Cell(alpha.base, glued_shape, glued_map, n)
 
 
-def zero_decompose(c: Cell) -> list[Cell]:
-    """The column cells between consecutive object cells of the shape."""
-    if c.nominal_dim < 1:
-        raise ValueError("only positive-dimensional cells decompose")
-    p = c.shape.gset.levels[0]
-    if p <= 1:
-        return [c]
-    parts = []
-    for i in range(p - 1):
-        sub, incl = comp_subfunctor(c.shape, (0, i), (0, i + 1))
-        parts.append(
-            Cell(
-                c.base,
-                sub,
-                compose_glob_mors(c.map, incl),
-                c.nominal_dim,
-            )
-        )
-    return parts
-
-
 # ---------------------------------------------------------------------------
 # Enriched cells over an ordinal graph
 
@@ -486,10 +464,6 @@ EMPTY_PRESENTATION = OmegaPresentation("empty")
 TERMINAL_PRESENTATION = OmegaPresentation("terminal")
 
 
-def free_on_cardinal(x: GlobCard) -> OmegaPresentation:
-    return OmegaPresentation("free_globcard", cardinal=x)
-
-
 def free_on_graph(g: OGraph) -> OmegaPresentation:
     return OmegaPresentation("free_ograph", graph=g)
 
@@ -547,16 +521,6 @@ class GeneratorAction:
             if g == gen:
                 return img
         raise KeyError(f"no assignment for generator {gen}")
-
-
-def identity_action(p: OmegaPresentation) -> GeneratorAction:
-    g = _graph_of(p)
-    if g is None and p.tag != "empty":
-        raise ValueError("identity actions exist for free presentations")
-    gens = all_enriched_generators(g) if g is not None else []
-    return GeneratorAction(
-        p, p, tuple(sorted((gen, gen) for gen in gens))
-    )
 
 
 class _Evaluator:
@@ -637,26 +601,6 @@ def _find_split(y: EnrichedCell):
         m + 1,
         EnrichedCell(y.dim, y.h, y.k, (first,)),
         EnrichedCell(y.dim, y.h, y.k, (second,)),
-    )
-
-
-def eval_functor(action: GeneratorAction, c: EnrichedCell):
-    """Evaluate the functor presented by an action on any cell."""
-    return _Evaluator(action)(c)
-
-
-def compose_actions(
-    second: GeneratorAction, first: GeneratorAction
-) -> GeneratorAction:
-    if first.cod != second.dom:
-        raise ValueError("actions do not compose")
-    evaluate = _Evaluator(second)
-    return GeneratorAction(
-        first.dom,
-        second.cod,
-        tuple(
-            sorted((gen, evaluate(img)) for gen, img in first.assignments)
-        ),
     )
 
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations_with_replacement
+from math import comb
 
 
 def json_int(value: object) -> int:
@@ -222,10 +223,31 @@ def enumerate_ord_maps(m: Ordinal, n: Ordinal) -> list[OrdMap]:
     ]
 
 
-def enumerate_interval_maps(m: Ordinal, n: Ordinal) -> list[OrdMap]:
-    """All interval maps ``m -> n`` in lexicographic order of value tuples."""
+def count_ord_maps(m: Ordinal, n: Ordinal) -> int:
+    """``len(enumerate_ord_maps(m, n))``: multisets of ``m.size`` values
+    drawn from ``n.size``, without listing them."""
+    if m.n == -1:
+        return 1
+    return comb(n.size + m.size - 1, m.size)
+
+
+def _require_non_empty(m: Ordinal, n: Ordinal) -> None:
     if m.n < 0 or n.n < 0:
         raise ValueError("interval maps run between non-empty ordinals")
+
+
+def count_interval_maps(m: Ordinal, n: Ordinal) -> int:
+    """``len(enumerate_interval_maps(m, n))``: both endpoints are fixed, so
+    multisets of the ``m.n - 1`` inner values, without listing them."""
+    _require_non_empty(m, n)
+    if m.n == 0:
+        return 1 if n.n == 0 else 0
+    return comb(n.size + m.n - 2, m.n - 1)
+
+
+def enumerate_interval_maps(m: Ordinal, n: Ordinal) -> list[OrdMap]:
+    """All interval maps ``m -> n`` in lexicographic order of value tuples."""
+    _require_non_empty(m, n)
     if m.n == 0:
         return [OrdMap(m, n, (0,))] if n.n == 0 else []
     return [

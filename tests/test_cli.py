@@ -100,6 +100,28 @@ class TestParsing:
         assert main(["render", "--format", "json", text]) == 2
         assert capsys.readouterr().err.startswith("error: ")
 
+    @pytest.mark.parametrize(
+        "flavor, single, other", [(INTERVAL, 0, 5), (ORDINAL, -1, 0)]
+    )
+    def test_label_row_below_the_stored_depth(self, capsys, flavor, single, other):
+        # The second level is a chain continuation, so it is not stored and
+        # its label is implied; a row there that says otherwise is refused.
+        def chain(lower: int) -> str:
+            return json.dumps(
+                {
+                    "kind": "labeled-tree",
+                    "flavor": flavor,
+                    "levels": [1, 1],
+                    "parents": [[0]],
+                    "labels": [[single], [lower]],
+                }
+            )
+
+        assert main(["render", "--format", "json", chain(other)]) == 2
+        assert "label row 1" in capsys.readouterr().err
+        data = run_json(capsys, "render", "--format", "json", chain(single))
+        assert data["labels"] == [[single]]
+
     def test_deeply_nested_json(self, capsys):
         deep = "[" * 100_000 + "]" * 100_000
         assert main(["convert", "--functor", "vee", deep]) == 2
@@ -334,6 +356,27 @@ class TestHomCount:
             '{"kind": "ordinal", "n": 1}',
         )
         assert data == {"kind": "hom-count", "count": 3}
+
+    @pytest.mark.parametrize(
+        "n, count", [(30, 232714176627630544), (40, 212392290424395860814420)]
+    )
+    def test_large_ordinals_are_counted_by_formula(self, capsys, n, count):
+        big = json.dumps({"kind": "ordinal", "n": n})
+        assert run_json(capsys, "hom-count", big, big)["count"] == count
+
+    @pytest.mark.parametrize("dom, cod", [(-1, 2), (2, -1), (-1, -1)])
+    def test_interval_maps_need_non_empty_ordinals(self, capsys, dom, cod):
+        code = main(
+            [
+                "hom-count",
+                "--kind",
+                "interval",
+                json.dumps({"kind": "ordinal", "n": dom}),
+                json.dumps({"kind": "ordinal", "n": cod}),
+            ]
+        )
+        assert code == 2
+        assert "non-empty ordinals" in capsys.readouterr().err
 
     def test_ograph_pair(self, capsys):
         arrow = json.dumps(ARROW_OGRAPH.to_dict())

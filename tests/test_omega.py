@@ -12,6 +12,8 @@ from theta_disk.globular import (
     GlobCard,
     GlobMor,
     GlobSet,
+    comp_subfunctor,
+    compose_glob_mors,
     identity_glob_mor,
 )
 from theta_disk.itree import (
@@ -36,8 +38,9 @@ from theta_disk.omega import (
     Cell,
     EnrichedCell,
     TerminalCell,
+    OmegaPresentation,
+    _Evaluator,
     comparison_L,
-    compose_actions,
     compose_cells,
     compose_enriched,
     demote_enriched,
@@ -46,12 +49,9 @@ from theta_disk.omega import (
     enriched_m_target,
     enumerate_cells,
     enumerate_omega_functors,
-    eval_functor,
-    free_on_cardinal,
     free_on_graph,
     free_on_ograph_cells,
     hom_graph_count,
-    identity_action,
     identity_cell,
     m_source,
     m_target,
@@ -59,7 +59,6 @@ from theta_disk.omega import (
     psi_apply,
     psi_mor,
     psi_obj,
-    zero_decompose,
 )
 
 ARROW_OGRAPH = OGraph(2, (POINT_OGRAPH,))
@@ -81,6 +80,30 @@ def total_cell(x: GlobCard, n: int | None = None) -> Cell:
     """The cell whose shape is the whole base."""
     dim = x.dim if n is None else n
     return Cell(x, x, identity_glob_mor(x), dim)
+
+
+def zero_decompose(c: Cell) -> list[Cell]:
+    """Oracle: the column cells between consecutive object cells of the
+    shape, whose 0-composite is ``c`` again."""
+    if c.nominal_dim < 1:
+        raise ValueError("only positive-dimensional cells decompose")
+    p = c.shape.gset.levels[0]
+    if p <= 1:
+        return [c]
+    parts = []
+    for i in range(p - 1):
+        sub, incl = comp_subfunctor(c.shape, (0, i), (0, i + 1))
+        parts.append(Cell(c.base, sub, compose_glob_mors(c.map, incl), c.nominal_dim))
+    return parts
+
+
+def eval_functor(action, c: EnrichedCell):
+    """Oracle: the functor presented by a generator action, on any cell."""
+    return _Evaluator(action)(c)
+
+
+def fixes_generators(action) -> bool:
+    return all(gen == img for gen, img in action.assignments)
 
 
 class TestCellBasics:
@@ -408,13 +431,11 @@ class TestPresentations:
             psi_obj(trivial_obj(INTERVAL))
 
     def test_serialization_round_trip(self):
-        from theta_disk.omega import OmegaPresentation
-
         for p in (
             EMPTY_PRESENTATION,
             TERMINAL_PRESENTATION,
             free_on_graph(WHISKER_OGRAPH),
-            free_on_cardinal(GLOBE2),
+            OmegaPresentation("free_globcard", cardinal=GLOBE2),
         ):
             assert OmegaPresentation.from_dict(p.to_dict()) == p
 
@@ -436,7 +457,7 @@ class TestFunctorEnumeration:
         arrow = free_on_graph(ARROW_OGRAPH)
         functors = enumerate_omega_functors(arrow, arrow)
         assert len(functors) == 3
-        assert identity_action(arrow) in functors
+        assert sum(map(fixes_generators, functors)) == 1
 
     def test_terminal_codomain_gives_one_functor(self):
         for g in (ARROW_OGRAPH, WHISKER_OGRAPH):
@@ -456,7 +477,7 @@ class TestFunctorEnumeration:
         assert len(enumerate_omega_functors(arrow, arrow, depth=0)) == 4
 
     def test_cardinal_and_graph_presentations_agree(self):
-        a = free_on_cardinal(ARROW)
+        a = OmegaPresentation("free_globcard", cardinal=ARROW)
         functors = enumerate_omega_functors(a, a)
         assert len(functors) == 3
 
@@ -487,7 +508,9 @@ class TestHomGraphCount:
 
 class TestEvaluation:
     def test_identity_action_evaluates_to_itself(self):
-        action = identity_action(free_on_graph(WHISKER_OGRAPH))
+        whisker = free_on_graph(WHISKER_OGRAPH)
+        functors = enumerate_omega_functors(whisker, whisker)
+        [action] = [f for f in functors if fixes_generators(f)]
         for n in range(3):
             for c in free_on_ograph_cells(WHISKER_OGRAPH, n):
                 assert eval_functor(action, c) == c
@@ -539,7 +562,12 @@ class TestPsi:
     def test_identity_morphism_gives_identity_action(self):
         trivial, o0, o1 = self.small_trees()
         for tree in (o0, o1):
-            assert psi_mor(itree_identity(tree)) == identity_action(psi_obj(tree))
+            action = psi_mor(itree_identity(tree))
+            assert action.dom == action.cod == psi_obj(tree)
+            assert fixes_generators(action)
+            for n in range(3):
+                for c in free_on_ograph_cells(action.dom.graph, n):
+                    assert eval_functor(action, c) == c
 
     def test_marker_gives_empty_action(self):
         trivial, o0, o1 = self.small_trees()
@@ -557,8 +585,12 @@ class TestPsi:
                 for f in enumerate_morphisms(a, b):
                     for c in trees:
                         for g in enumerate_morphisms(b, c):
-                            assert psi_mor(itree_compose(g, f)) == compose_actions(
-                                psi_mor(g), psi_mor(f)
+                            first, second = psi_mor(f), psi_mor(g)
+                            gf = psi_mor(itree_compose(g, f))
+                            assert (gf.dom, gf.cod) == (first.dom, second.cod)
+                            assert gf.assignments == tuple(
+                                (gen, eval_functor(second, img))
+                                for gen, img in first.assignments
                             )
 
     def test_apply_matches_evaluation(self):

@@ -10,6 +10,8 @@ from theta_disk.ordinal import (
     OrdMap,
     Ordinal,
     compose,
+    count_interval_maps,
+    count_ord_maps,
     enumerate_interval_maps,
     enumerate_ord_maps,
     identity,
@@ -208,6 +210,28 @@ class TestEnumeration:
                 assert len(enumerate_interval_maps(Ordinal(m), Ordinal(n))) == len(
                     enumerate_ord_maps(Ordinal(n - 1), Ordinal(m - 1))
                 )
+
+    @pytest.mark.parametrize("m", range(-1, 5))
+    @pytest.mark.parametrize("n", range(-1, 5))
+    def test_counts_match_enumeration(self, m, n):
+        a, b = Ordinal(m), Ordinal(n)
+        assert count_ord_maps(a, b) == len(enumerate_ord_maps(a, b))
+        if m < 0 or n < 0:
+            for fn in (count_interval_maps, enumerate_interval_maps):
+                with pytest.raises(ValueError, match="non-empty ordinals"):
+                    fn(a, b)
+        else:
+            assert count_interval_maps(a, b) == len(enumerate_interval_maps(a, b))
+
+    def test_counts_of_large_ordinals(self):
+        # C(61, 31) and C(81, 41) monotone maps: far too many to list.
+        assert count_ord_maps(Ordinal(30), Ordinal(30)) == 232714176627630544
+        assert count_ord_maps(Ordinal(40), Ordinal(40)) == (
+            212392290424395860814420
+        )
+        assert count_interval_maps(Ordinal(40), Ordinal(40)) == count_ord_maps(
+            Ordinal(39), Ordinal(39)
+        )
 
     def test_serialization_round_trip(self):
         f = om(2, 3, 0, 1, 3)
