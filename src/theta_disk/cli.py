@@ -203,7 +203,7 @@ def _apply_functor(name: str, obj):
     return functor(obj)
 
 
-def _hom_count(a, b, maps: str) -> int:
+def _hom_count(a, b, maps: str | None) -> int:
     def listed(enumerate_homs):
         return lambda a, b: len(enumerate_homs(a, b))
 
@@ -222,6 +222,11 @@ def _hom_count(a, b, maps: str) -> int:
         raise ValueError(
             "hom-count requires two objects of the same kind; got "
             f"{kind.__name__} and {type(b).__name__}"
+        )
+    if maps is not None and kind is not Ordinal:
+        raise ValueError(
+            f"--kind applies only to a pair of ordinals; got two "
+            f"{kind.__name__} objects"
         )
     return counters[kind](a, b)
 
@@ -343,9 +348,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--kind",
         choices=("interval", "ordinal"),
-        default="ordinal",
-        help="for a pair of ordinals: count endpoint-preserving interval "
-        "maps or all monotone maps (default)",
+        help="only for a pair of ordinals: count endpoint-preserving "
+        "interval maps, or all monotone maps (the default)",
     )
     add_common(p)
 

@@ -9,11 +9,15 @@ cell strictly between its source and its target.
 Cardinals are kept in canonical form: within each dimension the cell
 indices appear in ascending order along the linear order.  Structural
 equality of canonical forms then decides isomorphism.
+
+Globular sets, cardinals and their morphisms are interned (see
+:class:`Interned`): equal values are one object, so equality is identity.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import inspect
+from dataclasses import dataclass, fields
 from functools import cmp_to_key, lru_cache
 from itertools import accumulate, product
 from typing import Iterable, Sequence
@@ -23,8 +27,42 @@ from theta_disk.ordinal import json_int
 Vertex = tuple[int, int]
 
 
-@dataclass(frozen=True)
-class GlobSet:
+class _InternTable(type):
+    """Looks a value up by its field tuple before building it."""
+
+    def __init__(cls, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        cls._table: dict[tuple, object] = {}
+
+    def __call__(cls, *args, **kwargs):
+        if kwargs:
+            bound = inspect.signature(cls.__init__).bind(None, *args, **kwargs)
+            args = bound.args[1:]
+        try:
+            return cls._table[args]
+        except KeyError:
+            # A value that fails validation raises here and is not stored.
+            value = cls._table[args] = super().__call__(*args)
+            return value
+
+
+class Interned(metaclass=_InternTable):
+    """Base of frozen value classes whose equal values are one object.
+
+    Calling the class looks the field tuple up in the class's table, and
+    only a value not seen before is built, so ``__post_init__`` validates
+    each distinct value once.  Keyword arguments are mapped to their
+    positions, and pickle and copy rebuild through the constructor, so
+    every instance comes from the table.  Subclasses are dataclasses with
+    ``eq=False`` and no field defaults: equality and hashing are identity.
+    """
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, f.name) for f in fields(self))
+
+
+@dataclass(frozen=True, eq=False)
+class GlobSet(Interned):
     """A finite globular set: cell counts plus source/target tables."""
 
     levels: tuple[int, ...]
@@ -125,8 +163,8 @@ def _linear_order(gset: GlobSet) -> tuple[Vertex, ...] | None:
     )
 
 
-@dataclass(frozen=True)
-class GlobCard:
+@dataclass(frozen=True, eq=False)
+class GlobCard(Interned):
     """A globular cardinal in canonical form.
 
     The constructor checks that the span-generated order is total and that
@@ -247,8 +285,8 @@ def consecutive(x: GlobCard, u: Vertex, v: Vertex) -> bool:
     )
 
 
-@dataclass(frozen=True)
-class GlobMor:
+@dataclass(frozen=True, eq=False)
+class GlobMor(Interned):
     """A morphism of globular sets between cardinals."""
 
     dom: GlobCard
@@ -501,25 +539,3 @@ def suspend_gc_mor(
         maps.append(tuple(row))
     return GlobMor(dom, cod, tuple(maps))
 
-
-def comp_subfunctor(
-    y: GlobCard, a: Vertex, b: Vertex
-) -> tuple[GlobCard, GlobMor]:
-    """The sub-cardinal spanned by two same-dimension cells, everything
-    strictly between them, and their iterated sources and targets below;
-    with its inclusion."""
-    _, kept = _restrict_data(y, a, b)
-    n = a[0]
-    below: list[set[int]] = []
-    current = {a[1], b[1]}
-    for k in range(n, 0, -1):
-        current = {
-            table[i]
-            for i in current
-            for table in (y.gset.src[k - 1], y.gset.tgt[k - 1])
-        }
-        below.append(current)
-    keep: list[Iterable[int]] = [set(level) for level in reversed(below)]
-    keep.append({a[1], b[1]})
-    keep.extend(kept)
-    return sub_globcard(y, keep)

@@ -141,6 +141,12 @@ class LabeledTree:
         rows = tuple(
             tuple(Ordinal(json_int(n)) for n in row) for row in data["labels"]
         )
+        if len(rows) > len(data["levels"]):
+            raise ValueError(
+                f"label row {len(data['levels'])} lies past the last level; "
+                f"give one label row per level, got {len(rows)} rows for "
+                f"{len(data['levels'])} levels"
+            )
         # Rows past the stored depth describe the chain continuation, whose
         # labels are implicit; dropping them must not lose a label.
         single = trivial_root(flavor)

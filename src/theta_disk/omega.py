@@ -27,12 +27,14 @@ generators compatibly.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import product
 
 from theta_disk.globular import (
     GlobCard,
     GlobMor,
     GlobSet,
+    Interned,
     canonical_form,
     compose_glob_mors,
     enumerate_glob_morphisms,
@@ -54,9 +56,10 @@ from theta_disk.ordinal import json_int, wedge_map
 # Cells over a globular cardinal
 
 
-@dataclass(frozen=True)
-class Cell:
-    """A cell of the free omega-category on a globular cardinal."""
+@dataclass(frozen=True, eq=False)
+class Cell(Interned):
+    """A cell of the free omega-category on a globular cardinal; interned,
+    like the globular values it is made of."""
 
     base: GlobCard
     shape: GlobCard
@@ -154,6 +157,7 @@ def _boundary_keep(shape: GlobCard, m: int, least: bool) -> list[list[int]]:
     return keep
 
 
+@lru_cache(maxsize=None)
 def _boundary(c: Cell, m: int, least: bool) -> Cell:
     if not 0 <= m < c.nominal_dim:
         raise ValueError("boundary dimension out of range")
@@ -516,12 +520,6 @@ class GeneratorAction:
     cod: OmegaPresentation
     assignments: tuple[tuple[EnrichedCell, object], ...]
 
-    def image_of(self, gen: EnrichedCell):
-        for g, img in self.assignments:
-            if g == gen:
-                return img
-        raise KeyError(f"no assignment for generator {gen}")
-
 
 class _Evaluator:
     """Evaluates a generator action on arbitrary enriched cells."""
@@ -621,7 +619,11 @@ def enumerate_omega_functors(
         partials.append(dict(zip(objects, combo)))
     for n in range(1, max_dim + 1):
         gens = enriched_generators(g, n)
-        candidates = presentation_cells(b, n)
+        # Candidate images by their (n-1)-boundary, in enumeration order.
+        by_boundary: dict[tuple, list] = {}
+        for cand in presentation_cells(b, n):
+            key = (_cand_source(cand, n - 1), _cand_target(cand, n - 1))
+            by_boundary.setdefault(key, []).append(cand)
         extended = []
         for partial in partials:
             action = GeneratorAction(a, b, tuple(partial.items()))
@@ -630,13 +632,7 @@ def enumerate_omega_functors(
             for gen in gens:
                 want_s = evaluate(enriched_m_source(gen, n - 1))
                 want_t = evaluate(enriched_m_target(gen, n - 1))
-                matches = [
-                    cand
-                    for cand in candidates
-                    if _cand_source(cand, n - 1) == want_s
-                    and _cand_target(cand, n - 1) == want_t
-                ]
-                options.append(matches)
+                options.append(by_boundary.get((want_s, want_t), []))
             if any(not o for o in options):
                 continue
             for combo in product(*options):

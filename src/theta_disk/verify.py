@@ -435,6 +435,16 @@ def check_upsilon(bounds: Bounds, *, upsilon_fn=upsilon) -> Report:
     return _report("upsilon", bounds, counts, failures())
 
 
+def _by_source(cells, m: int) -> dict:
+    """``cells`` grouped by their m-source, each group in ``cells`` order:
+    the cells that compose after a cell ``alpha`` along dimension ``m``
+    are the group of ``m_target(alpha, m)``."""
+    groups: dict = {}
+    for c in cells:
+        groups.setdefault(m_source(c, m), []).append(c)
+    return groups
+
+
 def check_L(bounds: Bounds, *, comparison_fn=comparison_L) -> Report:
     """The comparison from free-category cells over a cardinal to
     enriched cells over its graph is bijective per dimension and
@@ -479,10 +489,9 @@ def check_L(bounds: Bounds, *, comparison_fn=comparison_L) -> Report:
                         if not (src_ok and tgt_ok):
                             yield _fail("boundaries", cell=c, level=m)
                 for m in range(n):
+                    by_source = _by_source(cells, m)
                     for alpha in cells:
-                        for beta in cells:
-                            if m_target(alpha, m) != m_source(beta, m):
-                                continue
+                        for beta in by_source.get(m_target(alpha, m), ()):
                             counts["composition_checks"] += 1
                             left = comparison_fn(compose_cells(beta, alpha, m))
                             right = compose_enriched(
@@ -530,11 +539,11 @@ def check_omega_laws(bounds: Bounds, *, compose_fn=compose_cells) -> Report:
                         if compose_fn(c, right_unit, m) != c:
                             yield _fail("right-unit", cell=c, level=m)
                 for m in range(n):
+                    by_source = _by_source(cells, m)
                     pairs = [
                         (alpha, beta)
                         for alpha in cells
-                        for beta in cells
-                        if m_target(alpha, m) == m_source(beta, m)
+                        for beta in by_source.get(m_target(alpha, m), ())
                     ]
                     for alpha, beta in pairs:
                         composite = compose_fn(beta, alpha, m)
@@ -560,9 +569,7 @@ def check_omega_laws(bounds: Bounds, *, compose_fn=compose_cells) -> Report:
                                 yield _fail("high-source-of-composite", **pair)
                             if m_target(composite, level) != tgt:
                                 yield _fail("high-target-of-composite", **pair)
-                        for gamma_cell in cells:
-                            if m_target(beta, m) != m_source(gamma_cell, m):
-                                continue
+                        for gamma_cell in by_source.get(m_target(beta, m), ()):
                             counts["associativity_checks"] += 1
                             left = compose_fn(gamma_cell, composite, m)
                             right = compose_fn(

@@ -121,6 +121,16 @@ class TestParsing:
         assert "label row 1" in capsys.readouterr().err
         data = run_json(capsys, "render", "--format", "json", chain(single))
         assert data["labels"] == [[single]]
+        # A row past the last level describes no vertex, whatever it holds.
+        extra = {
+            "kind": "labeled-tree",
+            "flavor": flavor,
+            "levels": [1],
+            "parents": [],
+            "labels": [[single], [single], [single] * 3],
+        }
+        assert main(["render", "--format", "json", json.dumps(extra)]) == 2
+        assert "label row 1 lies past the last level" in capsys.readouterr().err
 
     def test_deeply_nested_json(self, capsys):
         deep = "[" * 100_000 + "]" * 100_000
@@ -377,6 +387,18 @@ class TestHomCount:
         )
         assert code == 2
         assert "non-empty ordinals" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("maps", ["interval", "ordinal"])
+    def test_kind_needs_a_pair_of_ordinals(self, capsys, maps):
+        trivial = json.dumps(
+            {"kind": "itree", "flavor": "ordinal", "root": -1, "children": []}
+        )
+        assert main(["hom-count", "--kind", maps, trivial, trivial]) == 2
+        err = capsys.readouterr().err
+        assert "--kind applies only to a pair of ordinals" in err
+        arrow = json.dumps(ARROW_OGRAPH.to_dict())
+        assert main(["hom-count", "--kind", maps, arrow, arrow]) == 2
+        assert run_json(capsys, "hom-count", trivial, trivial)["count"] == 1
 
     def test_ograph_pair(self, capsys):
         arrow = json.dumps(ARROW_OGRAPH.to_dict())

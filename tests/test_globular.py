@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import copy
+import pickle
+from dataclasses import replace
 from itertools import permutations, product
 
 import pytest
@@ -14,7 +17,6 @@ from theta_disk.globular import (
     GlobMor,
     GlobSet,
     canonical_form,
-    comp_subfunctor,
     compose_glob_mors,
     consecutive,
     enumerate_glob_morphisms,
@@ -26,6 +28,7 @@ from theta_disk.globular import (
     suspend_gc,
     suspend_gc_mor,
 )
+from tests.test_omega import comp_subfunctor
 
 
 def chain2() -> GlobCard:
@@ -285,6 +288,55 @@ class TestGlobMor:
     def test_serialization(self):
         f = enumerate_glob_morphisms(ARROW_CARDINAL, chain2())[0]
         assert GlobMor.from_dict(f.to_dict()) == f
+
+
+class TestInterning:
+    def test_equal_values_are_one_object(self):
+        assert GlobSet((3, 2), ((0, 1),), ((1, 2),)) is chain2().gset
+        assert chain2() is chain2()
+        first = enumerate_glob_morphisms(ARROW_CARDINAL, whisker())
+        again = enumerate_glob_morphisms(ARROW_CARDINAL, whisker())
+        assert len(first) == len(again) > 1
+        assert all(f is g for f, g in zip(first, again))
+        assert GlobMor(ARROW_CARDINAL, chain2(), ((1, 2), (1,))) is (
+            enumerate_glob_morphisms(ARROW_CARDINAL, chain2())[1]
+        )
+
+    def test_keywords_name_the_same_value(self):
+        gset = GlobSet(levels=(2, 1), src=((0,),), tgt=((1,),))
+        assert gset is ARROW_CARDINAL.gset
+        assert GlobCard(gset=gset) is ARROW_CARDINAL
+        assert replace(ARROW_CARDINAL) is ARROW_CARDINAL
+        identity = GlobMor(
+            ARROW_CARDINAL, level_maps=((0, 1), (0,)), cod=ARROW_CARDINAL
+        )
+        assert identity is identity_glob_mor(ARROW_CARDINAL)
+        with pytest.raises(TypeError):
+            GlobSet((1,), (), (), levels=(1,))
+        with pytest.raises(TypeError):
+            GlobSet((1,), ())
+
+    def test_invalid_value_raises_every_time(self):
+        for _ in range(2):
+            with pytest.raises(ValueError, match="commute"):
+                GlobMor(ARROW_CARDINAL, chain2(), ((0, 2), (0,)))
+        for _ in range(2):
+            with pytest.raises(ValueError, match="not canonical"):
+                GlobCard(GlobSet((2, 1), ((1,),), ((0,),)))
+
+    def test_pickle_and_copy_return_the_interned_value(self):
+        values = [
+            POINT_CARDINAL.gset,
+            EMPTY_CARDINAL,
+            ARROW_CARDINAL,
+            whisker(),
+            *enumerate_glob_morphisms(ARROW_CARDINAL, whisker()),
+        ]
+        for value in values:
+            for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+                assert pickle.loads(pickle.dumps(value, protocol)) is value
+            assert copy.deepcopy(value) is value
+            assert copy.copy(value) is value
 
 
 class TestSubCardinal:

@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import copy
 import hashlib
 import json
+import pickle
 from itertools import product
+from typing import Iterable
 
 import pytest
 
@@ -12,9 +15,11 @@ from theta_disk.globular import (
     GlobCard,
     GlobMor,
     GlobSet,
-    comp_subfunctor,
+    Vertex,
+    _restrict_data,
     compose_glob_mors,
     identity_glob_mor,
+    sub_globcard,
 )
 from theta_disk.itree import (
     ORDINAL,
@@ -82,6 +87,29 @@ def total_cell(x: GlobCard, n: int | None = None) -> Cell:
     return Cell(x, x, identity_glob_mor(x), dim)
 
 
+def comp_subfunctor(
+    y: GlobCard, a: Vertex, b: Vertex
+) -> tuple[GlobCard, GlobMor]:
+    """Oracle: the sub-cardinal spanned by two same-dimension cells,
+    everything strictly between them, and their iterated sources and
+    targets below; with its inclusion."""
+    _, kept = _restrict_data(y, a, b)
+    n = a[0]
+    below: list[set[int]] = []
+    current = {a[1], b[1]}
+    for k in range(n, 0, -1):
+        current = {
+            table[i]
+            for i in current
+            for table in (y.gset.src[k - 1], y.gset.tgt[k - 1])
+        }
+        below.append(current)
+    keep: list[Iterable[int]] = [set(level) for level in reversed(below)]
+    keep.append({a[1], b[1]})
+    keep.extend(kept)
+    return sub_globcard(y, keep)
+
+
 def zero_decompose(c: Cell) -> list[Cell]:
     """Oracle: the column cells between consecutive object cells of the
     shape, whose 0-composite is ``c`` again."""
@@ -132,6 +160,40 @@ class TestCellBasics:
     def test_serialization_round_trip(self):
         for c in enumerate_cells(WHISKER, 2):
             assert Cell.from_dict(c.to_dict()) == c
+
+
+class TestCellInterning:
+    def test_equal_cells_are_one_object(self):
+        first, again = enumerate_cells(WHISKER, 2), enumerate_cells(WHISKER, 2)
+        assert len(first) == len(again) > 1
+        assert all(c is d for c, d in zip(first, again))
+        assert Cell(ARROW, ARROW, identity_glob_mor(ARROW), 1) is total_cell(ARROW)
+        c = total_cell(WHISKER)
+        assert m_source(c, 1) is m_source(c, 1)
+        assert promote_cell(m_target(c, 0), 0) is m_target(c, 0)
+
+    def test_serialization_returns_the_interned_cell(self):
+        seen = 0
+        for g in enumerate_ographs(5, 2):
+            if g.is_empty:
+                continue
+            x = gamma_prime(g)
+            for n in range(3):
+                for c in enumerate_cells(x, n):
+                    assert Cell.from_dict(c.to_dict()) is c
+                    seen += 1
+        assert seen == 37
+
+    def test_pickle_and_copy_return_the_interned_cell(self):
+        for c in enumerate_cells(WHISKER, 2):
+            assert pickle.loads(pickle.dumps(c)) is c
+            assert copy.deepcopy(c) is c
+            assert copy.copy(c) is c
+
+    def test_invalid_cell_raises_every_time(self):
+        for _ in range(2):
+            with pytest.raises(ValueError, match="nominal dimension"):
+                total_cell(ARROW, 0)
 
 
 class TestEnumerateCells:
@@ -480,6 +542,42 @@ class TestFunctorEnumeration:
         a = OmegaPresentation("free_globcard", cardinal=ARROW)
         functors = enumerate_omega_functors(a, a)
         assert len(functors) == 3
+
+    @pytest.mark.parametrize(
+        "height, root, count, digest",
+        [
+            (
+                2,
+                5,
+                462,
+                "e6053ab0c87ded69ef7ac337fc46c8dca2bcf0c32f7c6653aee1f401501cc0a2",
+            ),
+            (
+                3,
+                2,
+                26,
+                "4be7c864755fafdcf20554e86d919fb5c0076fbcab054159c617cdfd0e59108a",
+            ),
+        ],
+        ids=["height2-root5", "height3-root2"],
+    )
+    def test_enumeration_order_is_pinned(self, height, root, count, digest):
+        # Every pair of psi's presentations over the bounded trees.  The
+        # order of the functors follows the order of each generator's
+        # candidate images; at height 2 every generator has one candidate
+        # per boundary, at height 3 some have several.
+        presentations = [
+            psi_obj(h) for h in enumerate_objects(ORDINAL, height, root)
+        ]
+        rows = [
+            repr(action.assignments)
+            for a in presentations
+            for b in presentations
+            for action in enumerate_omega_functors(a, b)
+        ]
+        assert len(rows) == count
+        text = "\n".join(rows)
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
 
     def test_matches_adjunction_count(self):
         graphs = enumerate_ographs(5, 2)

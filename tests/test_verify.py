@@ -114,6 +114,25 @@ def corrupt_vee(x):
     return vee(x)
 
 
+def corrupt_comparison(c):
+    """``comparison_L`` with the object cell 1 sent to the object 0."""
+    e = comparison_L(c)
+    if e.dim == 0 and e.h == e.k == 1:
+        return EnrichedCell(0, 0, 0)
+    return e
+
+
+def corrupt_compose(beta, alpha, m):
+    """``compose_cells`` answering with the unit on the m-source."""
+    real = compose_cells(beta, alpha, m)
+    return promote_cell(m_source(alpha, m), real.nominal_dim)
+
+
+def corrupt_psi_mor(f):
+    """``psi_mor`` sending every morphism to the first of its hom-set."""
+    return psi_mor(enumerate_morphisms(f.dom, f.cod)[0])
+
+
 class TestBounds:
     def test_defaults(self):
         b = Bounds()
@@ -250,13 +269,15 @@ class TestLCheck:
         assert 0 < report.instances["proper_cells"] < report.instances["cells"]
 
     def test_negative_control(self):
-        def corrupt(c):
-            e = comparison_L(c)
-            if e.dim == 0 and e.h == e.k == 1:
-                return EnrichedCell(0, 0, 0)
-            return e
+        report = check_L(Bounds(), comparison_fn=corrupt_comparison)
+        assert not report.passed
+        assert report.counterexample["law"] == "injective"
 
-        report = check_L(Bounds(), comparison_fn=corrupt)
+    def test_negative_control_after_the_tables_are_warm(self):
+        # Interned cells and memoized boundaries survive the passing run;
+        # the comparison itself must still be called on every cell.
+        assert check_L(Bounds()).passed
+        report = check_L(Bounds(), comparison_fn=corrupt_comparison)
         assert not report.passed
         assert report.counterexample["law"] == "injective"
 
@@ -274,11 +295,13 @@ class TestOmegaLawsCheck:
             assert report.instances[key] > 0
 
     def test_negative_control(self):
-        def corrupt(beta, alpha, m):
-            real = compose_cells(beta, alpha, m)
-            return promote_cell(m_source(alpha, m), real.nominal_dim)
+        report = check_omega_laws(Bounds(), compose_fn=corrupt_compose)
+        assert not report.passed
+        assert report.counterexample["law"] == "left-unit"
 
-        report = check_omega_laws(Bounds(), compose_fn=corrupt)
+    def test_negative_control_after_the_tables_are_warm(self):
+        assert check_omega_laws(Bounds()).passed
+        report = check_omega_laws(Bounds(), compose_fn=corrupt_compose)
         assert not report.passed
         assert report.counterexample["law"] == "left-unit"
 
@@ -290,10 +313,13 @@ class TestPsiCheck:
         assert report.instances["pairs"] == 9
 
     def test_negative_control(self):
-        def corrupt(f):
-            return psi_mor(enumerate_morphisms(f.dom, f.cod)[0])
+        report = check_psi(Bounds(), psi_mor_fn=corrupt_psi_mor)
+        assert not report.passed
+        assert report.counterexample["law"] == "faithful"
 
-        report = check_psi(Bounds(), psi_mor_fn=corrupt)
+    def test_negative_control_after_the_tables_are_warm(self):
+        assert check_psi(Bounds()).passed
+        report = check_psi(Bounds(), psi_mor_fn=corrupt_psi_mor)
         assert not report.passed
         assert report.counterexample["law"] == "faithful"
 
