@@ -22,7 +22,7 @@ from theta_disk.itree import (
     INTERVAL,
     ORDINAL,
     ITreeObj,
-    enumerate_morphisms,
+    count_morphisms,
     enumerate_objects,
     vee,
     wedge,
@@ -207,13 +207,13 @@ def _hom_count(a, b, maps: str | None) -> int:
     def listed(enumerate_homs):
         return lambda a, b: len(enumerate_homs(a, b))
 
-    # Ordinals and ordinal graphs are counted by formula or recurrence,
-    # without listing the morphisms.
+    # Ordinals, ordinal graphs and inductive trees are counted by formula
+    # or recurrence, without listing the morphisms.
     counters = {
         Ordinal: count_interval_maps if maps == "interval" else count_ord_maps,
         OGraph: count_ograph_morphisms,
         Disk: listed(enumerate_disk_morphisms),
-        ITreeObj: listed(enumerate_morphisms),
+        ITreeObj: count_morphisms,
         GlobCard: listed(enumerate_glob_morphisms),
         LabeledTree: listed(enumerate_labeled_mors),
     }

@@ -36,14 +36,21 @@ class _InternTable(type):
 
     def __call__(cls, *args, **kwargs):
         if kwargs:
-            bound = inspect.signature(cls.__init__).bind(None, *args, **kwargs)
-            args = bound.args[1:]
+            return cls(*cls._positions(args, kwargs))
         try:
             return cls._table[args]
         except KeyError:
+            if len(args) < len(fields(cls)):
+                return cls(*cls._positions(args, {}))
             # A value that fails validation raises here and is not stored.
             value = cls._table[args] = super().__call__(*args)
             return value
+
+    def _positions(cls, args: tuple, kwargs: dict) -> tuple:
+        """The full positional field tuple of a call, defaults filled in."""
+        bound = inspect.signature(cls.__init__).bind(None, *args, **kwargs)
+        bound.apply_defaults()
+        return bound.args[1:]
 
 
 class Interned(metaclass=_InternTable):
@@ -51,10 +58,12 @@ class Interned(metaclass=_InternTable):
 
     Calling the class looks the field tuple up in the class's table, and
     only a value not seen before is built, so ``__post_init__`` validates
-    each distinct value once.  Keyword arguments are mapped to their
-    positions, and pickle and copy rebuild through the constructor, so
-    every instance comes from the table.  Subclasses are dataclasses with
-    ``eq=False`` and no field defaults: equality and hashing are identity.
+    each distinct value once.  The key is the full positional field tuple:
+    keyword arguments are mapped to their positions and omitted fields
+    take their defaults, so every call naming one value finds one key.
+    Pickle and copy rebuild through the constructor, so every instance
+    comes from the table.  Subclasses are dataclasses with ``eq=False``:
+    equality and hashing are identity.
     """
 
     def __reduce__(self):

@@ -13,6 +13,13 @@ Morphisms mirror the objects: a root map plus one child morphism per
 index on the appropriate side.  In the interval flavor the trivial object
 is terminal; in the ordinal flavor it is initial.  The ``vee``/``wedge``
 pair exchanges the two flavors contravariantly and is mutually inverse.
+
+Objects are interned (see :class:`theta_disk.globular.Interned`): equal
+trees are one object.  Morphisms keep value equality, but the hom-sets
+and duals of child morphisms are shared: ``enumerate_morphisms`` and
+``vee``/``wedge`` build each child morphism once and reuse it, while the
+morphisms they return at the top level are built afresh on every call
+and held by no table.
 """
 
 from __future__ import annotations
@@ -21,7 +28,9 @@ from collections.abc import Callable
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
+from math import prod
 
+from theta_disk.globular import Interned
 from theta_disk.ordinal import (
     OrdMap,
     Ordinal,
@@ -106,13 +115,14 @@ def trivial_root(flavor: str) -> Ordinal:
     return flavor_of(flavor).trivial_root
 
 
-@dataclass(frozen=True)
-class ITreeObj:
+@dataclass(frozen=True, eq=False)
+class ITreeObj(Interned):
     """An object of the inductive interval- or ordinal-tree category.
 
     The trivial object has no children; a non-trivial object carries one
     child per element of its root (interval flavor) or of its root's
-    wedge (ordinal flavor).
+    wedge (ordinal flavor).  Objects are interned, so equal trees are one
+    object, validated once, and equality and hashing are identity.
     """
 
     flavor: str
@@ -136,21 +146,6 @@ class ITreeObj:
                 f"root {self.root} requires {expected} children, "
                 f"got {len(self.children)}"
             )
-
-    def __hash__(self) -> int:
-        # Computed once per node: the generated hash would walk the whole
-        # tree on every dict or set lookup.
-        try:
-            return self._hash
-        except AttributeError:
-            h = hash((self.flavor, self.root, self.children))
-            object.__setattr__(self, "_hash", h)
-            return h
-
-    def __reduce__(self):
-        # Rebuild through the initializer, so no cached hash (which depends
-        # on the process's string hash seed) is carried across a pickle.
-        return ITreeObj, (self.flavor, self.root, self.children)
 
     @property
     def is_trivial(self) -> bool:
@@ -260,6 +255,21 @@ class ITreeMor:
             if sub.cod != cods[i]:
                 raise ValueError(f"child {i} has the wrong codomain")
 
+    def __hash__(self) -> int:
+        # Computed once per node: the generated hash would walk every
+        # child morphism on each lookup in the shared dual tables.
+        try:
+            return self._hash
+        except AttributeError:
+            h = hash((self.dom, self.cod, self.root_map, self.children))
+            object.__setattr__(self, "_hash", h)
+            return h
+
+    def __reduce__(self):
+        # Rebuild through the initializer, so no cached hash (which depends
+        # on the process's object ids and hash seed) crosses a pickle.
+        return ITreeMor, (self.dom, self.cod, self.root_map, self.children)
+
     @property
     def flavor(self) -> str:
         return self.dom.flavor
@@ -317,32 +327,46 @@ def _wedge_tree(x: ITreeObj) -> ITreeObj:
     return _dual_tree(x, INTERVAL, wedge_obj, _wedge_tree)
 
 
-def _dual_mor(f: ITreeMor, dual_tree, dual_map) -> ITreeMor:
-    """``f`` dualized contravariantly, node by node."""
+def _dual_mor(f: ITreeMor, dual_tree, dual_map, dual_child) -> ITreeMor:
+    """``f`` dualized contravariantly; ``dual_child`` dualizes its children."""
     dom, cod = dual_tree(f.cod), dual_tree(f.dom)
     if f.is_marker:
         return marker(dom, cod)
-    kids = tuple(_dual_mor(c, dual_tree, dual_map) for c in f.children)
+    kids = tuple(map(dual_child, f.children))
     return ITreeMor(dom, cod, dual_map(f.root_map), kids)
 
 
-def _dualize(x, name: str, source: str, dual_tree, dual_map):
+# Child morphism duals, memoized like the object duals above: the children
+# of enumerated morphisms are shared, so each is dualized once.  The
+# morphism handed to ``vee``/``wedge`` itself is dualized afresh and not
+# stored, so only the few distinct children are held.
+@lru_cache(maxsize=None)
+def _vee_child(f: ITreeMor) -> ITreeMor:
+    return _dual_mor(f, _vee_tree, vee_map, _vee_child)
+
+
+@lru_cache(maxsize=None)
+def _wedge_child(f: ITreeMor) -> ITreeMor:
+    return _dual_mor(f, _wedge_tree, wedge_map, _wedge_child)
+
+
+def _dualize(x, name: str, source: str, dual_tree, dual_map, dual_child):
     if x.flavor != source:
         noun = "trees" if isinstance(x, ITreeObj) else "morphisms"
         raise ValueError(f"{name} consumes {source}-flavor {noun}")
     if isinstance(x, ITreeObj):
         return dual_tree(x)
-    return _dual_mor(x, dual_tree, dual_map)
+    return _dual_mor(x, dual_tree, dual_map, dual_child)
 
 
 def vee(x: ITreeObj | ITreeMor):
     """The interval-to-ordinal dualization, contravariant on morphisms."""
-    return _dualize(x, "vee", INTERVAL, _vee_tree, vee_map)
+    return _dualize(x, "vee", INTERVAL, _vee_tree, vee_map, _vee_child)
 
 
 def wedge(x: ITreeObj | ITreeMor):
     """The ordinal-to-interval dualization, contravariant on morphisms."""
-    return _dualize(x, "wedge", ORDINAL, _wedge_tree, wedge_map)
+    return _dualize(x, "wedge", ORDINAL, _wedge_tree, wedge_map, _wedge_child)
 
 
 def enumerate_objects(
@@ -373,24 +397,53 @@ def enumerate_objects(
     return [trivial] + nontrivial
 
 
-def enumerate_morphisms(h: ITreeObj, k: ITreeObj) -> list[ITreeMor]:
-    """All morphisms ``h -> k``, deterministically ordered."""
+def _ends(h: ITreeObj, k: ITreeObj):
+    """The flavor table and ``(index, value)`` ends of ``h -> k``."""
     if h.flavor != k.flavor:
         raise ValueError("hom-sets require a common flavor")
     spec = FLAVORS[h.flavor]
-    index, value = spec.orient(h, k)
+    return spec, *spec.orient(h, k)
+
+
+def _child_pairs(spec: Flavor, root: OrdMap, index: ITreeObj, value: ITreeObj):
+    """``(dom, cod)`` of each child morphism over ``root``, as two lists."""
+    return spec.orient(index.children, spec.routed(root, value.children))
+
+
+def enumerate_morphisms(h: ITreeObj, k: ITreeObj) -> list[ITreeMor]:
+    """All morphisms ``h -> k``, deterministically ordered.
+
+    The list and its morphisms are new on every call; their child
+    morphisms come from the shared table ``_child_homs``.
+    """
+    spec, index, value = _ends(h, k)
     if value.is_trivial:
         return [marker(h, k)]
     if index.is_trivial:
         return []
     out = []
     for root in spec.root_maps(h.root, k.root):
-        picked = spec.routed(root, value.children)
-        child_options = list(
-            map(enumerate_morphisms, *spec.orient(index.children, picked))
-        )
-        if any(not opts for opts in child_options):
-            continue
+        child_options = map(_child_homs, *_child_pairs(spec, root, index, value))
         for kids in product(*child_options):
-            out.append(ITreeMor(h, k, root, tuple(kids)))
+            out.append(ITreeMor(h, k, root, kids))
     return out
+
+
+@lru_cache(maxsize=None)
+def _child_homs(h: ITreeObj, k: ITreeObj) -> tuple[ITreeMor, ...]:
+    """The hom-set ``h -> k`` as met among the children of a morphism."""
+    return tuple(enumerate_morphisms(h, k))
+
+
+@lru_cache(maxsize=None)
+def count_morphisms(h: ITreeObj, k: ITreeObj) -> int:
+    """``len(enumerate_morphisms(h, k))``, counted without listing."""
+    spec, index, value = _ends(h, k)
+    if value.is_trivial:
+        return 1
+    if index.is_trivial:
+        return 0
+    return sum(
+        prod(map(count_morphisms, *_child_pairs(spec, root, index, value)))
+        for root in spec.root_maps(h.root, k.root)
+    )

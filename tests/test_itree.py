@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import copy
 import hashlib
 import os
 import pickle
@@ -18,6 +19,7 @@ from theta_disk.itree import (
     ITreeMor,
     ITreeObj,
     compose,
+    count_morphisms,
     enumerate_morphisms,
     enumerate_objects,
     height,
@@ -176,6 +178,61 @@ class TestMorphisms:
         ]
         assert len(reprs) == count
         assert hashlib.sha256("\n".join(reprs).encode()).hexdigest() == digest
+
+
+class TestSharedHomSets:
+    def test_mutating_a_returned_list_leaves_the_next_call_unchanged(self):
+        for a, b in [(O1, O1), (I3, I2), (O0, O1), (I2, T_I)]:
+            first = enumerate_morphisms(a, b)
+            expected = list(first)
+            first.clear()
+            again = enumerate_morphisms(a, b)
+            assert again == expected and again is not first
+            again.append(again[0])
+            assert enumerate_morphisms(a, b) == expected
+
+    def test_child_morphisms_are_shared_top_level_ones_are_new(self):
+        first = enumerate_morphisms(O1, O1)
+        again = enumerate_morphisms(O1, O1)
+        assert all(f is not g for f, g in zip(first, again))
+        for f, g in zip(first, again):
+            assert all(c is d for c, d in zip(f.children, g.children))
+
+
+class TestCountMorphisms:
+    @pytest.mark.parametrize("flavor", [INTERVAL, ORDINAL])
+    def test_matches_enumeration_at_the_defaults(self, flavor):
+        b = Bounds()
+        objs = enumerate_objects(flavor, b.max_height, b.max_label)
+        for x in objs:
+            for y in objs:
+                assert count_morphisms(x, y) == len(enumerate_morphisms(x, y))
+
+    @pytest.mark.parametrize(
+        "flavor, listed_pairs", [(INTERVAL, 183), (ORDINAL, 1719)]
+    )
+    def test_matches_enumeration_at_root_four(self, flavor, listed_pairs):
+        # Every pair of at most 100 morphisms is listed and compared; the
+        # larger hom-sets would take the enumeration minutes.
+        objs = enumerate_objects(flavor, 3, 4)
+        checked = 0
+        for x in objs:
+            for y in objs:
+                n = count_morphisms(x, y)
+                if n <= 100:
+                    assert n == len(enumerate_morphisms(x, y))
+                    checked += 1
+        assert checked == listed_pairs
+
+    def test_ordinal_total_at_root_four(self):
+        objs = enumerate_objects(ORDINAL, 3, 4)
+        assert len(objs) == 86
+        total = sum(count_morphisms(x, y) for x in objs for y in objs)
+        assert total == 34_657_764
+
+    def test_flavors_must_match(self):
+        with pytest.raises(ValueError, match="common flavor"):
+            count_morphisms(I1, O1)
 
 
 def _hom(a: ITreeObj, b: ITreeObj) -> ITreeMor:
@@ -350,21 +407,54 @@ def dual(h: ITreeObj) -> ITreeObj:
 
 
 class TestSharedTrees:
-    """The cached hash, the shared trivial objects and the memoized
-    ``vee``/``wedge`` on objects must agree with fresh constructions."""
+    """Interned objects, the cached morphism hash and the memoized
+    ``vee``/``wedge`` must agree with fresh constructions."""
 
     def test_trivial_object_is_shared(self):
         for flavor in (INTERVAL, ORDINAL):
             assert trivial_obj(flavor) is trivial_obj(flavor)
 
-    def test_rebuilt_trees_match(self):
+    def test_rebuilt_trees_are_the_stored_object(self):
         for h in default_objects():
             dual(h)  # warm the tables with h itself
-            clone = ITreeObj.from_dict(h.to_dict())
-            assert clone is not h
-            assert clone == h
-            assert hash(clone) == hash(h)
-            assert dual(clone) == dual(h)
+            assert ITreeObj.from_dict(h.to_dict()) is h
+            assert dual(ITreeObj.from_dict(h.to_dict())) is dual(h)
+
+    def test_omitted_children_name_the_trivial_object(self):
+        for flavor in (INTERVAL, ORDINAL):
+            root = trivial_obj(flavor).root
+            assert ITreeObj(flavor, root) is ITreeObj(flavor, root, ())
+            assert ITreeObj(flavor, root=root) is trivial_obj(flavor)
+            assert ITreeObj(children=(), root=root, flavor=flavor) is (
+                trivial_obj(flavor)
+            )
+        assert ITreeObj(INTERVAL, Ordinal(1), children=(T_I, T_I)) is I1
+
+    def test_invalid_object_raises_every_time(self):
+        for _ in range(2):
+            with pytest.raises(ValueError, match="requires 3 children"):
+                ITreeObj(INTERVAL, Ordinal(2), (T_I, T_I))
+        for _ in range(2):
+            with pytest.raises(ValueError, match="has root"):
+                ITreeObj(ORDINAL, Ordinal(0))
+        for _ in range(2):
+            with pytest.raises(ValueError, match="share the parent's flavor"):
+                ITreeObj(INTERVAL, Ordinal(1), (T_O, T_O))
+
+    def test_pickle_and_copy_return_the_interned_object(self):
+        for h in default_objects():
+            for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+                assert pickle.loads(pickle.dumps(h, protocol)) is h
+            assert copy.copy(h) is h
+            assert copy.deepcopy(h) is h
+
+    def test_pickled_morphisms_are_equal_with_equal_hashes(self):
+        for f in enumerate_morphisms(O1, O1) + enumerate_morphisms(I3, I2):
+            hash(f)
+            for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+                clone = pickle.loads(pickle.dumps(f, protocol))
+                assert clone == f and hash(clone) == hash(f)
+                assert clone.dom is f.dom and clone.cod is f.cod
 
     def test_wrong_flavor_still_rejected_when_warm(self):
         objs = default_objects()
@@ -377,16 +467,18 @@ class TestSharedTrees:
             with pytest.raises(ValueError, match="consumes"):
                 wrong(identity(h))
 
-    def test_pickle_drops_the_cached_hash(self):
+    def test_unpickled_in_another_hash_seed_works_as_a_dict_key(self):
         # The hash of a flavor string differs between hash seeds, so a
-        # cached hash must not travel to another process.
-        hash(I3)
+        # table key must not travel to another process.
+        mors = enumerate_morphisms(O1, O1)
+        hash(mors[-1])
         code = (
             "import pickle, sys; "
-            "from theta_disk.itree import ITreeObj; "
-            "h = pickle.loads(sys.stdin.buffer.read()); "
-            "assert hash(h) == hash((h.flavor, h.root, h.children)); "
-            "assert {h: 1}[ITreeObj.from_dict(h.to_dict())] == 1"
+            "from theta_disk.itree import ITreeObj, enumerate_morphisms; "
+            "h, f = pickle.loads(sys.stdin.buffer.read()); "
+            "assert {h: 1}[ITreeObj.from_dict(h.to_dict())] == 1; "
+            "assert ITreeObj(h.flavor, h.root, h.children) is h; "
+            "assert {f: 1}[enumerate_morphisms(h, h)[-1]] == 1"
         )
         env = dict(os.environ)
         env["PYTHONHASHSEED"] = "2" if env.get("PYTHONHASHSEED") == "1" else "1"
@@ -396,7 +488,7 @@ class TestSharedTrees:
         )
         result = subprocess.run(
             [sys.executable, "-c", code],
-            input=pickle.dumps(I3),
+            input=pickle.dumps((O1, mors[-1])),
             env=env,
             capture_output=True,
             timeout=60,

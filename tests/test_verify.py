@@ -114,6 +114,16 @@ def corrupt_vee(x):
     return vee(x)
 
 
+def corrupt_vee_on_morphisms(x):
+    """``vee`` with each morphism out of a hom-set of several sent to the
+    next morphism of its target hom-set; objects map correctly."""
+    y = vee(x)
+    if isinstance(x, ITreeObj):
+        return y
+    homs = enumerate_morphisms(y.dom, y.cod)
+    return homs[(homs.index(y) + 1) % len(homs)]
+
+
 def corrupt_comparison(c):
     """``comparison_L`` with the object cell 1 sent to the object 0."""
     e = comparison_L(c)
@@ -204,6 +214,17 @@ class TestITreeDualityCheck:
         report = check_itree_duality(Bounds(), vee_fn=corrupt_vee)
         assert not report.passed
         assert report.counterexample["law"] == "object-round-trip"
+
+    def test_morphism_negative_control(self):
+        report = check_itree_duality(Bounds(), vee_fn=corrupt_vee_on_morphisms)
+        assert not report.passed
+        assert report.counterexample["law"] == "morphism-round-trip"
+
+    def test_morphism_negative_control_after_the_tables_are_warm(self):
+        assert check_itree_duality(Bounds()).passed
+        report = check_itree_duality(Bounds(), vee_fn=corrupt_vee_on_morphisms)
+        assert not report.passed
+        assert report.counterexample["law"] == "morphism-round-trip"
 
     def test_hom_set_over_the_cap_fails(self, capsys, monkeypatch):
         monkeypatch.setattr(verify, "MORPHISM_PAIR_CAP", 3)
