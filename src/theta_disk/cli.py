@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -11,7 +12,6 @@ from pathlib import Path
 
 from theta_disk.disk import (
     Disk,
-    enumerate_disk_morphisms,
     enumerate_disks,
     phi_inverse_obj,
     phi_obj,
@@ -207,12 +207,13 @@ def _hom_count(a, b, maps: str | None) -> int:
     def listed(enumerate_homs):
         return lambda a, b: len(enumerate_homs(a, b))
 
-    # Ordinals, ordinal graphs and inductive trees are counted by formula
-    # or recurrence, without listing the morphisms.
+    # Ordinals, ordinal graphs, inductive trees and disks (through their
+    # interval trees) are counted by formula or recurrence, without
+    # listing the morphisms.
     counters = {
         Ordinal: count_interval_maps if maps == "interval" else count_ord_maps,
         OGraph: count_ograph_morphisms,
-        Disk: listed(enumerate_disk_morphisms),
+        Disk: lambda a, b: count_morphisms(phi_obj(a), phi_obj(b)),
         ITreeObj: count_morphisms,
         GlobCard: listed(enumerate_glob_morphisms),
         LabeledTree: listed(enumerate_labeled_mors),
@@ -302,7 +303,14 @@ def _render_dot(obj) -> str:
     return "\n".join(lines) + "\n"
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built on the first call and reused after.
+
+    ``parse_args`` leaves the parser unchanged and returns a fresh
+    namespace, so one parser serves every call to ``main``.  It is built
+    lazily, not at import, so importing the module stays cheap.
+    """
     parser = argparse.ArgumentParser(
         prog="theta-disk",
         description="Finite categories of trees, disks, and free "

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 from theta_disk.disk import (
     enumerate_disk_morphisms,
@@ -111,7 +111,8 @@ class Bounds:
                 raise ValueError(f"{name} is non-negative")
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        # Every field is an int, so no deep copy (as ``asdict`` makes) is needed.
+        return {name: getattr(self, name) for name in self.__dataclass_fields__}
 
     @staticmethod
     def from_dict(data: dict) -> "Bounds":

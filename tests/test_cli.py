@@ -31,6 +31,17 @@ CONVERT_ARGS = ("convert", "--functor", "vee", '{"kind": "ordinal", "n": 3}')
 SCRIPT_TIMEOUT_S = 60
 
 
+def _source_env() -> dict:
+    """The environment with the source tree this suite imported first on
+    ``PYTHONPATH``, for a Python subprocess."""
+    env = dict(os.environ)
+    source_root = str(Path(theta_disk.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (source_root, env.get("PYTHONPATH")) if p
+    )
+    return env
+
+
 def run(capsys, *argv: str) -> tuple[int, str]:
     code = main(list(argv))
     return code, capsys.readouterr().out
@@ -136,6 +147,73 @@ class TestParsing:
         deep = "[" * 100_000 + "]" * 100_000
         assert main(["convert", "--functor", "vee", deep]) == 2
         assert capsys.readouterr().err.startswith("error: ")
+
+
+# One request of each outcome: a result, a parse error, a missing
+# selection, help, and a verify report.
+STATELESS_REQUESTS = (
+    CONVERT_ARGS,
+    ("convert", "--no-such-flag", *CONVERT_ARGS[1:]),
+    ("verify",),
+    ("--help",),
+    ("verify", "--check", "ordinal-duality", "--bounds", "label=1"),
+)
+
+
+class TestParserReuse:
+    """``main`` reuses one parser; no call may leave state for the next."""
+
+    def test_requests_answer_alike_in_any_order(self, capsys):
+        def answers(order) -> dict:
+            return {argv: (main(list(argv)), *capsys.readouterr()) for argv in order}
+
+        first = answers(STATELESS_REQUESTS)
+        assert [code for code, _, _ in first.values()] == [0, 2, 2, 0, 0]
+        assert answers(reversed(STATELESS_REQUESTS)) == first
+        for argv in STATELESS_REQUESTS:
+            main(["convert", "--functor", "nope", "{}"])
+            capsys.readouterr()
+            assert answers([argv]) == {argv: first[argv]}
+
+    def test_options_do_not_carry_into_the_next_call(self, capsys, tmp_path):
+        arrow = json.dumps(ARROW_CARDINAL.to_dict())
+        tree = json.dumps(trivial_obj(INTERVAL).to_dict())
+        target = tmp_path / "counts.json"
+        assert main(["cells", "--bounds", "dim=1", "--out", str(target), arrow]) == 0
+        assert run_json(capsys, "cells", arrow)["counts"] == [2, 3, 3, 3]
+        assert json.loads(target.read_text())["counts"] == [2, 3]
+        assert run(capsys, "render", "--format", "dot", tree)[1].startswith("digraph")
+        assert run(capsys, "render", tree) == (0, "[0]\n")
+
+    def test_parser_is_built_once(self, capsys):
+        main(list(CONVERT_ARGS))
+        assert cli._build_parser() is cli._build_parser()
+
+    def test_rebound_functor_wins_after_a_warm_up(self, capsys, monkeypatch):
+        assert run_json(capsys, *CONVERT_ARGS) == {"kind": "ordinal", "n": 2}
+        monkeypatch.setattr(cli, "vee_obj", lambda m: Ordinal(m.n))
+        assert run_json(capsys, *CONVERT_ARGS) == {"kind": "ordinal", "n": 3}
+
+    def test_environment_bounds_win_after_a_warm_up(self, capsys, monkeypatch):
+        arrow = json.dumps(ARROW_CARDINAL.to_dict())
+        assert run_json(capsys, "cells", arrow)["counts"] == [2, 3, 3, 3]
+        monkeypatch.setenv("THETA_DISK_BOUNDS", "dim=1")
+        assert run_json(capsys, "cells", arrow)["counts"] == [2, 3]
+
+    def test_import_does_not_build_the_parser(self):
+        code = (
+            "from theta_disk import cli; "
+            "print(cli._build_parser.cache_info().currsize)"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            env=_source_env(),
+            timeout=SCRIPT_TIMEOUT_S,
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout == "0\n"
 
 
 class TestEnumerate:
@@ -408,6 +486,29 @@ class TestHomCount:
         data = run_json(capsys, "hom-count", point, arrow)
         assert data["count"] == 2
 
+    def test_disk_pair(self, capsys):
+        two = {"kind": "disk", "levels": [1, 2], "parents": [[0, 0]]}
+        tall = {
+            "kind": "disk", "levels": [1, 3, 4], "parents": [[0, 0, 0], [0, 1, 1, 2]]
+        }
+        trivial = json.dumps(trivial_disk().to_dict())
+        for dom, cod, count in [
+            (tall, tall, 3), (tall, two, 2), (two, tall, 1), (two, two, 1)
+        ]:
+            data = run_json(capsys, "hom-count", json.dumps(dom), json.dumps(cod))
+            assert data == {"kind": "hom-count", "count": count}
+        assert run_json(capsys, "hom-count", json.dumps(tall), trivial)["count"] == 1
+        assert run_json(capsys, "hom-count", trivial, json.dumps(tall))["count"] == 0
+
+    def test_invalid_disk_is_a_usage_error(self, capsys):
+        # A vertex below the degree with an empty fiber parses as a level
+        # tree but is no disk.
+        bare = json.dumps(
+            {"kind": "disk", "levels": [1, 2, 1], "parents": [[0, 0], [0]]}
+        )
+        assert main(["hom-count", bare, bare]) == 2
+        assert "invalid disk" in capsys.readouterr().err
+
     def test_mismatched_kinds_fail(self, capsys):
         code = main(
             [
@@ -580,17 +681,12 @@ class TestConsoleScript:
         module, attr = target.split(":")
         # Run the entry point the way the generated console script does, against
         # the same source tree this suite imported.
-        env = dict(os.environ)
-        source_root = str(Path(theta_disk.__file__).resolve().parents[1])
-        env["PYTHONPATH"] = os.pathsep.join(
-            p for p in (source_root, env.get("PYTHONPATH")) if p
-        )
         code = f"import sys; from {module} import {attr}; sys.exit({attr}())"
         result = subprocess.run(
             [sys.executable, "-c", code, *CONVERT_ARGS],
             capture_output=True,
             text=True,
-            env=env,
+            env=_source_env(),
             timeout=SCRIPT_TIMEOUT_S,
         )
         assert result.returncode == 0, result.stderr

@@ -25,6 +25,7 @@ from theta_disk.disk import (
 from theta_disk.forest import LevelTree, TreeMap, make_level_tree
 from theta_disk.itree import (
     INTERVAL,
+    count_morphisms,
     enumerate_morphisms,
     enumerate_objects,
     trivial_obj,
@@ -284,6 +285,16 @@ class TestPhiOnMorphisms:
                 assert {repr(m) for m in images} == {
                     repr(m) for m in tree_homs
                 }
+
+    @pytest.mark.parametrize("degree, fiber", [(3, 3), (2, 5)])
+    def test_hom_counts_are_interval_tree_hom_counts(self, degree, fiber):
+        # hom-count counts disk hom-sets this way, without listing them.
+        disks = enumerate_disks(degree, fiber)
+        for a in disks:
+            for b in disks:
+                assert count_morphisms(phi_obj(a), phi_obj(b)) == len(
+                    enumerate_disk_morphisms(a, b)
+                )
 
     def test_functorial(self):
         a, b = tall_disk(), two_disk()

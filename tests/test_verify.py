@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 
@@ -156,6 +157,11 @@ class TestBounds:
     def test_serialization_round_trip(self):
         b = Bounds(max_label=5, max_dim=2)
         assert Bounds.from_dict(b.to_dict()) == b
+
+    @pytest.mark.parametrize("b", [Bounds(), Bounds(max_label=5, max_dim=2)])
+    def test_to_dict_matches_asdict(self, b):
+        assert b.to_dict() == dataclasses.asdict(b)
+        assert list(b.to_dict()) == list(dataclasses.asdict(b))
 
     def test_parse_overrides_named_entries(self):
         b = parse_bounds("height=2,dim=1")
