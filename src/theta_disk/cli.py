@@ -17,7 +17,7 @@ from theta_disk.disk import (
     phi_obj,
 )
 from theta_disk.forest import LevelTree
-from theta_disk.globular import GlobCard, GlobMor, enumerate_glob_morphisms
+from theta_disk.globular import GlobCard, GlobMor
 from theta_disk.itree import (
     INTERVAL,
     ORDINAL,
@@ -33,7 +33,6 @@ from theta_disk.labeled import (
     con_dualize,
     con_dualize_mor,
     enumerate_cropped_trees,
-    enumerate_labeled_mors,
     xi_interval,
     xi_inverse,
     xi_ordinal,
@@ -106,12 +105,20 @@ _BOUNDS_HELP = (
 
 
 def _load_object(source: str):
-    path = Path(source)
-    try:
-        is_file = path.is_file()
-    except OSError:
-        is_file = False
-    raw = path.read_text() if is_file else source
+    """Parse an object given inline or as a file path.
+
+    An argument that starts with ``{`` (after blanks) is inline JSON and is
+    parsed without looking at the filesystem.
+    """
+    raw = source
+    if not source.lstrip().startswith("{"):
+        path = Path(source)
+        try:
+            is_file = path.is_file()
+        except OSError:
+            is_file = False
+        if is_file:
+            raw = path.read_text()
     data = json.loads(raw)
     if not isinstance(data, dict) or "kind" not in data:
         raise ValueError('objects are JSON dictionaries with a "kind" field')
@@ -157,15 +164,18 @@ def _functors() -> dict:
         ("gamma-prime", OGraph): gamma_prime,
         ("upsilon", ITreeObj): upsilon,
         ("upsilon-prime", OGraph): upsilon_prime,
-        ("xi", LabeledTree): lambda t: (
-            xi_interval(t) if t.flavor == INTERVAL else xi_ordinal(t)
-        ),
+        ("xi", LabeledTree): _xi,
         ("xi-inverse", ITreeObj): xi_inverse,
         ("L", Cell): comparison_L,
         ("psi", ITreeObj): psi_obj,
         ("con-dualize", LabeledTree): con_dualize,
         ("con-dualize", LabeledTreeMor): con_dualize_mor,
     }
+
+
+def _xi(t: LabeledTree) -> ITreeObj:
+    """``xi`` of the flavor that ``t`` carries."""
+    return xi_interval(t) if t.flavor == INTERVAL else xi_ordinal(t)
 
 
 FUNCTORS = tuple(dict.fromkeys(name for name, _ in _functors()))
@@ -204,19 +214,16 @@ def _apply_functor(name: str, obj):
 
 
 def _hom_count(a, b, maps: str | None) -> int:
-    def listed(enumerate_homs):
-        return lambda a, b: len(enumerate_homs(a, b))
-
-    # Ordinals, ordinal graphs, inductive trees and disks (through their
-    # interval trees) are counted by formula or recurrence, without
-    # listing the morphisms.
+    # Every kind is counted by formula or recurrence, without listing the
+    # morphisms: disks through their interval trees, labeled trees through
+    # their inductive trees and cardinals through their ordinal graphs.
     counters = {
         Ordinal: count_interval_maps if maps == "interval" else count_ord_maps,
         OGraph: count_ograph_morphisms,
         Disk: lambda a, b: count_morphisms(phi_obj(a), phi_obj(b)),
         ITreeObj: count_morphisms,
-        GlobCard: listed(enumerate_glob_morphisms),
-        LabeledTree: listed(enumerate_labeled_mors),
+        GlobCard: lambda a, b: count_ograph_morphisms(gamma(a), gamma(b)),
+        LabeledTree: lambda a, b: count_morphisms(_xi(a), _xi(b)),
     }
     kind = type(a)
     if kind is not type(b) or kind not in counters:

@@ -14,12 +14,15 @@ a singleton only in the degree-0 (trivial) disks.
 ``phi_obj``/``phi_mor`` convert disks into inductive interval trees by
 reading the root fiber as an interval and recursing into the subtrees over
 its elements; ``phi_inverse_obj`` rebuilds the disk by suspending the
-coproduct of the children's disks.
+coproduct of the children's disks.  The subdisks over root-fiber elements
+and the interval-tree readings are memoized and kept for the life of the
+process; disk morphisms are built afresh on every call.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import product
 
 from theta_disk.forest import (
@@ -161,8 +164,10 @@ def validate_disk(d: Disk, strict: bool = False) -> list[str]:
     return problems
 
 
+@lru_cache(maxsize=None)
 def restrict_disk(d: Disk, i: int) -> Disk:
-    """The disk over the ``i``-th element of the root fiber."""
+    """The disk over the ``i``-th element of the root fiber, computed once
+    per disk and element."""
     return Disk(restrict(d.tree, (1, i)))
 
 
@@ -227,6 +232,7 @@ def phi_obj(d: Disk) -> ITreeObj:
     return _phi_obj(d)
 
 
+@lru_cache(maxsize=None)
 def _phi_obj(d: Disk) -> ITreeObj:
     if d.is_trivial:
         return trivial_obj(INTERVAL)

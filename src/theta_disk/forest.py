@@ -9,13 +9,20 @@ requires the truncation to be minimal.  Vertices are addressed as
 
 Bare forests are unordered; sibling order only becomes meaningful in the
 modules that add interval structure on fibers.
+
+Level trees are interned (see :class:`theta_disk.globular.Interned`):
+equal trees are one object, so each is validated once, and its fiber
+table, subtree rows and restrictions are computed once and kept for the
+life of the process.  Tree maps keep value equality and are not interned.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
+from functools import lru_cache
 
+from theta_disk.globular import Interned
 from theta_disk.ordinal import json_int
 
 Vertex = tuple[int, int]
@@ -25,13 +32,14 @@ def _is_bijection(values: tuple[int, ...], cod_size: int) -> bool:
     return len(values) == cod_size and len(set(values)) == cod_size
 
 
-@dataclass(frozen=True)
-class LevelTree:
+@dataclass(frozen=True, eq=False)
+class LevelTree(Interned):
     """A forest as level sizes plus dense parent maps, truncated at degree.
 
     ``levels[n]`` is the size of the level-``n`` vertex set and
     ``parents[n][i]`` the parent index at level ``n`` of vertex
-    ``(n+1, i)``.
+    ``(n+1, i)``.  Trees are interned, so equal trees are one object,
+    validated once, and equality and hashing are identity.
     """
 
     levels: tuple[int, ...]
@@ -69,11 +77,12 @@ class LevelTree:
         return index
 
     def children(self, level: int, index: int) -> list[int]:
-        """Child indices of vertex ``(level, index)`` at level ``level + 1``."""
+        """Child indices of vertex ``(level, index)`` at level ``level + 1``.
+
+        The list is new on every call; the fibers come from a shared table.
+        """
         if level + 1 <= self.depth:
-            return [
-                j for j, p in enumerate(self.parents[level]) if p == index
-            ]
+            return list(_fibers(self)[level][index])
         return [index]
 
     def vertices(self):
@@ -107,6 +116,18 @@ class LevelTree:
         )
 
 
+@lru_cache(maxsize=None)
+def _fibers(a: LevelTree) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """``[n][i]``: the children of vertex ``(n, i)`` over the stored steps."""
+    table = []
+    for n, pmap in enumerate(a.parents):
+        fibers: list[list[int]] = [[] for _ in range(a.levels[n])]
+        for j, p in enumerate(pmap):
+            fibers[p].append(j)
+        table.append(tuple(map(tuple, fibers)))
+    return tuple(table)
+
+
 def make_level_tree(
     levels: tuple[int, ...], parents: tuple[tuple[int, ...], ...]
 ) -> LevelTree:
@@ -131,29 +152,39 @@ def degree(a: LevelTree) -> int:
     return a.depth
 
 
-def subtree_rows(a: LevelTree, x: Vertex) -> list[list[int]]:
+@lru_cache(maxsize=None)
+def subtree_rows(a: LevelTree, x: Vertex) -> tuple[tuple[int, ...], ...]:
     """Per-level original indices of the subtree over ``x`` (stored part).
 
     ``rows[k]`` lists the descendants of ``x`` at level ``x[0] + k``.
     Vertices beyond the stored depth belong to the implicit chain
-    continuation, so their subtree is a single chain.
+    continuation, so their subtree is a single chain.  The rows are
+    computed once per tree and vertex and shared, hence tuples.
     """
     n, i = x
     if not (0 <= n and 0 <= i < a.level_size(n)):
         raise ValueError(f"unknown vertex {x}")
     if n >= a.depth:
-        return [[i]]
-    keep = [[i]]
+        return ((i,),)
+    keep = [(i,)]
     for lvl in range(n + 1, a.depth + 1):
         members = set(keep[-1])
         keep.append(
-            [j for j, p in enumerate(a.parents[lvl - 1]) if p in members]
+            tuple(j for j, p in enumerate(a.parents[lvl - 1]) if p in members)
         )
-    return keep
+    return tuple(keep)
 
 
 def restrict(a: LevelTree, x: Vertex) -> LevelTree:
-    """The subtree rooted at vertex ``x``, re-truncated at its own degree."""
+    """The subtree rooted at vertex ``x``, re-truncated at its own degree.
+
+    Computed once per tree and vertex; the tree is interned.
+    """
+    return _restrict(a, x)
+
+
+@lru_cache(maxsize=None)
+def _restrict(a: LevelTree, x: Vertex) -> LevelTree:
     keep = subtree_rows(a, x)
     n = x[0]
     levels = tuple(len(part) for part in keep)

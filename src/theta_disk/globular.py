@@ -63,7 +63,9 @@ class Interned(metaclass=_InternTable):
     take their defaults, so every call naming one value finds one key.
     Pickle and copy rebuild through the constructor, so every instance
     comes from the table.  Subclasses are dataclasses with ``eq=False``:
-    equality and hashing are identity.
+    equality and hashing are identity, unless the subclass defines its
+    own.  Every class has its own table, including a subclass of an
+    interned class.
     """
 
     def __reduce__(self):

@@ -17,11 +17,18 @@ from the codomain's tree to the domain's, with one monotone component
 per codomain vertex.  Relabeling through the ordinal dualities swaps the
 two flavors contravariantly, and cropped single-root trees convert back
 and forth with the inductive tree categories vertex for vertex.
+
+Labeled trees are interned per class (see
+:class:`theta_disk.globular.Interned`), so each is validated once, and
+keep value equality across their classes.  Their validation diagnostics,
+restrictions and inductive-tree images are memoized and kept for the
+life of the process; morphisms are built afresh on every call.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import product
 
 from theta_disk.forest import (
@@ -39,6 +46,7 @@ from theta_disk.forest import (
     subtree_rows,
     suspend,
 )
+from theta_disk.globular import Interned
 from theta_disk.itree import (
     FLAVORS,
     INTERVAL,
@@ -70,11 +78,16 @@ def label_slots(flavor: str, label: Ordinal) -> int:
 
 
 @dataclass(frozen=True, eq=False)
-class LabeledTree:
+class LabeledTree(Interned):
     """A stored forest with one interval- or ordinal-label per vertex.
 
     Vertices beyond the stored depth continue as single chains and
     implicitly carry the single-slot label of the flavor.
+
+    Each class keeps its own intern table, so equal trees of one class are
+    one object.  Equality and hashing still go by value across the
+    classes: a :class:`CroppedTree` equals, and hashes as, the plain tree
+    with the same fields.
     """
 
     flavor: str
@@ -94,6 +107,8 @@ class LabeledTree:
             raise ValueError("interval labels must be at least [0]")
 
     def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
         if not isinstance(other, LabeledTree):
             return NotImplemented
         return (
@@ -103,7 +118,15 @@ class LabeledTree:
         )
 
     def __hash__(self) -> int:
-        return hash((self.flavor, self.tree, self.labels))
+        # Computed once per tree.  Pickle and copy rebuild through the
+        # intern table, so no cached hash (which depends on the process's
+        # object ids and hash seed) crosses a pickle.
+        try:
+            return self._hash
+        except AttributeError:
+            h = hash((self.flavor, self.tree, self.labels))
+            object.__setattr__(self, "_hash", h)
+            return h
 
     @property
     def depth(self) -> int:
@@ -187,7 +210,15 @@ def trivial_labeled(flavor: str) -> CroppedTree:
 
 
 def validate_constrained(t: LabeledTree) -> list[str]:
-    """Diagnostics for the fiber-realization rules; empty means valid."""
+    """Diagnostics for the fiber-realization rules; empty means valid.
+
+    The list is new on every call; the diagnostics are computed once.
+    """
+    return list(_constrained_problems(t))
+
+
+@lru_cache(maxsize=None)
+def _constrained_problems(t: LabeledTree) -> tuple[str, ...]:
     problems: list[str] = []
     for step, row in enumerate(t.tree.parents):
         if any(row[q] > row[q + 1] for q in range(len(row) - 1)):
@@ -204,12 +235,20 @@ def validate_constrained(t: LabeledTree) -> list[str]:
                     f"vertex ({n}, {i}) has label {lab} prescribing {want} "
                     f"children but its fiber has {got}"
                 )
-    return problems
+    return tuple(problems)
 
 
 def validate_cropped(t: LabeledTree) -> list[str]:
-    """Diagnostics for the branch-ending rules on top of the fiber law."""
-    problems = validate_constrained(t)
+    """Diagnostics for the branch-ending rules on top of the fiber law.
+
+    The list is new on every call; the diagnostics are computed once.
+    """
+    return list(_cropped_problems(t))
+
+
+@lru_cache(maxsize=None)
+def _cropped_problems(t: LabeledTree) -> tuple[str, ...]:
+    problems = list(_constrained_problems(t))
     single = trivial_root(t.flavor)
     d = t.depth
     for i, lab in enumerate(t.labels[d]):
@@ -228,11 +267,15 @@ def validate_cropped(t: LabeledTree) -> list[str]:
                         f"vertex ({n + 1}, {j}): single-slot labels must sit "
                         "exactly at the outer positions of a fiber"
                     )
-    return problems
+    return tuple(problems)
 
 
+@lru_cache(maxsize=None)
 def restrict_labeled(t: LabeledTree, x: Vertex) -> LabeledTree:
-    """The labeled subtree over vertex ``x``, re-truncated at its degree."""
+    """The labeled subtree over vertex ``x``, re-truncated at its degree.
+
+    Computed once per tree and vertex and shared.
+    """
     shape = restrict(t.tree, x)
     rows = subtree_rows(t.tree, x)
     n = x[0]
@@ -475,6 +518,7 @@ def _require_cropped_trees(flavor: str, *trees: LabeledTree) -> None:
             raise ValueError("a single-root tree is required")
 
 
+@lru_cache(maxsize=None)
 def _xi_obj(t: LabeledTree) -> ITreeObj:
     if t.depth == 0:
         return trivial_obj(t.flavor)
@@ -524,9 +568,14 @@ def xi_ordinal_mor(m: LabeledTreeMor) -> ITreeMor:
 
 def xi_inverse(h: ITreeObj) -> CroppedTree:
     """Rebuild the cropped labeled tree presenting an inductive tree."""
+    return _xi_inverse(h)
+
+
+@lru_cache(maxsize=None)
+def _xi_inverse(h: ITreeObj) -> CroppedTree:
     if h.is_trivial:
         return trivial_labeled(h.flavor)
-    t = suspend_labeled([xi_inverse(c) for c in h.children], h.root)
+    t = suspend_labeled([_xi_inverse(c) for c in h.children], h.root)
     return CroppedTree(t.flavor, t.tree, t.labels)
 
 

@@ -18,7 +18,13 @@ from theta_disk.disk import trivial_disk
 from theta_disk.forest import POINT_TREE
 from theta_disk.globular import ARROW_CARDINAL, enumerate_glob_morphisms
 from theta_disk.itree import INTERVAL, ORDINAL, trivial_obj
-from theta_disk.labeled import enumerate_labeled_mors, suspend_labeled, trivial_labeled
+from theta_disk.labeled import (
+    LabeledTree,
+    enumerate_cropped_trees,
+    enumerate_labeled_mors,
+    suspend_labeled,
+    trivial_labeled,
+)
 from theta_disk.ograph import OGraph, POINT_OGRAPH, enumerate_ographs, gamma_prime
 from theta_disk.omega import EnrichedCell, enumerate_cells, psi_obj
 from theta_disk.ordinal import OrdMap, Ordinal
@@ -353,6 +359,15 @@ class TestConvert:
         data = run_json(capsys, "convert", "--functor", "vee", str(source))
         assert data == {"kind": "ordinal", "n": 2}
 
+    def test_inline_json_never_touches_the_filesystem(self, capsys, monkeypatch):
+        def no_stat(path):
+            raise AssertionError(f"looked up {path} on disk")
+
+        monkeypatch.setattr(Path, "is_file", no_stat)
+        for source in ('{"kind": "ordinal", "n": 3}', ' \n {"kind": "ordinal", "n": 3}'):
+            data = run_json(capsys, "convert", "--functor", "vee", source)
+            assert data == {"kind": "ordinal", "n": 2}
+
 
 def _dispatch_samples() -> dict[str, list[str]]:
     """Inputs per object kind that each functor defined on the kind accepts
@@ -499,6 +514,55 @@ class TestHomCount:
             assert data == {"kind": "hom-count", "count": count}
         assert run_json(capsys, "hom-count", json.dumps(tall), trivial)["count"] == 1
         assert run_json(capsys, "hom-count", trivial, json.dumps(tall))["count"] == 0
+
+    @pytest.mark.parametrize(
+        "flavor, height, root",
+        [(INTERVAL, 2, 4), (ORDINAL, 2, 3), (INTERVAL, 3, 3), (ORDINAL, 3, 2)],
+    )
+    def test_labeled_pairs_count_their_listed_hom_sets(self, flavor, height, root):
+        # As parsed from JSON: plain labeled trees, not the cropped class.
+        trees = [
+            LabeledTree.from_dict(t.to_dict())
+            for t in enumerate_cropped_trees(flavor, height, root)
+        ]
+        for a in trees:
+            for b in trees:
+                listed = len(enumerate_labeled_mors(a, b))
+                assert cli._hom_count(a, b, None) == listed
+
+    def test_cardinal_pairs_count_their_listed_hom_sets(self):
+        cards = [gamma_prime(g) for g in enumerate_ographs(7, 7)]
+        assert len(cards) == 10
+        for a in cards:
+            for b in cards:
+                listed = len(enumerate_glob_morphisms(a, b))
+                assert cli._hom_count(a, b, None) == listed
+
+    def test_labeled_pair(self, capsys):
+        point = trivial_labeled(INTERVAL)
+        two = json.dumps(suspend_labeled([point] * 2, Ordinal(1)).to_dict())
+        # Not cropped: the interior slot holds a single-slot label.
+        wide = json.dumps(suspend_labeled([point] * 3, Ordinal(2)).to_dict())
+        assert run_json(capsys, "hom-count", two, two)["count"] == 1
+        data = run_json(capsys, "hom-count", two, json.dumps(point.to_dict()))
+        assert data["count"] == 1
+        ordinal = json.dumps(trivial_labeled(ORDINAL).to_dict())
+        forest = json.dumps(
+            {
+                "kind": "labeled-tree",
+                "flavor": "interval",
+                "levels": [2],
+                "parents": [],
+                "labels": [[0, 0]],
+            }
+        )
+        for dom, cod, message in [
+            (two, ordinal, "common flavor"),
+            (wide, two, "outer positions"),
+            (forest, forest, "single-root tree"),
+        ]:
+            assert main(["hom-count", dom, cod]) == 2
+            assert message in capsys.readouterr().err
 
     def test_invalid_disk_is_a_usage_error(self, capsys):
         # A vertex below the degree with an empty fiber parses as a level

@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+import copy
+import pickle
+
 import pytest
 
+from theta_disk.disk import enumerate_disks
 from theta_disk.forest import (
     EMPTY_FOREST,
     POINT_TREE,
@@ -18,6 +22,7 @@ from theta_disk.forest import (
     make_level_tree,
     restrict,
     restrict_map,
+    subtree_rows,
     suspend,
 )
 
@@ -70,6 +75,82 @@ class TestLevelTree:
     def test_serialization_round_trip(self):
         t = example_tree()
         assert LevelTree.from_dict(t.to_dict()) == t
+
+
+class TestInterning:
+    def test_every_way_of_building_a_tree_gives_one_object(self):
+        t = example_tree()
+        assert LevelTree(EXAMPLE_LEVELS, EXAMPLE_PARENTS) is t
+        assert LevelTree(parents=EXAMPLE_PARENTS, levels=EXAMPLE_LEVELS) is t
+        assert make_level_tree(EXAMPLE_LEVELS, EXAMPLE_PARENTS) is t
+        assert LevelTree.from_dict(t.to_dict()) is t
+        assert make_level_tree((1, 1), ((0,),)) is POINT_TREE
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            assert pickle.loads(pickle.dumps(t, protocol)) is t
+        assert copy.copy(t) is t
+        assert copy.deepcopy(t) is t
+
+    def test_invalid_tree_raises_every_time_and_is_not_stored(self):
+        key = ((1, 2), ((0, 1),))
+        for _ in range(2):
+            with pytest.raises(ValueError, match="out of range"):
+                LevelTree(*key)
+            assert key not in LevelTree._table
+
+    def test_children_list_is_new_on_every_call(self):
+        t = example_tree()
+        kids = t.children(1, 1)
+        assert kids == [1, 2, 3, 4]
+        kids.append(99)
+        kids.clear()
+        assert t.children(1, 1) == [1, 2, 3, 4]
+        assert t.children(1, 1) is not t.children(1, 1)
+
+
+def oracle_rows(a: LevelTree, x) -> list[list[int]]:
+    """Subtree rows recomputed from the parent maps alone."""
+    n, i = x
+    if n >= a.depth:
+        return [[i]]
+    rows = [[i]]
+    for lvl in range(n + 1, a.depth + 1):
+        rows.append([j for j, p in enumerate(a.parents[lvl - 1]) if p in rows[-1]])
+    return rows
+
+
+def oracle_restrict(a: LevelTree, x) -> tuple[tuple, tuple]:
+    """``(levels, parents)`` of the subtree over ``x``, truncated by hand."""
+    rows = oracle_rows(a, x)
+    levels = [len(row) for row in rows]
+    parents = [
+        tuple(rows[k - 1].index(a.parents[x[0] + k - 1][j]) for j in rows[k])
+        for k in range(1, len(rows))
+    ]
+    while parents and sorted(parents[-1]) == list(range(levels[-2])):
+        levels.pop()
+        parents.pop()
+    return tuple(levels), tuple(parents)
+
+
+class TestSharedTables:
+    def test_rows_and_restrictions_match_a_fresh_computation(self):
+        trees = [d.tree for d in enumerate_disks(3, 3)] + [
+            example_tree(),
+            LevelTree((1, 2, 3), ((0, 0), (1, 0, 0))),
+        ]
+        checked = 0
+        for a in trees:
+            beyond = [(a.depth + 1, i) for i in range(a.level_size(a.depth + 1))]
+            for x in [*a.vertices(), *beyond]:
+                rows = subtree_rows(a, x)
+                assert isinstance(rows, tuple)
+                assert all(isinstance(row, tuple) for row in rows)
+                assert [list(row) for row in rows] == oracle_rows(a, x)
+                sub = restrict(a, x)
+                assert (sub.levels, sub.parents) == oracle_restrict(a, x)
+                assert restrict(a, x) is sub
+                checked += 1
+        assert checked > 80
 
 
 class TestRestrict:

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import copy
 import hashlib
 import json
+import pickle
 
 import pytest
 
@@ -127,7 +129,28 @@ class TestLabeledTreeBasics:
         plain = LabeledTree(INTERVAL, DEEP_TREE, DEEP_LABELS)
         assert deep() == plain
         assert hash(deep()) == hash(plain)
+        assert {plain: 1}[deep()] == 1 and {deep(): 1}[plain] == 1
         assert deep() != trivial_labeled(INTERVAL)
+
+    def test_equal_trees_of_one_class_are_one_object(self):
+        plain = LabeledTree(INTERVAL, DEEP_TREE, DEEP_LABELS)
+        assert deep() is deep()
+        keywords = dict(labels=DEEP_LABELS, tree=DEEP_TREE, flavor=INTERVAL)
+        assert LabeledTree(**keywords) is plain
+        assert LabeledTree.from_dict(deep().to_dict()) is plain
+        assert deep() is not plain
+        for t in (deep(), plain):
+            hash(t)
+            for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+                assert pickle.loads(pickle.dumps(t, protocol)) is t
+            assert copy.copy(t) is t
+            assert copy.deepcopy(t) is t
+
+    def test_invalid_tree_raises_every_time(self):
+        fan = make_level_tree((1, 3), ((0, 0, 0),))
+        for _ in range(2):
+            with pytest.raises(ValueError, match="outer positions"):
+                CroppedTree(INTERVAL, fan, (labs(2), labs(0, 0, 0)))
 
     def test_serialization_round_trip(self):
         for t in (deep(), trivial_labeled(ORDINAL)):
@@ -178,6 +201,31 @@ class TestConstrainedValidation:
         assert len(problems) == 1
         assert "single-slot label" in problems[0]
 
+    def test_returned_lists_are_new_on_every_call(self):
+        # Cropped diagnostics extend the fiber-law ones: neither table may
+        # see the other's additions, nor a caller's.
+        fan = make_level_tree((1, 3), ((0, 0, 0),))
+        trees = [
+            LabeledTree(INTERVAL, POINT_TREE, (labs(3),)),
+            LabeledTree(INTERVAL, fan, (labs(1), labs(0, 0, 0))),
+        ]
+        for t in trees:
+            constrained = validate_constrained(t)
+            cropped = validate_cropped(t)
+            assert cropped[: len(constrained)] == constrained
+            assert len(cropped) > len(constrained)
+            for validate, expected in (
+                (validate_constrained, constrained),
+                (validate_cropped, cropped),
+            ):
+                first = validate(t)
+                assert first == expected and first is not expected
+                first.append("mutated")
+                assert validate(t) == expected
+                validate(t).clear()
+                assert validate(t) == expected
+            assert validate_constrained(t) == constrained
+
 
 class TestCroppedValidation:
     def test_interior_single_slot_label_is_reported(self):
@@ -203,6 +251,13 @@ class TestCroppedValidation:
 
 
 class TestRestrict:
+    def test_restrictions_are_plain_and_shared_across_classes(self):
+        plain = LabeledTree(INTERVAL, DEEP_TREE, DEEP_LABELS)
+        for x in [(1, 1), (2, 3), (4, 0)]:
+            sub = restrict_labeled(deep(), x)
+            assert type(sub) is LabeledTree
+            assert restrict_labeled(plain, x) == sub
+
     def test_restrict_at_root_is_identity(self):
         assert restrict_labeled(deep(), (0, 0)) == deep()
 
