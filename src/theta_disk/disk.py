@@ -16,7 +16,9 @@ reading the root fiber as an interval and recursing into the subtrees over
 its elements; ``phi_inverse_obj`` rebuilds the disk by suspending the
 coproduct of the children's disks.  The subdisks over root-fiber elements
 and the interval-tree readings are memoized and kept for the life of the
-process; disk morphisms are built afresh on every call.
+process; disk morphisms are built afresh on every call.  ``phi_mor``
+reads its image off the given morphism, one fiber at a time, and builds
+no restricted disk morphism.
 """
 
 from __future__ import annotations
@@ -28,13 +30,13 @@ from itertools import product
 from theta_disk.forest import (
     LevelTree,
     TreeMap,
+    Vertex,
     collapse_map,
     compose_tree_maps,
     coproduct,
     glue_tree_maps,
     identity_tree_map,
     restrict,
-    restrict_map,
     suspend,
 )
 from theta_disk.itree import (
@@ -76,18 +78,9 @@ class Disk:
     def is_trivial(self) -> bool:
         return self.degree == 0
 
-    def fiber(self, level: int, index: int) -> range:
+    def fiber(self, level: int, index: int) -> list[int]:
         """Indices at ``level + 1`` of the fiber over ``(level, index)``."""
-        if level + 1 > self.tree.depth:
-            return range(index, index + 1)
-        pmap = self.tree.parents[level]
-        lo = next(
-            (j for j, p in enumerate(pmap) if p == index), len(pmap)
-        )
-        hi = lo
-        while hi < len(pmap) and pmap[hi] == index:
-            hi += 1
-        return range(lo, hi)
+        return self.tree.children(level, index)
 
     def to_dict(self) -> dict:
         return {
@@ -215,48 +208,47 @@ def compose_disk_mors(g: DiskMor, f: DiskMor) -> DiskMor:
     return DiskMor(f.dom, g.cod, compose_tree_maps(g.tree_map, f.tree_map))
 
 
-def restrict_disk_mor(f: DiskMor, i: int) -> DiskMor:
-    """The induced morphism between the disks over root-fiber elements."""
-    j = f.tree_map.at_level(1)[i]
-    return DiskMor(
-        restrict_disk(f.dom, i),
-        restrict_disk(f.cod, j),
-        restrict_map(f.tree_map, (1, i)),
-    )
-
-
 def phi_obj(d: Disk) -> ITreeObj:
     """Read a disk as an inductive interval tree."""
     if problems := validate_disk(d):
         raise ValueError(f"invalid disk: {problems[0]}")
-    return _phi_obj(d)
+    return _phi_obj(d.tree)
 
 
 @lru_cache(maxsize=None)
-def _phi_obj(d: Disk) -> ITreeObj:
-    if d.is_trivial:
+def _phi_obj(t: LevelTree) -> ITreeObj:
+    """The interval-tree reading of a disk's tree."""
+    if t.depth == 0:
         return trivial_obj(INTERVAL)
-    k = d.tree.levels[1]
-    children = tuple(_phi_obj(restrict_disk(d, i)) for i in range(k))
+    k = t.levels[1]
+    children = tuple(_phi_obj(restrict(t, (1, i))) for i in range(k))
     return ITreeObj(INTERVAL, Ordinal(k - 1), children)
 
 
 def phi_mor(f: DiskMor) -> ITreeMor:
     """Read a disk morphism as an inductive interval tree morphism."""
-    dom_t, cod_t = _phi_obj(f.dom), _phi_obj(f.cod)
-    if f.cod.is_trivial:
+    return _phi_mor(f.tree_map, (0, 0))
+
+
+def _phi_mor(f: TreeMap, x: Vertex) -> ITreeMor:
+    """The reading of ``f`` between the subtrees over ``x`` and ``f(x)``.
+
+    The root map is ``f`` on the fiber over ``x``, numbered within the
+    fiber over ``f(x)``; the children are the readings at that fiber.
+    """
+    y = f(x)
+    dom_t, cod_t = _phi_obj(restrict(f.dom, x)), _phi_obj(restrict(f.cod, y))
+    if cod_t.is_trivial:
         return marker(dom_t, cod_t)
-    if f.dom.is_trivial:
+    if dom_t.is_trivial:
         raise ValueError(
             "no disk morphism runs from the trivial disk to a non-trivial one"
         )
-    k_dom, k_cod = f.dom.tree.levels[1], f.cod.tree.levels[1]
-    root = OrdMap(
-        Ordinal(k_dom - 1), Ordinal(k_cod - 1), f.tree_map.at_level(1)
-    )
-    children = tuple(
-        phi_mor(restrict_disk_mor(f, i)) for i in range(k_dom)
-    )
+    fiber = f.dom.children(*x)
+    first = f.cod.children(*y)[0]
+    below = f.at_level(x[0] + 1)
+    root = OrdMap(dom_t.root, cod_t.root, tuple(below[j] - first for j in fiber))
+    children = tuple(_phi_mor(f, (x[0] + 1, j)) for j in fiber)
     return ITreeMor(dom_t, cod_t, root, children)
 
 

@@ -283,27 +283,6 @@ def compose_tree_maps(g: TreeMap, f: TreeMap) -> TreeMap:
     return TreeMap(f.dom, g.cod, maps)
 
 
-def restrict_map(f: TreeMap, x: Vertex) -> TreeMap:
-    """The induced map between the subtree over ``x`` and the one over
-    ``f(x)``."""
-    n = x[0]
-    y = f(x)
-    sub_dom = restrict(f.dom, x)
-    sub_cod = restrict(f.cod, y)
-    keep_dom = subtree_rows(f.dom, x)
-    keep_cod = subtree_rows(f.cod, y)
-    span = max(sub_dom.depth, sub_cod.depth) + 1
-    maps = []
-    for k in range(span):
-        old_dom = keep_dom[min(k, len(keep_dom) - 1)]
-        old_cod = keep_cod[min(k, len(keep_cod) - 1)]
-        cod_pos = {old: new for new, old in enumerate(old_cod)}
-        maps.append(
-            tuple(cod_pos[f.at_level(n + k)[old]] for old in old_dom)
-        )
-    return TreeMap(sub_dom, sub_cod, tuple(maps))
-
-
 def collapse_map(a: LevelTree, point: LevelTree) -> TreeMap:
     """The map sending every vertex of ``a`` to the one-vertex tree
     ``point``."""

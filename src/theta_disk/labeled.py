@@ -22,7 +22,9 @@ Labeled trees are interned per class (see
 :class:`theta_disk.globular.Interned`), so each is validated once, and
 keep value equality across their classes.  Their validation diagnostics,
 restrictions and inductive-tree images are memoized and kept for the
-life of the process; morphisms are built afresh on every call.
+life of the process; morphisms are built afresh on every call.  The
+inductive-tree image of a morphism is read off its components, vertex by
+vertex, with no restricted labeled morphism built.
 """
 
 from __future__ import annotations
@@ -42,7 +44,6 @@ from theta_disk.forest import (
     glue_tree_maps,
     identity_tree_map,
     restrict,
-    restrict_map,
     subtree_rows,
     suspend,
 )
@@ -457,27 +458,6 @@ def compose_labeled(g: LabeledTreeMor, f: LabeledTreeMor) -> LabeledTreeMor:
     return LabeledTreeMor(f.dom, g.cod, tree_map, alphas)
 
 
-def restrict_labeled_mor(m: LabeledTreeMor, x: Vertex) -> LabeledTreeMor:
-    """The morphism induced between the subtrees over ``x`` and its image.
-
-    ``x`` addresses the side that indexes the components: the domain for
-    the interval flavor, the codomain for the ordinal flavor.
-    """
-    orient = FLAVORS[m.flavor].orient
-    index, value = orient(m.dom, m.cod)
-    sub_index = restrict_labeled(index, x)
-    sub_value = restrict_labeled(value, m.tree_map(x))
-    rows = subtree_rows(index.tree, x)
-    n = x[0]
-    alphas = tuple(
-        tuple(_alpha_at(m, n + k, j) for j in rows[k])
-        for k in range(sub_index.depth + 1)
-    )
-    return LabeledTreeMor(
-        *orient(sub_index, sub_value), restrict_map(m.tree_map, x), alphas
-    )
-
-
 def _duality(flavor: str):
     """The other flavor, and the maps taking labels and components there.
 
@@ -541,29 +521,33 @@ def xi_ordinal(t: LabeledTree) -> ITreeObj:
     return _xi_obj(t)
 
 
-def _xi_mor(m: LabeledTreeMor) -> ITreeMor:
-    dom_obj = _xi_obj(m.dom)
-    cod_obj = _xi_obj(m.cod)
+def _xi_mor(m: LabeledTreeMor, x: Vertex) -> ITreeMor:
+    """The inductive-tree reading of ``m`` between the subtrees over ``x``
+    and its image, read off ``m``.
+
+    ``x`` addresses the side that indexes the components: the domain for
+    the interval flavor, the codomain for the ordinal flavor.
+    """
     orient = FLAVORS[m.flavor].orient
-    if orient(dom_obj, cod_obj)[1].is_trivial:
-        return marker(dom_obj, cod_obj)
-    kids = tuple(
-        _xi_mor(restrict_labeled_mor(m, (1, j)))
-        for j in orient(m.dom, m.cod)[0].tree.children(0, 0)
-    )
-    return ITreeMor(dom_obj, cod_obj, m.alphas[0][0], kids)
+    index, value = orient(m.dom, m.cod)
+    here = _xi_obj(restrict_labeled(index, x))
+    there = _xi_obj(restrict_labeled(value, m.tree_map(x)))
+    if there.is_trivial:
+        return marker(*orient(here, there))
+    kids = tuple(_xi_mor(m, (x[0] + 1, j)) for j in index.tree.children(*x))
+    return ITreeMor(*orient(here, there), _alpha_at(m, *x), kids)
 
 
 def xi_interval_mor(m: LabeledTreeMor) -> ITreeMor:
     """Convert an interval-labeled morphism to an inductive tree morphism."""
     _require_cropped_trees(INTERVAL, m.dom, m.cod)
-    return _xi_mor(m)
+    return _xi_mor(m, (0, 0))
 
 
 def xi_ordinal_mor(m: LabeledTreeMor) -> ITreeMor:
     """Convert an ordinal-labeled op-morphism to an inductive tree morphism."""
     _require_cropped_trees(ORDINAL, m.dom, m.cod)
-    return _xi_mor(m)
+    return _xi_mor(m, (0, 0))
 
 
 def xi_inverse(h: ITreeObj) -> CroppedTree:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import lru_cache
 
 from theta_disk.disk import (
     enumerate_disk_morphisms,
@@ -17,6 +18,7 @@ from theta_disk.globular import enumerate_glob_morphisms
 from theta_disk.itree import (
     INTERVAL,
     ORDINAL,
+    count_morphisms,
     enumerate_morphisms,
     enumerate_objects,
     validate as validate_itree,
@@ -122,8 +124,13 @@ class Bounds:
 _BOUNDS_KEYS = {name.removeprefix("max_"): name for name in Bounds.__dataclass_fields__}
 
 
+@lru_cache
 def parse_bounds(text: str, base: Bounds | None = None) -> Bounds:
-    """Parse a ``height=..,degree=..,label=..,vertices=..,dim=..`` string."""
+    """Parse a ``height=..,degree=..,label=..,vertices=..,dim=..`` string.
+
+    Results are memoized on ``(text, base)``; a malformed text raises on
+    every call.
+    """
     values = (base or Bounds()).to_dict()
     for part in filter(None, (p.strip() for p in text.split(","))):
         key, sep, raw = part.partition("=")
@@ -320,12 +327,13 @@ def check_itree_duality(bounds: Bounds, *, vee_fn=vee) -> Report:
         ):
             for a in pool:
                 for b in pool:
-                    mors = enumerate_morphisms(a, b)
-                    if len(mors) > MORPHISM_PAIR_CAP:
-                        # A hom-set beyond the cap is not checked, so the check
-                        # cannot pass.
+                    if count_morphisms(a, b) > MORPHISM_PAIR_CAP:
+                        # A hom-set beyond the cap is neither listed nor
+                        # checked, so the check cannot pass.
                         counts["capped_pairs"] += 1
                         yield _fail("hom-set-cap", dom=a, cod=b)
+                        continue
+                    mors = enumerate_morphisms(a, b)
                     counts[key] += len(mors)
                     yield from _hom_inverse(mors, there, back)
 

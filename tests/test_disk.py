@@ -25,16 +25,18 @@ from theta_disk.disk import (
 from theta_disk.forest import LevelTree, TreeMap, make_level_tree
 from theta_disk.itree import (
     INTERVAL,
+    ITreeMor,
     count_morphisms,
     enumerate_morphisms,
     enumerate_objects,
+    marker,
     trivial_obj,
     validate,
 )
 from theta_disk.itree import compose as compose_itree
-from theta_disk.ordinal import Ordinal
+from theta_disk.ordinal import OrdMap, Ordinal
 
-from tests.test_forest import EXAMPLE_LEVELS, EXAMPLE_PARENTS
+from tests.test_forest import EXAMPLE_LEVELS, EXAMPLE_PARENTS, restrict_map
 
 
 def example_disk() -> Disk:
@@ -67,6 +69,32 @@ def brute_force_disk_morphisms(a: Disk, b: Disk) -> list[DiskMor]:
         except ValueError:
             continue
     return out
+
+
+def restrict_disk_mor(f: DiskMor, i: int) -> DiskMor:
+    """Oracle: the induced morphism between the disks over root-fiber
+    elements, built and validated whole."""
+    j = f.tree_map.at_level(1)[i]
+    return DiskMor(
+        restrict_disk(f.dom, i),
+        restrict_disk(f.cod, j),
+        restrict_map(f.tree_map, (1, i)),
+    )
+
+
+def phi_mor_by_restriction(f: DiskMor) -> ITreeMor:
+    """Oracle: ``phi_mor`` recursing through whole restricted morphisms."""
+    dom_t, cod_t = phi_obj(f.dom), phi_obj(f.cod)
+    if f.cod.is_trivial:
+        return marker(dom_t, cod_t)
+    k_dom, k_cod = f.dom.tree.levels[1], f.cod.tree.levels[1]
+    root = OrdMap(
+        Ordinal(k_dom - 1), Ordinal(k_cod - 1), f.tree_map.at_level(1)
+    )
+    children = tuple(
+        phi_mor_by_restriction(restrict_disk_mor(f, i)) for i in range(k_dom)
+    )
+    return ITreeMor(dom_t, cod_t, root, children)
 
 
 class TestDiskValidity:
@@ -311,6 +339,16 @@ class TestPhiOnMorphisms:
             assert phi_mor(identity_disk_mor(d)) == itree_identity(
                 phi_obj(d)
             )
+
+    @pytest.mark.parametrize("degree, fiber", [(2, 5), (3, 3)])
+    def test_read_off_the_morphism_as_through_restrictions(
+        self, degree, fiber
+    ):
+        disks = enumerate_disks(degree, fiber)
+        for a in disks:
+            for b in disks:
+                for f in enumerate_disk_morphisms(a, b):
+                    assert phi_mor(f) == phi_mor_by_restriction(f)
 
     def test_no_morphism_out_of_trivial_disk(self):
         f = identity_disk_mor(trivial_disk())

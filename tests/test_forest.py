@@ -13,6 +13,7 @@ from theta_disk.forest import (
     POINT_TREE,
     LevelTree,
     TreeMap,
+    Vertex,
     collapse_map,
     compose_tree_maps,
     coproduct,
@@ -21,7 +22,6 @@ from theta_disk.forest import (
     identity_tree_map,
     make_level_tree,
     restrict,
-    restrict_map,
     subtree_rows,
     suspend,
 )
@@ -39,6 +39,27 @@ EXAMPLE_PARENTS = (
 
 def example_tree() -> LevelTree:
     return LevelTree(EXAMPLE_LEVELS, EXAMPLE_PARENTS)
+
+
+def restrict_map(f: TreeMap, x: Vertex) -> TreeMap:
+    """Oracle: the induced map between the subtree over ``x`` and the one
+    over ``f(x)``, built and validated whole."""
+    n = x[0]
+    y = f(x)
+    sub_dom = restrict(f.dom, x)
+    sub_cod = restrict(f.cod, y)
+    keep_dom = subtree_rows(f.dom, x)
+    keep_cod = subtree_rows(f.cod, y)
+    span = max(sub_dom.depth, sub_cod.depth) + 1
+    maps = []
+    for k in range(span):
+        old_dom = keep_dom[min(k, len(keep_dom) - 1)]
+        old_cod = keep_cod[min(k, len(keep_cod) - 1)]
+        cod_pos = {old: new for new, old in enumerate(old_cod)}
+        maps.append(
+            tuple(cod_pos[f.at_level(n + k)[old]] for old in old_dom)
+        )
+    return TreeMap(sub_dom, sub_cod, tuple(maps))
 
 
 class TestLevelTree:

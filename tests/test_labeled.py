@@ -9,10 +9,18 @@ import pickle
 
 import pytest
 
-from theta_disk.forest import POINT_TREE, TreeMap, make_level_tree
+from theta_disk.forest import (
+    POINT_TREE,
+    TreeMap,
+    Vertex,
+    make_level_tree,
+    subtree_rows,
+)
 from theta_disk.itree import (
+    FLAVORS,
     INTERVAL,
     ORDINAL,
+    ITreeMor,
     ITreeObj,
     compose as compose_itree,
     enumerate_morphisms,
@@ -29,6 +37,7 @@ from theta_disk.labeled import (
     CroppedTree,
     LabeledTree,
     LabeledTreeMor,
+    _alpha_at,
     compose_labeled,
     con_dualize,
     con_dualize_mor,
@@ -38,7 +47,6 @@ from theta_disk.labeled import (
     identity_labeled,
     label_slots,
     restrict_labeled,
-    restrict_labeled_mor,
     suspend_labeled,
     trivial_labeled,
     validate_constrained,
@@ -51,6 +59,8 @@ from theta_disk.labeled import (
 )
 from theta_disk.ordinal import OrdMap, Ordinal
 
+from tests.test_forest import restrict_map
+
 
 def o(n: int) -> Ordinal:
     return Ordinal(n)
@@ -58,6 +68,43 @@ def o(n: int) -> Ordinal:
 
 def labs(*ns: int) -> tuple[Ordinal, ...]:
     return tuple(Ordinal(n) for n in ns)
+
+
+def restrict_labeled_mor(m: LabeledTreeMor, x: Vertex) -> LabeledTreeMor:
+    """Oracle: the morphism induced between the subtrees over ``x`` and its
+    image, built and validated whole.
+
+    ``x`` addresses the side that indexes the components: the domain for
+    the interval flavor, the codomain for the ordinal flavor.
+    """
+    orient = FLAVORS[m.flavor].orient
+    index, value = orient(m.dom, m.cod)
+    sub_index = restrict_labeled(index, x)
+    sub_value = restrict_labeled(value, m.tree_map(x))
+    rows = subtree_rows(index.tree, x)
+    n = x[0]
+    alphas = tuple(
+        tuple(_alpha_at(m, n + k, j) for j in rows[k])
+        for k in range(sub_index.depth + 1)
+    )
+    return LabeledTreeMor(
+        *orient(sub_index, sub_value), restrict_map(m.tree_map, x), alphas
+    )
+
+
+def xi_mor_by_restriction(m: LabeledTreeMor) -> ITreeMor:
+    """Oracle: the ``xi`` image of a morphism, recursing through whole
+    restricted morphisms."""
+    xi = xi_interval if m.flavor == INTERVAL else xi_ordinal
+    dom_obj, cod_obj = xi(m.dom), xi(m.cod)
+    orient = FLAVORS[m.flavor].orient
+    if orient(dom_obj, cod_obj)[1].is_trivial:
+        return marker(dom_obj, cod_obj)
+    kids = tuple(
+        xi_mor_by_restriction(restrict_labeled_mor(m, (1, j)))
+        for j in orient(m.dom, m.cod)[0].tree.children(0, 0)
+    )
+    return ITreeMor(dom_obj, cod_obj, m.alphas[0][0], kids)
 
 
 DEEP_TREE = make_level_tree(
@@ -633,6 +680,19 @@ class TestXiMorphisms:
         lo1 = xi_inverse(O1)
         n = enumerate_labeled_mors(trivial_labeled(ORDINAL), lo1)[0]
         assert xi_ordinal_mor(n) == marker(TO, O1)
+
+    @pytest.mark.parametrize(
+        "flavor, max_root", [(INTERVAL, 3), (ORDINAL, 2)], ids=[INTERVAL, ORDINAL]
+    )
+    def test_read_off_the_morphism_as_through_restrictions(
+        self, flavor, max_root
+    ):
+        xi_mor = xi_interval_mor if flavor == INTERVAL else xi_ordinal_mor
+        zoo = enumerate_cropped_trees(flavor, 3, max_root)
+        for a in zoo:
+            for b in zoo:
+                for m in enumerate_labeled_mors(a, b):
+                    assert xi_mor(m) == xi_mor_by_restriction(m)
 
     def test_interval_hom_sets_match_inductive_hom_sets(self):
         zoo = enumerate_cropped_trees(INTERVAL, 2, 3)

@@ -97,6 +97,16 @@ VERIFY_ALL_SHA256 = {
     ),
 }
 
+# SHA-256 of ``theta-disk verify --check CHECK --bounds BOUNDS`` stdout.
+CHECK_SHA256 = {
+    ("phi", "label=5"): (
+        "eaef7471919217e85e28114df6bdf026456684fd6bca0e1510fc77ef4da3e309"
+    ),
+    ("xi", "label=4"): (
+        "73f1edc5be94f85cacdad5bc0e76de2bad1b599fe9c790152b4f52cccead0776"
+    ),
+}
+
 TI = trivial_obj(INTERVAL)
 I1 = ITreeObj(INTERVAL, Ordinal(1), (TI, TI))
 
@@ -175,6 +185,23 @@ class TestBounds:
         with pytest.raises(ValueError, match="unknown bounds entry"):
             parse_bounds("width=3")
 
+    def test_parse_is_memoized_on_text_and_base(self):
+        b = parse_bounds("height=2")
+        assert parse_bounds("height=2") is b
+        assert parse_bounds("label=4", base=b) is parse_bounds("label=4", base=b)
+        assert parse_bounds("label=4", base=b) != parse_bounds("label=4")
+
+    def test_malformed_bounds_raise_on_every_call(self, capsys):
+        before = parse_bounds.cache_info()
+        for _ in range(3):
+            with pytest.raises(ValueError, match="unknown bounds entry"):
+                parse_bounds("height=2,width=3")
+        after = parse_bounds.cache_info()
+        assert (after.hits, after.currsize) == (before.hits, before.currsize)
+        for _ in range(2):
+            assert main(["render", "--bounds", "width=3", "[2]"]) == 2
+            assert "unknown bounds entry" in capsys.readouterr().err
+
 
 class TestOrdinalDualityCheck:
     def test_passes_with_pinned_map_count(self):
@@ -234,6 +261,13 @@ class TestITreeDualityCheck:
 
     def test_hom_set_over_the_cap_fails(self, capsys, monkeypatch):
         monkeypatch.setattr(verify, "MORPHISM_PAIR_CAP", 3)
+        listed = []
+
+        def listing(a, b):
+            listed.append((a, b))
+            return enumerate_morphisms(a, b)
+
+        monkeypatch.setattr(verify, "enumerate_morphisms", listing)
         report = check_itree_duality(Bounds())
         assert not report.passed
         assert report.counterexample["law"] == "hom-set-cap"
@@ -241,6 +275,8 @@ class TestITreeDualityCheck:
         dom = ITreeObj.from_dict(report.counterexample["dom"])
         cod = ITreeObj.from_dict(report.counterexample["cod"])
         assert len(enumerate_morphisms(dom, cod)) > 3
+        # The capped pair is counted, never listed.
+        assert listed and (dom, cod) not in listed
         monkeypatch.delenv("THETA_DISK_BOUNDS", raising=False)
         assert main(["verify", "--check", "itree-duality"]) != 0
         assert json.loads(capsys.readouterr().out)["passed"] is False
@@ -385,6 +421,17 @@ class TestRunAll:
         assert main(["verify", "--all", "--bounds", bounds]) == 0
         out = capsys.readouterr().out
         assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_ALL_SHA256[bounds]
+
+    @pytest.mark.parametrize("check, bounds", sorted(CHECK_SHA256))
+    def test_trees_wide_check_stdout_is_pinned(
+        self, capsys, monkeypatch, check, bounds
+    ):
+        monkeypatch.delenv("THETA_DISK_BOUNDS", raising=False)
+        assert main(["verify", "--check", check, "--bounds", bounds]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == CHECK_SHA256[
+            (check, bounds)
+        ]
 
     def test_reports_render_deterministically(self):
         bounds = Bounds(max_height=1, max_label=1, max_vertices=2, max_dim=1)
