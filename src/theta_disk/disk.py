@@ -14,11 +14,11 @@ a singleton only in the degree-0 (trivial) disks.
 ``phi_obj``/``phi_mor`` convert disks into inductive interval trees by
 reading the root fiber as an interval and recursing into the subtrees over
 its elements; ``phi_inverse_obj`` rebuilds the disk by suspending the
-coproduct of the children's disks.  The subdisks over root-fiber elements
-and the interval-tree readings are memoized and kept for the life of the
-process; disk morphisms are built afresh on every call.  ``phi_mor``
-reads its image off the given morphism, one fiber at a time, and builds
-no restricted disk morphism.
+coproduct of the children's disks.  The interval-tree readings, and the
+level maps of the morphisms between subdisks, are memoized and kept for
+the life of the process; disk morphisms are built afresh on every call,
+and only those returned are validated.  ``phi_mor`` reads its image off
+the given morphism, one fiber at a time.
 """
 
 from __future__ import annotations
@@ -28,13 +28,13 @@ from functools import lru_cache
 from itertools import product
 
 from theta_disk.forest import (
+    LevelMaps,
     LevelTree,
     TreeMap,
     Vertex,
-    collapse_map,
     compose_tree_maps,
     coproduct,
-    glue_tree_maps,
+    glue_level_maps,
     identity_tree_map,
     restrict,
     suspend,
@@ -155,13 +155,6 @@ def validate_disk(d: Disk, strict: bool = False) -> list[str]:
                 f"are {sorted(ends)}"
             )
     return problems
-
-
-@lru_cache(maxsize=None)
-def restrict_disk(d: Disk, i: int) -> Disk:
-    """The disk over the ``i``-th element of the root fiber, computed once
-    per disk and element."""
-    return Disk(restrict(d.tree, (1, i)))
 
 
 @dataclass(frozen=True)
@@ -285,26 +278,33 @@ def _nontrivial_disks(max_degree: int, max_fiber: int) -> list[Disk]:
 
 
 def enumerate_disk_morphisms(a: Disk, b: Disk) -> list[DiskMor]:
-    """All disk morphisms ``a -> b``, deterministically ordered."""
-    if b.is_trivial:
-        return [DiskMor(a, b, collapse_map(a.tree, b.tree))]
-    if a.is_trivial:
+    """All disk morphisms ``a -> b``, deterministically ordered, built on
+    every call from the shared level maps of ``_child_level_maps``."""
+    return [
+        DiskMor(a, b, TreeMap(a.tree, b.tree, maps))
+        for maps in _level_maps(a.tree, b.tree)
+    ]
+
+
+def _level_maps(a: LevelTree, b: LevelTree) -> list[LevelMaps]:
+    """Level maps of the disk morphisms between the disks on ``a``, ``b``."""
+    if b.depth == 0:
+        return [tuple((0,) * size for size in a.levels)]
+    if a.depth == 0:
         return []
-    k_dom, k_cod = a.tree.levels[1], b.tree.levels[1]
     out = []
+    k_dom, k_cod = a.levels[1], b.levels[1]
     for root in enumerate_interval_maps(Ordinal(k_dom - 1), Ordinal(k_cod - 1)):
-        sub_options = [
-            enumerate_disk_morphisms(
-                restrict_disk(a, i), restrict_disk(b, root(i))
-            )
+        options = [
+            _child_level_maps(restrict(a, (1, i)), restrict(b, (1, root(i))))
             for i in range(k_dom)
         ]
-        if any(not opts for opts in sub_options):
-            continue
-        for subs in product(*sub_options):
-            tree_map = glue_tree_maps(
-                a.tree, b.tree, root, [sub.tree_map for sub in subs]
-            )
-            out.append(DiskMor(a, b, tree_map))
+        for subs in product(*options):
+            out.append(glue_level_maps(a, b, root, subs))
     return out
 
+
+@lru_cache(maxsize=None)
+def _child_level_maps(a: LevelTree, b: LevelTree) -> tuple[LevelMaps, ...]:
+    """``_level_maps(a, b)`` as met between subdisks, computed once."""
+    return tuple(_level_maps(a, b))

@@ -26,6 +26,7 @@ from theta_disk.globular import Interned
 from theta_disk.ordinal import json_int
 
 Vertex = tuple[int, int]
+LevelMaps = tuple[tuple[int, ...], ...]
 
 
 def _is_bijection(values: tuple[int, ...], cod_size: int) -> bool:
@@ -237,7 +238,7 @@ class TreeMap:
 
     dom: LevelTree
     cod: LevelTree
-    level_maps: tuple[tuple[int, ...], ...]
+    level_maps: LevelMaps
 
     def __post_init__(self) -> None:
         span = max(self.dom.depth, self.cod.depth) + 1
@@ -283,23 +284,15 @@ def compose_tree_maps(g: TreeMap, f: TreeMap) -> TreeMap:
     return TreeMap(f.dom, g.cod, maps)
 
 
-def collapse_map(a: LevelTree, point: LevelTree) -> TreeMap:
-    """The map sending every vertex of ``a`` to the one-vertex tree
-    ``point``."""
-    return TreeMap(
-        a, point, tuple((0,) * a.level_size(n) for n in range(a.depth + 1))
-    )
-
-
-def glue_tree_maps(
+def glue_level_maps(
     dom: LevelTree,
     cod: LevelTree,
     child_of: Callable[[int], int],
-    subs: Sequence[TreeMap],
-) -> TreeMap:
-    """The tree map ``dom -> cod`` that sends the root to the root and the
-    subtree over the root's child ``(1, j)`` into the subtree over
-    ``(1, child_of(j))`` by ``subs[j]``.
+    subs: Sequence[LevelMaps],
+) -> LevelMaps:
+    """The level maps of the tree map ``dom -> cod`` that sends the root to
+    the root and the subtree over the root's child ``(1, j)`` into the
+    subtree over ``(1, child_of(j))`` by the level maps ``subs[j]``.
 
     Each level of ``dom`` must list its vertices subtree by subtree, in
     the order of the root's children, as trees whose fibers are stored in
@@ -320,7 +313,7 @@ def glue_tree_maps(
         row: list[int] = []
         for j, sub in enumerate(subs):
             there = cod_rows[child_of(j)][min(lvl, cod.depth) - 1]
-            local = sub.at_level(lvl - 1)
+            local = sub[min(lvl - 1, len(sub) - 1)]
             row.extend(there[local[t]] for t in range(len(here[j])))
         level_maps.append(tuple(row))
-    return TreeMap(dom, cod, tuple(level_maps))
+    return tuple(level_maps)

@@ -22,9 +22,10 @@ Labeled trees are interned per class (see
 :class:`theta_disk.globular.Interned`), so each is validated once, and
 keep value equality across their classes.  Their validation diagnostics,
 restrictions and inductive-tree images are memoized and kept for the
-life of the process; morphisms are built afresh on every call.  The
-inductive-tree image of a morphism is read off its components, vertex by
-vertex, with no restricted labeled morphism built.
+life of the process, as are the ``(level_maps, alphas)`` rows of the
+morphisms between subtrees; morphisms are built afresh on every call,
+and only those returned are validated.  The inductive-tree image of a
+morphism is read off its components, vertex by vertex.
 """
 
 from __future__ import annotations
@@ -34,14 +35,14 @@ from functools import lru_cache
 from itertools import product
 
 from theta_disk.forest import (
+    LevelMaps,
     LevelTree,
     POINT_TREE,
     TreeMap,
     Vertex,
-    collapse_map,
     compose_tree_maps,
     coproduct,
-    glue_tree_maps,
+    glue_level_maps,
     identity_tree_map,
     restrict,
     subtree_rows,
@@ -322,6 +323,9 @@ def suspend_labeled(forest: list[LabeledTree], c: Ordinal) -> LabeledTree:
     return LabeledTree(flavor, shape, stacked[: shape.depth + 1])
 
 
+Alphas = tuple[tuple[OrdMap, ...], ...]
+
+
 @dataclass(frozen=True)
 class LabeledTreeMor:
     """A fiber-compatible morphism between cropped labeled forests.
@@ -341,7 +345,7 @@ class LabeledTreeMor:
     dom: LabeledTree
     cod: LabeledTree
     tree_map: TreeMap
-    alphas: tuple[tuple[OrdMap, ...], ...]
+    alphas: Alphas
 
     def __post_init__(self) -> None:
         if self.dom.flavor != self.cod.flavor:
@@ -572,35 +576,23 @@ def enumerate_cropped_trees(
     ]
 
 
-def _assemble_mor(
-    dom: LabeledTree,
-    cod: LabeledTree,
-    root_alpha: OrdMap,
-    subs: tuple[LabeledTreeMor, ...],
-    child_of: OrdMap,
-) -> LabeledTreeMor:
-    """Glue a root component and per-child morphisms into one morphism.
-
-    ``dom``/``cod`` are the morphism's ends; the tree map runs from the
-    index end to the value end, and ``child_of`` sends an index-end child
-    position to the value-end child position it lands on.
-    """
-    index, value = FLAVORS[dom.flavor].orient(dom, cod)
-    tree_map = glue_tree_maps(
-        index.tree, value.tree, child_of, [sub.tree_map for sub in subs]
-    )
-    below = tuple(
-        tuple(
-            _alpha_at(sub, n, t)
-            for sub in subs
-            for t in range(sub.tree_map.dom.level_size(n))
-        )
-        for n in range(index.depth)
-    )
-    return LabeledTreeMor(dom, cod, tree_map, ((root_alpha,), *below))
+def enumerate_labeled_mors(
+    a: LabeledTree, b: LabeledTree
+) -> list[LabeledTreeMor]:
+    """All morphisms ``a -> b`` of cropped trees, deterministically ordered,
+    built on every call from the shared rows of ``_child_rows``."""
+    if a.flavor != b.flavor:
+        raise ValueError("hom-sets require a common flavor")
+    _require_cropped_trees(a.flavor, a, b)
+    ends = FLAVORS[a.flavor].orient(a.tree, b.tree)
+    return [
+        LabeledTreeMor(a, b, TreeMap(*ends, maps), alphas)
+        for maps, alphas in _mor_rows(a, b)
+    ]
 
 
-def _enum_mors(a: LabeledTree, b: LabeledTree) -> list[LabeledTreeMor]:
+def _mor_rows(a: LabeledTree, b: LabeledTree) -> list[tuple[LevelMaps, Alphas]]:
+    """``(level_maps, alphas)`` of every morphism ``a -> b``, in order."""
     spec = FLAVORS[a.flavor]
     index, value = spec.orient(a, b)
     if value.depth == 0:
@@ -611,34 +603,38 @@ def _enum_mors(a: LabeledTree, b: LabeledTree) -> list[LabeledTreeMor]:
             return OrdMap(dom, cod, (0,) * dom.size)
 
         alphas = tuple(tuple(unique(lab) for lab in row) for row in index.labels)
-        tree_map = collapse_map(index.tree, value.tree)
-        return [LabeledTreeMor(a, b, tree_map, alphas)]
+        return [(tuple((0,) * size for size in index.tree.levels), alphas)]
     if index.depth == 0:
         return []
-    out: list[LabeledTreeMor] = []
+    # Past a child's stored depth its chain carries identity components.
+    single = identity_ord(spec.trivial_root)
+    kids = [restrict_labeled(index, (1, i)) for i in range(index.tree.levels[1])]
+    out = []
     for g in spec.root_maps(a.labels[0][0], b.labels[0][0]):
         slot = spec.slot_map(g)
         options = [
-            _enum_mors(
-                *spec.orient(
-                    restrict_labeled(index, (1, i)),
-                    restrict_labeled(value, (1, slot(i))),
-                )
-            )
-            for i in range(index.tree.levels[1])
+            _child_rows(*spec.orient(kid, restrict_labeled(value, (1, slot(i)))))
+            for i, kid in enumerate(kids)
         ]
-        if any(not opts for opts in options):
-            continue
         for combo in product(*options):
-            out.append(_assemble_mor(a, b, g, combo, slot))
+            maps = glue_level_maps(
+                index.tree, value.tree, slot, [sub for sub, _ in combo]
+            )
+            below = tuple(
+                tuple(
+                    alphas[n][t] if n < len(alphas) else single
+                    for kid, (_, alphas) in zip(kids, combo)
+                    for t in range(kid.tree.level_size(n))
+                )
+                for n in range(index.depth)
+            )
+            out.append((maps, ((g,), *below)))
     return out
 
 
-def enumerate_labeled_mors(
+@lru_cache(maxsize=None)
+def _child_rows(
     a: LabeledTree, b: LabeledTree
-) -> list[LabeledTreeMor]:
-    """All morphisms ``a -> b`` of cropped trees, deterministically ordered."""
-    if a.flavor != b.flavor:
-        raise ValueError("hom-sets require a common flavor")
-    _require_cropped_trees(a.flavor, a, b)
-    return _enum_mors(a, b)
+) -> tuple[tuple[LevelMaps, Alphas], ...]:
+    """``_mor_rows(a, b)`` as met between subtrees, computed once."""
+    return tuple(_mor_rows(a, b))

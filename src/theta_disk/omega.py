@@ -456,11 +456,15 @@ class OmegaPresentation:
 
     @staticmethod
     def from_dict(data: dict) -> "OmegaPresentation":
-        tag = data["tag"]
+        tag, base = data["tag"], data.get("base")
+        if tag in ("empty", "terminal") and base is not None:
+            raise ValueError(f"presentation tag {tag!r} takes no base")
+        if tag in ("free_globcard", "free_ograph") and base is None:
+            raise ValueError(f"presentation tag {tag!r} requires a base")
         if tag == "free_globcard":
-            return OmegaPresentation(tag, cardinal=GlobCard.from_dict(data["base"]))
+            return OmegaPresentation(tag, cardinal=GlobCard.from_dict(base))
         if tag == "free_ograph":
-            return OmegaPresentation(tag, graph=OGraph.from_dict(data["base"]))
+            return OmegaPresentation(tag, graph=OGraph.from_dict(base))
         return OmegaPresentation(tag)
 
 

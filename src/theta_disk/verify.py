@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -136,6 +137,8 @@ def parse_bounds(text: str, base: Bounds | None = None) -> Bounds:
         key, sep, raw = part.partition("=")
         if not sep or key.strip() not in _BOUNDS_KEYS:
             raise ValueError(f"unknown bounds entry {part!r}")
+        if not re.fullmatch(r"-?[0-9]+", raw.strip()):
+            raise ValueError(f"bounds entry {part!r} needs a whole number")
         values[_BOUNDS_KEYS[key.strip()]] = int(raw)
     return Bounds.from_dict(values)
 

@@ -735,6 +735,22 @@ class TestRender:
         )
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "tag, base, problem",
+        [
+            ("empty", POINT_OGRAPH.to_dict(), "takes no base"),
+            ("terminal", POINT_OGRAPH.to_dict(), "takes no base"),
+            ("free_ograph", None, "requires a base"),
+            ("free_globcard", None, "requires a base"),
+        ],
+    )
+    def test_presentation_base_must_match_its_tag(self, capsys, tag, base, problem):
+        text = json.dumps({"kind": "omega-presentation", "tag": tag, "base": base})
+        assert main(["render", "--format", "json", text]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert f"presentation tag {tag!r} {problem}" in err
+
 
 class TestConsoleScript:
     def test_installed_entry_point(self):

@@ -8,6 +8,7 @@ from itertools import product
 
 import pytest
 
+from theta_disk import disk
 from theta_disk.disk import (
     Disk,
     DiskMor,
@@ -18,11 +19,16 @@ from theta_disk.disk import (
     phi_inverse_obj,
     phi_mor,
     phi_obj,
-    restrict_disk,
     trivial_disk,
     validate_disk,
 )
-from theta_disk.forest import LevelTree, TreeMap, make_level_tree
+from theta_disk.forest import (
+    LevelTree,
+    TreeMap,
+    glue_level_maps,
+    make_level_tree,
+    restrict,
+)
 from theta_disk.itree import (
     INTERVAL,
     ITreeMor,
@@ -69,6 +75,11 @@ def brute_force_disk_morphisms(a: Disk, b: Disk) -> list[DiskMor]:
         except ValueError:
             continue
     return out
+
+
+def restrict_disk(d: Disk, i: int) -> Disk:
+    """The disk over the ``i``-th element of the root fiber."""
+    return Disk(restrict(d.tree, (1, i)))
 
 
 def restrict_disk_mor(f: DiskMor, i: int) -> DiskMor:
@@ -272,23 +283,56 @@ class TestDiskMorphisms:
                 }
                 assert len(fast) == len(slow)
 
-    def test_level_maps_are_pinned(self):
-        disks = enumerate_disks(2, 5)
+    @pytest.mark.parametrize(
+        "degree, fiber, count, digest",
+        [
+            (
+                2,
+                5,
+                126,
+                "db96c2e2d839734c9ca5cae9145b1d80b7a49b69a8d97ceb480824a65288cff9",
+            ),
+            (
+                3,
+                4,
+                5463,
+                "97d799b6b9c67d5579ebb34d47129a57155d75998478decc087497159ce0831d",
+            ),
+        ],
+        ids=["degree2-fiber5", "degree3-fiber4"],
+    )
+    def test_level_maps_are_pinned(self, degree, fiber, count, digest):
+        disks = enumerate_disks(degree, fiber)
         rows = [
             f.tree_map.level_maps
             for a in disks
             for b in disks
             for f in enumerate_disk_morphisms(a, b)
         ]
-        assert len(rows) == 126
-        assert hashlib.sha256(json.dumps(rows).encode()).hexdigest() == (
-            "db96c2e2d839734c9ca5cae9145b1d80b7a49b69a8d97ceb480824a65288cff9"
-        )
+        assert len(rows) == count
+        assert hashlib.sha256(json.dumps(rows).encode()).hexdigest() == digest
 
     def test_frozen_hom_counts(self):
         assert len(enumerate_disk_morphisms(two_disk(), tall_disk())) == 1
         assert len(enumerate_disk_morphisms(tall_disk(), two_disk())) == 2
         assert len(enumerate_disk_morphisms(tall_disk(), tall_disk())) == 3
+
+    def test_returned_morphisms_are_new_and_validated(self, monkeypatch):
+        a = b = tall_disk()
+        first = enumerate_disk_morphisms(a, b)
+        second = enumerate_disk_morphisms(a, b)
+        assert first == second and first is not second
+        assert all(f is not g for f, g in zip(first, second))
+
+        def corrupt_glue(*args):
+            """``glue_level_maps`` with the root sent off the tree."""
+            return ((1,), *glue_level_maps(*args)[1:])
+
+        # The child tables of ``a -> b`` are filled above, so only the
+        # returned morphisms are glued by the corrupt function.
+        monkeypatch.setattr(disk, "glue_level_maps", corrupt_glue)
+        with pytest.raises(ValueError, match="out of range"):
+            enumerate_disk_morphisms(a, b)
 
     def test_composition_closure(self):
         shapes = [two_disk(), tall_disk()]

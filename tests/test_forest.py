@@ -14,11 +14,10 @@ from theta_disk.forest import (
     LevelTree,
     TreeMap,
     Vertex,
-    collapse_map,
     compose_tree_maps,
     coproduct,
     degree,
-    glue_tree_maps,
+    glue_level_maps,
     identity_tree_map,
     make_level_tree,
     restrict,
@@ -262,7 +261,6 @@ class TestTreeMap:
     def test_restrict_map_collapse(self):
         t = LevelTree((1, 2, 3), ((0, 0), (0, 0, 1)))
         collapse = TreeMap(t, POINT_TREE, ((0,), (0, 0), (0, 0, 0)))
-        assert collapse_map(t, POINT_TREE) == collapse
         sub = restrict_map(collapse, (1, 0))
         assert sub.dom == restrict(t, (1, 0))
         assert sub.cod == POINT_TREE
@@ -277,15 +275,17 @@ class TestTreeMap:
         ]
         for f in maps:
             subs = [
-                restrict_map(f, (1, j)) for j in range(f.dom.level_size(1))
+                restrict_map(f, (1, j)).level_maps
+                for j in range(f.dom.level_size(1))
             ]
             child_of = f.at_level(1).__getitem__
-            assert glue_tree_maps(f.dom, f.cod, child_of, subs) == f
+            glued = glue_level_maps(f.dom, f.cod, child_of, subs)
+            assert glued == f.level_maps
 
     def test_glue_rejects_levels_out_of_child_order(self):
         # Level 2 lists the child of root-child 1 first.
         t = LevelTree((1, 2, 3), ((0, 0), (1, 0, 0)))
         ident = identity_tree_map(t)
-        subs = [restrict_map(ident, (1, j)) for j in range(2)]
+        subs = [restrict_map(ident, (1, j)).level_maps for j in range(2)]
         with pytest.raises(ValueError, match="child order"):
-            glue_tree_maps(t, t, lambda j: j, subs)
+            glue_level_maps(t, t, lambda j: j, subs)

@@ -9,10 +9,12 @@ import pickle
 
 import pytest
 
+from theta_disk import labeled
 from theta_disk.forest import (
     POINT_TREE,
     TreeMap,
     Vertex,
+    glue_level_maps,
     make_level_tree,
     subtree_rows,
 )
@@ -387,30 +389,50 @@ class TestSuspendCoproduct:
 
 class TestMorphisms:
     @pytest.mark.parametrize(
-        "flavor, max_root, digest",
+        "flavor, height, max_root, count, digest",
         [
             (
                 INTERVAL,
                 3,
+                3,
+                26,
                 "74a7061753a16bebbca06643ff4b0149125a7bf3370311b4e3023b0833bc1fc5",
             ),
             (
                 ORDINAL,
+                3,
                 2,
+                26,
                 "c477e42b23c6594571f64ed349074c21f483e985763680e2eb2832b5bfc268ed",
             ),
+            (
+                INTERVAL,
+                4,
+                3,
+                55,
+                "bbf49ff7086b52a18de07582c7a14cb4b5227db81493915c6dcc68e69d4c9c68",
+            ),
+            (
+                ORDINAL,
+                4,
+                2,
+                55,
+                "69dc43c4b9838740818b22d292d20033ceb6a7aa564af7231ece9a3422c4ed6c",
+            ),
         ],
-        ids=[INTERVAL, ORDINAL],
+        ids=[INTERVAL, ORDINAL, f"{INTERVAL}-height4", f"{ORDINAL}-height4"],
     )
-    def test_enumerated_morphisms_are_pinned(self, flavor, max_root, digest):
-        trees = enumerate_cropped_trees(flavor, 3, max_root)
+    def test_enumerated_morphisms_are_pinned(
+        self, flavor, height, max_root, count, digest
+    ):
+        trees = enumerate_cropped_trees(flavor, height, max_root)
         rows = [
             m.to_dict()
             for a in trees
             for b in trees
             for m in enumerate_labeled_mors(a, b)
         ]
-        assert len(rows) == 26
+        assert len(rows) == count
         text = json.dumps(rows, sort_keys=True)
         assert hashlib.sha256(text.encode()).hexdigest() == digest
 
@@ -518,6 +540,24 @@ class TestMorphisms:
         assert len(enumerate_labeled_mors(li1, li2)) == 1
         assert len(enumerate_labeled_mors(li2, li1)) == 2
         assert len(enumerate_labeled_mors(li2, li2)) == 3
+
+    @pytest.mark.parametrize("h", [I2, O1], ids=[INTERVAL, ORDINAL])
+    def test_returned_morphisms_are_new_and_validated(self, monkeypatch, h):
+        t = xi_inverse(h)
+        first = enumerate_labeled_mors(t, t)
+        second = enumerate_labeled_mors(t, t)
+        assert first == second and first is not second
+        assert all(f is not g for f, g in zip(first, second))
+
+        def corrupt_glue(*args):
+            """``glue_level_maps`` with the root sent off the tree."""
+            return ((1,), *glue_level_maps(*args)[1:])
+
+        # The child tables of ``t -> t`` are filled above, so only the
+        # returned morphisms are glued by the corrupt function.
+        monkeypatch.setattr(labeled, "glue_level_maps", corrupt_glue)
+        with pytest.raises(ValueError, match="out of range"):
+            enumerate_labeled_mors(t, t)
 
     def test_trivial_interval_tree_is_terminal(self):
         for h in enumerate_objects(INTERVAL, 2, 3):

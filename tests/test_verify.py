@@ -102,8 +102,14 @@ CHECK_SHA256 = {
     ("phi", "label=5"): (
         "eaef7471919217e85e28114df6bdf026456684fd6bca0e1510fc77ef4da3e309"
     ),
+    ("phi", "degree=3,label=4"): (
+        "d6447a4dbdea0fc432e8ffcecc6436fd9b28151149d60fec5667da2707535632"
+    ),
     ("xi", "label=4"): (
         "73f1edc5be94f85cacdad5bc0e76de2bad1b599fe9c790152b4f52cccead0776"
+    ),
+    ("xi", "label=5"): (
+        "db3b66fb28bfbe91f27180c50bbbccac1cd687af977e7ab31e5502483549982e"
     ),
 }
 
@@ -184,6 +190,20 @@ class TestBounds:
     def test_parse_rejects_unknown_keys(self):
         with pytest.raises(ValueError, match="unknown bounds entry"):
             parse_bounds("width=3")
+
+    @pytest.mark.parametrize(
+        "entry", ["label=1_0", "label=+3", "label=\u0663", "label=", "label=2.0"]
+    )
+    def test_parse_rejects_values_that_are_not_ascii_integers(self, capsys, entry):
+        with pytest.raises(ValueError, match="bounds entry"):
+            parse_bounds(entry)
+        assert main(["render", "--bounds", entry, "[2]"]) == 2
+        assert f"bounds entry {entry!r}" in capsys.readouterr().err
+
+    def test_parse_strips_blanks_and_keeps_the_sign_check(self):
+        assert parse_bounds(" label = 4 ") == Bounds(max_label=4)
+        with pytest.raises(ValueError, match="max_label is non-negative"):
+            parse_bounds("label=-1")
 
     def test_parse_is_memoized_on_text_and_base(self):
         b = parse_bounds("height=2")
