@@ -18,8 +18,6 @@ from theta_disk.itree import (
     wedge,
 )
 from theta_disk.labeled import (
-    ConstrainedTree,
-    CroppedTree,
     LabeledTree,
     LabeledTreeMor,
     con_dualize,
@@ -54,8 +52,6 @@ from theta_disk.verify import Bounds, Report, run_all
 __all__ = [
     "Bounds",
     "Cell",
-    "ConstrainedTree",
-    "CroppedTree",
     "Disk",
     "DiskMor",
     "EnrichedCell",

@@ -59,6 +59,7 @@ from theta_disk.ordinal import (
     Ordinal,
     count_interval_maps,
     count_ord_maps,
+    json_str,
     vee_map,
     vee_obj,
     wedge_map,
@@ -122,7 +123,7 @@ def _load_object(source: str):
     data = json.loads(raw)
     if not isinstance(data, dict) or "kind" not in data:
         raise ValueError('objects are JSON dictionaries with a "kind" field')
-    kind = data["kind"]
+    kind = json_str(data["kind"])
     if kind not in _PARSERS:
         raise ValueError(f"unknown object kind {kind!r}")
     return _PARSERS[kind](data)

@@ -41,7 +41,8 @@ class _InternTable(type):
             return cls._table[args]
         except KeyError:
             if len(args) < len(fields(cls)):
-                return cls(*cls._positions(args, {}))
+                value = cls._table[args] = cls(*cls._positions(args, {}))
+                return value
             # A value that fails validation raises here and is not stored.
             value = cls._table[args] = super().__call__(*args)
             return value
@@ -60,12 +61,12 @@ class Interned(metaclass=_InternTable):
     only a value not seen before is built, so ``__post_init__`` validates
     each distinct value once.  The key is the full positional field tuple:
     keyword arguments are mapped to their positions and omitted fields
-    take their defaults, so every call naming one value finds one key.
-    Pickle and copy rebuild through the constructor, so every instance
-    comes from the table.  Subclasses are dataclasses with ``eq=False``:
-    equality and hashing are identity, unless the subclass defines its
-    own.  Every class has its own table, including a subclass of an
-    interned class.
+    take their defaults, so every call naming one value finds one key.  A
+    positional call that leaves defaulted fields out is also stored under
+    its own short tuple, so repeating it is one lookup.  Pickle and copy
+    rebuild through the constructor, so every instance comes from the
+    table.  Subclasses are dataclasses with ``eq=False``: equality and
+    hashing are identity.
     """
 
     def __reduce__(self):

@@ -39,6 +39,7 @@ from theta_disk.ordinal import (
     enumerate_ord_maps,
     identity as identity_ord,
     json_int,
+    json_str,
     require_interval,
     vee_map,
     vee_obj,
@@ -162,7 +163,7 @@ class ITreeObj(Interned):
     @staticmethod
     def from_dict(data: dict) -> "ITreeObj":
         return ITreeObj(
-            data["flavor"],
+            json_str(data["flavor"]),
             Ordinal(json_int(data["root"])),
             tuple(ITreeObj.from_dict(c) for c in data["children"]),
         )

@@ -8,7 +8,9 @@ number of child slots -- ``m + 1`` for an interval label ``[m]``,
 ``m + 2`` for an ordinal label -- and a constrained tree realizes that
 prescription exactly, fiber by fiber, in sibling order.  Cropped trees
 additionally end every branch at single-slot labels, placed exactly at
-the two outer positions of each fiber.
+the two outer positions of each fiber.  Both are properties of a plain
+:class:`LabeledTree`, checked by :func:`validate_constrained` and
+:func:`validate_cropped`.
 
 Morphisms follow the flavor: interval-labeled morphisms carry a forward
 tree map with one endpoint-preserving component per domain vertex, while
@@ -18,14 +20,13 @@ per codomain vertex.  Relabeling through the ordinal dualities swaps the
 two flavors contravariantly, and cropped single-root trees convert back
 and forth with the inductive tree categories vertex for vertex.
 
-Labeled trees are interned per class (see
-:class:`theta_disk.globular.Interned`), so each is validated once, and
-keep value equality across their classes.  Their validation diagnostics,
-restrictions and inductive-tree images are memoized and kept for the
-life of the process, as are the ``(level_maps, alphas)`` rows of the
-morphisms between subtrees; morphisms are built afresh on every call,
-and only those returned are validated.  The inductive-tree image of a
-morphism is read off its components, vertex by vertex.
+Labeled trees are interned (see :class:`theta_disk.globular.Interned`),
+so each is validated once and equality is identity.  Their validation
+diagnostics, restrictions and inductive-tree images are memoized and
+kept for the life of the process, as are the ``(level_maps, alphas)``
+rows of the morphisms between subtrees; morphisms are built afresh on
+every call, and only those returned are validated.  The inductive-tree
+image of a morphism is read off its components, vertex by vertex.
 """
 
 from __future__ import annotations
@@ -67,6 +68,7 @@ from theta_disk.ordinal import (
     compose as compose_ord,
     identity as identity_ord,
     json_int,
+    json_str,
     vee_map,
     vee_obj,
     wedge_map,
@@ -84,12 +86,9 @@ class LabeledTree(Interned):
     """A stored forest with one interval- or ordinal-label per vertex.
 
     Vertices beyond the stored depth continue as single chains and
-    implicitly carry the single-slot label of the flavor.
-
-    Each class keeps its own intern table, so equal trees of one class are
-    one object.  Equality and hashing still go by value across the
-    classes: a :class:`CroppedTree` equals, and hashes as, the plain tree
-    with the same fields.
+    implicitly carry the single-slot label of the flavor.  Equal trees are
+    one object; being constrained or cropped is a checked property, not a
+    subclass.
     """
 
     flavor: str
@@ -107,28 +106,6 @@ class LabeledTree(Interned):
             lab.n < 0 for row in self.labels for lab in row
         ):
             raise ValueError("interval labels must be at least [0]")
-
-    def __eq__(self, other: object) -> bool:
-        if self is other:
-            return True
-        if not isinstance(other, LabeledTree):
-            return NotImplemented
-        return (
-            self.flavor == other.flavor
-            and self.tree == other.tree
-            and self.labels == other.labels
-        )
-
-    def __hash__(self) -> int:
-        # Computed once per tree.  Pickle and copy rebuild through the
-        # intern table, so no cached hash (which depends on the process's
-        # object ids and hash seed) crosses a pickle.
-        try:
-            return self._hash
-        except AttributeError:
-            h = hash((self.flavor, self.tree, self.labels))
-            object.__setattr__(self, "_hash", h)
-            return h
 
     @property
     def depth(self) -> int:
@@ -161,7 +138,7 @@ class LabeledTree(Interned):
 
     @staticmethod
     def from_dict(data: dict) -> "LabeledTree":
-        flavor = data["flavor"]
+        flavor = json_str(data["flavor"])
         tree = LevelTree.from_dict(data)
         rows = tuple(
             tuple(Ordinal(json_int(n)) for n in row) for row in data["labels"]
@@ -184,31 +161,9 @@ class LabeledTree(Interned):
         return LabeledTree(flavor, tree, rows[: tree.depth + 1])
 
 
-@dataclass(frozen=True, eq=False)
-class ConstrainedTree(LabeledTree):
-    """A labeled forest whose fibers realize the labels' slot counts."""
-
-    def __post_init__(self) -> None:
-        super().__post_init__()
-        problems = validate_constrained(self)
-        if problems:
-            raise ValueError(problems[0])
-
-
-@dataclass(frozen=True, eq=False)
-class CroppedTree(ConstrainedTree):
-    """A constrained forest ending every branch at outer single-slot labels."""
-
-    def __post_init__(self) -> None:
-        LabeledTree.__post_init__(self)
-        problems = validate_cropped(self)
-        if problems:
-            raise ValueError(problems[0])
-
-
-def trivial_labeled(flavor: str) -> CroppedTree:
+def trivial_labeled(flavor: str) -> LabeledTree:
     """The single-vertex tree carrying the flavor's single-slot label."""
-    return CroppedTree(flavor, POINT_TREE, ((trivial_root(flavor),),))
+    return LabeledTree(flavor, POINT_TREE, ((trivial_root(flavor),),))
 
 
 def validate_constrained(t: LabeledTree) -> list[str]:
@@ -415,7 +370,7 @@ class LabeledTreeMor:
     def from_dict(data: dict) -> "LabeledTreeMor":
         dom = LabeledTree.from_dict(data["dom"])
         cod = LabeledTree.from_dict(data["cod"])
-        direction = data["direction"]
+        direction = json_str(data["direction"])
         if direction not in ("forward", "op"):
             raise ValueError(f"unknown direction {direction!r}")
         if (direction == "forward") != (dom.flavor == INTERVAL):
@@ -474,14 +429,14 @@ def _duality(flavor: str):
     }[flavor]
 
 
-def con_dualize(t: LabeledTree) -> CroppedTree:
+def con_dualize(t: LabeledTree) -> LabeledTree:
     """Relabel a cropped forest through the duality, swapping the flavor."""
     problems = validate_cropped(t)
     if problems:
         raise ValueError(problems[0])
     flavor, relabel, _ = _duality(t.flavor)
     labels = tuple(tuple(relabel(lab) for lab in row) for row in t.labels)
-    return CroppedTree(flavor, t.tree, labels)
+    return LabeledTree(flavor, t.tree, labels)
 
 
 def con_dualize_mor(m: LabeledTreeMor) -> LabeledTreeMor:
@@ -554,22 +509,21 @@ def xi_ordinal_mor(m: LabeledTreeMor) -> ITreeMor:
     return _xi_mor(m, (0, 0))
 
 
-def xi_inverse(h: ITreeObj) -> CroppedTree:
+def xi_inverse(h: ITreeObj) -> LabeledTree:
     """Rebuild the cropped labeled tree presenting an inductive tree."""
     return _xi_inverse(h)
 
 
 @lru_cache(maxsize=None)
-def _xi_inverse(h: ITreeObj) -> CroppedTree:
+def _xi_inverse(h: ITreeObj) -> LabeledTree:
     if h.is_trivial:
         return trivial_labeled(h.flavor)
-    t = suspend_labeled([_xi_inverse(c) for c in h.children], h.root)
-    return CroppedTree(t.flavor, t.tree, t.labels)
+    return suspend_labeled([_xi_inverse(c) for c in h.children], h.root)
 
 
 def enumerate_cropped_trees(
     flavor: str, max_height: int, max_root: int
-) -> list[CroppedTree]:
+) -> list[LabeledTree]:
     """All cropped single-root trees within the inductive-tree bounds."""
     return [
         xi_inverse(h) for h in enumerate_objects(flavor, max_height, max_root)

@@ -50,7 +50,7 @@ from theta_disk.ograph import (
     gamma_prime,
     upsilon,
 )
-from theta_disk.ordinal import json_int, wedge_map
+from theta_disk.ordinal import json_int, json_str, wedge_map
 
 # ---------------------------------------------------------------------------
 # Cells over a globular cardinal
@@ -261,9 +261,10 @@ def compose_cells(beta: Cell, alpha: Cell, m: int) -> Cell:
 # Enriched cells over an ordinal graph
 
 
-@dataclass(frozen=True, order=True)
-class EnrichedCell:
-    """A cell of the free omega-category on an ordinal graph.
+@dataclass(frozen=True, eq=False)
+class EnrichedCell(Interned):
+    """A cell of the free omega-category on an ordinal graph; interned,
+    like the ``Cell`` values that ``comparison_L`` sends to it.
 
     ``h == k`` with no parts is an object (dimension 0) or an identity
     marker on the object (higher dimension); otherwise ``parts`` holds
@@ -310,7 +311,7 @@ class EnrichedCell:
         )
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True)
 class TerminalCell:
     """The unique cell per dimension of the terminal omega-category."""
 
@@ -456,7 +457,7 @@ class OmegaPresentation:
 
     @staticmethod
     def from_dict(data: dict) -> "OmegaPresentation":
-        tag, base = data["tag"], data.get("base")
+        tag, base = json_str(data["tag"]), data.get("base")
         if tag in ("empty", "terminal") and base is not None:
             raise ValueError(f"presentation tag {tag!r} takes no base")
         if tag in ("free_globcard", "free_ograph") and base is None:
@@ -518,7 +519,11 @@ def all_enriched_generators(g: OGraph) -> list[EnrichedCell]:
 
 @dataclass(frozen=True)
 class GeneratorAction:
-    """An omega-functor between presentations, by its generator images."""
+    """An omega-functor between presentations, by its generator images.
+
+    ``assignments`` lists the generators in ``all_enriched_generators``
+    order, each with its image.
+    """
 
     dom: OmegaPresentation
     cod: OmegaPresentation
@@ -644,10 +649,7 @@ def enumerate_omega_functors(
                 new.update(zip(gens, combo))
                 extended.append(new)
         partials = extended
-    return [
-        GeneratorAction(a, b, tuple(sorted(partial.items())))
-        for partial in partials
-    ]
+    return [GeneratorAction(a, b, tuple(partial.items())) for partial in partials]
 
 
 def _cand_source(cand, m: int):
@@ -729,10 +731,5 @@ def psi_mor(g: ITreeMor) -> GeneratorAction:
     return GeneratorAction(
         dom_p,
         cod_p,
-        tuple(
-            sorted(
-                (gen, psi_apply(g, gen))
-                for gen in all_enriched_generators(graph)
-            )
-        ),
+        tuple((gen, psi_apply(g, gen)) for gen in all_enriched_generators(graph)),
     )

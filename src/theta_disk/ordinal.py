@@ -31,6 +31,13 @@ def json_int(value: object) -> int:
     return value
 
 
+def json_str(value: object) -> str:
+    """``value`` if it is a JSON string."""
+    if type(value) is not str:
+        raise ValueError(f"expected a string, got {value!r}")
+    return value
+
+
 @dataclass(frozen=True, order=True)
 class Ordinal:
     """The finite linear order ``[n] = {0, ..., n}``; ``[-1]`` is empty."""

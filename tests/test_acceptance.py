@@ -6,7 +6,6 @@ import time
 
 from theta_disk.itree import vee
 from theta_disk.labeled import (
-    CroppedTree,
     LabeledTree,
     con_dualize,
     validate_cropped,
@@ -49,7 +48,7 @@ def _criterion(number: int, body, capsys) -> None:
         print(f"ACCEPTANCE {number} PASS")
 
 
-def _example_tree() -> CroppedTree:
+def _example_tree() -> LabeledTree:
     shape = make_level_tree(
         (1, 3, 6, 9, 10),
         (
@@ -69,7 +68,7 @@ def _example_tree() -> CroppedTree:
             (0, 0, 0, 0, 0, 0, 0, 0, 0, 0),
         )
     )
-    return CroppedTree(INTERVAL, shape, labels)
+    return LabeledTree(INTERVAL, shape, labels)
 
 
 class TestAcceptance:

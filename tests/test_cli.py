@@ -118,6 +118,25 @@ class TestParsing:
         assert capsys.readouterr().err.startswith("error: ")
 
     @pytest.mark.parametrize(
+        "text",
+        [
+            '{"kind": [1]}',
+            '{"kind": "itree", "flavor": [1], "root": 0, "children": []}',
+            '{"kind": "labeled-tree", "flavor": [1], "levels": [1], '
+            '"parents": [], "labels": [[0]]}',
+            '{"kind": "labeled-tree-mor", "direction": [1], "dom": {"kind": '
+            '"labeled-tree", "flavor": "interval", "levels": [1], "parents": '
+            '[], "labels": [[0]]}, "cod": {"kind": "labeled-tree", "flavor": '
+            '"interval", "levels": [1], "parents": [], "labels": [[0]]}, '
+            '"level_maps": [[0]], "alphas": []}',
+            '{"kind": "omega-presentation", "tag": [1], "base": null}',
+        ],
+    )
+    def test_non_string_name_is_a_usage_error(self, capsys, text):
+        assert main(["render", "--format", "json", text]) == 2
+        assert capsys.readouterr().err == "error: expected a string, got [1]\n"
+
+    @pytest.mark.parametrize(
         "flavor, single, other", [(INTERVAL, 0, 5), (ORDINAL, -1, 0)]
     )
     def test_label_row_below_the_stored_depth(self, capsys, flavor, single, other):

@@ -3,12 +3,15 @@
 from __future__ import annotations
 
 import copy
+import importlib
 import pickle
+import pkgutil
 from dataclasses import replace
 from itertools import permutations, product
 
 import pytest
 
+import theta_disk
 from theta_disk.globular import (
     ARROW_CARDINAL,
     EMPTY_CARDINAL,
@@ -16,6 +19,7 @@ from theta_disk.globular import (
     GlobCard,
     GlobMor,
     GlobSet,
+    Interned,
     canonical_form,
     compose_glob_mors,
     consecutive,
@@ -337,6 +341,23 @@ class TestInterning:
                 assert pickle.loads(pickle.dumps(value, protocol)) is value
             assert copy.deepcopy(value) is value
             assert copy.copy(value) is value
+
+    def test_identity_is_the_only_equality(self):
+        for module in pkgutil.iter_modules(theta_disk.__path__):
+            importlib.import_module(f"theta_disk.{module.name}")
+        classes, stack = [], [Interned]
+        while stack:
+            for cls in stack.pop().__subclasses__():
+                if cls.__module__.startswith("theta_disk."):
+                    classes.append(cls)
+                    stack.append(cls)
+        names = {cls.__name__ for cls in classes}
+        assert {"GlobSet", "LabeledTree", "Cell", "EnrichedCell"} <= names
+        for cls in classes:
+            assert "__eq__" not in vars(cls), cls
+            assert "__hash__" not in vars(cls), cls
+            bases = [b for b in cls.__mro__[1:] if issubclass(b, Interned)]
+            assert bases == [Interned], cls
 
 
 class TestSubCardinal:

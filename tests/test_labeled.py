@@ -35,8 +35,6 @@ from theta_disk.itree import (
     wedge,
 )
 from theta_disk.labeled import (
-    ConstrainedTree,
-    CroppedTree,
     LabeledTree,
     LabeledTreeMor,
     _alpha_at,
@@ -127,8 +125,8 @@ DEEP_LABELS = (
 )
 
 
-def deep() -> CroppedTree:
-    return CroppedTree(INTERVAL, DEEP_TREE, DEEP_LABELS)
+def deep() -> LabeledTree:
+    return LabeledTree(INTERVAL, DEEP_TREE, DEEP_LABELS)
 
 
 TI = trivial_obj(INTERVAL)
@@ -174,32 +172,24 @@ class TestLabeledTreeBasics:
             assert validate_cropped(t) == []
         assert not deep().is_trivial
 
-    def test_equality_ignores_wrapper_class(self):
-        plain = LabeledTree(INTERVAL, DEEP_TREE, DEEP_LABELS)
-        assert deep() == plain
-        assert hash(deep()) == hash(plain)
-        assert {plain: 1}[deep()] == 1 and {deep(): 1}[plain] == 1
-        assert deep() != trivial_labeled(INTERVAL)
-
     def test_equal_trees_of_one_class_are_one_object(self):
-        plain = LabeledTree(INTERVAL, DEEP_TREE, DEEP_LABELS)
-        assert deep() is deep()
+        t = deep()
+        assert deep() is t
         keywords = dict(labels=DEEP_LABELS, tree=DEEP_TREE, flavor=INTERVAL)
-        assert LabeledTree(**keywords) is plain
-        assert LabeledTree.from_dict(deep().to_dict()) is plain
-        assert deep() is not plain
-        for t in (deep(), plain):
-            hash(t)
-            for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
-                assert pickle.loads(pickle.dumps(t, protocol)) is t
-            assert copy.copy(t) is t
-            assert copy.deepcopy(t) is t
+        assert LabeledTree(**keywords) is t
+        assert LabeledTree.from_dict(t.to_dict()) is t
+        assert t != trivial_labeled(INTERVAL)
+        hash(t)
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            assert pickle.loads(pickle.dumps(t, protocol)) is t
+        assert copy.copy(t) is t
+        assert copy.deepcopy(t) is t
 
     def test_invalid_tree_raises_every_time(self):
         fan = make_level_tree((1, 3), ((0, 0, 0),))
         for _ in range(2):
-            with pytest.raises(ValueError, match="outer positions"):
-                CroppedTree(INTERVAL, fan, (labs(2), labs(0, 0, 0)))
+            with pytest.raises(ValueError, match="wrong arity"):
+                LabeledTree(INTERVAL, fan, (labs(2), labs(0, 0)))
 
     def test_serialization_round_trip(self):
         for t in (deep(), trivial_labeled(ORDINAL)):
@@ -223,8 +213,7 @@ class TestConstrainedValidation:
         t = LabeledTree(INTERVAL, DEEP_TREE, DEEP_LABELS)
         assert validate_constrained(t) == []
         assert validate_cropped(t) == []
-        assert ConstrainedTree(INTERVAL, DEEP_TREE, DEEP_LABELS) == t
-        assert CroppedTree(INTERVAL, DEEP_TREE, DEEP_LABELS) == t
+        assert xi_inverse(xi_interval(t)) is t
 
     def test_fiber_size_must_match_label(self):
         rows = (DEEP_LABELS[0], labs(0, 2, 0)) + DEEP_LABELS[2:]
@@ -234,7 +223,7 @@ class TestConstrainedValidation:
         assert "vertex (1, 1)" in problems[0]
         assert "prescribing 3" in problems[0]
         with pytest.raises(ValueError, match="prescribing"):
-            ConstrainedTree(INTERVAL, DEEP_TREE, rows)
+            xi_interval(t)
 
     def test_parent_rows_must_be_sorted(self):
         shape = make_level_tree((1, 2, 3), ((0, 0), (1, 0, 1)))
@@ -286,7 +275,7 @@ class TestCroppedValidation:
         assert "vertex (1, 1)" in problems[0]
         assert "outer positions" in problems[0]
         with pytest.raises(ValueError, match="outer positions"):
-            CroppedTree(INTERVAL, shape, (labs(2), labs(0, 0, 0)))
+            xi_interval(t)
 
     def test_outer_positions_must_be_single_slot(self):
         shape = make_level_tree((1, 2, 3), ((0, 0), (0, 0, 1)))

@@ -16,6 +16,7 @@ from theta_disk.globular import (
     GlobMor,
     GlobSet,
     Vertex,
+    _InternTable,
     _restrict_data,
     compose_glob_mors,
     identity_glob_mor,
@@ -36,6 +37,7 @@ from theta_disk.ograph import (
     enumerate_ographs,
     gamma,
     gamma_prime,
+    upsilon,
 )
 from theta_disk.omega import (
     EMPTY_PRESENTATION,
@@ -45,6 +47,7 @@ from theta_disk.omega import (
     TerminalCell,
     OmegaPresentation,
     _Evaluator,
+    all_enriched_generators,
     comparison_L,
     compose_cells,
     compose_enriched,
@@ -194,6 +197,39 @@ class TestCellInterning:
         for _ in range(2):
             with pytest.raises(ValueError, match="nominal dimension"):
                 total_cell(ARROW, 0)
+
+
+class TestEnrichedCellInterning:
+    def test_equal_cells_are_one_object(self):
+        assert EnrichedCell(0, 1, 1) is EnrichedCell(0, 1, 1, ())
+        assert EnrichedCell(dim=0, h=1, k=1) is EnrichedCell(0, 1, 1)
+        first = free_on_ograph_cells(WHISKER_OGRAPH, 2)
+        again = free_on_ograph_cells(WHISKER_OGRAPH, 2)
+        assert all(c is d for c, d in zip(first, again))
+
+    def test_serialization_returns_the_interned_cell(self):
+        for c in free_on_ograph_cells(WHISKER_OGRAPH, 2):
+            assert EnrichedCell.from_dict(c.to_dict()) is c
+
+    def test_pickle_and_copy_return_the_interned_cell(self):
+        for c in free_on_ograph_cells(WHISKER_OGRAPH, 2):
+            assert pickle.loads(pickle.dumps(c)) is c
+            assert copy.deepcopy(c) is c
+            assert copy.copy(c) is c
+
+    def test_invalid_cell_raises_every_time(self):
+        for _ in range(2):
+            with pytest.raises(ValueError, match="one part per edge"):
+                EnrichedCell(1, 0, 1)
+
+    def test_short_call_is_stored_under_its_own_key(self, monkeypatch):
+        c = EnrichedCell(0, 7, 7)
+
+        def unbound(*args):
+            raise AssertionError("a repeated short call maps its fields")
+
+        monkeypatch.setattr(_InternTable, "_positions", unbound)
+        assert EnrichedCell(0, 7, 7) is c
 
 
 class TestEnumerateCells:
@@ -578,6 +614,21 @@ class TestFunctorEnumeration:
         assert len(rows) == count
         text = "\n".join(rows)
         assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+    def test_assignments_follow_generator_order(self):
+        # Equal actions have equal assignment tuples only if every action
+        # lists the generators in one order.
+        trees = enumerate_objects(ORDINAL, 2, 5)
+        seen = 0
+        for h in trees:
+            gens = all_enriched_generators(upsilon(h))
+            for k in trees:
+                actions = [psi_mor(f) for f in enumerate_morphisms(h, k)]
+                actions += enumerate_omega_functors(psi_obj(h), psi_obj(k))
+                for action in actions:
+                    assert [g for g, _ in action.assignments] == gens
+                    seen += 1
+        assert seen == 2 * 462
 
     def test_matches_adjunction_count(self):
         graphs = enumerate_ographs(5, 2)

@@ -111,6 +111,18 @@ CHECK_SHA256 = {
     ("xi", "label=5"): (
         "db3b66fb28bfbe91f27180c50bbbccac1cd687af977e7ab31e5502483549982e"
     ),
+    ("gamma", "vertices=9,dim=2"): (
+        "f869335a4483ab43bb2f398ff31683d4e7d2b3a7744bc7430931862d52da16e4"
+    ),
+    ("L", "vertices=9,dim=2"): (
+        "7ac390c6d265bc7ba32e7b4a7a810488de1a33405b7846d94e9274b4cfbc0ee2"
+    ),
+    ("omega-laws", "vertices=9,dim=2"): (
+        "c2b5afef9e9def4db8404a26c31b2cb6b1a5f35e3be15ce60728eefa20006fb8"
+    ),
+    ("psi", "degree=5"): (
+        "566448e94f01463cfaeb8462da9d86868c93c416282996e5040594b52af61fb4"
+    ),
 }
 
 TI = trivial_obj(INTERVAL)
@@ -443,7 +455,7 @@ class TestRunAll:
         assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_ALL_SHA256[bounds]
 
     @pytest.mark.parametrize("check, bounds", sorted(CHECK_SHA256))
-    def test_trees_wide_check_stdout_is_pinned(
+    def test_check_stdout_is_pinned(
         self, capsys, monkeypatch, check, bounds
     ):
         monkeypatch.delenv("THETA_DISK_BOUNDS", raising=False)
