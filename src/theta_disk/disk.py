@@ -34,6 +34,7 @@ from theta_disk.forest import (
     Vertex,
     compose_tree_maps,
     coproduct,
+    fibers,
     glue_level_maps,
     identity_tree_map,
     restrict,
@@ -172,10 +173,10 @@ class DiskMor:
             raise ValueError("tree map does not run between the given disks")
         span = max(self.dom.tree.depth, self.cod.tree.depth)
         for n in range(span):
-            cur = f.at_level(n + 1)
-            for x in range(self.dom.tree.level_size(n)):
-                fib = self.dom.fiber(n, x)
-                target = self.cod.fiber(n, f.at_level(n)[x])
+            here, cur = f.at_level(n), f.at_level(n + 1)
+            targets = fibers(self.cod.tree, n)
+            for x, fib in enumerate(fibers(self.dom.tree, n)):
+                target = targets[here[x]]
                 values = [cur[j] for j in fib]
                 if any(
                     values[a] > values[a + 1] for a in range(len(values) - 1)

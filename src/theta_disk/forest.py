@@ -83,7 +83,7 @@ class LevelTree(Interned):
         The list is new on every call; the fibers come from a shared table.
         """
         if level + 1 <= self.depth:
-            return list(_fibers(self)[level][index])
+            return list(fibers(self, level)[index])
         return [index]
 
     def vertices(self):
@@ -118,15 +118,16 @@ class LevelTree(Interned):
 
 
 @lru_cache(maxsize=None)
-def _fibers(a: LevelTree) -> tuple[tuple[tuple[int, ...], ...], ...]:
-    """``[n][i]``: the children of vertex ``(n, i)`` over the stored steps."""
-    table = []
-    for n, pmap in enumerate(a.parents):
-        fibers: list[list[int]] = [[] for _ in range(a.levels[n])]
-        for j, p in enumerate(pmap):
-            fibers[p].append(j)
-        table.append(tuple(map(tuple, fibers)))
-    return tuple(table)
+def fibers(a: LevelTree, level: int) -> tuple[tuple[int, ...], ...]:
+    """``[i]``: the children of vertex ``(level, i)`` at level ``level + 1``,
+    computed once per tree and level and shared; past the stored depth
+    each vertex has its continuation as its one child."""
+    if level >= a.depth:
+        return tuple((i,) for i in range(a.level_size(level)))
+    table: list[list[int]] = [[] for _ in range(a.levels[level])]
+    for j, p in enumerate(a.parents[level]):
+        table[p].append(j)
+    return tuple(map(tuple, table))
 
 
 def make_level_tree(
@@ -298,9 +299,31 @@ def glue_level_maps(
     the order of the root's children, as trees whose fibers are stored in
     parent order do.
     """
-    dom_rows = [subtree_rows(dom, (1, j)) for j in range(len(subs))]
-    cod_rows = [subtree_rows(cod, (1, j)) for j in range(cod.level_size(1))]
     level_maps: list[tuple[int, ...]] = [(0,)]
+    for n, (sizes, there) in enumerate(_glue_rows(dom, cod, len(subs))):
+        row: list[int] = []
+        for j, sub in enumerate(subs):
+            rows = there[child_of(j)]
+            local = sub[min(n, len(sub) - 1)]
+            row.extend(rows[local[t]] for t in range(sizes[j]))
+        level_maps.append(tuple(row))
+    return tuple(level_maps)
+
+
+@lru_cache(maxsize=None)
+def _glue_rows(
+    dom: LevelTree, cod: LevelTree, children: int
+) -> tuple[tuple[tuple[int, ...], tuple[tuple[int, ...], ...]], ...]:
+    """Per level ``1..`` of a glued map: the number of vertices of each of
+    the first ``children`` subtrees over the root's children of ``dom``,
+    and the vertices of each subtree over a root child of ``cod``.
+
+    Raises ``ValueError`` (not cached) when a level of ``dom`` is not
+    stored subtree by subtree in child order.
+    """
+    dom_rows = [subtree_rows(dom, (1, j)) for j in range(children)]
+    cod_rows = [subtree_rows(cod, (1, j)) for j in range(cod.level_size(1))]
+    table = []
     for lvl in range(1, max(dom.depth, cod.depth) + 1):
         here = [rows[min(lvl, dom.depth) - 1] for rows in dom_rows]
         if [v for part in here for v in part] != list(
@@ -310,10 +333,6 @@ def glue_level_maps(
                 f"level {lvl} of the domain is not stored subtree by "
                 "subtree in child order"
             )
-        row: list[int] = []
-        for j, sub in enumerate(subs):
-            there = cod_rows[child_of(j)][min(lvl, cod.depth) - 1]
-            local = sub[min(lvl - 1, len(sub) - 1)]
-            row.extend(there[local[t]] for t in range(len(here[j])))
-        level_maps.append(tuple(row))
-    return tuple(level_maps)
+        there = tuple(rows[min(lvl, cod.depth) - 1] for rows in cod_rows)
+        table.append((tuple(len(part) for part in here), there))
+    return tuple(table)

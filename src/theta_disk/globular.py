@@ -19,7 +19,7 @@ from __future__ import annotations
 import inspect
 from dataclasses import dataclass, fields
 from functools import cmp_to_key, lru_cache
-from itertools import accumulate, product
+from itertools import accumulate
 from typing import Iterable, Sequence
 
 from theta_disk.ordinal import json_int
@@ -370,35 +370,77 @@ def compose_glob_mors(g: GlobMor, f: GlobMor) -> GlobMor:
 
 
 def enumerate_glob_morphisms(x: GlobCard, y: GlobCard) -> list[GlobMor]:
-    """All globular morphisms ``x -> y``, deterministically ordered."""
+    """All globular morphisms ``x -> y``, deterministically ordered.
+
+    A depth-first search assigns the cells of ``x`` in (dimension, index)
+    order, each to the cells of ``y`` with the wanted source and target in
+    ascending order, so the list is ordered lexicographically by level
+    maps.  A prefix is dropped as soon as a cell one dimension up with
+    both ends assigned has no candidate image.
+    """
     dlevels = x.gset.levels
     if not dlevels:
         return [GlobMor(x, y, ())]
     if len(dlevels) > len(y.gset.levels):
         return []
-    partials: list[tuple[tuple[int, ...], ...]] = [
-        (combo,)
-        for combo in product(range(y.gset.levels[0]), repeat=dlevels[0])
-    ]
-    for k in range(1, len(dlevels)):
-        extended = []
-        for partial in partials:
-            options = []
-            for i in range(dlevels[k]):
-                s = partial[k - 1][x.gset.src[k - 1][i]]
-                t = partial[k - 1][x.gset.tgt[k - 1][i]]
-                candidates = [
-                    j
-                    for j in range(y.gset.levels[k])
-                    if y.gset.src[k - 1][j] == s and y.gset.tgt[k - 1][j] == t
-                ]
-                options.append(candidates)
-            if any(not o for o in options):
-                continue
-            for combo in product(*options):
-                extended.append(partial + (combo,))
-        partials = extended
-    return [GlobMor(x, y, maps) for maps in partials]
+    by_ends = _cells_by_ends(y)
+    plan = _search_plan(x)
+    objects = range(y.gset.levels[0])
+    maps = [[0] * size for size in dlevels]
+    found: list[tuple[tuple[int, ...], ...]] = []
+
+    def extend(p: int) -> None:
+        if p == len(plan):
+            found.append(tuple(map(tuple, maps)))
+            return
+        k, i, ends, closed = plan[p]
+        if k == 0:
+            candidates: Iterable[int] = objects
+        else:
+            below = maps[k - 1]
+            image = (below[ends[0]], below[ends[1]])
+            candidates = by_ends[k - 1].get(image, ())
+        row = maps[k]
+        for v in candidates:
+            row[i] = v
+            if all((row[s], row[t]) in by_ends[k] for s, t in closed):
+                extend(p + 1)
+
+    extend(0)
+    return [GlobMor(x, y, level_maps) for level_maps in found]
+
+
+@lru_cache(maxsize=None)
+def _cells_by_ends(
+    y: GlobCard,
+) -> tuple[dict[tuple[int, int], tuple[int, ...]], ...]:
+    """``[k - 1][(s, t)]``: the dimension-``k`` cells of ``y`` from cell
+    ``s`` to cell ``t`` of dimension ``k - 1``, ascending."""
+    tables = []
+    for src, tgt in zip(y.gset.src, y.gset.tgt):
+        cells: dict[tuple[int, int], list[int]] = {}
+        for j, ends in enumerate(zip(src, tgt)):
+            cells.setdefault(ends, []).append(j)
+        tables.append({ends: tuple(js) for ends, js in cells.items()})
+    return tuple(tables)
+
+
+@lru_cache(maxsize=None)
+def _search_plan(x: GlobCard) -> tuple[tuple, ...]:
+    """The cells of ``x`` in (dimension, index) order, each with its ends
+    one dimension down and the ends of the cells one dimension up whose
+    later end it is."""
+    gset = x.gset
+    plan = []
+    for k, size in enumerate(gset.levels):
+        closes: list[list[tuple[int, int]]] = [[] for _ in range(size)]
+        if k < gset.dim:
+            for s, t in zip(gset.src[k], gset.tgt[k]):
+                closes[max(s, t)].append((s, t))
+        for i in range(size):
+            ends = (gset.src[k - 1][i], gset.tgt[k - 1][i]) if k else ()
+            plan.append((k, i, ends, tuple(closes[i])))
+    return tuple(plan)
 
 
 def sub_globcard(
@@ -419,12 +461,16 @@ def sub_globcard(
     return sub, incl
 
 
+@lru_cache(maxsize=None)
 def _restrict_data(
     x: GlobCard, a: Vertex, b: Vertex
-) -> tuple[GlobCard, list[list[int]]]:
+) -> tuple[GlobCard, tuple[tuple[int, ...], ...]]:
     """The cells strictly between two same-dimension cells, one dimension
     up and beyond, pruned to the largest globular subfunctor and re-based
-    to start at dimension 0.  Also returns the kept original indices."""
+    to start at dimension 0.  Also returns the kept original indices.
+
+    Computed once per cardinal and pair of cells and shared, hence tuples.
+    """
     if a[0] != b[0]:
         raise ValueError("restriction endpoints live in one dimension")
     n = a[0]
@@ -433,7 +479,7 @@ def _restrict_data(
     if pa >= pb:
         raise ValueError("restriction endpoints are not in order")
     between = set(order[pa + 1 : pb])
-    kept: list[list[int]] = []
+    kept: list[tuple[int, ...]] = []
     for m in range(len(x.gset.levels) - n - 1):
         k = n + 1 + m
         layer = [i for i in range(x.gset.levels[k]) if (k, i) in between]
@@ -447,8 +493,8 @@ def _restrict_data(
             ]
         if not layer:
             break
-        kept.append(layer)
-    return GlobCard(_induced(x.gset, kept, n + 1)), kept
+        kept.append(tuple(layer))
+    return GlobCard(_induced(x.gset, kept, n + 1)), tuple(kept)
 
 
 def restrict_gc(x: GlobCard, a: Vertex, b: Vertex) -> GlobCard:

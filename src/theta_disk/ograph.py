@@ -190,8 +190,9 @@ def enumerate_ographs(max_size: int, max_dim: int) -> list[OGraph]:
     return [EMPTY_OGRAPH, *_nonempty_ographs(max_size, max_dim)]
 
 
+@lru_cache(maxsize=None)
 def gamma(x: GlobCard) -> OGraph:
-    """Read a globular cardinal as an ordinal graph."""
+    """Read a globular cardinal as an ordinal graph, once per cardinal."""
     if not x.gset.levels:
         return EMPTY_OGRAPH
     n = x.gset.levels[0]
@@ -219,8 +220,9 @@ def gamma_mor(f: GlobMor) -> OGraphMor:
     )
 
 
+@lru_cache(maxsize=None)
 def gamma_prime(g: OGraph) -> GlobCard:
-    """Build the globular cardinal of an ordinal graph."""
+    """Build the globular cardinal of an ordinal graph, once per graph."""
     if g.is_empty:
         return EMPTY_CARDINAL
     return suspend_gc([gamma_prime(e) for e in g.edges])

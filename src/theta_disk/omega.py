@@ -180,10 +180,11 @@ def m_target(c: Cell, m: int) -> Cell:
 def compose_cells(beta: Cell, alpha: Cell, m: int) -> Cell:
     """The composite ``beta after alpha`` along their m-boundary.
 
-    The shapes are glued along the m-target of ``alpha``'s shape (equal,
-    as a cell, to the m-source of ``beta``'s shape), re-canonicalized, and
-    the maps are combined; the inclusions of both shapes into the glued
-    shape are checked to recover the original maps.
+    The glued shape and the inclusions of both shapes into it depend only
+    on the two shapes and ``m``, so ``_glue`` computes them once per shape
+    triple.  On every call the two maps are combined through the
+    inclusions, and the combination is checked to restrict back to both
+    original maps.
     """
     if alpha.base != beta.base:
         raise ValueError("cells over different bases do not compose")
@@ -194,7 +195,35 @@ def compose_cells(beta: Cell, alpha: Cell, m: int) -> Cell:
         raise ValueError("composition dimension out of range")
     if m_target(alpha, m) != m_source(beta, m):
         raise ValueError("cells are not composable at this dimension")
-    y, z = alpha.shape, beta.shape
+    glued_shape, incl_y, incl_z = _glue(alpha.shape, beta.shape, m)
+    combined = [[0] * size for size in glued_shape.gset.levels]
+    for incl, cell in ((incl_y, alpha), (incl_z, beta)):
+        for k, row in enumerate(incl.level_maps):
+            for i, target in enumerate(row):
+                combined[k][target] = cell.map.level_maps[k][i]
+    if _pull_back(combined, incl_y) != alpha.map.level_maps:
+        raise AssertionError("glued map does not restrict to the first cell")
+    if _pull_back(combined, incl_z) != beta.map.level_maps:
+        raise AssertionError("glued map does not restrict to the second cell")
+    glued_map = GlobMor(glued_shape, alpha.base, tuple(map(tuple, combined)))
+    return Cell(alpha.base, glued_shape, glued_map, n)
+
+
+def _pull_back(level_maps: list[list[int]], incl: GlobMor) -> tuple:
+    """The level maps of ``level_maps`` after ``incl``."""
+    return tuple(
+        tuple(level_maps[k][v] for v in row)
+        for k, row in enumerate(incl.level_maps)
+    )
+
+
+@lru_cache(maxsize=None)
+def _glue(
+    y: GlobCard, z: GlobCard, m: int
+) -> tuple[GlobCard, GlobMor, GlobMor]:
+    """The shape glued from ``y`` and ``z`` along the m-target of ``y``
+    (equal to the m-source of ``z``), re-canonicalized, with the
+    inclusions of ``y`` and of ``z`` into it."""
     keep_y = (
         _boundary_keep(y, m, least=False)
         if m < y.dim
@@ -234,7 +263,6 @@ def compose_cells(beta: Cell, alpha: Cell, m: int) -> Cell:
     if canon is None:
         raise ValueError("glued shape is not a cardinal")
     glued_shape, rank = canon
-    combined = [[0] * size for size in levels]
     incl_y, incl_z = [
         GlobMor(
             shape,
@@ -245,16 +273,7 @@ def compose_cells(beta: Cell, alpha: Cell, m: int) -> Cell:
         )
         for shape, raws in ((y, y_raw), (z, z_raw))
     ]
-    for incl, cell in ((incl_y, alpha), (incl_z, beta)):
-        for k, row in enumerate(incl.level_maps):
-            for i, target in enumerate(row):
-                combined[k][target] = cell.map.level_maps[k][i]
-    glued_map = GlobMor(glued_shape, alpha.base, tuple(map(tuple, combined)))
-    if compose_glob_mors(glued_map, incl_y) != alpha.map:
-        raise AssertionError("glued map does not restrict to the first cell")
-    if compose_glob_mors(glued_map, incl_z) != beta.map:
-        raise AssertionError("glued map does not restrict to the second cell")
-    return Cell(alpha.base, glued_shape, glued_map, n)
+    return glued_shape, incl_y, incl_z
 
 
 # ---------------------------------------------------------------------------
@@ -407,9 +426,12 @@ def demote_enriched(c: EnrichedCell) -> EnrichedCell | None:
 # The comparison between the two models
 
 
+@lru_cache(maxsize=None)
 def comparison_L(c: Cell) -> EnrichedCell:
     """Translate a cell over a cardinal into an enriched cell over its
-    ordinal graph, by restricting between consecutive object cells."""
+    ordinal graph, by restricting between consecutive object cells.
+
+    Cells are interned, so each distinct cell is translated once."""
     f = c.map
     if c.nominal_dim == 0:
         v = f.level_maps[0][0]

@@ -32,6 +32,7 @@ from theta_disk.globular import (
     suspend_gc,
     suspend_gc_mor,
 )
+from theta_disk.ograph import enumerate_ographs, gamma_prime
 from tests.test_omega import comp_subfunctor
 
 
@@ -93,6 +94,42 @@ def brute_force_glob_morphisms(x: GlobCard, y: GlobCard) -> list[GlobMor]:
         except ValueError:
             continue
     return out
+
+
+def product_glob_level_maps(
+    x: GlobCard, y: GlobCard
+) -> list[tuple[tuple[int, ...], ...]]:
+    """Oracle: the level maps of every morphism ``x -> y``, in the order
+    of building every object map with ``product`` and then, for each
+    higher cell, scanning every codomain cell for its source and target."""
+    dlevels = x.gset.levels
+    if not dlevels:
+        return [()]
+    if len(dlevels) > len(y.gset.levels):
+        return []
+    partials: list[tuple[tuple[int, ...], ...]] = [
+        (combo,)
+        for combo in product(range(y.gset.levels[0]), repeat=dlevels[0])
+    ]
+    for k in range(1, len(dlevels)):
+        extended = []
+        for partial in partials:
+            options = []
+            for i in range(dlevels[k]):
+                s = partial[k - 1][x.gset.src[k - 1][i]]
+                t = partial[k - 1][x.gset.tgt[k - 1][i]]
+                candidates = [
+                    j
+                    for j in range(y.gset.levels[k])
+                    if y.gset.src[k - 1][j] == s and y.gset.tgt[k - 1][j] == t
+                ]
+                options.append(candidates)
+            if any(not o for o in options):
+                continue
+            for combo in product(*options):
+                extended.append(partial + (combo,))
+        partials = extended
+    return partials
 
 
 class TestGlobSet:
@@ -269,6 +306,20 @@ class TestGlobMor:
                 assert {m.level_maps for m in fast} == {
                     m.level_maps for m in slow
                 }
+
+    @pytest.mark.parametrize(
+        "vertices, dim", [(9, 9), (7, 3)], ids=["vertices9", "vertices7-dim3"]
+    )
+    def test_search_lists_the_product_order(self, vertices, dim):
+        cards = [gamma_prime(g) for g in enumerate_ographs(vertices, dim)]
+        assert any(x.dim > y.dim for x in cards for y in cards)
+        for x in cards:
+            for y in cards:
+                found = enumerate_glob_morphisms(x, y)
+                assert all(f.dom is x and f.cod is y for f in found)
+                assert [f.level_maps for f in found] == product_glob_level_maps(
+                    x, y
+                )
 
     def test_all_morphisms_are_order_embeddings(self):
         # Every cell map is strictly increasing, and the object map also

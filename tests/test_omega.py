@@ -11,6 +11,7 @@ from typing import Iterable
 
 import pytest
 
+from theta_disk import omega
 from theta_disk.globular import (
     GlobCard,
     GlobMor,
@@ -321,6 +322,36 @@ class TestCompose:
         with pytest.raises(ValueError):
             compose_cells(left, left, 0)
 
+    def test_not_composable_raises_on_every_call(self):
+        cells = enumerate_cells(CHAIN2, 1)
+        left = next(
+            c for c in cells if c.shape == ARROW and c.map.level_maps[0] == (0, 1)
+        )
+        for _ in range(2):
+            with pytest.raises(ValueError, match="not composable"):
+                compose_cells(left, left, 0)
+
+    def test_swapped_inclusions_fail_the_restriction_check(self, monkeypatch):
+        cells = enumerate_cells(CHAIN2, 1)
+        left, right = (
+            next(
+                c
+                for c in cells
+                if c.shape == ARROW and c.map.level_maps[0] == objects
+            )
+            for objects in ((0, 1), (1, 2))
+        )
+        glue = omega._glue
+
+        def swapped(y, z, m):
+            """``_glue`` with the two inclusions exchanged."""
+            shape, incl_y, incl_z = glue(y, z, m)
+            return shape, incl_z, incl_y
+
+        monkeypatch.setattr(omega, "_glue", swapped)
+        with pytest.raises(AssertionError, match="first cell"):
+            compose_cells(right, left, 0)
+
     def test_unit_laws(self):
         for base in (CHAIN2, WHISKER):
             for n in range(1, 3):
@@ -397,6 +428,17 @@ class TestCompose:
         assert len(rows) == count
         text = json.dumps(rows, sort_keys=True)
         assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+class TestRestrictData:
+    def test_returns_shared_tuples(self):
+        for x in (CHAIN3, WHISKER, GRID22):
+            for i in range(1, x.gset.levels[0]):
+                card, kept = _restrict_data(x, (0, i - 1), (0, i))
+                assert type(kept) is tuple
+                assert all(type(row) is tuple for row in kept)
+                assert _restrict_data(x, (0, i - 1), (0, i))[1] is kept
+                assert card.gset.levels == tuple(len(row) for row in kept)
 
 
 class TestDecompose:

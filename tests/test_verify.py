@@ -120,6 +120,15 @@ CHECK_SHA256 = {
     ("omega-laws", "vertices=9,dim=2"): (
         "c2b5afef9e9def4db8404a26c31b2cb6b1a5f35e3be15ce60728eefa20006fb8"
     ),
+    ("gamma", "vertices=11,dim=2"): (
+        "0b1dc96d05571bd086d38237ff60aa116fc19ad5ba50d7be3a56bb70f763d05b"
+    ),
+    ("L", "vertices=11,dim=2"): (
+        "839a3adf8edab90977cfbbc86bc2323d5378ea091bf7624d57ccafa4f31bb6f5"
+    ),
+    ("omega-laws", "vertices=11,dim=2"): (
+        "11ec0bf0bba95934f9f3b79846a74c3f70cf25099160981f9d4be4f1ab24b8d1"
+    ),
     ("psi", "degree=5"): (
         "566448e94f01463cfaeb8462da9d86868c93c416282996e5040594b52af61fb4"
     ),
