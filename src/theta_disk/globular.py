@@ -540,8 +540,14 @@ def suspend_gc(components: Sequence[GlobCard]) -> GlobCard:
 
     The result has ``len(components) + 1`` cells in dimension 0 and the
     ``i``-th component's cells, shifted one dimension, strictly between
-    cells ``i`` and ``i + 1``.
+    cells ``i`` and ``i + 1``.  Cardinals are interned, so the suspension
+    is built once per tuple of components.
     """
+    return _suspend(tuple(components))
+
+
+@lru_cache(maxsize=None)
+def _suspend(components: tuple[GlobCard, ...]) -> GlobCard:
     if any(not c.gset.levels for c in components):
         raise ValueError("suspension components are non-empty")
     depth = max((len(c.gset.levels) for c in components), default=0)

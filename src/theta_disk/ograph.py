@@ -21,6 +21,7 @@ from theta_disk.globular import (
     EMPTY_CARDINAL,
     GlobCard,
     GlobMor,
+    Interned,
     restrict_gc,
     restrict_gc_mor,
     suspend_gc,
@@ -30,9 +31,14 @@ from theta_disk.itree import ORDINAL, ITreeObj, trivial_obj
 from theta_disk.ordinal import Ordinal, json_int
 
 
-@dataclass(frozen=True)
-class OGraph:
-    """An ordinal graph: a vertex count and one edge graph per gap."""
+@dataclass(frozen=True, eq=False)
+class OGraph(Interned):
+    """An ordinal graph: a vertex count and one edge graph per gap.
+
+    Graphs are interned, like the cardinals ``gamma_prime`` builds from
+    them: equal graphs are one object, validated once, and equality and
+    hashing are identity.
+    """
 
     vertices: int
     edges: tuple["OGraph", ...] = ()
@@ -240,8 +246,10 @@ def gamma_prime_mor(f: OGraphMor) -> GlobMor:
     )
 
 
+@lru_cache(maxsize=None)
 def upsilon(h: ITreeObj) -> OGraph:
-    """Read an ordinal-flavor inductive tree as an ordinal graph."""
+    """Read an ordinal-flavor inductive tree as an ordinal graph, once per
+    tree."""
     if h.flavor != ORDINAL:
         raise ValueError("ordinal graphs correspond to ordinal-flavor trees")
     if h.is_trivial:

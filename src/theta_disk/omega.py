@@ -20,8 +20,14 @@ dimension at a time, and is a bijection commuting with boundaries and
 compositions.  ``psi_obj``/``psi_mor`` present the free omega-category
 of an ordinal-flavor inductive tree and the action of a tree morphism
 on generating cells; ``enumerate_omega_functors`` enumerates all
-functors between presented free omega-categories by assigning
-generators compatibly.
+functors between presented free omega-categories by a depth-first
+search that assigns generators compatibly, and ``hom_graph_count``
+counts them without listing.
+
+Cells and enriched cells are interned, so the work on them is memoized
+per distinct value: boundaries, composites (``_composite``, one per
+composable triple, on top of ``_glue``, one per shape triple) and the
+comparison ``comparison_L``.
 """
 
 from __future__ import annotations
@@ -180,21 +186,30 @@ def m_target(c: Cell, m: int) -> Cell:
 def compose_cells(beta: Cell, alpha: Cell, m: int) -> Cell:
     """The composite ``beta after alpha`` along their m-boundary.
 
-    The glued shape and the inclusions of both shapes into it depend only
-    on the two shapes and ``m``, so ``_glue`` computes them once per shape
-    triple.  On every call the two maps are combined through the
-    inclusions, and the combination is checked to restrict back to both
-    original maps.
+    Every call checks that the two cells compose; the composite itself is
+    built by ``_composite``, once per composable triple.
     """
     if alpha.base != beta.base:
         raise ValueError("cells over different bases do not compose")
     if alpha.nominal_dim != beta.nominal_dim:
         raise ValueError("cells of different nominal dimensions do not compose")
-    n = alpha.nominal_dim
-    if not 0 <= m < n:
+    if not 0 <= m < alpha.nominal_dim:
         raise ValueError("composition dimension out of range")
     if m_target(alpha, m) != m_source(beta, m):
         raise ValueError("cells are not composable at this dimension")
+    return _composite(beta, alpha, m)
+
+
+@lru_cache(maxsize=None)
+def _composite(beta: Cell, alpha: Cell, m: int) -> Cell:
+    """The composite of two composable cells.
+
+    Cells are interned, so each triple is composed once.  The glued shape
+    and the inclusions of both shapes into it depend only on the two
+    shapes and ``m``, so ``_glue`` computes them once per shape triple.
+    The two maps are combined through the inclusions, and the combination
+    is checked to restrict back to both original maps.
+    """
     glued_shape, incl_y, incl_z = _glue(alpha.shape, beta.shape, m)
     combined = [[0] * size for size in glued_shape.gset.levels]
     for incl, cell in ((incl_y, alpha), (incl_z, beta)):
@@ -206,7 +221,7 @@ def compose_cells(beta: Cell, alpha: Cell, m: int) -> Cell:
     if _pull_back(combined, incl_z) != beta.map.level_maps:
         raise AssertionError("glued map does not restrict to the second cell")
     glued_map = GlobMor(glued_shape, alpha.base, tuple(map(tuple, combined)))
-    return Cell(alpha.base, glued_shape, glued_map, n)
+    return Cell(alpha.base, glued_shape, glued_map, alpha.nominal_dim)
 
 
 def _pull_back(level_maps: list[list[int]], incl: GlobMor) -> tuple:
@@ -636,42 +651,87 @@ def _find_split(y: EnrichedCell):
 def enumerate_omega_functors(
     a: OmegaPresentation, b: OmegaPresentation, depth: int | None = None
 ) -> list[GeneratorAction]:
-    """All omega-functors between presented free omega-categories."""
+    """All omega-functors between presented free omega-categories.
+
+    A depth-first search assigns the generators in
+    ``all_enriched_generators`` order, each from its candidates in ``b``
+    with the wanted boundary, so the functors come out in the order of
+    their assignment tuples.  Generators of dimensions above ``depth`` are
+    left out.  One evaluator's table and cache grow with the assigned
+    prefix and are cut back on backtracking.
+    """
     if a.tag == "empty":
         return [GeneratorAction(a, b, ())]
     g = _graph_of(a)
     if g is None:
         raise ValueError("functors are enumerated out of free presentations")
     max_dim = g.dim if depth is None else min(depth, g.dim)
-    object_candidates = presentation_cells(b, 0)
-    partials: list[dict[EnrichedCell, object]] = []
     objects = enriched_generators(g, 0)
-    for combo in product(object_candidates, repeat=len(objects)):
-        partials.append(dict(zip(objects, combo)))
-    for n in range(1, max_dim + 1):
-        gens = enriched_generators(g, n)
-        # Candidate images by their (n-1)-boundary, in enumeration order.
-        by_boundary: dict[tuple, list] = {}
-        for cand in presentation_cells(b, n):
-            key = (_cand_source(cand, n - 1), _cand_target(cand, n - 1))
-            by_boundary.setdefault(key, []).append(cand)
-        extended = []
-        for partial in partials:
-            action = GeneratorAction(a, b, tuple(partial.items()))
-            evaluate = _Evaluator(action)
-            options = []
-            for gen in gens:
-                want_s = evaluate(enriched_m_source(gen, n - 1))
-                want_t = evaluate(enriched_m_target(gen, n - 1))
-                options.append(by_boundary.get((want_s, want_t), []))
-            if any(not o for o in options):
-                continue
+    object_candidates = presentation_cells(b, 0)
+    dims = range(1, max_dim + 1)
+    gens_by_dim = {n: enriched_generators(g, n) for n in dims}
+    by_boundary = {n: _by_boundary(b, n) for n in dims}
+    evaluate = _Evaluator(GeneratorAction(a, b, ()))
+    assigned, cache = evaluate.table, evaluate.cache
+    out: list[GeneratorAction] = []
+
+    def extend(n: int) -> None:
+        """Assign the generators of dimension ``n`` and up, leaving the
+        assignments and the cache as they were found."""
+        if n > max_dim:
+            out.append(GeneratorAction(a, b, tuple(assigned.items())))
+            return
+        mark = len(cache)
+        gens = gens_by_dim[n]
+        options = [
+            by_boundary[n].get(
+                (
+                    evaluate(enriched_m_source(gen, n - 1)),
+                    evaluate(enriched_m_target(gen, n - 1)),
+                ),
+                (),
+            )
+            for gen in gens
+        ]
+        if all(options):
             for combo in product(*options):
-                new = dict(partial)
-                new.update(zip(gens, combo))
-                extended.append(new)
-        partials = extended
-    return [GeneratorAction(a, b, tuple(partial.items())) for partial in partials]
+                assigned.update(zip(gens, combo))
+                extend(n + 1)
+            for gen in gens:
+                del assigned[gen]
+        while len(cache) > mark:
+            cache.popitem()
+
+    def place(i: int) -> None:
+        """Assign objects ``i`` and up.  With 1-generators to assign, an
+        object image is kept only if the gap before it has a candidate
+        arrow: every edge graph is non-empty, so every gap has generators."""
+        if i == len(objects):
+            extend(1)
+            return
+        for cand in object_candidates:
+            if (
+                i
+                and max_dim >= 1
+                and not by_boundary[1].get((assigned[objects[i - 1]], cand))
+            ):
+                continue
+            assigned[objects[i]] = cand
+            place(i + 1)
+        assigned.pop(objects[i], None)
+
+    place(0)
+    return out
+
+
+def _by_boundary(b: OmegaPresentation, n: int) -> dict[tuple, list]:
+    """The n-cells of ``b`` by their (n-1)-source and target, each list in
+    enumeration order."""
+    table: dict[tuple, list] = {}
+    for cand in presentation_cells(b, n):
+        key = (_cand_source(cand, n - 1), _cand_target(cand, n - 1))
+        table.setdefault(key, []).append(cand)
+    return table
 
 
 def _cand_source(cand, m: int):
@@ -688,29 +748,32 @@ def _cand_target(cand, m: int):
 
 def hom_graph_count(g: OGraph, h: OGraph) -> int:
     """The number of ordinal-graph maps from ``g`` into the underlying
-    graph of the free omega-category on ``h``(the adjunction count)."""
+    graph of the free omega-category on ``h`` (the adjunction count).
+
+    Only monotone object maps send every edge somewhere, so the count runs
+    over positions of ``g``: ``ways[v]`` counts the maps of the vertices so
+    far that send the last one to ``v``.
+    """
     if g.is_empty:
         return 1
-    total = 0
-    for objmap in product(range(h.vertices), repeat=g.vertices):
-        term = 1
-        for i, e in enumerate(g.edges):
-            term *= _edge_count(e, h, objmap[i], objmap[i + 1])
-            if term == 0:
-                break
-        total += term
-    return total
+    ways = [1] * h.vertices
+    for e in g.edges:
+        ways = [
+            sum(ways[u] * _edge_count(e, h, u, v) for u in range(v + 1))
+            for v in range(h.vertices)
+        ]
+    return sum(ways)
 
 
+@lru_cache(maxsize=None)
 def _edge_count(e: OGraph, h: OGraph, u: int, v: int) -> int:
-    if u > v:
-        return 0
+    """The images of the edge graph ``e`` over the span ``u <= v`` of
+    ``h``: one per choice of an image in each edge of the span."""
     if u == v:
         return 1
-    total = 1
-    for j in range(u + 1, v + 1):
-        total *= hom_graph_count(e, h.edges[j - 1])
-    return total
+    if u + 1 == v:
+        return hom_graph_count(e, h.edges[u])
+    return _edge_count(e, h, u, v - 1) * _edge_count(e, h, v - 1, v)
 
 
 # ---------------------------------------------------------------------------

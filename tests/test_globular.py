@@ -403,7 +403,7 @@ class TestInterning:
                     classes.append(cls)
                     stack.append(cls)
         names = {cls.__name__ for cls in classes}
-        assert {"GlobSet", "LabeledTree", "Cell", "EnrichedCell"} <= names
+        assert {"GlobSet", "LabeledTree", "Cell", "EnrichedCell", "OGraph"} <= names
         for cls in classes:
             assert "__eq__" not in vars(cls), cls
             assert "__hash__" not in vars(cls), cls
@@ -454,6 +454,20 @@ class TestSuspension:
     def test_empty_component_rejected(self):
         with pytest.raises(ValueError, match="non-empty"):
             suspend_gc([EMPTY_CARDINAL])
+
+    def test_suspension_is_built_once_per_components(self, monkeypatch):
+        components = [globe2(), ARROW_CARDINAL]
+        first = suspend_gc(components)
+
+        def no_offsets(*args):
+            raise AssertionError("a repeated suspension is built again")
+
+        monkeypatch.setattr("theta_disk.globular._offsets", no_offsets)
+        assert suspend_gc(components) is first
+        assert suspend_gc(tuple(components)) is first
+        for _ in range(2):
+            with pytest.raises(ValueError, match="non-empty"):
+                suspend_gc([ARROW_CARDINAL, EMPTY_CARDINAL])
 
     def test_restriction_inverts_suspension(self):
         families = [

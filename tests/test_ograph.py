@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import copy
+import pickle
+
 import pytest
 
 from theta_disk.globular import (
@@ -65,6 +68,40 @@ class TestOGraph:
 
     def test_serialization(self):
         assert OGraph.from_dict(WHISKER_OGRAPH.to_dict()) == WHISKER_OGRAPH
+
+
+class TestOGraphInterning:
+    def test_equal_graphs_are_one_object(self):
+        assert OGraph(2, (OGraph(1),)) is ARROW_OGRAPH
+        assert OGraph(3, (ARROW_OGRAPH, POINT_OGRAPH)) is WHISKER_OGRAPH
+        assert OGraph(0) is OGraph(0, ()) is EMPTY_OGRAPH
+        assert gamma(gamma_prime(WHISKER_OGRAPH)) is WHISKER_OGRAPH
+        assert upsilon(upsilon_prime(GLOBE2_OGRAPH)) is GLOBE2_OGRAPH
+
+    def test_keywords_name_the_same_graph(self):
+        assert OGraph(vertices=2, edges=(POINT_OGRAPH,)) is ARROW_OGRAPH
+        assert OGraph(edges=(), vertices=1) is POINT_OGRAPH
+        assert OGraph(vertices=0) is EMPTY_OGRAPH
+
+    def test_serialization_returns_the_interned_graph(self):
+        for g in enumerate_ographs(7, 3):
+            assert OGraph.from_dict(g.to_dict()) is g
+
+    def test_pickle_and_copy_return_the_interned_graph(self):
+        for g in (EMPTY_OGRAPH, POINT_OGRAPH, GLOBE2_OGRAPH, WHISKER_OGRAPH):
+            for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+                assert pickle.loads(pickle.dumps(g, protocol)) is g
+            assert copy.deepcopy(g) is g
+            assert copy.copy(g) is g
+
+    def test_invalid_graph_raises_every_time(self):
+        for _ in range(2):
+            with pytest.raises(ValueError, match="edge graphs"):
+                OGraph(3, (POINT_OGRAPH,))
+            with pytest.raises(ValueError, match="non-empty"):
+                OGraph(2, (EMPTY_OGRAPH,))
+            with pytest.raises(ValueError, match="non-negative"):
+                OGraph(vertices=-1)
 
 
 class TestEnumeration:

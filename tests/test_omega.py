@@ -25,6 +25,7 @@ from theta_disk.globular import (
 )
 from theta_disk.itree import (
     ORDINAL,
+    count_morphisms,
     enumerate_morphisms,
     enumerate_objects,
     trivial_obj,
@@ -132,6 +133,48 @@ def zero_decompose(c: Cell) -> list[Cell]:
 def eval_functor(action, c: EnrichedCell):
     """Oracle: the functor presented by a generator action, on any cell."""
     return _Evaluator(action)(c)
+
+
+def product_omega_functors(a, b, depth=None):
+    """Oracle: the functors by the full ``product`` of generator images,
+    one dimension at a time, filtered by boundaries."""
+    if a.tag == "empty":
+        return [omega.GeneratorAction(a, b, ())]
+    g = omega._graph_of(a)
+    if g is None:
+        raise ValueError("functors are enumerated out of free presentations")
+    max_dim = g.dim if depth is None else min(depth, g.dim)
+    object_candidates = omega.presentation_cells(b, 0)
+    objects = omega.enriched_generators(g, 0)
+    partials = [
+        dict(zip(objects, combo))
+        for combo in product(object_candidates, repeat=len(objects))
+    ]
+    for n in range(1, max_dim + 1):
+        gens = omega.enriched_generators(g, n)
+        by_boundary: dict[tuple, list] = {}
+        for cand in omega.presentation_cells(b, n):
+            key = (omega._cand_source(cand, n - 1), omega._cand_target(cand, n - 1))
+            by_boundary.setdefault(key, []).append(cand)
+        extended = []
+        for partial in partials:
+            evaluate = _Evaluator(omega.GeneratorAction(a, b, tuple(partial.items())))
+            options = [
+                by_boundary.get(
+                    (
+                        evaluate(enriched_m_source(gen, n - 1)),
+                        evaluate(enriched_m_target(gen, n - 1)),
+                    ),
+                    [],
+                )
+                for gen in gens
+            ]
+            if any(not o for o in options):
+                continue
+            for combo in product(*options):
+                extended.append({**partial, **dict(zip(gens, combo))})
+        partials = extended
+    return [omega.GeneratorAction(a, b, tuple(p.items())) for p in partials]
 
 
 def fixes_generators(action) -> bool:
@@ -348,9 +391,29 @@ class TestCompose:
             shape, incl_y, incl_z = glue(y, z, m)
             return shape, incl_z, incl_y
 
+        # Drop composites built with the real ``_glue`` by earlier calls.
+        omega._composite.cache_clear()
         monkeypatch.setattr(omega, "_glue", swapped)
         with pytest.raises(AssertionError, match="first cell"):
             compose_cells(right, left, 0)
+
+    def test_repeated_composite_is_one_object(self, monkeypatch):
+        cells = enumerate_cells(CHAIN2, 1)
+        left, right = (
+            next(
+                c
+                for c in cells
+                if c.shape == ARROW and c.map.level_maps[0] == objects
+            )
+            for objects in ((0, 1), (1, 2))
+        )
+        first = compose_cells(right, left, 0)
+
+        def no_glue(y, z, m):
+            raise AssertionError("a repeated composite is glued again")
+
+        monkeypatch.setattr(omega, "_glue", no_glue)
+        assert compose_cells(right, left, 0) is first
 
     def test_unit_laws(self):
         for base in (CHAIN2, WHISKER):
@@ -683,6 +746,44 @@ class TestFunctorEnumeration:
                 assert len(got) == expected, (g, h)
 
 
+class TestSearchOrder:
+    """The depth-first search lists the functors of the product oracle, in
+    the same order."""
+
+    @staticmethod
+    def assert_same(a, b, depth=None):
+        got = enumerate_omega_functors(a, b, depth)
+        assert got == product_omega_functors(a, b, depth), (a, b, depth)
+
+    @pytest.mark.parametrize("height, root", [(2, 5), (3, 3)])
+    def test_psi_presentations(self, height, root):
+        presentations = [
+            psi_obj(h) for h in enumerate_objects(ORDINAL, height, root)
+        ]
+        for a in presentations:
+            for b in presentations:
+                self.assert_same(a, b)
+
+    def test_graph_presentations(self):
+        presentations = [free_on_graph(g) for g in enumerate_ographs(5, 2)]
+        for a in presentations:
+            for b in presentations:
+                self.assert_same(a, b)
+
+    def test_terminal_and_empty_codomains(self):
+        for g in enumerate_ographs(5, 2):
+            for cod in (TERMINAL_PRESENTATION, EMPTY_PRESENTATION):
+                self.assert_same(free_on_graph(g), cod)
+
+    def test_depth_zero(self):
+        graphs = enumerate_ographs(5, 2)
+        for g in graphs:
+            for cod in [free_on_graph(h) for h in graphs] + [
+                TERMINAL_PRESENTATION
+            ]:
+                self.assert_same(free_on_graph(g), cod, depth=0)
+
+
 class TestHomGraphCount:
     def test_frozen_values(self):
         assert hom_graph_count(EMPTY_OGRAPH, ARROW_OGRAPH) == 1
@@ -695,6 +796,15 @@ class TestHomGraphCount:
     def test_point_counts_objects(self):
         for h in enumerate_ographs(5, 2):
             assert hom_graph_count(POINT_OGRAPH, h) == h.vertices
+
+    def test_counts_tree_morphisms_through_upsilon(self):
+        # The count form of the hom-set bijection that psi is checked on.
+        trees = enumerate_objects(ORDINAL, 3, 3)
+        for a in trees:
+            for b in trees:
+                assert count_morphisms(a, b) == hom_graph_count(
+                    upsilon(a), upsilon(b)
+                ), (a, b)
 
 
 class TestEvaluation:

@@ -132,6 +132,12 @@ CHECK_SHA256 = {
     ("psi", "degree=5"): (
         "566448e94f01463cfaeb8462da9d86868c93c416282996e5040594b52af61fb4"
     ),
+    ("psi", "height=3,degree=6"): (
+        "57c53111f39c68f6d193d781c792fbec2fdbf7c67fa7a8618c908f63a29a98bf"
+    ),
+    ("psi", "height=3,degree=7"): (
+        "41ffe2ed8e85ee113564176a335bb248bf1bfaafb345d9749b4fe9c6cd3545ad"
+    ),
 }
 
 TI = trivial_obj(INTERVAL)
