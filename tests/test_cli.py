@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import shutil
@@ -33,6 +34,41 @@ from theta_disk.verify import CHECKS, Bounds, Report
 
 ARROW_OGRAPH = OGraph(2, (POINT_OGRAPH,))
 TINY = "height=1,label=1,vertices=2,dim=1"
+# SHA-256 of ``theta-disk enumerate --kind KIND --bounds BOUNDS`` stdout.
+ENUMERATE_SHA256 = {
+    ("ordinal", ""): "e8505877f6b74e77ceaaeb5b4b69e16520668044a6b9e75c246b9824752dd7aa",
+    ("disk", ""): "b87dfa8ff0b32d71273aa1425263554b271eda694b60157709b374c2f15e0819",
+    ("itree-interval", ""): (
+        "e68d23c760136d74e8d08aad9fcee98071586da754d524d8802f509463ca2559"
+    ),
+    ("itree-ordinal", ""): (
+        "564aa0142b8802452a6381ba313bac81474be85d9868eae7cf0e220c96770ed2"
+    ),
+    ("globcard", ""): "56273ea1d73541fa9ee3a96a325eb0a82d458ef5c7f00e4b80dd74ac5e0825e5",
+    ("ograph", ""): "0b84e103e7efde03e1141910b001d205a4a200a93c4239191da64e332d44c6af",
+    ("cropped-interval", ""): (
+        "73b83ee5b44f0857c1617cbebd4df73956b9f63796c5dea7ada6dca904819d39"
+    ),
+    ("cropped-ordinal", ""): (
+        "51d7651aa1c66d073ca532e0c4a0dd04d2c4f26c8fe22bc9c67419507b696a90"
+    ),
+    ("ordinal", TINY): "4c382ee7524b8c7fc8df642d1f5989dd81296303630dd63aa4af6af3dbd1d9a1",
+    ("disk", TINY): "551b9955dfad5fbf50a91e846dbf1f0fcd65d96222d2431df9473667ced19078",
+    ("itree-interval", TINY): (
+        "e5e66aeae1930c95302243ebc90cb11c6eea8795194625f3fb48037bc143ff3a"
+    ),
+    ("itree-ordinal", TINY): (
+        "bee285f75f47649e203c22aa51acacc7441478a69eec2d60fdf52349098f9007"
+    ),
+    ("globcard", TINY): "bb5610071cf51888543963ce8e43cdb359fa01b0a156c26f14f6066b6c671f05",
+    ("ograph", TINY): "151a8343a41c94a62bbfb86615434c5042827dfc247ecaee14d216bc1c29fd89",
+    ("cropped-interval", TINY): (
+        "fddc2cb14f5e770f2fadd861bc0d485c940751a6dbd03a89bbc23564794d0470"
+    ),
+    ("cropped-ordinal", TINY): (
+        "ff1a573aae8b37449c2b79ca96f7404ae82d7d05418f2a687cba6ce037a74de6"
+    ),
+}
 CONVERT_ARGS = ("convert", "--functor", "vee", '{"kind": "ordinal", "n": 3}')
 SCRIPT_TIMEOUT_S = 60
 
@@ -273,6 +309,17 @@ class TestEnumerate:
             )
             assert code == 0
             assert out.strip(), kind
+
+    @pytest.mark.parametrize("kind, bounds", sorted(ENUMERATE_SHA256))
+    def test_stdout_is_pinned(self, capsys, monkeypatch, kind, bounds):
+        monkeypatch.delenv("THETA_DISK_BOUNDS", raising=False)
+        code, out = run(capsys, "enumerate", "--kind", kind, "--bounds", bounds)
+        assert code == 0
+        digest = hashlib.sha256(out.encode()).hexdigest()
+        assert digest == ENUMERATE_SHA256[(kind, bounds)]
+
+    def test_pins_cover_every_kind(self):
+        assert {kind for kind, _ in ENUMERATE_SHA256} == set(cli.ENUMERATIONS)
 
     def test_out_writes_a_file(self, capsys, tmp_path):
         target = tmp_path / "ordinals.jsonl"
