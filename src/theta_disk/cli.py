@@ -12,7 +12,6 @@ from pathlib import Path
 
 from theta_disk.disk import (
     Disk,
-    enumerate_disks,
     phi_inverse_obj,
     phi_obj,
 )
@@ -20,10 +19,8 @@ from theta_disk.forest import LevelTree
 from theta_disk.globular import GlobCard, GlobMor
 from theta_disk.itree import (
     INTERVAL,
-    ORDINAL,
     ITreeObj,
     count_morphisms,
-    enumerate_objects,
     vee,
     wedge,
 )
@@ -32,7 +29,6 @@ from theta_disk.labeled import (
     LabeledTreeMor,
     con_dualize,
     con_dualize_mor,
-    enumerate_cropped_trees,
     xi_interval,
     xi_inverse,
     xi_ordinal,
@@ -40,7 +36,6 @@ from theta_disk.labeled import (
 from theta_disk.ograph import (
     OGraph,
     count_ograph_morphisms,
-    enumerate_ographs,
     gamma,
     gamma_prime,
     upsilon,
@@ -65,7 +60,14 @@ from theta_disk.ordinal import (
     wedge_map,
     wedge_obj,
 )
-from theta_disk.verify import CHECKS, Bounds, parse_bounds, render_reports, run_all
+from theta_disk.verify import (
+    CHECKS,
+    POOLS,
+    Bounds,
+    parse_bounds,
+    render_reports,
+    run_all,
+)
 
 _PARSERS = {
     "ordinal": Ordinal.from_dict,
@@ -182,27 +184,7 @@ def _xi(t: LabeledTree) -> ITreeObj:
 FUNCTORS = tuple(dict.fromkeys(name for name, _ in _functors()))
 
 
-def _families(bounds: Bounds) -> dict:
-    """For each enumerable family, a function listing it under ``bounds``."""
-    height, label = bounds.max_height, bounds.max_label
-    return {
-        "ordinal": lambda: [Ordinal(n) for n in range(-1, label + 1)],
-        "disk": lambda: enumerate_disks(bounds.max_degree, label),
-        "itree-interval": lambda: enumerate_objects(INTERVAL, height, label),
-        "itree-ordinal": lambda: enumerate_objects(ORDINAL, height, label),
-        "globcard": lambda: [
-            gamma_prime(g)
-            for g in enumerate_ographs(bounds.max_vertices, bounds.max_dim)
-        ],
-        "ograph": lambda: enumerate_ographs(bounds.max_vertices, bounds.max_dim),
-        "cropped-interval": lambda: enumerate_cropped_trees(
-            INTERVAL, height, label + 1
-        ),
-        "cropped-ordinal": lambda: enumerate_cropped_trees(ORDINAL, height, label),
-    }
-
-
-ENUMERATIONS = tuple(_families(Bounds()))
+ENUMERATIONS = tuple(POOLS)
 
 
 def _apply_functor(name: str, obj):
@@ -422,7 +404,7 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def _enumerate(args: argparse.Namespace, bounds: Bounds) -> tuple[str, int]:
-    objects = _families(bounds)[args.kind]()
+    objects = POOLS[args.kind](bounds)
     return "".join(_dump(o.to_dict()) for o in objects), 0
 
 

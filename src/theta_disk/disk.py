@@ -114,17 +114,11 @@ def trivial_disk() -> Disk:
     return Disk(LevelTree((1,), ()))
 
 
-def validate_disk(d: Disk, strict: bool = False) -> list[str]:
-    """Diagnostics for the disk conditions; empty means valid.
-
-    With ``strict=True`` the degree-0 disks are also rejected (the
-    relaxation admitting a singleton root fiber is turned off).
-    """
+def validate_disk(d: Disk) -> list[str]:
+    """Diagnostics for the disk conditions; empty means valid."""
     problems: list[str] = []
     tree = d.tree
     deg = d.degree
-    if strict and deg == 0:
-        problems.append("level 0: strict disks exclude the degree-0 shapes")
     if deg >= 1 and tree.levels[1] < 2:
         problems.append(
             "level 0: the root fiber of a positive-degree disk has at "

@@ -146,14 +146,6 @@ EMPTY_FOREST = LevelTree((0,), ())
 POINT_TREE = LevelTree((1,), ())
 
 
-def degree(a: LevelTree) -> int:
-    """The least level from which all parent maps are bijections.
-
-    Because storage is truncated exactly there, this is the stored depth.
-    """
-    return a.depth
-
-
 @lru_cache(maxsize=None)
 def subtree_rows(a: LevelTree, x: Vertex) -> tuple[tuple[int, ...], ...]:
     """Per-level original indices of the subtree over ``x`` (stored part).

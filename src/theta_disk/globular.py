@@ -214,9 +214,6 @@ class GlobCard(Interned):
         assert order is not None
         return order
 
-    def position(self, v: Vertex) -> int:
-        return self.linear_order().index(v)
-
     def size(self) -> int:
         return sum(self.gset.levels)
 
@@ -282,19 +279,6 @@ def linearize(gset: GlobSet) -> GlobCard | None:
     """Canonically renumber a globular set into a cardinal, if it is one."""
     canon = canonical_form(gset)
     return None if canon is None else canon[0]
-
-
-def consecutive(x: GlobCard, u: Vertex, v: Vertex) -> bool:
-    """Whether ``v`` directly follows ``u`` among cells of their dimension."""
-    if u[0] != v[0] or u == v:
-        return False
-    order = x.linear_order()
-    pu, pv = order.index(u), order.index(v)
-    if pu >= pv:
-        return False
-    return not any(
-        w[0] == u[0] for w in order[pu + 1 : pv]
-    )
 
 
 @dataclass(frozen=True, eq=False)

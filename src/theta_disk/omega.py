@@ -546,12 +546,15 @@ def enriched_generators(g: OGraph, n: int) -> list[EnrichedCell]:
     ]
 
 
-def all_enriched_generators(g: OGraph) -> list[EnrichedCell]:
-    return [
+@lru_cache(maxsize=None)
+def all_enriched_generators(g: OGraph) -> tuple[EnrichedCell, ...]:
+    """The generators of every dimension, lowest first; one shared tuple
+    per interned graph."""
+    return tuple(
         gen
         for n in range(g.dim + 1)
         for gen in enriched_generators(g, n)
-    ]
+    )
 
 
 @dataclass(frozen=True)
@@ -649,23 +652,22 @@ def _find_split(y: EnrichedCell):
 
 
 def enumerate_omega_functors(
-    a: OmegaPresentation, b: OmegaPresentation, depth: int | None = None
+    a: OmegaPresentation, b: OmegaPresentation
 ) -> list[GeneratorAction]:
     """All omega-functors between presented free omega-categories.
 
     A depth-first search assigns the generators in
     ``all_enriched_generators`` order, each from its candidates in ``b``
     with the wanted boundary, so the functors come out in the order of
-    their assignment tuples.  Generators of dimensions above ``depth`` are
-    left out.  One evaluator's table and cache grow with the assigned
-    prefix and are cut back on backtracking.
+    their assignment tuples.  One evaluator's table and cache grow with
+    the assigned prefix and are cut back on backtracking.
     """
     if a.tag == "empty":
         return [GeneratorAction(a, b, ())]
     g = _graph_of(a)
     if g is None:
         raise ValueError("functors are enumerated out of free presentations")
-    max_dim = g.dim if depth is None else min(depth, g.dim)
+    max_dim = g.dim
     objects = enriched_generators(g, 0)
     object_candidates = presentation_cells(b, 0)
     dims = range(1, max_dim + 1)
@@ -703,18 +705,14 @@ def enumerate_omega_functors(
             cache.popitem()
 
     def place(i: int) -> None:
-        """Assign objects ``i`` and up.  With 1-generators to assign, an
-        object image is kept only if the gap before it has a candidate
-        arrow: every edge graph is non-empty, so every gap has generators."""
+        """Assign objects ``i`` and up.  An object image after the first
+        is kept only if the gap before it has a candidate arrow: every
+        edge graph is non-empty, so every gap has 1-generators."""
         if i == len(objects):
             extend(1)
             return
         for cand in object_candidates:
-            if (
-                i
-                and max_dim >= 1
-                and not by_boundary[1].get((assigned[objects[i - 1]], cand))
-            ):
+            if i and not by_boundary[1].get((assigned[objects[i - 1]], cand)):
                 continue
             assigned[objects[i]] = cand
             place(i + 1)

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 from theta_disk.disk import (
@@ -83,8 +83,10 @@ MORPHISM_PAIR_CAP = 2000
 class Bounds:
     """Size caps for the exhaustive checks.
 
-    The checks read the keys as follows (the CLI ``--bounds`` names drop
-    the ``max_`` prefix):
+    ``POOLS`` is the one place where a key becomes a named pool; the
+    checks and ``theta-disk enumerate`` both read their pools from it.
+    The keys read as follows (the CLI ``--bounds`` names drop the
+    ``max_`` prefix):
 
     - ``max_height``: the height of inductive and labeled trees.  Hom-sets
       in ``psi`` and ``xi`` use ``max_height - 1``.
@@ -123,6 +125,24 @@ class Bounds:
 
 
 _BOUNDS_KEYS = {name.removeprefix("max_"): name for name in Bounds.__dataclass_fields__}
+
+# Each named pool as a function of the bounds.  The enumerators are looked
+# up when a pool is built, so a function rebound on this module (a test
+# double, a tracing wrapper) is the one that runs.
+POOLS = {
+    "ordinal": lambda b: [Ordinal(n) for n in range(-1, b.max_label + 1)],
+    "disk": lambda b: enumerate_disks(b.max_degree, b.max_label),
+    "itree-interval": lambda b: enumerate_objects(INTERVAL, b.max_height, b.max_label),
+    "itree-ordinal": lambda b: enumerate_objects(ORDINAL, b.max_height, b.max_label),
+    "globcard": lambda b: [gamma_prime(g) for g in POOLS["ograph"](b)],
+    "ograph": lambda b: enumerate_ographs(b.max_vertices, b.max_dim),
+    "cropped-interval": lambda b: enumerate_cropped_trees(
+        INTERVAL, b.max_height, b.max_label + 1
+    ),
+    "cropped-ordinal": lambda b: enumerate_cropped_trees(
+        ORDINAL, b.max_height, b.max_label
+    ),
+}
 
 
 @lru_cache
@@ -201,8 +221,8 @@ def _round_trips(
     item_law=None,
     image_law=None,
 ):
-    """Count each ``x`` of ``items`` under ``key`` and fail ``law`` unless
-    ``back(there(x)) == x``; a failure names ``x`` as ``witness``.
+    """Count each ``x`` of ``items`` under ``key``, if any, and fail ``law``
+    unless ``back(there(x)) == x``; a failure names ``x`` as ``witness``.
 
     ``item_law`` and ``image_law`` are ``(law, validate)`` pairs: an ``x``,
     or an image ``there(x)``, in which ``validate`` finds problems fails
@@ -211,7 +231,8 @@ def _round_trips(
     """
     images = []
     for x in items:
-        counts[key] += 1
+        if key is not None:
+            counts[key] += 1
         if item_law and item_law[1](x):
             yield _fail(item_law[0], **{witness: x})
         y = there(x)
@@ -241,12 +262,19 @@ def _hom_bijection(counts, pair_key, objs, homs, image_homs, obj_map, mor_map, l
                 yield _fail(onto, dom=a, cod=b)
 
 
-def _hom_inverse(mors, there, back):
-    """Fail ``morphism-round-trip`` at the first ``m`` of ``mors`` with
-    ``back(there(m)) != m``."""
-    for m in mors:
-        if back(there(m)) != m:
-            yield _fail("morphism-round-trip", morphism=m)
+def _hom_round_trips(counts, key, pool, homs, there, back, witness, law, capped=False):
+    """Run ``_round_trips`` over ``homs(a, b)`` for every pair ``a, b`` of
+    ``pool``.  With ``capped``, an inductive-tree hom-set of more than
+    ``MORPHISM_PAIR_CAP`` morphisms is counted under ``capped_pairs`` and
+    fails ``hom-set-cap`` unlisted: it is not checked, so the check cannot
+    pass."""
+    for a in pool:
+        for b in pool:
+            if capped and count_morphisms(a, b) > MORPHISM_PAIR_CAP:
+                counts["capped_pairs"] += 1
+                yield _fail("hom-set-cap", dom=a, cod=b)
+                continue
+            yield from _round_trips(counts, key, homs(a, b), there, back, witness, law)
 
 
 def check_ordinal_duality(bounds: Bounds, *, vee_map_fn=vee_map) -> Report:
@@ -262,32 +290,38 @@ def check_ordinal_duality(bounds: Bounds, *, vee_map_fn=vee_map) -> Report:
     cap = bounds.max_label
 
     def failures():
-        for m in range(cap + 1):
-            counts["objects"] += 1
-            if wedge_obj(vee_obj(Ordinal(m))) != Ordinal(m):
-                yield _fail("object-round-trip", ordinal=Ordinal(m))
-        for p in range(-1, cap):
-            counts["objects"] += 1
-            if vee_obj(wedge_obj(Ordinal(p))) != Ordinal(p):
-                yield _fail("object-round-trip", ordinal=Ordinal(p))
-        for m in range(cap + 1):
-            for n in range(cap + 1):
-                for f in enumerate_interval_maps(Ordinal(m), Ordinal(n)):
-                    counts["interval_maps"] += 1
-                    if wedge_map(vee_map_fn(f)) != f:
-                        yield _fail("interval-map-round-trip", map=f)
-        for p in range(-1, cap):
-            for q in range(-1, cap):
-                for g in enumerate_ord_maps(Ordinal(p), Ordinal(q)):
-                    counts["ordinal_maps"] += 1
-                    if vee_map_fn(wedge_map(g)) != g:
-                        yield _fail("ordinal-map-round-trip", map=g)
-        tri = max(cap - 1, 0)
-        for m in range(tri + 1):
-            for n in range(tri + 1):
-                for k in range(tri + 1):
-                    for f in enumerate_interval_maps(Ordinal(m), Ordinal(n)):
-                        for g in enumerate_interval_maps(Ordinal(n), Ordinal(k)):
+        ordinals = POOLS["ordinal"](bounds)
+        intervals, duals = ordinals[1:], ordinals[:-1]
+        yield from _round_trips(
+            counts, "objects", intervals, vee_obj, wedge_obj, "ordinal"
+        )
+        yield from _round_trips(counts, "objects", duals, wedge_obj, vee_obj, "ordinal")
+        yield from _hom_round_trips(
+            counts,
+            "interval_maps",
+            intervals,
+            enumerate_interval_maps,
+            vee_map_fn,
+            wedge_map,
+            "map",
+            "interval-map-round-trip",
+        )
+        yield from _hom_round_trips(
+            counts,
+            "ordinal_maps",
+            duals,
+            enumerate_ord_maps,
+            wedge_map,
+            vee_map_fn,
+            "map",
+            "ordinal-map-round-trip",
+        )
+        small = intervals[: max(cap, 1)]
+        for a in small:
+            for b in small:
+                for c in small:
+                    for f in enumerate_interval_maps(a, b):
+                        for g in enumerate_interval_maps(b, c):
                             counts["composable_pairs"] += 1
                             composed = vee_map_fn(compose_ord(g, f))
                             swapped = compose_ord(vee_map_fn(f), vee_map_fn(g))
@@ -316,8 +350,8 @@ def check_itree_duality(bounds: Bounds, *, vee_fn=vee) -> Report:
     }
 
     def failures():
-        intervals = enumerate_objects(INTERVAL, bounds.max_height, bounds.max_label)
-        ordinals = enumerate_objects(ORDINAL, bounds.max_height, bounds.max_label)
+        intervals = POOLS["itree-interval"](bounds)
+        ordinals = POOLS["itree-ordinal"](bounds)
         yield from _round_trips(
             counts, "interval_objects", intervals, vee_fn, wedge, "tree"
         )
@@ -328,17 +362,17 @@ def check_itree_duality(bounds: Bounds, *, vee_fn=vee) -> Report:
             (intervals, "interval_morphisms", vee_fn, wedge),
             (ordinals, "ordinal_morphisms", wedge, vee_fn),
         ):
-            for a in pool:
-                for b in pool:
-                    if count_morphisms(a, b) > MORPHISM_PAIR_CAP:
-                        # A hom-set beyond the cap is neither listed nor
-                        # checked, so the check cannot pass.
-                        counts["capped_pairs"] += 1
-                        yield _fail("hom-set-cap", dom=a, cod=b)
-                        continue
-                    mors = enumerate_morphisms(a, b)
-                    counts[key] += len(mors)
-                    yield from _hom_inverse(mors, there, back)
+            yield from _hom_round_trips(
+                counts,
+                key,
+                pool,
+                enumerate_morphisms,
+                there,
+                back,
+                "morphism",
+                "morphism-round-trip",
+                capped=True,
+            )
 
     return _report("itree-duality", bounds, counts, failures())
 
@@ -349,7 +383,7 @@ def check_phi(bounds: Bounds, *, phi_obj_fn=phi_obj) -> Report:
     counts = {"disks": 0, "tree_objects": 0, "hom_pairs": 0, "morphisms": 0}
 
     def failures():
-        disks = enumerate_disks(bounds.max_degree, bounds.max_label)
+        disks = POOLS["disk"](bounds)
         yield from _round_trips(
             counts,
             "disks",
@@ -362,7 +396,7 @@ def check_phi(bounds: Bounds, *, phi_obj_fn=phi_obj) -> Report:
         yield from _round_trips(
             counts,
             "tree_objects",
-            enumerate_objects(INTERVAL, bounds.max_height, bounds.max_label),
+            POOLS["itree-interval"](bounds),
             phi_inverse_obj,
             phi_obj_fn,
             "tree",
@@ -409,11 +443,22 @@ def check_gamma(bounds: Bounds, *, gamma_fn=gamma) -> Report:
                 counts["hom_pairs"] += 1
                 graph_homs = enumerate_ograph_morphisms(g, h)
                 glob_homs = enumerate_glob_morphisms(gamma_prime(g), gamma_prime(h))
-                counts["morphisms"] += len(graph_homs)
                 if len(graph_homs) != len(glob_homs):
                     yield _fail("hom-count", dom=g, cod=h)
-                yield from _hom_inverse(graph_homs, gamma_prime_mor, gamma_mor)
-                yield from _hom_inverse(glob_homs, gamma_mor, gamma_prime_mor)
+                # ``morphisms`` counts the graph side; the cardinal side is uncounted.
+                for key, homs, there, back in (
+                    ("morphisms", graph_homs, gamma_prime_mor, gamma_mor),
+                    (None, glob_homs, gamma_mor, gamma_prime_mor),
+                ):
+                    yield from _round_trips(
+                        counts,
+                        key,
+                        homs,
+                        there,
+                        back,
+                        "morphism",
+                        "morphism-round-trip",
+                    )
 
     return _report("gamma", bounds, counts, failures())
 
@@ -427,7 +472,7 @@ def check_upsilon(bounds: Bounds, *, upsilon_fn=upsilon) -> Report:
         yield from _round_trips(
             counts,
             "tree_objects",
-            enumerate_objects(ORDINAL, bounds.max_height, bounds.max_label),
+            POOLS["itree-ordinal"](bounds),
             upsilon_fn,
             upsilon_prime,
             "tree",
@@ -436,7 +481,7 @@ def check_upsilon(bounds: Bounds, *, upsilon_fn=upsilon) -> Report:
         yield from _round_trips(
             counts,
             "graphs",
-            enumerate_ographs(bounds.max_vertices, bounds.max_dim),
+            POOLS["ograph"](bounds),
             upsilon_prime,
             upsilon_fn,
             "graph",
@@ -447,14 +492,28 @@ def check_upsilon(bounds: Bounds, *, upsilon_fn=upsilon) -> Report:
     return _report("upsilon", bounds, counts, failures())
 
 
-def _by_source(cells, m: int) -> dict:
-    """``cells`` grouped by their m-source, each group in ``cells`` order:
-    the cells that compose after a cell ``alpha`` along dimension ``m``
-    are the group of ``m_target(alpha, m)``."""
-    groups: dict = {}
+def _graph_cells(bounds: Bounds, low: int):
+    """``(graph, n, cells)`` for each graph of the ``ograph`` pool and each
+    dimension ``n`` from ``low`` to ``max_dim``: the n-cells of the free
+    category on the graph's cardinal."""
+    for g in POOLS["ograph"](bounds):
+        x = gamma_prime(g)
+        for n in range(low, bounds.max_dim + 1):
+            yield g, n, enumerate_cells(x, n)
+
+
+def _composable_pairs(cells, m: int):
+    """The pairs ``(alpha, beta)`` of ``cells`` with ``beta`` composable
+    after ``alpha`` along dimension ``m``, each in ``cells`` order, and the
+    function that lists the cells composable after a given cell."""
+    by_source: dict = {}
     for c in cells:
-        groups.setdefault(m_source(c, m), []).append(c)
-    return groups
+        by_source.setdefault(m_source(c, m), []).append(c)
+
+    def after(c):
+        return by_source.get(m_target(c, m), ())
+
+    return [(alpha, beta) for alpha in cells for beta in after(alpha)], after
 
 
 def check_L(bounds: Bounds, *, comparison_fn=comparison_L) -> Report:
@@ -469,48 +528,40 @@ def check_L(bounds: Bounds, *, comparison_fn=comparison_L) -> Report:
     }
 
     def failures():
-        for g in enumerate_ographs(bounds.max_vertices, bounds.max_dim):
-            x = gamma_prime(g)
-            for n in range(bounds.max_dim + 1):
-                cells = enumerate_cells(x, n)
-                enriched = free_on_ograph_cells(g, n)
-                images = [comparison_fn(c) for c in cells]
-                counts["cells"] += len(cells)
-                proper = sum(1 for c in cells if c.is_proper)
-                counts["proper_cells"] += proper
-                if len(set(images)) != len(images):
-                    yield _fail("injective", graph=g, dimension=n)
-                if set(images) != set(enriched):
-                    yield _fail("bijective", graph=g, dimension=n)
-                enriched_proper = sum(
-                    1 for e in enriched if demote_enriched(e) is None
-                )
-                if proper != enriched_proper:
-                    yield _fail("proper-count", graph=g, dimension=n)
-                if n == 0:
-                    continue
-                for c, image in zip(cells, images):
-                    for m in range(n):
-                        counts["boundary_checks"] += 1
-                        src_ok = comparison_fn(m_source(c, m)) == enriched_m_source(
-                            image, m
-                        )
-                        tgt_ok = comparison_fn(m_target(c, m)) == enriched_m_target(
-                            image, m
-                        )
-                        if not (src_ok and tgt_ok):
-                            yield _fail("boundaries", cell=c, level=m)
+        for g, n, cells in _graph_cells(bounds, 0):
+            enriched = free_on_ograph_cells(g, n)
+            images = [comparison_fn(c) for c in cells]
+            counts["cells"] += len(cells)
+            proper = sum(1 for c in cells if c.is_proper)
+            counts["proper_cells"] += proper
+            if len(set(images)) != len(images):
+                yield _fail("injective", graph=g, dimension=n)
+            if set(images) != set(enriched):
+                yield _fail("bijective", graph=g, dimension=n)
+            enriched_proper = sum(1 for e in enriched if demote_enriched(e) is None)
+            if proper != enriched_proper:
+                yield _fail("proper-count", graph=g, dimension=n)
+            for c, image in zip(cells, images):
                 for m in range(n):
-                    by_source = _by_source(cells, m)
-                    for alpha in cells:
-                        for beta in by_source.get(m_target(alpha, m), ()):
-                            counts["composition_checks"] += 1
-                            left = comparison_fn(compose_cells(beta, alpha, m))
-                            right = compose_enriched(
-                                comparison_fn(beta), comparison_fn(alpha), m
-                            )
-                            if left != right:
-                                yield _fail("composition", first=alpha, second=beta)
+                    counts["boundary_checks"] += 1
+                    src_ok = comparison_fn(m_source(c, m)) == enriched_m_source(
+                        image, m
+                    )
+                    tgt_ok = comparison_fn(m_target(c, m)) == enriched_m_target(
+                        image, m
+                    )
+                    if not (src_ok and tgt_ok):
+                        yield _fail("boundaries", cell=c, level=m)
+            for m in range(n):
+                pairs, _ = _composable_pairs(cells, m)
+                for alpha, beta in pairs:
+                    counts["composition_checks"] += 1
+                    left = comparison_fn(compose_cells(beta, alpha, m))
+                    right = compose_enriched(
+                        comparison_fn(beta), comparison_fn(alpha), m
+                    )
+                    if left != right:
+                        yield _fail("composition", first=alpha, second=beta)
 
     return _report("L", bounds, counts, failures())
 
@@ -526,69 +577,59 @@ def check_omega_laws(bounds: Bounds, *, compose_fn=compose_cells) -> Report:
     }
 
     def failures():
-        for g in enumerate_ographs(bounds.max_vertices, bounds.max_dim):
-            x = gamma_prime(g)
-            for n in range(1, bounds.max_dim + 1):
-                cells = enumerate_cells(x, n)
-                for c in cells:
-                    for m1 in range(n):
-                        for m2 in range(m1):
-                            counts["globularity_checks"] += 1
-                            ok = (
-                                m_source(m_source(c, m1), m2) == m_source(c, m2)
-                                and m_source(m_target(c, m1), m2) == m_source(c, m2)
-                                and m_target(m_source(c, m1), m2) == m_target(c, m2)
-                                and m_target(m_target(c, m1), m2) == m_target(c, m2)
-                            )
-                            if not ok:
-                                yield _fail("globularity", cell=c, level=m1)
-                    for m in range(n):
-                        counts["unit_checks"] += 1
-                        left_unit = promote_cell(m_target(c, m), n)
-                        right_unit = promote_cell(m_source(c, m), n)
-                        if compose_fn(left_unit, c, m) != c:
-                            yield _fail("left-unit", cell=c, level=m)
-                        if compose_fn(c, right_unit, m) != c:
-                            yield _fail("right-unit", cell=c, level=m)
+        for _, n, cells in _graph_cells(bounds, 1):
+            for c in cells:
+                for m1 in range(n):
+                    for m2 in range(m1):
+                        counts["globularity_checks"] += 1
+                        ok = (
+                            m_source(m_source(c, m1), m2) == m_source(c, m2)
+                            and m_source(m_target(c, m1), m2) == m_source(c, m2)
+                            and m_target(m_source(c, m1), m2) == m_target(c, m2)
+                            and m_target(m_target(c, m1), m2) == m_target(c, m2)
+                        )
+                        if not ok:
+                            yield _fail("globularity", cell=c, level=m1)
                 for m in range(n):
-                    by_source = _by_source(cells, m)
-                    pairs = [
-                        (alpha, beta)
-                        for alpha in cells
-                        for beta in by_source.get(m_target(alpha, m), ())
-                    ]
-                    for alpha, beta in pairs:
-                        composite = compose_fn(beta, alpha, m)
-                        counts["composite_boundary_checks"] += 1
-                        pair = {"first": alpha, "second": beta}
-                        if m_source(composite, m) != m_source(alpha, m):
-                            yield _fail("source-of-composite", **pair)
-                        if m_target(composite, m) != m_target(beta, m):
-                            yield _fail("target-of-composite", **pair)
-                        for level in range(m):
-                            if m_source(composite, level) != m_source(alpha, level):
-                                yield _fail("low-source-of-composite", **pair)
-                            if m_target(composite, level) != m_target(alpha, level):
-                                yield _fail("low-target-of-composite", **pair)
-                        for level in range(m + 1, n):
-                            src = compose_fn(
-                                m_source(beta, level), m_source(alpha, level), m
-                            )
-                            tgt = compose_fn(
-                                m_target(beta, level), m_target(alpha, level), m
-                            )
-                            if m_source(composite, level) != src:
-                                yield _fail("high-source-of-composite", **pair)
-                            if m_target(composite, level) != tgt:
-                                yield _fail("high-target-of-composite", **pair)
-                        for gamma_cell in by_source.get(m_target(beta, m), ()):
-                            counts["associativity_checks"] += 1
-                            left = compose_fn(gamma_cell, composite, m)
-                            right = compose_fn(
-                                compose_fn(gamma_cell, beta, m), alpha, m
-                            )
-                            if left != right:
-                                yield _fail("associativity", **pair, third=gamma_cell)
+                    counts["unit_checks"] += 1
+                    left_unit = promote_cell(m_target(c, m), n)
+                    right_unit = promote_cell(m_source(c, m), n)
+                    if compose_fn(left_unit, c, m) != c:
+                        yield _fail("left-unit", cell=c, level=m)
+                    if compose_fn(c, right_unit, m) != c:
+                        yield _fail("right-unit", cell=c, level=m)
+            for m in range(n):
+                pairs, after = _composable_pairs(cells, m)
+                for alpha, beta in pairs:
+                    composite = compose_fn(beta, alpha, m)
+                    counts["composite_boundary_checks"] += 1
+                    pair = {"first": alpha, "second": beta}
+                    if m_source(composite, m) != m_source(alpha, m):
+                        yield _fail("source-of-composite", **pair)
+                    if m_target(composite, m) != m_target(beta, m):
+                        yield _fail("target-of-composite", **pair)
+                    for level in range(m):
+                        if m_source(composite, level) != m_source(alpha, level):
+                            yield _fail("low-source-of-composite", **pair)
+                        if m_target(composite, level) != m_target(alpha, level):
+                            yield _fail("low-target-of-composite", **pair)
+                    for level in range(m + 1, n):
+                        src = compose_fn(
+                            m_source(beta, level), m_source(alpha, level), m
+                        )
+                        tgt = compose_fn(
+                            m_target(beta, level), m_target(alpha, level), m
+                        )
+                        if m_source(composite, level) != src:
+                            yield _fail("high-source-of-composite", **pair)
+                        if m_target(composite, level) != tgt:
+                            yield _fail("high-target-of-composite", **pair)
+                    for gamma_cell in after(beta):
+                        counts["associativity_checks"] += 1
+                        left = compose_fn(gamma_cell, composite, m)
+                        right = compose_fn(compose_fn(gamma_cell, beta, m), alpha, m)
+                        if left != right:
+                            yield _fail("associativity", **pair, third=gamma_cell)
 
     return _report("omega-laws", bounds, counts, failures())
 
@@ -633,7 +674,7 @@ def check_xi(bounds: Bounds, *, xi_interval_fn=xi_interval) -> Report:
             (INTERVAL, bounds.max_label + 1, "interval_objects"),
             (ORDINAL, bounds.max_label, "ordinal_objects"),
         ):
-            pools[flavor] = enumerate_cropped_trees(flavor, bounds.max_height, cap)
+            pools[flavor] = POOLS[f"cropped-{flavor}"](bounds)
             images = yield from _round_trips(
                 counts,
                 key,
@@ -643,7 +684,7 @@ def check_xi(bounds: Bounds, *, xi_interval_fn=xi_interval) -> Report:
                 "tree",
                 item_law=("enumeration-cropped", validate_cropped),
             )
-            expected = enumerate_objects(flavor, bounds.max_height, cap)
+            expected = POOLS[f"itree-{flavor}"](replace(bounds, max_label=cap))
             if len(set(images)) != len(images) or set(images) != set(expected):
                 yield _fail("object-surjectivity", flavor=flavor)
         hom_height = max(bounds.max_height - 1, 0)

@@ -112,16 +112,12 @@ class TestDiskValidity:
     def test_trivial_is_valid(self):
         assert validate_disk(trivial_disk()) == []
 
-    def test_strict_rejects_trivial(self):
-        assert validate_disk(trivial_disk(), strict=True) != []
-
     def test_example_tree_is_a_valid_disk(self):
         assert validate_disk(example_disk()) == []
 
     def test_small_disks_valid(self):
         assert validate_disk(two_disk()) == []
         assert validate_disk(tall_disk()) == []
-        assert validate_disk(tall_disk(), strict=True) == []
 
     def test_interior_singleton_fiber_rejected(self):
         flat = Disk(LevelTree((1, 3), ((0, 0, 0),)))

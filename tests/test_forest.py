@@ -16,7 +16,6 @@ from theta_disk.forest import (
     Vertex,
     compose_tree_maps,
     coproduct,
-    degree,
     glue_level_maps,
     identity_tree_map,
     make_level_tree,
@@ -80,10 +79,10 @@ class TestLevelTree:
         assert make_level_tree((1, 1), ((0,),)) == POINT_TREE
 
     def test_degree(self):
-        assert degree(POINT_TREE) == 0
-        assert degree(EMPTY_FOREST) == 0
-        assert degree(LevelTree((1, 2), ((0, 0),))) == 1
-        assert degree(example_tree()) == 4
+        assert POINT_TREE.depth == 0
+        assert EMPTY_FOREST.depth == 0
+        assert LevelTree((1, 2), ((0, 0),)).depth == 1
+        assert example_tree().depth == 4
 
     def test_children_and_continuation(self):
         t = LevelTree((1, 2), ((0, 0),))
@@ -181,7 +180,7 @@ class TestRestrict:
     def test_restrict_example_subtree(self):
         sub = restrict(example_tree(), (1, 1))
         assert sub.levels == (1, 4, 7, 8)
-        assert degree(sub) == 3
+        assert sub.depth == 3
 
     def test_restrict_at_leaf_gives_chain(self):
         t = example_tree()

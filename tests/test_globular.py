@@ -22,7 +22,6 @@ from theta_disk.globular import (
     Interned,
     canonical_form,
     compose_glob_mors,
-    consecutive,
     enumerate_glob_morphisms,
     identity_glob_mor,
     linearize,
@@ -240,26 +239,7 @@ class TestLinearOrder:
             assert canonical_form(scrambled) == (card, rank)
 
     def test_positions(self):
-        assert globe2().position((2, 0)) == 2
         assert globe2().size() == 5
-
-
-class TestConsecutive:
-    def test_adjacent_object_cells(self):
-        assert consecutive(chain2(), (0, 0), (0, 1))
-        assert consecutive(chain2(), (0, 1), (0, 2))
-        assert not consecutive(chain2(), (0, 0), (0, 2))
-        assert not consecutive(chain2(), (0, 1), (0, 0))
-
-    def test_adjacent_arrows(self):
-        w = whisker()
-        assert consecutive(w, (1, 0), (1, 1))
-        assert consecutive(w, (1, 1), (1, 2))
-        assert not consecutive(w, (1, 0), (1, 2))
-
-    def test_mixed_dimensions_false(self):
-        assert not consecutive(whisker(), (0, 0), (1, 0))
-        assert not consecutive(whisker(), (1, 0), (1, 0))
 
 
 class TestGlobMor:

@@ -135,7 +135,7 @@ def eval_functor(action, c: EnrichedCell):
     return _Evaluator(action)(c)
 
 
-def product_omega_functors(a, b, depth=None):
+def product_omega_functors(a, b):
     """Oracle: the functors by the full ``product`` of generator images,
     one dimension at a time, filtered by boundaries."""
     if a.tag == "empty":
@@ -143,14 +143,13 @@ def product_omega_functors(a, b, depth=None):
     g = omega._graph_of(a)
     if g is None:
         raise ValueError("functors are enumerated out of free presentations")
-    max_dim = g.dim if depth is None else min(depth, g.dim)
     object_candidates = omega.presentation_cells(b, 0)
     objects = omega.enriched_generators(g, 0)
     partials = [
         dict(zip(objects, combo))
         for combo in product(object_candidates, repeat=len(objects))
     ]
-    for n in range(1, max_dim + 1):
+    for n in range(1, g.dim + 1):
         gens = omega.enriched_generators(g, n)
         by_boundary: dict[tuple, list] = {}
         for cand in omega.presentation_cells(b, n):
@@ -675,10 +674,6 @@ class TestFunctorEnumeration:
                 TERMINAL_PRESENTATION, TERMINAL_PRESENTATION
             )
 
-    def test_depth_zero_constrains_only_objects(self):
-        arrow = free_on_graph(ARROW_OGRAPH)
-        assert len(enumerate_omega_functors(arrow, arrow, depth=0)) == 4
-
     def test_cardinal_and_graph_presentations_agree(self):
         a = OmegaPresentation("free_globcard", cardinal=ARROW)
         functors = enumerate_omega_functors(a, a)
@@ -731,7 +726,7 @@ class TestFunctorEnumeration:
                 actions = [psi_mor(f) for f in enumerate_morphisms(h, k)]
                 actions += enumerate_omega_functors(psi_obj(h), psi_obj(k))
                 for action in actions:
-                    assert [g for g, _ in action.assignments] == gens
+                    assert tuple(g for g, _ in action.assignments) == gens
                     seen += 1
         assert seen == 2 * 462
 
@@ -751,9 +746,9 @@ class TestSearchOrder:
     the same order."""
 
     @staticmethod
-    def assert_same(a, b, depth=None):
-        got = enumerate_omega_functors(a, b, depth)
-        assert got == product_omega_functors(a, b, depth), (a, b, depth)
+    def assert_same(a, b):
+        got = enumerate_omega_functors(a, b)
+        assert got == product_omega_functors(a, b), (a, b)
 
     @pytest.mark.parametrize("height, root", [(2, 5), (3, 3)])
     def test_psi_presentations(self, height, root):
@@ -774,14 +769,6 @@ class TestSearchOrder:
         for g in enumerate_ographs(5, 2):
             for cod in (TERMINAL_PRESENTATION, EMPTY_PRESENTATION):
                 self.assert_same(free_on_graph(g), cod)
-
-    def test_depth_zero(self):
-        graphs = enumerate_ographs(5, 2)
-        for g in graphs:
-            for cod in [free_on_graph(h) for h in graphs] + [
-                TERMINAL_PRESENTATION
-            ]:
-                self.assert_same(free_on_graph(g), cod, depth=0)
 
 
 class TestHomGraphCount:
@@ -893,6 +880,14 @@ class TestPsi:
                                 (gen, eval_functor(second, img))
                                 for gen, img in first.assignments
                             )
+
+    def test_generators_are_one_shared_tuple_per_graph(self):
+        trivial, o0, o1 = self.small_trees()
+        gens = all_enriched_generators(upsilon(o1))
+        assert type(gens) is tuple
+        assert all_enriched_generators(upsilon(o1)) is gens
+        for f in enumerate_morphisms(o1, o1):
+            assert tuple(g for g, _ in psi_mor(f).assignments) == gens
 
     def test_apply_matches_evaluation(self):
         trivial, o0, o1 = self.small_trees()

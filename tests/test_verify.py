@@ -8,7 +8,7 @@ import json
 
 import pytest
 
-from theta_disk import verify
+from theta_disk import cli, verify
 from theta_disk.cli import main
 from theta_disk.globular import POINT_CARDINAL
 from theta_disk.itree import (
@@ -452,6 +452,31 @@ class TestXiCheck:
         report = check_xi(Bounds(), xi_interval_fn=corrupt)
         assert not report.passed
         assert report.counterexample["law"] == "object-round-trip"
+
+
+class TestPools:
+    def test_enumerate_lists_the_named_pools(self):
+        assert cli.ENUMERATIONS == tuple(verify.POOLS)
+
+    def test_enumerators_are_looked_up_at_call_time(self, capsys, monkeypatch):
+        # A pool table holding the enumerator functions themselves would
+        # miss a rebinding such as this one (or a tracing wrapper's).
+        calls = []
+        for name in ("enumerate_disks", "enumerate_ographs"):
+
+            def counting(*args, real=getattr(verify, name), name=name):
+                calls.append(name)
+                return real(*args)
+
+            monkeypatch.setattr(verify, name, counting)
+        assert check_phi(Bounds()).passed
+        assert calls == ["enumerate_disks"]
+        assert check_L(Bounds()).passed
+        assert calls == ["enumerate_disks", "enumerate_ographs"]
+        monkeypatch.delenv("THETA_DISK_BOUNDS", raising=False)
+        assert main(["enumerate", "--kind", "ograph"]) == 0
+        assert capsys.readouterr().out
+        assert calls == ["enumerate_disks", "enumerate_ographs", "enumerate_ographs"]
 
 
 class TestRunAll:
