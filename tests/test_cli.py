@@ -18,7 +18,7 @@ from theta_disk.cli import _PARSERS, FUNCTORS, main
 from theta_disk.disk import trivial_disk
 from theta_disk.forest import POINT_TREE
 from theta_disk.globular import ARROW_CARDINAL, enumerate_glob_morphisms
-from theta_disk.itree import INTERVAL, ORDINAL, trivial_obj
+from theta_disk.itree import INTERVAL, ORDINAL, enumerate_objects, trivial_obj
 from theta_disk.labeled import (
     LabeledTree,
     enumerate_cropped_trees,
@@ -69,6 +69,9 @@ ENUMERATE_SHA256 = {
         "ff1a573aae8b37449c2b79ca96f7404ae82d7d05418f2a687cba6ce037a74de6"
     ),
 }
+# SHA-256 of ``theta-disk convert --functor psi`` stdout, concatenated over
+# ``enumerate_objects(ORDINAL, 3, 3)`` in order.
+PSI_SHA256 = "68f8f44a72368075dcfd1cf48d5fa6e0c2f0b98451517ba6e3bd1148ee044e0e"
 CONVERT_ARGS = ("convert", "--functor", "vee", '{"kind": "ordinal", "n": 3}')
 SCRIPT_TIMEOUT_S = 60
 
@@ -418,6 +421,18 @@ class TestConvert:
         tree = json.dumps(trivial_obj(ORDINAL).to_dict())
         data = run_json(capsys, "convert", "--functor", "psi", tree)
         assert data["kind"] == "omega-presentation"
+
+    def test_psi_stdout_is_pinned(self, capsys):
+        trees = enumerate_objects(ORDINAL, 3, 3)
+        assert len(trees) == 14
+        out = ""
+        for h in trees:
+            code, text = run(
+                capsys, "convert", "--functor", "psi", json.dumps(h.to_dict())
+            )
+            assert code == 0
+            out += text
+        assert hashlib.sha256(out.encode()).hexdigest() == PSI_SHA256
 
     def test_path_input_is_read_from_disk(self, capsys, tmp_path):
         source = tmp_path / "three.json"

@@ -641,6 +641,11 @@ class TestPresentations:
         ):
             assert OmegaPresentation.from_dict(p.to_dict()) == p
 
+    def test_psi_presentations_round_trip(self):
+        for h in enumerate_objects(ORDINAL, 3, 3):
+            p = psi_obj(h)
+            assert OmegaPresentation.from_dict(p.to_dict()) == p
+
 
 class TestFunctorEnumeration:
     def test_empty_domain_gives_one_functor(self):
