@@ -33,7 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import product
+from itertools import chain, product
 
 from theta_disk.forest import (
     LevelMaps,
@@ -251,11 +251,13 @@ def coproduct_labeled(
         if t.flavor != flavor:
             raise ValueError("all summands must share the flavor")
     shape = coproduct([t.tree for t in trees])
+    single = (trivial_root(flavor),)
     labels = tuple(
         tuple(
-            t.label((n, i))
-            for t in trees
-            for i in range(t.tree.level_size(n))
+            chain.from_iterable(
+                t.labels[n] if n <= t.depth else single * t.tree.level_size(n)
+                for t in trees
+            )
         )
         for n in range(shape.depth + 1)
     )

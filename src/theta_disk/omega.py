@@ -50,9 +50,9 @@ from theta_disk.globular import (
 )
 from theta_disk.itree import ORDINAL, ITreeMor, ITreeObj
 from theta_disk.ograph import (
+    EMPTY_OGRAPH,
     OGraph,
     enumerate_ographs,
-    gamma,
     gamma_prime,
     upsilon,
 )
@@ -86,10 +86,6 @@ class Cell(Interned):
     def is_proper(self) -> bool:
         return self.nominal_dim == self.shape.dim
 
-    @property
-    def is_degenerate(self) -> bool:
-        return self.nominal_dim > self.shape.dim
-
     def to_dict(self) -> dict:
         return {
             "kind": "cell",
@@ -115,13 +111,10 @@ def promote_cell(c: Cell, n: int) -> Cell:
     return Cell(c.base, c.shape, c.map, n)
 
 
-def identity_cell(c: Cell) -> Cell:
-    """The identity on a cell: the same data one dimension up."""
-    return promote_cell(c, c.nominal_dim + 1)
-
-
-def enumerate_cells(x: GlobCard, n: int) -> list[Cell]:
-    """All cells of nominal dimension ``n`` over the cardinal ``x``."""
+@lru_cache(maxsize=None)
+def enumerate_cells(x: GlobCard, n: int) -> tuple[Cell, ...]:
+    """All cells of nominal dimension ``n`` over the cardinal ``x``; one
+    shared tuple per pair."""
     if n < 0:
         raise ValueError("cells live in non-negative dimensions")
     out = []
@@ -138,7 +131,7 @@ def enumerate_cells(x: GlobCard, n: int) -> list[Cell]:
             continue
         for f in enumerate_glob_morphisms(shape, x):
             out.append(Cell(x, shape, f, n))
-    return out
+    return tuple(out)
 
 
 def _bands(shape: GlobCard, m: int) -> list[list[int]]:
@@ -345,13 +338,6 @@ class EnrichedCell(Interned):
         )
 
 
-@dataclass(frozen=True)
-class TerminalCell:
-    """The unique cell per dimension of the terminal omega-category."""
-
-    dim: int
-
-
 def free_on_ograph_cells(g: OGraph, n: int) -> list[EnrichedCell]:
     """All cells of nominal dimension ``n`` of the free omega-category on
     an ordinal graph."""
@@ -470,69 +456,40 @@ def comparison_L(c: Cell) -> EnrichedCell:
 
 @dataclass(frozen=True)
 class OmegaPresentation:
-    """A finitely presented free omega-category."""
+    """The free omega-category on an ordinal graph; the empty graph
+    presents the empty omega-category."""
 
-    tag: str
-    cardinal: GlobCard | None = None
-    graph: OGraph | None = None
-
-    def __post_init__(self) -> None:
-        if self.tag not in {"empty", "terminal", "free_globcard", "free_ograph"}:
-            raise ValueError(f"unknown presentation tag {self.tag!r}")
-        if (self.tag == "free_globcard") != (self.cardinal is not None):
-            raise ValueError("cardinal presentations carry exactly a cardinal")
-        if (self.tag == "free_ograph") != (self.graph is not None):
-            raise ValueError("graph presentations carry exactly a graph")
+    graph: OGraph
 
     def to_dict(self) -> dict:
-        base: dict | None = None
-        if self.cardinal is not None:
-            base = self.cardinal.to_dict()
-        if self.graph is not None:
-            base = self.graph.to_dict()
-        return {"kind": "omega-presentation", "tag": self.tag, "base": base}
+        if self.graph.is_empty:
+            return {"kind": "omega-presentation", "tag": "empty", "base": None}
+        return {
+            "kind": "omega-presentation",
+            "tag": "free_ograph",
+            "base": self.graph.to_dict(),
+        }
 
     @staticmethod
     def from_dict(data: dict) -> "OmegaPresentation":
         tag, base = json_str(data["tag"]), data.get("base")
-        if tag in ("empty", "terminal") and base is not None:
-            raise ValueError(f"presentation tag {tag!r} takes no base")
-        if tag in ("free_globcard", "free_ograph") and base is None:
+        if tag not in ("empty", "free_ograph"):
+            raise ValueError(f"unknown presentation tag {tag!r}")
+        if tag == "empty":
+            if base is not None:
+                raise ValueError(f"presentation tag {tag!r} takes no base")
+            return EMPTY_PRESENTATION
+        if base is None:
             raise ValueError(f"presentation tag {tag!r} requires a base")
-        if tag == "free_globcard":
-            return OmegaPresentation(tag, cardinal=GlobCard.from_dict(base))
-        if tag == "free_ograph":
-            return OmegaPresentation(tag, graph=OGraph.from_dict(base))
-        return OmegaPresentation(tag)
+        graph = OGraph.from_dict(base)
+        if graph.is_empty:
+            raise ValueError(
+                f"presentation tag {tag!r} requires a non-empty graph"
+            )
+        return OmegaPresentation(graph)
 
 
-EMPTY_PRESENTATION = OmegaPresentation("empty")
-TERMINAL_PRESENTATION = OmegaPresentation("terminal")
-
-
-def free_on_graph(g: OGraph) -> OmegaPresentation:
-    return OmegaPresentation("free_ograph", graph=g)
-
-
-def _graph_of(p: OmegaPresentation) -> OGraph | None:
-    """The generating ordinal graph of a free presentation, if any."""
-    if p.tag == "free_ograph":
-        return p.graph
-    if p.tag == "free_globcard":
-        assert p.cardinal is not None
-        return gamma(p.cardinal)
-    return None
-
-
-def presentation_cells(p: OmegaPresentation, n: int):
-    """The cells of nominal dimension ``n`` of a presented omega-category."""
-    if p.tag == "empty":
-        return []
-    if p.tag == "terminal":
-        return [TerminalCell(n)]
-    g = _graph_of(p)
-    assert g is not None
-    return free_on_ograph_cells(g, n)
+EMPTY_PRESENTATION = OmegaPresentation(EMPTY_OGRAPH)
 
 
 def enriched_generators(g: OGraph, n: int) -> list[EnrichedCell]:
@@ -567,45 +524,30 @@ class GeneratorAction:
 
     dom: OmegaPresentation
     cod: OmegaPresentation
-    assignments: tuple[tuple[EnrichedCell, object], ...]
+    assignments: tuple[tuple[EnrichedCell, EnrichedCell], ...]
 
 
 class _Evaluator:
     """Evaluates a generator action on arbitrary enriched cells."""
 
     def __init__(self, action: GeneratorAction):
-        self.action = action
         self.table = dict(action.assignments)
-        self.terminal = action.cod.tag == "terminal"
-        self.cache: dict[EnrichedCell, object] = {}
+        self.cache: dict[EnrichedCell, EnrichedCell] = {}
 
-    def __call__(self, c: EnrichedCell):
+    def __call__(self, c: EnrichedCell) -> EnrichedCell:
         if c in self.cache:
             return self.cache[c]
         result = self._eval(c)
         self.cache[c] = result
         return result
 
-    def _identity(self, img):
-        if self.terminal:
-            return TerminalCell(img.dim + 1)
-        return enriched_identity(img)
-
-    def _compose(self, b, a, m):
-        if self.terminal:
-            return TerminalCell(a.dim)
-        return compose_enriched(b, a, m)
-
-    def _eval(self, c: EnrichedCell):
+    def _eval(self, c: EnrichedCell) -> EnrichedCell:
         if c in self.table:
             return self.table[c]
         if c.dim == 0:
             raise KeyError(f"no assignment for object {c}")
         if c.h == c.k:
-            obj_img = self(EnrichedCell(0, c.h, c.h))
-            if self.terminal:
-                return TerminalCell(c.dim)
-            result = obj_img
+            result = self(EnrichedCell(0, c.h, c.h))
             for _ in range(c.dim):
                 result = enriched_identity(result)
             return result
@@ -616,19 +558,19 @@ class _Evaluator:
             ]
             result = self(columns[0])
             for col in columns[1:]:
-                result = self._compose(self(col), result, 0)
+                result = compose_enriched(self(col), result, 0)
             return result
         part = c.parts[0]
         demoted = demote_enriched(c)
         if demoted is not None:
-            return self._identity(self(demoted))
+            return enriched_identity(self(demoted))
         split = _find_split(part)
         if split is None:
             raise KeyError(f"no assignment for generator {c}")
         m, first, second = split
         lifted_first = EnrichedCell(c.dim, c.h, c.k, (first,))
         lifted_second = EnrichedCell(c.dim, c.h, c.k, (second,))
-        return self._compose(self(lifted_second), self(lifted_first), m + 1)
+        return compose_enriched(self(lifted_second), self(lifted_first), m + 1)
 
 
 def _find_split(y: EnrichedCell):
@@ -662,17 +604,13 @@ def enumerate_omega_functors(
     their assignment tuples.  One evaluator's table and cache grow with
     the assigned prefix and are cut back on backtracking.
     """
-    if a.tag == "empty":
-        return [GeneratorAction(a, b, ())]
-    g = _graph_of(a)
-    if g is None:
-        raise ValueError("functors are enumerated out of free presentations")
+    g = a.graph
     max_dim = g.dim
     objects = enriched_generators(g, 0)
-    object_candidates = presentation_cells(b, 0)
+    object_candidates = free_on_ograph_cells(b.graph, 0)
     dims = range(1, max_dim + 1)
     gens_by_dim = {n: enriched_generators(g, n) for n in dims}
-    by_boundary = {n: _by_boundary(b, n) for n in dims}
+    by_boundary = {n: _by_boundary(b.graph, n) for n in dims}
     evaluate = _Evaluator(GeneratorAction(a, b, ()))
     assigned, cache = evaluate.table, evaluate.cache
     out: list[GeneratorAction] = []
@@ -722,26 +660,14 @@ def enumerate_omega_functors(
     return out
 
 
-def _by_boundary(b: OmegaPresentation, n: int) -> dict[tuple, list]:
-    """The n-cells of ``b`` by their (n-1)-source and target, each list in
-    enumeration order."""
+def _by_boundary(g: OGraph, n: int) -> dict[tuple, list]:
+    """The n-cells over ``g`` by their (n-1)-source and target, each list
+    in enumeration order."""
     table: dict[tuple, list] = {}
-    for cand in presentation_cells(b, n):
-        key = (_cand_source(cand, n - 1), _cand_target(cand, n - 1))
+    for cand in free_on_ograph_cells(g, n):
+        key = (enriched_m_source(cand, n - 1), enriched_m_target(cand, n - 1))
         table.setdefault(key, []).append(cand)
     return table
-
-
-def _cand_source(cand, m: int):
-    if isinstance(cand, TerminalCell):
-        return TerminalCell(m)
-    return enriched_m_source(cand, m)
-
-
-def _cand_target(cand, m: int):
-    if isinstance(cand, TerminalCell):
-        return TerminalCell(m)
-    return enriched_m_target(cand, m)
 
 
 def hom_graph_count(g: OGraph, h: OGraph) -> int:
@@ -784,7 +710,7 @@ def psi_obj(h: ITreeObj) -> OmegaPresentation:
         raise ValueError("presentations are built from ordinal-flavor trees")
     if h.is_trivial:
         return EMPTY_PRESENTATION
-    return free_on_graph(upsilon(h))
+    return OmegaPresentation(upsilon(h))
 
 
 def psi_apply(g: ITreeMor, c: EnrichedCell) -> EnrichedCell:

@@ -820,9 +820,8 @@ class TestRender:
         "tag, base, problem",
         [
             ("empty", POINT_OGRAPH.to_dict(), "takes no base"),
-            ("terminal", POINT_OGRAPH.to_dict(), "takes no base"),
             ("free_ograph", None, "requires a base"),
-            ("free_globcard", None, "requires a base"),
+            ("free_ograph", OGraph(0).to_dict(), "requires a non-empty graph"),
         ],
     )
     def test_presentation_base_must_match_its_tag(self, capsys, tag, base, problem):
@@ -831,6 +830,16 @@ class TestRender:
         out, err = capsys.readouterr()
         assert out == ""
         assert f"presentation tag {tag!r} {problem}" in err
+
+    @pytest.mark.parametrize(
+        "tag, base", [("terminal", POINT_OGRAPH.to_dict()), ("free_globcard", None)]
+    )
+    def test_presentations_are_empty_or_on_an_ograph(self, capsys, tag, base):
+        text = json.dumps({"kind": "omega-presentation", "tag": tag, "base": base})
+        assert main(["render", "--format", "json", text]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert f"unknown presentation tag {tag!r}" in err
 
 
 class TestConsoleScript:

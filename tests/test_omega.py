@@ -43,10 +43,8 @@ from theta_disk.ograph import (
 )
 from theta_disk.omega import (
     EMPTY_PRESENTATION,
-    TERMINAL_PRESENTATION,
     Cell,
     EnrichedCell,
-    TerminalCell,
     OmegaPresentation,
     _Evaluator,
     all_enriched_generators,
@@ -59,10 +57,8 @@ from theta_disk.omega import (
     enriched_m_target,
     enumerate_cells,
     enumerate_omega_functors,
-    free_on_graph,
     free_on_ograph_cells,
     hom_graph_count,
-    identity_cell,
     m_source,
     m_target,
     promote_cell,
@@ -138,12 +134,8 @@ def eval_functor(action, c: EnrichedCell):
 def product_omega_functors(a, b):
     """Oracle: the functors by the full ``product`` of generator images,
     one dimension at a time, filtered by boundaries."""
-    if a.tag == "empty":
-        return [omega.GeneratorAction(a, b, ())]
-    g = omega._graph_of(a)
-    if g is None:
-        raise ValueError("functors are enumerated out of free presentations")
-    object_candidates = omega.presentation_cells(b, 0)
+    g = a.graph
+    object_candidates = free_on_ograph_cells(b.graph, 0)
     objects = omega.enriched_generators(g, 0)
     partials = [
         dict(zip(objects, combo))
@@ -152,8 +144,8 @@ def product_omega_functors(a, b):
     for n in range(1, g.dim + 1):
         gens = omega.enriched_generators(g, n)
         by_boundary: dict[tuple, list] = {}
-        for cand in omega.presentation_cells(b, n):
-            key = (omega._cand_source(cand, n - 1), omega._cand_target(cand, n - 1))
+        for cand in free_on_ograph_cells(b.graph, n):
+            key = (enriched_m_source(cand, n - 1), enriched_m_target(cand, n - 1))
             by_boundary.setdefault(key, []).append(cand)
         extended = []
         for partial in partials:
@@ -196,9 +188,9 @@ class TestCellBasics:
 
     def test_proper_and_degenerate(self):
         c = total_cell(ARROW)
-        assert c.is_proper and not c.is_degenerate
-        up = identity_cell(c)
-        assert up.is_degenerate and up.nominal_dim == 2
+        assert c.is_proper
+        up = promote_cell(c, c.nominal_dim + 1)
+        assert up.nominal_dim > up.shape.dim and up.nominal_dim == 2
         assert promote_cell(c, 4).nominal_dim == 4
         with pytest.raises(ValueError):
             promote_cell(up, 1)
@@ -291,9 +283,16 @@ class TestEnumerateCells:
     def test_deterministic(self):
         assert enumerate_cells(CHAIN2, 2) == enumerate_cells(CHAIN2, 2)
 
+    def test_one_shared_tuple_per_pair(self):
+        cells = enumerate_cells(CHAIN2, 2)
+        assert type(cells) is tuple
+        assert enumerate_cells(CHAIN2, 2) is cells
+        assert enumerate_cells(CHAIN2, 1) is not cells
+
     def test_rejects_negative_dimension(self):
-        with pytest.raises(ValueError):
-            enumerate_cells(POINT, -1)
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                enumerate_cells(POINT, -1)
 
 
 class TestBoundaries:
@@ -623,8 +622,8 @@ class TestPresentations:
 
     def test_small_trees_present_free_graphs(self):
         trivial, o0, o1 = enumerate_objects(ORDINAL, 2, 2)
-        assert psi_obj(o0) == free_on_graph(POINT_OGRAPH)
-        assert psi_obj(o1) == free_on_graph(ARROW_OGRAPH)
+        assert psi_obj(o0) == OmegaPresentation(POINT_OGRAPH)
+        assert psi_obj(o1) == OmegaPresentation(ARROW_OGRAPH)
 
     def test_interval_flavor_rejected(self):
         from theta_disk.itree import INTERVAL
@@ -635,9 +634,7 @@ class TestPresentations:
     def test_serialization_round_trip(self):
         for p in (
             EMPTY_PRESENTATION,
-            TERMINAL_PRESENTATION,
-            free_on_graph(WHISKER_OGRAPH),
-            OmegaPresentation("free_globcard", cardinal=GLOBE2),
+            OmegaPresentation(WHISKER_OGRAPH),
         ):
             assert OmegaPresentation.from_dict(p.to_dict()) == p
 
@@ -649,40 +646,22 @@ class TestPresentations:
 
 class TestFunctorEnumeration:
     def test_empty_domain_gives_one_functor(self):
-        for cod in (EMPTY_PRESENTATION, free_on_graph(ARROW_OGRAPH)):
+        for cod in (EMPTY_PRESENTATION, OmegaPresentation(ARROW_OGRAPH)):
             assert len(enumerate_omega_functors(EMPTY_PRESENTATION, cod)) == 1
 
     def test_empty_codomain_gives_none(self):
         assert (
             enumerate_omega_functors(
-                free_on_graph(POINT_OGRAPH), EMPTY_PRESENTATION
+                OmegaPresentation(POINT_OGRAPH), EMPTY_PRESENTATION
             )
             == []
         )
 
     def test_arrow_endofunctors(self):
-        arrow = free_on_graph(ARROW_OGRAPH)
+        arrow = OmegaPresentation(ARROW_OGRAPH)
         functors = enumerate_omega_functors(arrow, arrow)
         assert len(functors) == 3
         assert sum(map(fixes_generators, functors)) == 1
-
-    def test_terminal_codomain_gives_one_functor(self):
-        for g in (ARROW_OGRAPH, WHISKER_OGRAPH):
-            functors = enumerate_omega_functors(
-                free_on_graph(g), TERMINAL_PRESENTATION
-            )
-            assert len(functors) == 1
-
-    def test_terminal_domain_rejected(self):
-        with pytest.raises(ValueError):
-            enumerate_omega_functors(
-                TERMINAL_PRESENTATION, TERMINAL_PRESENTATION
-            )
-
-    def test_cardinal_and_graph_presentations_agree(self):
-        a = OmegaPresentation("free_globcard", cardinal=ARROW)
-        functors = enumerate_omega_functors(a, a)
-        assert len(functors) == 3
 
     @pytest.mark.parametrize(
         "height, root, count, digest",
@@ -741,7 +720,7 @@ class TestFunctorEnumeration:
             for h in graphs:
                 expected = hom_graph_count(g, h)
                 got = enumerate_omega_functors(
-                    free_on_graph(g), free_on_graph(h)
+                    OmegaPresentation(g), OmegaPresentation(h)
                 )
                 assert len(got) == expected, (g, h)
 
@@ -765,15 +744,14 @@ class TestSearchOrder:
                 self.assert_same(a, b)
 
     def test_graph_presentations(self):
-        presentations = [free_on_graph(g) for g in enumerate_ographs(5, 2)]
+        presentations = [OmegaPresentation(g) for g in enumerate_ographs(5, 2)]
         for a in presentations:
             for b in presentations:
                 self.assert_same(a, b)
 
     def test_terminal_and_empty_codomains(self):
         for g in enumerate_ographs(5, 2):
-            for cod in (TERMINAL_PRESENTATION, EMPTY_PRESENTATION):
-                self.assert_same(free_on_graph(g), cod)
+            self.assert_same(OmegaPresentation(g), EMPTY_PRESENTATION)
 
 
 class TestHomGraphCount:
@@ -801,24 +779,16 @@ class TestHomGraphCount:
 
 class TestEvaluation:
     def test_identity_action_evaluates_to_itself(self):
-        whisker = free_on_graph(WHISKER_OGRAPH)
+        whisker = OmegaPresentation(WHISKER_OGRAPH)
         functors = enumerate_omega_functors(whisker, whisker)
         [action] = [f for f in functors if fixes_generators(f)]
         for n in range(3):
             for c in free_on_ograph_cells(WHISKER_OGRAPH, n):
                 assert eval_functor(action, c) == c
 
-    def test_terminal_evaluation(self):
-        [action] = enumerate_omega_functors(
-            free_on_graph(ARROW_OGRAPH), TERMINAL_PRESENTATION
-        )
-        for n in range(3):
-            for c in free_on_ograph_cells(ARROW_OGRAPH, n):
-                assert eval_functor(action, c) == TerminalCell(n)
-
     def test_enumerated_functors_respect_boundaries(self):
-        dom = free_on_graph(CHAIN2_OGRAPH)
-        cod = free_on_graph(CHAIN2_OGRAPH)
+        dom = OmegaPresentation(CHAIN2_OGRAPH)
+        cod = OmegaPresentation(CHAIN2_OGRAPH)
         for action in enumerate_omega_functors(dom, cod):
             for n in range(1, 3):
                 for c in free_on_ograph_cells(CHAIN2_OGRAPH, n):
@@ -832,7 +802,7 @@ class TestEvaluation:
                         )
 
     def test_enumerated_functors_respect_composition(self):
-        dom = free_on_graph(CHAIN2_OGRAPH)
+        dom = OmegaPresentation(CHAIN2_OGRAPH)
         for action in enumerate_omega_functors(dom, dom):
             cells = free_on_ograph_cells(CHAIN2_OGRAPH, 1)
             for alpha in cells:
