@@ -8,7 +8,11 @@ cell strictly between its source and its target.
 
 Cardinals are kept in canonical form: within each dimension the cell
 indices appear in ascending order along the linear order.  Structural
-equality of canonical forms then decides isomorphism.
+equality of canonical forms then decides isomorphism.  A non-empty
+cardinal is the suspension of its components, the cardinals strictly
+between consecutive object cells: ``suspend_gc`` builds it from them
+and ``desuspend`` takes it apart, and ``suspend_gc_mor`` and
+``desuspend_mor`` do the same for morphisms.
 
 Globular sets, cardinals and their morphisms are interned (see
 :class:`Interned`): equal values are one object, so equality is identity.
@@ -18,7 +22,7 @@ from __future__ import annotations
 
 import inspect
 from dataclasses import dataclass, fields
-from functools import cmp_to_key, lru_cache
+from functools import lru_cache
 from itertools import accumulate
 from typing import Iterable, Sequence
 
@@ -136,43 +140,32 @@ class GlobSet(Interned):
         )
 
 
-def _reachability(gset: GlobSet) -> dict[Vertex, set[Vertex]]:
-    """Strict reachability of the order generated by source < cell < target."""
-    succ: dict[Vertex, set[Vertex]] = {v: set() for v in gset.vertices()}
+@lru_cache(maxsize=None)
+def _linear_order(gset: GlobSet) -> tuple[Vertex, ...] | None:
+    """The unique linear order compatible with the spans, if it exists.
+
+    A topological sort of the relation source < cell < target: the order
+    is total exactly when one cell is ready at every step, and it fails
+    as soon as two are ready at once or a cycle leaves cells unplaced.
+    """
+    succ: dict[Vertex, list[Vertex]] = {v: [] for v in gset.vertices()}
+    indegree = dict.fromkeys(succ, 0)
     for k in range(1, len(gset.levels)):
         for i in range(gset.levels[k]):
             v = (k, i)
-            succ[gset.source(v)].add(v)
-            succ[v].add(gset.target(v))
-    reach: dict[Vertex, set[Vertex]] = {}
-    for v in succ:
-        seen: set[Vertex] = set()
-        stack = list(succ[v])
-        while stack:
-            u = stack.pop()
-            if u in seen:
-                continue
-            seen.add(u)
-            stack.extend(succ[u])
-        reach[v] = seen
-    return reach
-
-
-@lru_cache(maxsize=None)
-def _linear_order(gset: GlobSet) -> tuple[Vertex, ...] | None:
-    """The unique linear order compatible with the spans, if it exists."""
-    reach = _reachability(gset)
-    verts = gset.vertices()
-    if any(v in reach[v] for v in verts):
-        return None
-    for a in range(len(verts)):
-        for b in range(a + 1, len(verts)):
-            u, v = verts[a], verts[b]
-            if v not in reach[u] and u not in reach[v]:
-                return None
-    return tuple(
-        sorted(verts, key=cmp_to_key(lambda u, v: -1 if v in reach[u] else 1))
-    )
+            for a, b in ((gset.source(v), v), (v, gset.target(v))):
+                succ[a].append(b)
+                indegree[b] += 1
+    ready = [v for v, d in indegree.items() if d == 0]
+    order: list[Vertex] = []
+    while len(ready) == 1:
+        v = ready.pop()
+        order.append(v)
+        for u in succ[v]:
+            indegree[u] -= 1
+            if indegree[u] == 0:
+                ready.append(u)
+    return tuple(order) if len(order) == len(succ) else None
 
 
 @dataclass(frozen=True, eq=False)
@@ -208,11 +201,6 @@ class GlobCard(Interned):
     @property
     def levels(self) -> tuple[int, ...]:
         return self.gset.levels
-
-    def linear_order(self) -> tuple[Vertex, ...]:
-        order = _linear_order(self.gset)
-        assert order is not None
-        return order
 
     def size(self) -> int:
         return sum(self.gset.levels)
@@ -255,30 +243,15 @@ def _induced(
     return GlobSet(tuple(len(level) for level in kept), tuple(src), tuple(tgt))
 
 
-def canonical_form(
-    gset: GlobSet,
-) -> tuple[GlobCard, dict[Vertex, int]] | None:
-    """The canonical renumbering of a globular set, if it is a cardinal.
-
-    Returns the cardinal together with ``rank``, which sends each cell
-    ``(k, i)`` of ``gset`` to its index within dimension ``k`` of the
-    cardinal.
-    """
+def linearize(gset: GlobSet) -> GlobCard | None:
+    """Canonically renumber a globular set into a cardinal, if it is one."""
     order = _linear_order(gset)
     if order is None:
         return None
-    rank: dict[Vertex, int] = {}
-    inverse: list[list[int]] = [[] for _ in gset.levels]
+    kept: list[list[int]] = [[] for _ in gset.levels]
     for k, i in order:
-        rank[(k, i)] = len(inverse[k])
-        inverse[k].append(i)
-    return GlobCard(_induced(gset, inverse, 0)), rank
-
-
-def linearize(gset: GlobSet) -> GlobCard | None:
-    """Canonically renumber a globular set into a cardinal, if it is one."""
-    canon = canonical_form(gset)
-    return None if canon is None else canon[0]
+        kept[k].append(i)
+    return GlobCard(_induced(gset, kept, 0))
 
 
 @dataclass(frozen=True, eq=False)
@@ -445,71 +418,6 @@ def sub_globcard(
     return sub, incl
 
 
-@lru_cache(maxsize=None)
-def _restrict_data(
-    x: GlobCard, a: Vertex, b: Vertex
-) -> tuple[GlobCard, tuple[tuple[int, ...], ...]]:
-    """The cells strictly between two same-dimension cells, one dimension
-    up and beyond, pruned to the largest globular subfunctor and re-based
-    to start at dimension 0.  Also returns the kept original indices.
-
-    Computed once per cardinal and pair of cells and shared, hence tuples.
-    """
-    if a[0] != b[0]:
-        raise ValueError("restriction endpoints live in one dimension")
-    n = a[0]
-    order = x.linear_order()
-    pa, pb = order.index(a), order.index(b)
-    if pa >= pb:
-        raise ValueError("restriction endpoints are not in order")
-    between = set(order[pa + 1 : pb])
-    kept: list[tuple[int, ...]] = []
-    for m in range(len(x.gset.levels) - n - 1):
-        k = n + 1 + m
-        layer = [i for i in range(x.gset.levels[k]) if (k, i) in between]
-        if m > 0:
-            prev = set(kept[m - 1])
-            layer = [
-                i
-                for i in layer
-                if x.gset.src[k - 1][i] in prev
-                and x.gset.tgt[k - 1][i] in prev
-            ]
-        if not layer:
-            break
-        kept.append(tuple(layer))
-    return GlobCard(_induced(x.gset, kept, n + 1)), tuple(kept)
-
-
-def restrict_gc(x: GlobCard, a: Vertex, b: Vertex) -> GlobCard:
-    """The cardinal of cells strictly between ``a`` and ``b``, re-based."""
-    return _restrict_data(x, a, b)[0]
-
-
-def restrict_gc_mor(f: GlobMor, a: Vertex, b: Vertex) -> GlobMor:
-    """The induced morphism between restrictions at ``a``, ``b`` and their
-    images."""
-    dom, dom_kept = _restrict_data(f.dom, a, b)
-    cod, cod_kept = _restrict_data(f.cod, f(a), f(b))
-    n = a[0]
-    cod_rank = [
-        {old: new for new, old in enumerate(level)} for level in cod_kept
-    ]
-    maps = []
-    for m, layer in enumerate(dom_kept):
-        row = []
-        for i in layer:
-            image = f.level_maps[n + 1 + m][i]
-            if m >= len(cod_rank) or image not in cod_rank[m]:
-                raise ValueError(
-                    "morphism does not carry the restriction into the "
-                    "restriction of its image"
-                )
-            row.append(cod_rank[m][image])
-        maps.append(tuple(row))
-    return GlobMor(dom, cod, tuple(maps))
-
-
 def _offsets(components: Sequence[GlobCard], k: int) -> list[int]:
     """Where each component's dimension-``k`` cells start when they are
     listed one component after another, followed by their total."""
@@ -587,3 +495,56 @@ def suspend_gc_mor(
         maps.append(tuple(row))
     return GlobMor(dom, cod, tuple(maps))
 
+
+@lru_cache(maxsize=None)
+def desuspend(
+    x: GlobCard,
+) -> tuple[tuple[GlobCard, tuple[range, ...]], ...]:
+    """The inverse of :func:`suspend_gc`: the component between each pair
+    of consecutive object cells of a non-empty cardinal, with its kept
+    cell rows.
+
+    ``rows[m]`` is the range of dimension-``m + 1`` cells of ``x`` that
+    the component renumbers from 0.  A cell lies in the gap of its
+    iterated source one dimension above the objects, and canonical
+    numbering keeps each gap's cells consecutive, so the rows are ranges.
+    Computed once per cardinal and shared.
+    """
+    gset = x.gset
+    if not gset.levels:
+        raise ValueError("the empty cardinal is not a suspension")
+    rows: list[list[range]] = [[] for _ in range(gset.levels[0] - 1)]
+    gap: Sequence[int] = ()
+    for k, src in enumerate(gset.src):
+        gap = src if k == 0 else [gap[s] for s in src]
+        counts = [0] * len(rows)
+        for i in gap:
+            counts[i] += 1
+        starts = list(accumulate(counts, initial=0))
+        for i, row in enumerate(rows):
+            if counts[i]:
+                row.append(range(starts[i], starts[i + 1]))
+    return tuple(
+        (GlobCard(_induced(gset, row, 1)), tuple(row)) for row in rows
+    )
+
+
+def desuspend_mor(f: GlobMor) -> tuple[int, tuple[GlobMor, ...]]:
+    """The inverse of :func:`suspend_gc_mor`: the object offset of a
+    morphism between non-empty cardinals and the morphisms it restricts
+    to between the components of its domain and of its codomain.
+
+    Every gap of a cardinal holds a 1-cell, so the object map translates
+    and gap ``i`` of the domain lands in gap ``offset + i``.
+    """
+    offset = f.level_maps[0][0]
+    cod = desuspend(f.cod)
+    family = []
+    for i, (component, rows) in enumerate(desuspend(f.dom)):
+        image, image_rows = cod[offset + i]
+        maps = tuple(
+            tuple(f.level_maps[m + 1][j] - image_rows[m].start for j in row)
+            for m, row in enumerate(rows)
+        )
+        family.append(GlobMor(component, image, maps))
+    return offset, tuple(family)

@@ -236,8 +236,11 @@ def restrict_labeled(t: LabeledTree, x: Vertex) -> LabeledTree:
     shape = restrict(t.tree, x)
     rows = subtree_rows(t.tree, x)
     n = x[0]
+    single = (trivial_root(t.flavor),)
     labels = tuple(
-        tuple(t.label((n + k, j)) for j in rows[k])
+        tuple(t.labels[n + k][j] for j in rows[k])
+        if n + k <= t.depth
+        else single * len(rows[k])
         for k in range(shape.depth + 1)
     )
     return LabeledTree(t.flavor, shape, labels)

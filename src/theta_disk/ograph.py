@@ -22,8 +22,8 @@ from theta_disk.globular import (
     GlobCard,
     GlobMor,
     Interned,
-    restrict_gc,
-    restrict_gc_mor,
+    desuspend,
+    desuspend_mor,
     suspend_gc,
     suspend_gc_mor,
 )
@@ -90,9 +90,10 @@ EMPTY_OGRAPH = OGraph(0)
 POINT_OGRAPH = OGraph(1)
 
 
-@dataclass(frozen=True)
-class OGraphMor:
-    """A morphism of ordinal graphs: a vertex offset plus edge morphisms."""
+@dataclass(frozen=True, eq=False)
+class OGraphMor(Interned):
+    """A morphism of ordinal graphs: a vertex offset plus edge morphisms;
+    interned, like the graphs it runs between."""
 
     dom: OGraph
     cod: OGraph
@@ -201,28 +202,23 @@ def gamma(x: GlobCard) -> OGraph:
     """Read a globular cardinal as an ordinal graph, once per cardinal."""
     if not x.gset.levels:
         return EMPTY_OGRAPH
-    n = x.gset.levels[0]
     return OGraph(
-        n,
-        tuple(gamma(restrict_gc(x, (0, i), (0, i + 1))) for i in range(n - 1)),
+        x.gset.levels[0], tuple(gamma(c) for c, _ in desuspend(x))
     )
 
 
+@lru_cache(maxsize=None)
 def gamma_mor(f: GlobMor) -> OGraphMor:
-    """Read a globular morphism as an ordinal graph morphism."""
+    """Read a globular morphism as an ordinal graph morphism, once per
+    morphism."""
     if not f.dom.gset.levels:
         return OGraphMor(EMPTY_OGRAPH, gamma(f.cod), 0, ())
     offset = f.level_maps[0][0]
     if any(v != offset + i for i, v in enumerate(f.level_maps[0])):
         raise ValueError("the object map of a cardinal morphism translates")
+    _, family = desuspend_mor(f)
     return OGraphMor(
-        gamma(f.dom),
-        gamma(f.cod),
-        offset,
-        tuple(
-            gamma_mor(restrict_gc_mor(f, (0, i), (0, i + 1)))
-            for i in range(f.dom.gset.levels[0] - 1)
-        ),
+        gamma(f.dom), gamma(f.cod), offset, tuple(map(gamma_mor, family))
     )
 
 
@@ -234,8 +230,10 @@ def gamma_prime(g: OGraph) -> GlobCard:
     return suspend_gc([gamma_prime(e) for e in g.edges])
 
 
+@lru_cache(maxsize=None)
 def gamma_prime_mor(f: OGraphMor) -> GlobMor:
-    """Build the globular morphism of an ordinal graph morphism."""
+    """Build the globular morphism of an ordinal graph morphism, once per
+    morphism."""
     if f.dom.is_empty:
         return GlobMor(EMPTY_CARDINAL, gamma_prime(f.cod), ())
     return suspend_gc_mor(

@@ -8,7 +8,8 @@ compared:
   together with a nominal dimension (cells whose nominal dimension
   exceeds the shape dimension are iterated identities).  Sources and
   targets keep the least/greatest cell of each band; composition glues
-  shapes along a shared boundary and re-canonicalizes.
+  shapes along a shared boundary, component by component, since every
+  non-empty shape is the suspension of its components.
 
 * ``EnrichedCell``: an n-cell of the free omega-category on an ordinal
   graph is an object, an identity marker on an object, or a vertex span
@@ -39,14 +40,15 @@ from itertools import product
 from theta_disk.globular import (
     GlobCard,
     GlobMor,
-    GlobSet,
     Interned,
-    canonical_form,
     compose_glob_mors,
+    desuspend,
+    desuspend_mor,
     enumerate_glob_morphisms,
-    restrict_gc,
-    restrict_gc_mor,
+    identity_glob_mor,
     sub_globcard,
+    suspend_gc,
+    suspend_gc_mor,
 )
 from theta_disk.itree import ORDINAL, ITreeMor, ITreeObj
 from theta_disk.ograph import (
@@ -146,24 +148,24 @@ def _bands(shape: GlobCard, m: int) -> list[list[int]]:
     return [groups[key] for key in sorted(groups)]
 
 
-def _boundary_keep(shape: GlobCard, m: int, least: bool) -> list[list[int]]:
-    keep: list[list[int]] = [
-        list(range(size)) for size in shape.gset.levels[:m]
-    ]
-    keep.append(
-        [band[0] if least else band[-1] for band in _bands(shape, m)]
-    )
-    return keep
+def _face(shape: GlobCard, m: int, least: bool) -> GlobMor:
+    """The inclusion of the m-source (``least``) or m-target of a shape:
+    every cell below dimension ``m`` and the least or greatest cell of
+    each band at ``m``.  A shape of dimension at most ``m`` is its own
+    m-boundary."""
+    if m >= shape.dim:
+        return identity_glob_mor(shape)
+    keep = [range(size) for size in shape.gset.levels[:m]]
+    keep.append([band[0] if least else band[-1] for band in _bands(shape, m)])
+    return sub_globcard(shape, keep)[1]
 
 
 @lru_cache(maxsize=None)
 def _boundary(c: Cell, m: int, least: bool) -> Cell:
     if not 0 <= m < c.nominal_dim:
         raise ValueError("boundary dimension out of range")
-    if m >= c.shape.dim:
-        return Cell(c.base, c.shape, c.map, m)
-    sub, incl = sub_globcard(c.shape, _boundary_keep(c.shape, m, least))
-    return Cell(c.base, sub, compose_glob_mors(c.map, incl), m)
+    incl = _face(c.shape, m, least)
+    return Cell(c.base, incl.dom, compose_glob_mors(c.map, incl), m)
 
 
 def m_source(c: Cell, m: int) -> Cell:
@@ -230,58 +232,33 @@ def _glue(
     y: GlobCard, z: GlobCard, m: int
 ) -> tuple[GlobCard, GlobMor, GlobMor]:
     """The shape glued from ``y`` and ``z`` along the m-target of ``y``
-    (equal to the m-source of ``z``), re-canonicalized, with the
-    inclusions of ``y`` and of ``z`` into it."""
-    keep_y = (
-        _boundary_keep(y, m, least=False)
-        if m < y.dim
-        else [list(range(s)) for s in y.gset.levels]
+    (equal to the m-source of ``z``), with the inclusions of ``y`` and of
+    ``z`` into it.
+
+    A shape of dimension at most ``m`` is its own m-boundary, so the
+    other shape is the glued one.  Otherwise both are suspensions: along
+    objects their components are listed one after the other, and above
+    that they share their objects and are glued pairwise at ``m - 1``.
+    """
+    if y.dim <= m:
+        return z, _face(z, m, least=True), identity_glob_mor(z)
+    if z.dim <= m:
+        return y, identity_glob_mor(y), _face(y, m, least=False)
+    ys = [c for c, _ in desuspend(y)]
+    zs = [c for c, _ in desuspend(z)]
+    if m == 0:
+        parts, z_offset = ys + zs, len(ys)
+        incl_ys = [identity_glob_mor(c) for c in ys]
+        incl_zs = [identity_glob_mor(c) for c in zs]
+    else:
+        pieces = (_glue(a, b, m - 1) for a, b in zip(ys, zs))
+        parts, incl_ys, incl_zs = zip(*pieces)
+        z_offset = 0
+    return (
+        suspend_gc(parts),
+        suspend_gc_mor(0, incl_ys, ys, parts),
+        suspend_gc_mor(z_offset, incl_zs, zs, parts),
     )
-    keep_z = (
-        _boundary_keep(z, m, least=True)
-        if m < z.dim
-        else [list(range(s)) for s in z.gset.levels]
-    )
-    # Raw numbering of the glued shape: the cells of y keep their indices
-    # and the cells of z off the shared boundary follow them, in order.
-    depth = max(len(y.gset.levels), len(z.gset.levels))
-    missing = depth - len(y.gset.levels)
-    levels = list(y.gset.levels) + [0] * missing
-    src = [list(row) for row in y.gset.src] + [[] for _ in range(missing)]
-    tgt = [list(row) for row in y.gset.tgt] + [[] for _ in range(missing)]
-    y_raw = [list(range(size)) for size in y.gset.levels]
-    z_raw: list[list[int]] = []
-    for k, size in enumerate(z.gset.levels):
-        shared = dict(zip(keep_z[k], keep_y[k])) if k < len(keep_z) else {}
-        row = []
-        for i in range(size):
-            if i in shared:
-                row.append(shared[i])
-                continue
-            row.append(levels[k])
-            levels[k] += 1
-            if k:
-                src[k - 1].append(z_raw[k - 1][z.gset.src[k - 1][i]])
-                tgt[k - 1].append(z_raw[k - 1][z.gset.tgt[k - 1][i]])
-        z_raw.append(row)
-    raw = GlobSet(
-        tuple(levels), tuple(map(tuple, src)), tuple(map(tuple, tgt))
-    )
-    canon = canonical_form(raw)
-    if canon is None:
-        raise ValueError("glued shape is not a cardinal")
-    glued_shape, rank = canon
-    incl_y, incl_z = [
-        GlobMor(
-            shape,
-            glued_shape,
-            tuple(
-                tuple(rank[(k, r)] for r in row) for k, row in enumerate(raws)
-            ),
-        )
-        for shape, raws in ((y, y_raw), (z, z_raw))
-    ]
-    return glued_shape, incl_y, incl_z
 
 
 # ---------------------------------------------------------------------------
@@ -430,24 +407,19 @@ def demote_enriched(c: EnrichedCell) -> EnrichedCell | None:
 @lru_cache(maxsize=None)
 def comparison_L(c: Cell) -> EnrichedCell:
     """Translate a cell over a cardinal into an enriched cell over its
-    ordinal graph, by restricting between consecutive object cells.
+    ordinal graph, one component between consecutive object cells at a
+    time.
 
     Cells are interned, so each distinct cell is translated once."""
     f = c.map
     if c.nominal_dim == 0:
         v = f.level_maps[0][0]
         return EnrichedCell(0, v, v)
-    h = f.level_maps[0][0]
-    k = f.level_maps[0][-1]
-    parts = []
-    for i in range(1, c.shape.gset.levels[0]):
-        shape_r = restrict_gc(c.shape, (0, i - 1), (0, i))
-        base_r = restrict_gc(c.base, (0, h + i - 1), (0, h + i))
-        map_r = restrict_gc_mor(f, (0, i - 1), (0, i))
-        parts.append(
-            comparison_L(Cell(base_r, shape_r, map_r, c.nominal_dim - 1))
-        )
-    return EnrichedCell(c.nominal_dim, h, k, tuple(parts))
+    h, family = desuspend_mor(f)
+    parts = tuple(
+        comparison_L(Cell(g.cod, g.dom, g, c.nominal_dim - 1)) for g in family
+    )
+    return EnrichedCell(c.nominal_dim, h, f.level_maps[0][-1], parts)
 
 
 # ---------------------------------------------------------------------------

@@ -92,10 +92,6 @@ class OrdMap:
         return self.images[i]
 
     @property
-    def is_identity(self) -> bool:
-        return self.dom == self.cod and self.images == tuple(self.dom.elements())
-
-    @property
     def is_interval(self) -> bool:
         """True when the map preserves both endpoints of non-empty ordinals."""
         if self.dom.n < 0 or self.cod.n < 0:

@@ -20,18 +20,19 @@ from theta_disk.globular import (
     GlobMor,
     GlobSet,
     Interned,
-    canonical_form,
+    _linear_order,
     compose_glob_mors,
+    desuspend,
+    desuspend_mor,
     enumerate_glob_morphisms,
     identity_glob_mor,
     linearize,
-    restrict_gc,
-    restrict_gc_mor,
     sub_globcard,
     suspend_gc,
     suspend_gc_mor,
 )
 from theta_disk.ograph import enumerate_ographs, gamma_prime
+from theta_disk.verify import POOLS, parse_bounds
 from tests.test_omega import comp_subfunctor
 
 
@@ -73,6 +74,27 @@ def count_linear_extensions(gset: GlobSet) -> int:
         if all(pos[a] < pos[b] for a, b in edges):
             count += 1
     return count
+
+
+def small_globular_sets(max_cells: int, max_dim: int) -> list[GlobSet]:
+    """Every globular set with at most ``max_cells`` cells and dimension
+    at most ``max_dim``, by trying every source and target table."""
+    out = []
+    for depth in range(1, max_dim + 2):
+        for levels in product(range(1, max_cells + 1), repeat=depth):
+            if sum(levels) > max_cells:
+                continue
+            tables = [
+                list(product(range(levels[k]), repeat=levels[k + 1]))
+                for k in range(depth - 1)
+            ]
+            for src in product(*tables):
+                for tgt in product(*tables):
+                    try:
+                        out.append(GlobSet(levels, src, tgt))
+                    except ValueError:
+                        continue
+    return out
 
 
 def brute_force_glob_morphisms(x: GlobCard, y: GlobCard) -> list[GlobMor]:
@@ -157,10 +179,10 @@ class TestGlobSet:
 
 class TestLinearOrder:
     def test_arrow_order(self):
-        assert ARROW_CARDINAL.linear_order() == ((0, 0), (1, 0), (0, 1))
+        assert _linear_order(ARROW_CARDINAL.gset) == ((0, 0), (1, 0), (0, 1))
 
     def test_globe_order(self):
-        assert globe2().linear_order() == (
+        assert _linear_order(globe2().gset) == (
             (0, 0),
             (1, 0),
             (2, 0),
@@ -169,7 +191,7 @@ class TestLinearOrder:
         )
 
     def test_whisker_order(self):
-        assert whisker().linear_order() == (
+        assert _linear_order(whisker().gset) == (
             (0, 0),
             (1, 0),
             (2, 0),
@@ -195,15 +217,20 @@ class TestLinearOrder:
         ]
         for g in cardinals:
             assert count_linear_extensions(g) == 1
-            assert linearize(g) is not None
-            assert canonical_form(g) == (
-                GlobCard(g),
-                {v: v[1] for v in g.vertices()},
-            )
+            assert linearize(g) is GlobCard(g)
         for g in non_cardinals:
             assert count_linear_extensions(g) != 1
             assert linearize(g) is None
-            assert canonical_form(g) is None
+
+    def test_topological_sort_matches_extension_count(self):
+        sets = small_globular_sets(5, 2)
+        assert len(sets) > 100
+        seen = [0, 0]
+        for g in sets:
+            unique = count_linear_extensions(g) == 1
+            assert (_linear_order(g) is not None) == unique, g
+            seen[unique] += 1
+        assert min(seen) > 10
 
     def test_non_cardinal_rejected(self):
         with pytest.raises(ValueError, match="not total"):
@@ -236,7 +263,10 @@ class TestLinearOrder:
             (scrambled_whisker, whisker(), whisker_rank),
         ):
             assert linearize(scrambled) == card
-            assert canonical_form(scrambled) == (card, rank)
+            order = _linear_order(scrambled)
+            assert {
+                v: [u for u in order if u[0] == v[0]].index(v) for v in order
+            } == rank
 
     def test_positions(self):
         assert globe2().size() == 5
@@ -459,8 +489,36 @@ class TestSuspension:
         ]
         for comps in families:
             x = suspend_gc(comps)
-            for i, comp in enumerate(comps):
-                assert restrict_gc(x, (0, i), (0, i + 1)) == comp
+            assert [c for c, _ in desuspend(x)] == comps
+
+    def test_desuspension_inverts_suspension_on_the_pool(self):
+        cards = [
+            x for x in POOLS["globcard"](parse_bounds("vertices=9,dim=3"))
+            if x.gset.levels
+        ]
+        assert len(cards) > 20
+        for x in cards:
+            assert suspend_gc([c for c, _ in desuspend(x)]) is x
+        lifted = 0
+        for x, y in product(cards, repeat=2):
+            xs = [c for c, _ in desuspend(x)]
+            ys = [c for c, _ in desuspend(y)]
+            for offset in range(len(ys) - len(xs) + 1):
+                homs = [
+                    enumerate_glob_morphisms(c, ys[offset + i])
+                    for i, c in enumerate(xs)
+                ]
+                for family in product(*homs):
+                    f = suspend_gc_mor(offset, family, xs, ys)
+                    assert desuspend_mor(f) == (offset, family)
+                    lifted += 1
+            for f in enumerate_glob_morphisms(x, y):
+                assert suspend_gc_mor(*desuspend_mor(f), xs, ys) is f
+        assert lifted > 200
+
+    def test_empty_cardinal_is_not_a_suspension(self):
+        with pytest.raises(ValueError, match="not a suspension"):
+            desuspend(EMPTY_CARDINAL)
 
     def test_suspended_morphisms(self):
         lifted = suspend_gc_mor(
@@ -496,7 +554,8 @@ class TestRestrictionMorphisms:
     def test_restriction_of_inclusion(self):
         w = whisker()
         incl = enumerate_glob_morphisms(globe2(), w)[0]
-        r = restrict_gc_mor(incl, (0, 0), (0, 1))
+        offset, (r,) = desuspend_mor(incl)
+        assert offset == 0
         assert r.dom == ARROW_CARDINAL
         assert r.cod == ARROW_CARDINAL
         assert r.level_maps == ((0, 1), (0,))
@@ -506,8 +565,9 @@ class TestRestrictionMorphisms:
         for x in family:
             for y in family:
                 for f in enumerate_glob_morphisms(x, y):
-                    for i in range(x.gset.levels[0] - 1):
-                        a, b = (0, i), (0, i + 1)
-                        r = restrict_gc_mor(f, a, b)
-                        assert r.dom == restrict_gc(x, a, b)
-                        assert r.cod == restrict_gc(y, f(a), f(b))
+                    offset, restricted = desuspend_mor(f)
+                    assert len(restricted) == x.gset.levels[0] - 1
+                    for i, r in enumerate(restricted):
+                        assert f((0, i)) == (0, offset + i)
+                        assert r.dom == desuspend(x)[i][0]
+                        assert r.cod == desuspend(y)[offset + i][0]

@@ -322,6 +322,22 @@ class TestRestrict:
         for v in t.tree.vertices():
             assert validate_cropped(restrict_labeled(t, v)) == []
 
+    def test_rows_are_the_vertex_labels(self):
+        # Raised labels put a non-single label at the stored depth.
+        raised = tuple(
+            tuple(o(lab.n + 1) for lab in row) for row in DEEP_LABELS
+        )
+        for flavor in (INTERVAL, ORDINAL):
+            t = LabeledTree(flavor, DEEP_TREE, raised)
+            for n in range(t.depth + 2):
+                for i in range(t.tree.level_size(n)):
+                    sub = restrict_labeled(t, (n, i))
+                    rows = subtree_rows(t.tree, (n, i))
+                    assert sub.labels == tuple(
+                        tuple(t.label((n + k, j)) for j in rows[k])
+                        for k in range(sub.depth + 1)
+                    )
+
 
 class TestSuspendCoproduct:
     def test_suspending_one_trivial_tree_gives_the_trivial_tree(self):

@@ -231,6 +231,32 @@ class TestGammaMorphisms:
                 for f in enumerate_glob_morphisms(x, y):
                     assert gamma_prime_mor(gamma_mor(f)) == f
 
+    def test_morphisms_are_interned(self):
+        point = identity_ograph_mor(POINT_OGRAPH)
+        f = OGraphMor(ARROW_OGRAPH, CHAIN2_OGRAPH, 1, (point,))
+        assert f is enumerate_ograph_morphisms(ARROW_OGRAPH, CHAIN2_OGRAPH)[1]
+        assert OGraphMor(EMPTY_OGRAPH, ARROW_OGRAPH, 0) is OGraphMor(
+            EMPTY_OGRAPH, ARROW_OGRAPH, 0, ()
+        )
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            assert pickle.loads(pickle.dumps(f, protocol)) is f
+        assert copy.deepcopy(f) is f
+
+    def test_translations_are_built_once_per_morphism(self, monkeypatch):
+        x, y = gamma_prime(ARROW_OGRAPH), gamma_prime(WHISKER_OGRAPH)
+        found = enumerate_glob_morphisms(x, y)
+        read = [gamma_mor(f) for f in found]
+        built = [gamma_prime_mor(f) for f in read]
+        assert built == found
+
+        def rebuilt(*args):
+            raise AssertionError("a morphism is translated again")
+
+        monkeypatch.setattr("theta_disk.ograph.desuspend_mor", rebuilt)
+        monkeypatch.setattr("theta_disk.ograph.suspend_gc_mor", rebuilt)
+        assert all(gamma_mor(f) is g for f, g in zip(found, read))
+        assert all(gamma_prime_mor(g) is f for g, f in zip(read, built))
+
     def test_functorial(self):
         mors_fw = enumerate_ograph_morphisms(ARROW_OGRAPH, WHISKER_OGRAPH)
         for f in mors_fw:

@@ -18,9 +18,11 @@ from theta_disk.globular import (
     GlobSet,
     Vertex,
     _InternTable,
-    _restrict_data,
+    _linear_order,
     compose_glob_mors,
+    desuspend,
     identity_glob_mor,
+    linearize,
     sub_globcard,
 )
 from theta_disk.itree import (
@@ -88,13 +90,34 @@ def total_cell(x: GlobCard, n: int | None = None) -> Cell:
     return Cell(x, x, identity_glob_mor(x), dim)
 
 
+def between_rows(
+    y: GlobCard, a: Vertex, b: Vertex
+) -> tuple[tuple[int, ...], ...]:
+    """Oracle: per dimension above ``a`` and ``b``, the cells strictly
+    between them in the linear order whose source and target are kept one
+    dimension down, up to the first dimension that keeps none."""
+    order = _linear_order(y.gset)
+    between = set(order[order.index(a) + 1 : order.index(b)])
+    rows: list[tuple[int, ...]] = []
+    for k in range(a[0] + 1, len(y.gset.levels)):
+        row = tuple(i for i in range(y.gset.levels[k]) if (k, i) in between)
+        if rows:
+            prev = set(rows[-1])
+            src, tgt = y.gset.src[k - 1], y.gset.tgt[k - 1]
+            row = tuple(i for i in row if src[i] in prev and tgt[i] in prev)
+        if not row:
+            break
+        rows.append(row)
+    return tuple(rows)
+
+
 def comp_subfunctor(
     y: GlobCard, a: Vertex, b: Vertex
 ) -> tuple[GlobCard, GlobMor]:
     """Oracle: the sub-cardinal spanned by two same-dimension cells,
     everything strictly between them, and their iterated sources and
     targets below; with its inclusion."""
-    _, kept = _restrict_data(y, a, b)
+    kept = between_rows(y, a, b)
     n = a[0]
     below: list[set[int]] = []
     current = {a[1], b[1]}
@@ -109,6 +132,57 @@ def comp_subfunctor(
     keep.append({a[1], b[1]})
     keep.extend(kept)
     return sub_globcard(y, keep)
+
+
+def raw_glue(
+    y: GlobCard, z: GlobCard, m: int
+) -> tuple[GlobCard, GlobMor, GlobMor]:
+    """Reference gluing: the cells of ``y`` keep their indices, the cells
+    of ``z`` off the shared m-boundary follow them in order, and the raw
+    globular set is renumbered along its linear order."""
+    keep_y = omega._face(y, m, least=False).level_maps
+    keep_z = omega._face(z, m, least=True).level_maps
+    depth = max(len(y.gset.levels), len(z.gset.levels))
+    missing = depth - len(y.gset.levels)
+    levels = list(y.gset.levels) + [0] * missing
+    src = [list(row) for row in y.gset.src] + [[] for _ in range(missing)]
+    tgt = [list(row) for row in y.gset.tgt] + [[] for _ in range(missing)]
+    y_raw = [list(range(size)) for size in y.gset.levels]
+    z_raw: list[list[int]] = []
+    for k, size in enumerate(z.gset.levels):
+        shared = dict(zip(keep_z[k], keep_y[k])) if k < len(keep_z) else {}
+        row = []
+        for i in range(size):
+            if i in shared:
+                row.append(shared[i])
+                continue
+            row.append(levels[k])
+            levels[k] += 1
+            if k:
+                src[k - 1].append(z_raw[k - 1][z.gset.src[k - 1][i]])
+                tgt[k - 1].append(z_raw[k - 1][z.gset.tgt[k - 1][i]])
+        z_raw.append(row)
+    raw = GlobSet(
+        tuple(levels), tuple(map(tuple, src)), tuple(map(tuple, tgt))
+    )
+    glued_shape = linearize(raw)
+    assert glued_shape is not None
+    rank: dict[Vertex, int] = {}
+    placed = [0] * len(levels)
+    for k, i in _linear_order(raw):
+        rank[(k, i)] = placed[k]
+        placed[k] += 1
+    incl_y, incl_z = [
+        GlobMor(
+            shape,
+            glued_shape,
+            tuple(
+                tuple(rank[(k, r)] for r in row) for k, row in enumerate(raws)
+            ),
+        )
+        for shape, raws in ((y, y_raw), (z, z_raw))
+    ]
+    return glued_shape, incl_y, incl_z
 
 
 def zero_decompose(c: Cell) -> list[Cell]:
@@ -490,16 +564,32 @@ class TestCompose:
         text = json.dumps(rows, sort_keys=True)
         assert hashlib.sha256(text.encode()).hexdigest() == digest
 
+    @pytest.mark.parametrize("m", range(3))
+    def test_glue_matches_raw_renumbering(self, m):
+        shapes = [
+            gamma_prime(g) for g in enumerate_ographs(7, 3) if not g.is_empty
+        ]
+        glued = 0
+        for y, z in product(shapes, repeat=2):
+            target = omega._face(y, m, least=False).dom
+            if target is omega._face(z, m, least=True).dom:
+                assert omega._glue(y, z, m) == raw_glue(y, z, m)
+                glued += 1
+        assert glued > len(shapes)
+
 
 class TestRestrictData:
     def test_returns_shared_tuples(self):
         for x in (CHAIN3, WHISKER, GRID22):
-            for i in range(1, x.gset.levels[0]):
-                card, kept = _restrict_data(x, (0, i - 1), (0, i))
+            parts = desuspend(x)
+            assert type(parts) is tuple and desuspend(x) is parts
+            assert len(parts) == x.gset.levels[0] - 1
+            for i, (card, kept) in enumerate(parts):
                 assert type(kept) is tuple
-                assert all(type(row) is tuple for row in kept)
-                assert _restrict_data(x, (0, i - 1), (0, i))[1] is kept
                 assert card.gset.levels == tuple(len(row) for row in kept)
+                assert tuple(map(tuple, kept)) == between_rows(
+                    x, (0, i), (0, i + 1)
+                )
 
 
 class TestDecompose:

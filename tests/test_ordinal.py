@@ -28,6 +28,10 @@ def om(m: int, n: int, *images: int) -> OrdMap:
     return OrdMap(Ordinal(m), Ordinal(n), tuple(images))
 
 
+def is_identity(f: OrdMap) -> bool:
+    return f.dom == f.cod and f.images == tuple(f.dom.elements())
+
+
 @st.composite
 def ord_maps(draw, max_n: int = 6, min_dom: int = -1):
     m = draw(st.integers(min_value=min_dom, max_value=max_n))
@@ -73,7 +77,8 @@ class TestBasics:
             compose(om(0, 1, 0), om(0, 2, 0))
 
     def test_identity_and_interval_flags(self):
-        assert identity(Ordinal(2)).is_identity
+        assert is_identity(identity(Ordinal(2)))
+        assert not is_identity(om(1, 1, 0, 0))
         assert identity(Ordinal(2)).is_interval
         assert not identity(Ordinal(-1)).is_interval
         assert om(1, 1, 0, 1).is_interval
