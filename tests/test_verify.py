@@ -18,7 +18,13 @@ from theta_disk.itree import (
     trivial_obj,
     vee,
 )
-from theta_disk.labeled import trivial_labeled, xi_interval, xi_inverse
+from theta_disk.labeled import (
+    con_dualize_mor,
+    enumerate_labeled_mors,
+    trivial_labeled,
+    xi_interval,
+    xi_inverse,
+)
 from theta_disk.ograph import EMPTY_OGRAPH, gamma
 from theta_disk.omega import (
     EnrichedCell,
@@ -28,7 +34,7 @@ from theta_disk.omega import (
     promote_cell,
     psi_mor,
 )
-from theta_disk.ordinal import Ordinal, vee_map
+from theta_disk.ordinal import OrdMap, Ordinal, compose, vee_map
 from theta_disk.verify import (
     CHECKS,
     Bounds,
@@ -187,6 +193,176 @@ def corrupt_psi_mor(f):
     return psi_mor(enumerate_morphisms(f.dom, f.cod)[0])
 
 
+def corrupt_phi_obj(d):
+    """``phi_obj`` sending every disk to the trivial interval tree."""
+    return TI
+
+
+def corrupt_gamma(x):
+    """``gamma`` with the point cardinal sent to the empty graph."""
+    if x == POINT_CARDINAL:
+        return EMPTY_OGRAPH
+    return gamma(x)
+
+
+def corrupt_upsilon(h):
+    """``upsilon`` sending every tree to the empty graph."""
+    return EMPTY_OGRAPH
+
+
+def corrupt_xi_interval(t):
+    """``xi_interval`` with the labeled tree of ``I1`` sent to the trivial
+    interval tree."""
+    if t == xi_inverse(I1):
+        return TI
+    return xi_interval(t)
+
+
+# The ten negative controls through a check's seam keyword: the check, the
+# keyword and the corrupted function.
+NEGATIVE_CONTROLS = {
+    "ordinal-duality": (check_ordinal_duality, "vee_map_fn", corrupt_vee_map),
+    "itree-duality": (check_itree_duality, "vee_fn", corrupt_vee),
+    "itree-duality-morphisms": (
+        check_itree_duality,
+        "vee_fn",
+        corrupt_vee_on_morphisms,
+    ),
+    "phi": (check_phi, "phi_obj_fn", corrupt_phi_obj),
+    "gamma": (check_gamma, "gamma_fn", corrupt_gamma),
+    "upsilon": (check_upsilon, "upsilon_fn", corrupt_upsilon),
+    "L": (check_L, "comparison_fn", corrupt_comparison),
+    "omega-laws": (check_omega_laws, "compose_fn", corrupt_compose),
+    "psi": (check_psi, "psi_mor_fn", corrupt_psi_mor),
+    "xi": (check_xi, "xi_interval_fn", corrupt_xi_interval),
+}
+
+# SHA-256 of ``render_reports`` of each negative control's report at
+# ``Bounds()``: the law, the witnesses and the counts at the failure.
+NEGATIVE_CONTROL_SHA256 = {
+    "ordinal-duality": (
+        "330e28c9b4c6d9b905233b2e1e5af1d0303fbede32581f9c51138ed9f83b350a"
+    ),
+    "itree-duality": (
+        "b620ca1db69e28171c929c11b7c86d7674ccb432d23f44ba509a1fd112e806dc"
+    ),
+    "itree-duality-morphisms": (
+        "3cd6c53ce889b5b05b270a386b00b36dcfdfe65fd8316f04a8850b7fe81fcf9b"
+    ),
+    "phi": (
+        "6c8b4b44d7a32874d7de28f7807d1a6906de9dd1952b3d8a2a0082dc3586694d"
+    ),
+    "gamma": (
+        "3d16b94a2f6fcb28b2e460622c5996ec2100a293c300e90842cfea6b85a1792f"
+    ),
+    "upsilon": (
+        "4728c1bcde2981b55db6f7d6e0b221bb6f0b472fd4766e1823389d5d0a693d0e"
+    ),
+    "L": (
+        "55abffff739c3324d2d65f5a43b7a10eca669fe7225a5ed7af3e20df4e2a9767"
+    ),
+    "omega-laws": (
+        "468e2631115d7e02660f7f3e4b3d3d3d4ff61860f84cae75181f095f71ef64d1"
+    ),
+    "psi": (
+        "039a31067cc15b76f7522f629a3603cff27bdef6aaa7c5ad85e6b1b84505cfe9"
+    ),
+    "xi": (
+        "4291611c43735361873c4ab4610a9ca1ed3f777fad0bd6cb9901d637d4beb0d5"
+    ),
+}
+
+
+def without(index, applies=lambda *args: True):
+    """Corrupt an enumerator: drop the item at ``index`` from each listing
+    whose arguments satisfy ``applies``."""
+
+    def corrupt(real):
+        def listing(*args):
+            items = list(real(*args))
+            if items and applies(*args):
+                del items[index]
+            return items
+
+        return listing
+
+    return corrupt
+
+
+def constant_composite(real):
+    """Corrupt ``compose``: a composite ``[1] -> [1]`` that is not an
+    interval map comes out as the constant map to ``0``."""
+
+    def composite(g, f):
+        h = real(g, f)
+        if h.dom == h.cod == Ordinal(1) and not h.is_interval:
+            return OrdMap(Ordinal(1), Ordinal(1), (0, 0))
+        return h
+
+    return composite
+
+
+def next_dual(real):
+    """Corrupt ``con_dualize_mor``: each dual comes out as the next morphism
+    of its hom-set."""
+
+    def dual(m):
+        d = real(m)
+        homs = enumerate_labeled_mors(d.dom, d.cod)
+        return homs[(homs.index(d) + 1) % len(homs)]
+
+    return dual
+
+
+# Controls for laws that no seam reaches: the check, the ``verify`` global
+# to corrupt, the corruption of it and the law the check must fail.
+GLOBAL_CONTROLS = {
+    "ordinal-duality-hom-count": (
+        check_ordinal_duality,
+        "enumerate_ord_maps",
+        without(-1, lambda m, n: m.n >= 0),
+        "hom-count",
+    ),
+    "ordinal-duality-contravariance": (
+        check_ordinal_duality,
+        "compose_ord",
+        constant_composite,
+        "contravariance",
+    ),
+    "gamma-hom-count": (
+        check_gamma,
+        "enumerate_glob_morphisms",
+        without(-1),
+        "hom-count",
+    ),
+    "phi-hom-bijection": (
+        check_phi,
+        "enumerate_morphisms",
+        without(0),
+        "hom-bijection",
+    ),
+    "psi-full": (check_psi, "enumerate_omega_functors", without(-1), "full"),
+    "L-bijective": (
+        check_L,
+        "free_on_ograph_cells",
+        without(-1, lambda g, n: g.vertices > 1),
+        "bijective",
+    ),
+    "xi-object-surjectivity": (
+        check_xi,
+        "enumerate_objects",
+        without(-1),
+        "object-surjectivity",
+    ),
+    "xi-duality-square": (
+        check_xi,
+        "con_dualize_mor",
+        next_dual,
+        "duality-square",
+    ),
+}
+
+
 class TestBounds:
     def test_defaults(self):
         b = Bounds()
@@ -337,7 +513,7 @@ class TestPhiCheck:
         assert report.instances["morphisms"] > 0
 
     def test_negative_control(self):
-        report = check_phi(Bounds(), phi_obj_fn=lambda d: TI)
+        report = check_phi(Bounds(), phi_obj_fn=corrupt_phi_obj)
         assert not report.passed
         assert report.counterexample["law"] == "object-round-trip"
 
@@ -349,12 +525,7 @@ class TestGammaCheck:
         assert report.instances["cardinals"] > 4
 
     def test_negative_control(self):
-        def corrupt(x):
-            if x == POINT_CARDINAL:
-                return EMPTY_OGRAPH
-            return gamma(x)
-
-        report = check_gamma(Bounds(), gamma_fn=corrupt)
+        report = check_gamma(Bounds(), gamma_fn=corrupt_gamma)
         assert not report.passed
         assert report.counterexample["law"] == "graph-round-trip"
 
@@ -366,7 +537,7 @@ class TestUpsilonCheck:
         assert report.instances["graphs"] > 1
 
     def test_negative_control(self):
-        report = check_upsilon(Bounds(), upsilon_fn=lambda h: EMPTY_OGRAPH)
+        report = check_upsilon(Bounds(), upsilon_fn=corrupt_upsilon)
         assert not report.passed
         assert report.counterexample["law"] == "tree-round-trip"
 
@@ -442,16 +613,28 @@ class TestXiCheck:
         assert report.instances["square_morphisms"] > 0
 
     def test_negative_control(self):
-        li1 = xi_inverse(I1)
-
-        def corrupt(t):
-            if t == li1:
-                return TI
-            return xi_interval(t)
-
-        report = check_xi(Bounds(), xi_interval_fn=corrupt)
+        report = check_xi(Bounds(), xi_interval_fn=corrupt_xi_interval)
         assert not report.passed
         assert report.counterexample["law"] == "object-round-trip"
+
+
+class TestNegativeControls:
+    @pytest.mark.parametrize("control", sorted(NEGATIVE_CONTROL_SHA256))
+    def test_failing_report_is_pinned(self, control):
+        check, seam, corruption = NEGATIVE_CONTROLS[control]
+        out = render_reports([check(Bounds(), **{seam: corruption})])
+        assert json.loads(out)["passed"] is False
+        digest = hashlib.sha256(out.encode()).hexdigest()
+        assert digest == NEGATIVE_CONTROL_SHA256[control]
+
+    @pytest.mark.parametrize("control", sorted(GLOBAL_CONTROLS))
+    def test_corrupted_global_fails_its_law(self, monkeypatch, control):
+        check, name, corrupt, law = GLOBAL_CONTROLS[control]
+        assert check(Bounds()).passed
+        monkeypatch.setattr(verify, name, corrupt(getattr(verify, name)))
+        report = check(Bounds())
+        assert not report.passed
+        assert report.counterexample["law"] == law
 
 
 class TestPools:
