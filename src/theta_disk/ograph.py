@@ -213,10 +213,7 @@ def gamma_mor(f: GlobMor) -> OGraphMor:
     morphism."""
     if not f.dom.gset.levels:
         return OGraphMor(EMPTY_OGRAPH, gamma(f.cod), 0, ())
-    offset = f.level_maps[0][0]
-    if any(v != offset + i for i, v in enumerate(f.level_maps[0])):
-        raise ValueError("the object map of a cardinal morphism translates")
-    _, family = desuspend_mor(f)
+    offset, family = desuspend_mor(f)
     return OGraphMor(
         gamma(f.dom), gamma(f.cod), offset, tuple(map(gamma_mor, family))
     )

@@ -1,11 +1,23 @@
-"""Exhaustive bounded verification of the library's structural laws."""
+"""Exhaustive bounded verification of the library's structural laws.
+
+A check is a generator of failures registered with ``_check(name,
+*keys)``.  It is called as ``(bounds, counts, *, <seam>=None)``, counts
+its instances under the declared keys and yields a ``_fail`` payload for
+each broken law; the registered function reports the first one, and
+``CHECKS`` lists the checks in the order they are defined.  The seam
+keyword (``vee_map_fn``, ``gamma_fn`` and so on) substitutes the map
+under test.  Left at ``None``, it reads the module global at call time,
+so a function rebound on this module (a test double, a tracing wrapper)
+is the one that runs.
+"""
 
 from __future__ import annotations
 
 import json
 import re
+from collections.abc import Callable
 from dataclasses import dataclass, replace
-from functools import lru_cache
+from functools import lru_cache, wraps
 
 from theta_disk.disk import (
     enumerate_disk_morphisms,
@@ -83,10 +95,11 @@ MORPHISM_PAIR_CAP = 2000
 class Bounds:
     """Size caps for the exhaustive checks.
 
-    ``POOLS`` is the one place where a key becomes a named pool; the
-    checks and ``theta-disk enumerate`` both read their pools from it.
-    The keys read as follows (the CLI ``--bounds`` names drop the
-    ``max_`` prefix):
+    ``POOLS`` names the object pools that ``theta-disk enumerate`` lists
+    and most checks read.  ``gamma`` at ``max_vertices + 1``, ``psi`` and
+    the hom-set pools of ``xi`` call their enumerators at shifted bounds
+    instead.  The keys read as follows (the CLI ``--bounds`` names drop
+    the ``max_`` prefix):
 
     - ``max_height``: the height of inductive and labeled trees.  Hom-sets
       in ``psi`` and ``xi`` use ``max_height - 1``.
@@ -202,11 +215,30 @@ def _fail(law: str, **witnesses) -> dict:
     return payload
 
 
-def _report(check: str, bounds: Bounds, counts: dict, failures) -> Report:
-    """Report the first failure that the generator ``failures`` yields, with
-    ``counts`` as they stood when it was found."""
-    failure = next(failures, None)
-    return Report(check, bounds, counts, failure is None, failure)
+# Every check by name, in definition order; ``_check`` registers them.
+CHECKS: dict[str, Callable[..., Report]] = {}
+
+
+def _check(name: str, *keys: str):
+    """Register a generator of failures as the check ``name``.
+
+    The generator is called as ``(bounds, counts, **seams)``, with the
+    instance counts ``keys`` at zero, and yields a ``_fail`` payload for
+    each broken law.  The registered check reports the first failure with
+    ``counts`` as they stood when it was found.
+    """
+
+    def register(failures):
+        @wraps(failures)
+        def check(bounds: Bounds, **seams) -> Report:
+            counts = dict.fromkeys(keys, 0)
+            failure = next(failures(bounds, counts, **seams), None)
+            return Report(name, bounds, counts, failure is None, failure)
+
+        CHECKS[name] = check
+        return check
+
+    return register
 
 
 def _round_trips(
@@ -277,219 +309,196 @@ def _hom_round_trips(counts, key, pool, homs, there, back, witness, law, capped=
             yield from _round_trips(counts, key, homs(a, b), there, back, witness, law)
 
 
-def check_ordinal_duality(bounds: Bounds, *, vee_map_fn=vee_map) -> Report:
+@_check(
+    "ordinal-duality",
+    "objects",
+    "interval_maps",
+    "ordinal_maps",
+    "composable_pairs",
+    "hom_pairs",
+)
+def check_ordinal_duality(bounds: Bounds, counts: dict, *, vee_map_fn=None):
     """Mutually inverse contravariant duality between interval and
     ordinal maps, plus the hom-count identity it induces."""
-    counts = {
-        "objects": 0,
-        "interval_maps": 0,
-        "ordinal_maps": 0,
-        "composable_pairs": 0,
-        "hom_pairs": 0,
-    }
+    vee_map_fn = vee_map_fn or vee_map
     cap = bounds.max_label
-
-    def failures():
-        ordinals = POOLS["ordinal"](bounds)
-        intervals, duals = ordinals[1:], ordinals[:-1]
-        yield from _round_trips(
-            counts, "objects", intervals, vee_obj, wedge_obj, "ordinal"
-        )
-        yield from _round_trips(counts, "objects", duals, wedge_obj, vee_obj, "ordinal")
-        yield from _hom_round_trips(
-            counts,
-            "interval_maps",
-            intervals,
-            enumerate_interval_maps,
-            vee_map_fn,
-            wedge_map,
-            "map",
-            "interval-map-round-trip",
-        )
-        yield from _hom_round_trips(
-            counts,
-            "ordinal_maps",
-            duals,
-            enumerate_ord_maps,
-            wedge_map,
-            vee_map_fn,
-            "map",
-            "ordinal-map-round-trip",
-        )
-        small = intervals[: max(cap, 1)]
-        for a in small:
-            for b in small:
-                for c in small:
-                    for f in enumerate_interval_maps(a, b):
-                        for g in enumerate_interval_maps(b, c):
-                            counts["composable_pairs"] += 1
-                            composed = vee_map_fn(compose_ord(g, f))
-                            swapped = compose_ord(vee_map_fn(f), vee_map_fn(g))
-                            if composed != swapped:
-                                yield _fail("contravariance", first=f, second=g)
-        for m in range(1, cap + 1):
-            for n in range(1, cap + 1):
-                counts["hom_pairs"] += 1
-                forward = len(enumerate_interval_maps(Ordinal(m), Ordinal(n)))
-                backward = len(enumerate_ord_maps(Ordinal(n - 1), Ordinal(m - 1)))
-                if forward != backward:
-                    yield _fail("hom-count", dom=Ordinal(m), cod=Ordinal(n))
-
-    return _report("ordinal-duality", bounds, counts, failures())
+    ordinals = POOLS["ordinal"](bounds)
+    intervals, duals = ordinals[1:], ordinals[:-1]
+    yield from _round_trips(counts, "objects", intervals, vee_obj, wedge_obj, "ordinal")
+    yield from _round_trips(counts, "objects", duals, wedge_obj, vee_obj, "ordinal")
+    yield from _hom_round_trips(
+        counts,
+        "interval_maps",
+        intervals,
+        enumerate_interval_maps,
+        vee_map_fn,
+        wedge_map,
+        "map",
+        "interval-map-round-trip",
+    )
+    yield from _hom_round_trips(
+        counts,
+        "ordinal_maps",
+        duals,
+        enumerate_ord_maps,
+        wedge_map,
+        vee_map_fn,
+        "map",
+        "ordinal-map-round-trip",
+    )
+    small = intervals[: max(cap, 1)]
+    for a in small:
+        for b in small:
+            for c in small:
+                for f in enumerate_interval_maps(a, b):
+                    for g in enumerate_interval_maps(b, c):
+                        counts["composable_pairs"] += 1
+                        composed = vee_map_fn(compose_ord(g, f))
+                        swapped = compose_ord(vee_map_fn(f), vee_map_fn(g))
+                        if composed != swapped:
+                            yield _fail("contravariance", first=f, second=g)
+    for m in range(1, cap + 1):
+        for n in range(1, cap + 1):
+            counts["hom_pairs"] += 1
+            forward = len(enumerate_interval_maps(Ordinal(m), Ordinal(n)))
+            backward = len(enumerate_ord_maps(Ordinal(n - 1), Ordinal(m - 1)))
+            if forward != backward:
+                yield _fail("hom-count", dom=Ordinal(m), cod=Ordinal(n))
 
 
-def check_itree_duality(bounds: Bounds, *, vee_fn=vee) -> Report:
+@_check(
+    "itree-duality",
+    "interval_objects",
+    "ordinal_objects",
+    "interval_morphisms",
+    "ordinal_morphisms",
+    "capped_pairs",
+)
+def check_itree_duality(bounds: Bounds, counts: dict, *, vee_fn=None):
     """The inductive-tree dualities are mutually inverse on bounded
     objects and on every morphism between them."""
-    counts = {
-        "interval_objects": 0,
-        "ordinal_objects": 0,
-        "interval_morphisms": 0,
-        "ordinal_morphisms": 0,
-        "capped_pairs": 0,
-    }
-
-    def failures():
-        intervals = POOLS["itree-interval"](bounds)
-        ordinals = POOLS["itree-ordinal"](bounds)
-        yield from _round_trips(
-            counts, "interval_objects", intervals, vee_fn, wedge, "tree"
+    vee_fn = vee_fn or vee
+    intervals = POOLS["itree-interval"](bounds)
+    ordinals = POOLS["itree-ordinal"](bounds)
+    yield from _round_trips(
+        counts, "interval_objects", intervals, vee_fn, wedge, "tree"
+    )
+    yield from _round_trips(counts, "ordinal_objects", ordinals, wedge, vee_fn, "tree")
+    for pool, key, there, back in (
+        (intervals, "interval_morphisms", vee_fn, wedge),
+        (ordinals, "ordinal_morphisms", wedge, vee_fn),
+    ):
+        yield from _hom_round_trips(
+            counts,
+            key,
+            pool,
+            enumerate_morphisms,
+            there,
+            back,
+            "morphism",
+            "morphism-round-trip",
+            capped=True,
         )
-        yield from _round_trips(
-            counts, "ordinal_objects", ordinals, wedge, vee_fn, "tree"
-        )
-        for pool, key, there, back in (
-            (intervals, "interval_morphisms", vee_fn, wedge),
-            (ordinals, "ordinal_morphisms", wedge, vee_fn),
-        ):
-            yield from _hom_round_trips(
-                counts,
-                key,
-                pool,
-                enumerate_morphisms,
-                there,
-                back,
-                "morphism",
-                "morphism-round-trip",
-                capped=True,
-            )
-
-    return _report("itree-duality", bounds, counts, failures())
 
 
-def check_phi(bounds: Bounds, *, phi_obj_fn=phi_obj) -> Report:
+@_check("phi", "disks", "tree_objects", "hom_pairs", "morphisms")
+def check_phi(bounds: Bounds, counts: dict, *, phi_obj_fn=None):
     """The disk-to-inductive-tree conversion is bijective on bounded
     objects and a hom-set bijection."""
-    counts = {"disks": 0, "tree_objects": 0, "hom_pairs": 0, "morphisms": 0}
-
-    def failures():
-        disks = POOLS["disk"](bounds)
-        yield from _round_trips(
-            counts,
-            "disks",
-            disks,
-            phi_obj_fn,
-            phi_inverse_obj,
-            "disk",
-            image_law=("image-valid", validate_itree),
-        )
-        yield from _round_trips(
-            counts,
-            "tree_objects",
-            POOLS["itree-interval"](bounds),
-            phi_inverse_obj,
-            phi_obj_fn,
-            "tree",
-            "object-section",
-            image_law=("preimage-valid", validate_disk),
-        )
-        yield from _hom_bijection(
-            counts,
-            "hom_pairs",
-            disks,
-            enumerate_disk_morphisms,
-            enumerate_morphisms,
-            phi_obj_fn,
-            phi_mor,
-            ("hom-injective", "hom-bijection"),
-        )
-
-    return _report("phi", bounds, counts, failures())
+    phi_obj_fn = phi_obj_fn or phi_obj
+    disks = POOLS["disk"](bounds)
+    yield from _round_trips(
+        counts,
+        "disks",
+        disks,
+        phi_obj_fn,
+        phi_inverse_obj,
+        "disk",
+        image_law=("image-valid", validate_itree),
+    )
+    yield from _round_trips(
+        counts,
+        "tree_objects",
+        POOLS["itree-interval"](bounds),
+        phi_inverse_obj,
+        phi_obj_fn,
+        "tree",
+        "object-section",
+        image_law=("preimage-valid", validate_disk),
+    )
+    yield from _hom_bijection(
+        counts,
+        "hom_pairs",
+        disks,
+        enumerate_disk_morphisms,
+        enumerate_morphisms,
+        phi_obj_fn,
+        phi_mor,
+        ("hom-injective", "hom-bijection"),
+    )
 
 
-def check_gamma(bounds: Bounds, *, gamma_fn=gamma) -> Report:
+@_check("gamma", "cardinals", "hom_pairs", "morphisms")
+def check_gamma(bounds: Bounds, counts: dict, *, gamma_fn=None):
     """Globular cardinals and ordinal graphs are isomorphic categories;
     object round-trips run one vertex beyond the hom-set bound.
 
     Cardinals are reached only as ``gamma_prime`` images of the
     enumerated graphs, so the object law is the graph round trip.
     """
-    counts = {"cardinals": 0, "hom_pairs": 0, "morphisms": 0}
-
-    def failures():
-        cap = bounds.max_vertices + 1
-        yield from _round_trips(
-            counts,
-            "cardinals",
-            enumerate_ographs(cap, cap),
-            gamma_prime,
-            gamma_fn,
-            "graph",
-            "graph-round-trip",
-        )
-        small = enumerate_ographs(bounds.max_vertices, bounds.max_vertices)
-        for g in small:
-            for h in small:
-                counts["hom_pairs"] += 1
-                graph_homs = enumerate_ograph_morphisms(g, h)
-                glob_homs = enumerate_glob_morphisms(gamma_prime(g), gamma_prime(h))
-                if len(graph_homs) != len(glob_homs):
-                    yield _fail("hom-count", dom=g, cod=h)
-                # ``morphisms`` counts the graph side; the cardinal side is uncounted.
-                for key, homs, there, back in (
-                    ("morphisms", graph_homs, gamma_prime_mor, gamma_mor),
-                    (None, glob_homs, gamma_mor, gamma_prime_mor),
-                ):
-                    yield from _round_trips(
-                        counts,
-                        key,
-                        homs,
-                        there,
-                        back,
-                        "morphism",
-                        "morphism-round-trip",
-                    )
-
-    return _report("gamma", bounds, counts, failures())
+    gamma_fn = gamma_fn or gamma
+    cap = bounds.max_vertices + 1
+    yield from _round_trips(
+        counts,
+        "cardinals",
+        enumerate_ographs(cap, cap),
+        gamma_prime,
+        gamma_fn,
+        "graph",
+        "graph-round-trip",
+    )
+    small = enumerate_ographs(bounds.max_vertices, bounds.max_vertices)
+    for g in small:
+        for h in small:
+            counts["hom_pairs"] += 1
+            graph_homs = enumerate_ograph_morphisms(g, h)
+            glob_homs = enumerate_glob_morphisms(gamma_prime(g), gamma_prime(h))
+            if len(graph_homs) != len(glob_homs):
+                yield _fail("hom-count", dom=g, cod=h)
+            # ``morphisms`` counts the graph side; the cardinal side is uncounted.
+            for key, homs, there, back in (
+                ("morphisms", graph_homs, gamma_prime_mor, gamma_mor),
+                (None, glob_homs, gamma_mor, gamma_prime_mor),
+            ):
+                yield from _round_trips(
+                    counts, key, homs, there, back, "morphism", "morphism-round-trip"
+                )
 
 
-def check_upsilon(bounds: Bounds, *, upsilon_fn=upsilon) -> Report:
+@_check("upsilon", "tree_objects", "graphs")
+def check_upsilon(bounds: Bounds, counts: dict, *, upsilon_fn=None):
     """The ordinal-tree reading of ordinal graphs is surjective on
     bounded graphs and splits the bounded tree objects."""
-    counts = {"tree_objects": 0, "graphs": 0}
-
-    def failures():
-        yield from _round_trips(
-            counts,
-            "tree_objects",
-            POOLS["itree-ordinal"](bounds),
-            upsilon_fn,
-            upsilon_prime,
-            "tree",
-            "tree-round-trip",
-        )
-        yield from _round_trips(
-            counts,
-            "graphs",
-            POOLS["ograph"](bounds),
-            upsilon_prime,
-            upsilon_fn,
-            "graph",
-            "surjectivity",
-            image_law=("preimage-valid", validate_itree),
-        )
-
-    return _report("upsilon", bounds, counts, failures())
+    upsilon_fn = upsilon_fn or upsilon
+    yield from _round_trips(
+        counts,
+        "tree_objects",
+        POOLS["itree-ordinal"](bounds),
+        upsilon_fn,
+        upsilon_prime,
+        "tree",
+        "tree-round-trip",
+    )
+    yield from _round_trips(
+        counts,
+        "graphs",
+        POOLS["ograph"](bounds),
+        upsilon_prime,
+        upsilon_fn,
+        "graph",
+        "surjectivity",
+        image_law=("preimage-valid", validate_itree),
+    )
 
 
 def _graph_cells(bounds: Bounds, low: int):
@@ -516,221 +525,184 @@ def _composable_pairs(cells, m: int):
     return [(alpha, beta) for alpha in cells for beta in after(alpha)], after
 
 
-def check_L(bounds: Bounds, *, comparison_fn=comparison_L) -> Report:
+@_check("L", "cells", "proper_cells", "boundary_checks", "composition_checks")
+def check_L(bounds: Bounds, counts: dict, *, comparison_fn=None):
     """The comparison from free-category cells over a cardinal to
     enriched cells over its graph is bijective per dimension and
     commutes with boundaries and composition."""
-    counts = {
-        "cells": 0,
-        "proper_cells": 0,
-        "boundary_checks": 0,
-        "composition_checks": 0,
-    }
-
-    def failures():
-        for g, n, cells in _graph_cells(bounds, 0):
-            enriched = free_on_ograph_cells(g, n)
-            images = [comparison_fn(c) for c in cells]
-            counts["cells"] += len(cells)
-            proper = sum(1 for c in cells if c.is_proper)
-            counts["proper_cells"] += proper
-            if len(set(images)) != len(images):
-                yield _fail("injective", graph=g, dimension=n)
-            if set(images) != set(enriched):
-                yield _fail("bijective", graph=g, dimension=n)
-            enriched_proper = sum(1 for e in enriched if demote_enriched(e) is None)
-            if proper != enriched_proper:
-                yield _fail("proper-count", graph=g, dimension=n)
-            for c, image in zip(cells, images):
-                for m in range(n):
-                    counts["boundary_checks"] += 1
-                    src_ok = comparison_fn(m_source(c, m)) == enriched_m_source(
-                        image, m
-                    )
-                    tgt_ok = comparison_fn(m_target(c, m)) == enriched_m_target(
-                        image, m
-                    )
-                    if not (src_ok and tgt_ok):
-                        yield _fail("boundaries", cell=c, level=m)
+    comparison_fn = comparison_fn or comparison_L
+    for g, n, cells in _graph_cells(bounds, 0):
+        enriched = free_on_ograph_cells(g, n)
+        images = [comparison_fn(c) for c in cells]
+        counts["cells"] += len(cells)
+        proper = sum(1 for c in cells if c.is_proper)
+        counts["proper_cells"] += proper
+        if len(set(images)) != len(images):
+            yield _fail("injective", graph=g, dimension=n)
+        if set(images) != set(enriched):
+            yield _fail("bijective", graph=g, dimension=n)
+        enriched_proper = sum(1 for e in enriched if demote_enriched(e) is None)
+        if proper != enriched_proper:
+            yield _fail("proper-count", graph=g, dimension=n)
+        for c, image in zip(cells, images):
             for m in range(n):
-                pairs, _ = _composable_pairs(cells, m)
-                for alpha, beta in pairs:
-                    counts["composition_checks"] += 1
-                    left = comparison_fn(compose_cells(beta, alpha, m))
-                    right = compose_enriched(
-                        comparison_fn(beta), comparison_fn(alpha), m
-                    )
-                    if left != right:
-                        yield _fail("composition", first=alpha, second=beta)
+                counts["boundary_checks"] += 1
+                src_ok = comparison_fn(m_source(c, m)) == enriched_m_source(image, m)
+                tgt_ok = comparison_fn(m_target(c, m)) == enriched_m_target(image, m)
+                if not (src_ok and tgt_ok):
+                    yield _fail("boundaries", cell=c, level=m)
+        for m in range(n):
+            pairs, _ = _composable_pairs(cells, m)
+            for alpha, beta in pairs:
+                counts["composition_checks"] += 1
+                left = comparison_fn(compose_cells(beta, alpha, m))
+                right = compose_enriched(comparison_fn(beta), comparison_fn(alpha), m)
+                if left != right:
+                    yield _fail("composition", first=alpha, second=beta)
 
-    return _report("L", bounds, counts, failures())
 
-
-def check_omega_laws(bounds: Bounds, *, compose_fn=compose_cells) -> Report:
+@_check(
+    "omega-laws",
+    "unit_checks",
+    "associativity_checks",
+    "globularity_checks",
+    "composite_boundary_checks",
+)
+def check_omega_laws(bounds: Bounds, counts: dict, *, compose_fn=None):
     """Unit, associativity, globularity, and boundary-of-composite laws
     of the free category on every bounded cardinal."""
-    counts = {
-        "unit_checks": 0,
-        "associativity_checks": 0,
-        "globularity_checks": 0,
-        "composite_boundary_checks": 0,
-    }
-
-    def failures():
-        for _, n, cells in _graph_cells(bounds, 1):
-            for c in cells:
-                for m1 in range(n):
-                    for m2 in range(m1):
-                        counts["globularity_checks"] += 1
-                        ok = (
-                            m_source(m_source(c, m1), m2) == m_source(c, m2)
-                            and m_source(m_target(c, m1), m2) == m_source(c, m2)
-                            and m_target(m_source(c, m1), m2) == m_target(c, m2)
-                            and m_target(m_target(c, m1), m2) == m_target(c, m2)
-                        )
-                        if not ok:
-                            yield _fail("globularity", cell=c, level=m1)
-                for m in range(n):
-                    counts["unit_checks"] += 1
-                    left_unit = promote_cell(m_target(c, m), n)
-                    right_unit = promote_cell(m_source(c, m), n)
-                    if compose_fn(left_unit, c, m) != c:
-                        yield _fail("left-unit", cell=c, level=m)
-                    if compose_fn(c, right_unit, m) != c:
-                        yield _fail("right-unit", cell=c, level=m)
+    compose_fn = compose_fn or compose_cells
+    for _, n, cells in _graph_cells(bounds, 1):
+        for c in cells:
+            for m1 in range(n):
+                for m2 in range(m1):
+                    counts["globularity_checks"] += 1
+                    ok = (
+                        m_source(m_source(c, m1), m2) == m_source(c, m2)
+                        and m_source(m_target(c, m1), m2) == m_source(c, m2)
+                        and m_target(m_source(c, m1), m2) == m_target(c, m2)
+                        and m_target(m_target(c, m1), m2) == m_target(c, m2)
+                    )
+                    if not ok:
+                        yield _fail("globularity", cell=c, level=m1)
             for m in range(n):
-                pairs, after = _composable_pairs(cells, m)
-                for alpha, beta in pairs:
-                    composite = compose_fn(beta, alpha, m)
-                    counts["composite_boundary_checks"] += 1
-                    pair = {"first": alpha, "second": beta}
-                    if m_source(composite, m) != m_source(alpha, m):
-                        yield _fail("source-of-composite", **pair)
-                    if m_target(composite, m) != m_target(beta, m):
-                        yield _fail("target-of-composite", **pair)
-                    for level in range(m):
-                        if m_source(composite, level) != m_source(alpha, level):
-                            yield _fail("low-source-of-composite", **pair)
-                        if m_target(composite, level) != m_target(alpha, level):
-                            yield _fail("low-target-of-composite", **pair)
-                    for level in range(m + 1, n):
-                        src = compose_fn(
-                            m_source(beta, level), m_source(alpha, level), m
-                        )
-                        tgt = compose_fn(
-                            m_target(beta, level), m_target(alpha, level), m
-                        )
-                        if m_source(composite, level) != src:
-                            yield _fail("high-source-of-composite", **pair)
-                        if m_target(composite, level) != tgt:
-                            yield _fail("high-target-of-composite", **pair)
-                    for gamma_cell in after(beta):
-                        counts["associativity_checks"] += 1
-                        left = compose_fn(gamma_cell, composite, m)
-                        right = compose_fn(compose_fn(gamma_cell, beta, m), alpha, m)
-                        if left != right:
-                            yield _fail("associativity", **pair, third=gamma_cell)
+                counts["unit_checks"] += 1
+                left_unit = promote_cell(m_target(c, m), n)
+                right_unit = promote_cell(m_source(c, m), n)
+                if compose_fn(left_unit, c, m) != c:
+                    yield _fail("left-unit", cell=c, level=m)
+                if compose_fn(c, right_unit, m) != c:
+                    yield _fail("right-unit", cell=c, level=m)
+        for m in range(n):
+            pairs, after = _composable_pairs(cells, m)
+            for alpha, beta in pairs:
+                composite = compose_fn(beta, alpha, m)
+                counts["composite_boundary_checks"] += 1
+                pair = {"first": alpha, "second": beta}
+                if m_source(composite, m) != m_source(alpha, m):
+                    yield _fail("source-of-composite", **pair)
+                if m_target(composite, m) != m_target(beta, m):
+                    yield _fail("target-of-composite", **pair)
+                for level in range(m):
+                    if m_source(composite, level) != m_source(alpha, level):
+                        yield _fail("low-source-of-composite", **pair)
+                    if m_target(composite, level) != m_target(alpha, level):
+                        yield _fail("low-target-of-composite", **pair)
+                for level in range(m + 1, n):
+                    src = compose_fn(m_source(beta, level), m_source(alpha, level), m)
+                    tgt = compose_fn(m_target(beta, level), m_target(alpha, level), m)
+                    if m_source(composite, level) != src:
+                        yield _fail("high-source-of-composite", **pair)
+                    if m_target(composite, level) != tgt:
+                        yield _fail("high-target-of-composite", **pair)
+                for gamma_cell in after(beta):
+                    counts["associativity_checks"] += 1
+                    left = compose_fn(gamma_cell, composite, m)
+                    right = compose_fn(compose_fn(gamma_cell, beta, m), alpha, m)
+                    if left != right:
+                        yield _fail("associativity", **pair, third=gamma_cell)
 
-    return _report("omega-laws", bounds, counts, failures())
 
-
-def check_psi(bounds: Bounds, *, psi_mor_fn=psi_mor) -> Report:
+@_check("psi", "pairs", "morphisms")
+def check_psi(bounds: Bounds, counts: dict, *, psi_mor_fn=None):
     """Ordinal-tree hom-sets are in bijection with omega-functors
     between the presented free categories."""
-    counts = {"pairs": 0, "morphisms": 0}
-
-    def failures():
-        height_cap = max(bounds.max_height - 1, 0)
-        yield from _hom_bijection(
-            counts,
-            "pairs",
-            enumerate_objects(ORDINAL, height_cap, bounds.max_degree),
-            enumerate_morphisms,
-            enumerate_omega_functors,
-            psi_obj,
-            psi_mor_fn,
-            ("faithful", "full"),
-        )
-
-    return _report("psi", bounds, counts, failures())
+    psi_mor_fn = psi_mor_fn or psi_mor
+    height_cap = max(bounds.max_height - 1, 0)
+    yield from _hom_bijection(
+        counts,
+        "pairs",
+        enumerate_objects(ORDINAL, height_cap, bounds.max_degree),
+        enumerate_morphisms,
+        enumerate_omega_functors,
+        psi_obj,
+        psi_mor_fn,
+        ("faithful", "full"),
+    )
 
 
-def check_xi(bounds: Bounds, *, xi_interval_fn=xi_interval) -> Report:
+@_check(
+    "xi",
+    "interval_objects",
+    "ordinal_objects",
+    "hom_pairs",
+    "morphisms",
+    "square_objects",
+    "square_morphisms",
+)
+def check_xi(bounds: Bounds, counts: dict, *, xi_interval_fn=None):
     """Cropped labeled trees convert bijectively to inductive trees, on
     objects and hom-sets, and the conversion intertwines the dualities."""
-    counts = {
-        "interval_objects": 0,
-        "ordinal_objects": 0,
-        "hom_pairs": 0,
-        "morphisms": 0,
-        "square_objects": 0,
-        "square_morphisms": 0,
-    }
-
-    def failures():
-        converters = {INTERVAL: xi_interval_fn, ORDINAL: xi_ordinal}
-        pools = {}
-        for flavor, cap, key in (
-            (INTERVAL, bounds.max_label + 1, "interval_objects"),
-            (ORDINAL, bounds.max_label, "ordinal_objects"),
-        ):
-            pools[flavor] = POOLS[f"cropped-{flavor}"](bounds)
-            images = yield from _round_trips(
-                counts,
-                key,
-                pools[flavor],
-                converters[flavor],
-                xi_inverse,
-                "tree",
-                item_law=("enumeration-cropped", validate_cropped),
-            )
-            expected = POOLS[f"itree-{flavor}"](replace(bounds, max_label=cap))
-            if len(set(images)) != len(images) or set(images) != set(expected):
-                yield _fail("object-surjectivity", flavor=flavor)
-        hom_height = max(bounds.max_height - 1, 0)
-        for flavor, cap, mor_converter in (
-            (INTERVAL, bounds.max_label, xi_interval_mor),
-            (ORDINAL, bounds.max_label - 1, xi_ordinal_mor),
-        ):
-            yield from _hom_bijection(
-                counts,
-                "hom_pairs",
-                enumerate_cropped_trees(flavor, hom_height, cap),
-                enumerate_labeled_mors,
-                enumerate_morphisms,
-                converters[flavor],
-                mor_converter,
-                ("hom-injective", "hom-bijection"),
-            )
-        for t in pools[INTERVAL]:
-            counts["square_objects"] += 1
-            if xi_ordinal(con_dualize(t)) != vee(xi_interval_fn(t)):
-                yield _fail("duality-square", tree=t)
-        square_zoo = enumerate_cropped_trees(INTERVAL, hom_height, bounds.max_label)
-        for a in square_zoo:
-            for b in square_zoo:
-                for m in enumerate_labeled_mors(a, b):
-                    counts["square_morphisms"] += 1
-                    if xi_ordinal_mor(con_dualize_mor(m)) != vee(xi_interval_mor(m)):
-                        yield _fail("duality-square", morphism=m)
-
-    return _report("xi", bounds, counts, failures())
-
-
-CHECKS = {
-    "ordinal-duality": check_ordinal_duality,
-    "itree-duality": check_itree_duality,
-    "phi": check_phi,
-    "gamma": check_gamma,
-    "upsilon": check_upsilon,
-    "L": check_L,
-    "omega-laws": check_omega_laws,
-    "psi": check_psi,
-    "xi": check_xi,
-}
+    xi_interval_fn = xi_interval_fn or xi_interval
+    converters = {INTERVAL: xi_interval_fn, ORDINAL: xi_ordinal}
+    pools = {}
+    for flavor, cap, key in (
+        (INTERVAL, bounds.max_label + 1, "interval_objects"),
+        (ORDINAL, bounds.max_label, "ordinal_objects"),
+    ):
+        pools[flavor] = POOLS[f"cropped-{flavor}"](bounds)
+        images = yield from _round_trips(
+            counts,
+            key,
+            pools[flavor],
+            converters[flavor],
+            xi_inverse,
+            "tree",
+            item_law=("enumeration-cropped", validate_cropped),
+        )
+        expected = POOLS[f"itree-{flavor}"](replace(bounds, max_label=cap))
+        if len(set(images)) != len(images) or set(images) != set(expected):
+            yield _fail("object-surjectivity", flavor=flavor)
+    hom_height = max(bounds.max_height - 1, 0)
+    hom_pools = {}
+    for flavor, cap, mor_converter in (
+        (INTERVAL, bounds.max_label, xi_interval_mor),
+        (ORDINAL, bounds.max_label - 1, xi_ordinal_mor),
+    ):
+        hom_pools[flavor] = enumerate_cropped_trees(flavor, hom_height, cap)
+        yield from _hom_bijection(
+            counts,
+            "hom_pairs",
+            hom_pools[flavor],
+            enumerate_labeled_mors,
+            enumerate_morphisms,
+            converters[flavor],
+            mor_converter,
+            ("hom-injective", "hom-bijection"),
+        )
+    for t in pools[INTERVAL]:
+        counts["square_objects"] += 1
+        if xi_ordinal(con_dualize(t)) != vee(xi_interval_fn(t)):
+            yield _fail("duality-square", tree=t)
+    for a in hom_pools[INTERVAL]:
+        for b in hom_pools[INTERVAL]:
+            for m in enumerate_labeled_mors(a, b):
+                counts["square_morphisms"] += 1
+                if xi_ordinal_mor(con_dualize_mor(m)) != vee(xi_interval_mor(m)):
+                    yield _fail("duality-square", morphism=m)
 
 
 def run_all(bounds: Bounds | None = None) -> list[Report]:
-    """Run every check at the given bounds, in a fixed order."""
+    """Run every check at the given bounds, in ``CHECKS`` order."""
     b = bounds or Bounds()
     return [check(b) for check in CHECKS.values()]

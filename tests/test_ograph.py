@@ -32,6 +32,7 @@ from theta_disk.ograph import (
     upsilon,
     upsilon_prime,
 )
+from theta_disk.verify import POOLS, parse_bounds
 
 from tests.test_globular import chain2, globe2, whisker
 
@@ -230,6 +231,21 @@ class TestGammaMorphisms:
                 x, y = gamma_prime(g), gamma_prime(h)
                 for f in enumerate_glob_morphisms(x, y):
                     assert gamma_prime_mor(gamma_mor(f)) == f
+
+    def test_object_maps_translate(self):
+        # Every gap of a cardinal holds a 1-cell, so a morphism sends
+        # consecutive objects to consecutive objects; ``gamma_mor`` reads
+        # the offset of that translation off object 0.
+        pool = POOLS["globcard"](parse_bounds("vertices=11,dim=5"))
+        found = 0
+        for x in pool:
+            for y in pool:
+                for f in enumerate_glob_morphisms(x, y):
+                    found += 1
+                    objects = f.level_maps[0] if f.level_maps else ()
+                    start = objects[0] if objects else 0
+                    assert objects == tuple(range(start, start + len(objects)))
+        assert (len(pool), found) == (66, 1243)
 
     def test_morphisms_are_interned(self):
         point = identity_ograph_mor(POINT_OGRAPH)

@@ -19,7 +19,6 @@ from theta_disk.itree import (
     vee,
 )
 from theta_disk.labeled import (
-    con_dualize_mor,
     enumerate_labeled_mors,
     trivial_labeled,
     xi_interval,
@@ -34,7 +33,7 @@ from theta_disk.omega import (
     promote_cell,
     psi_mor,
 )
-from theta_disk.ordinal import OrdMap, Ordinal, compose, vee_map
+from theta_disk.ordinal import OrdMap, Ordinal, vee_map
 from theta_disk.verify import (
     CHECKS,
     Bounds,
@@ -660,6 +659,33 @@ class TestPools:
         assert main(["enumerate", "--kind", "ograph"]) == 0
         assert capsys.readouterr().out
         assert calls == ["enumerate_disks", "enumerate_ographs", "enumerate_ographs"]
+
+    @pytest.mark.parametrize(
+        "check, name",
+        [
+            (check_ordinal_duality, "vee_map"),
+            (check_itree_duality, "vee"),
+            (check_phi, "phi_obj"),
+            (check_gamma, "gamma"),
+            (check_upsilon, "upsilon"),
+            (check_L, "comparison_L"),
+            (check_omega_laws, "compose_cells"),
+            (check_psi, "psi_mor"),
+            (check_xi, "xi_interval"),
+        ],
+    )
+    def test_seams_are_looked_up_at_call_time(self, monkeypatch, check, name):
+        # A seam left at its default is the module global when the check
+        # runs, not the function bound when the check was defined.
+        calls = []
+
+        def counting(*args, real=getattr(verify, name)):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(verify, name, counting)
+        assert check(Bounds()).passed
+        assert calls
 
 
 class TestRunAll:
