@@ -10,7 +10,7 @@ requires the truncation to be minimal.  Vertices are addressed as
 Bare forests are unordered; sibling order only becomes meaningful in the
 modules that add interval structure on fibers.
 
-Level trees are interned (see :class:`theta_disk.globular.Interned`):
+Level trees are interned (see :class:`theta_disk.ordinal.Interned`):
 equal trees are one object, so each is validated once, and its fiber
 table, subtree rows and restrictions are computed once and kept for the
 life of the process.  Tree maps keep value equality and are not interned.
@@ -22,8 +22,7 @@ from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from functools import lru_cache
 
-from theta_disk.globular import Interned
-from theta_disk.ordinal import json_int
+from theta_disk.ordinal import Interned, json_int
 
 Vertex = tuple[int, int]
 LevelMaps = tuple[tuple[int, ...], ...]

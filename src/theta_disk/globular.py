@@ -15,66 +15,20 @@ and ``desuspend`` takes it apart, and ``suspend_gc_mor`` and
 ``desuspend_mor`` do the same for morphisms.
 
 Globular sets, cardinals and their morphisms are interned (see
-:class:`Interned`): equal values are one object, so equality is identity.
+:class:`theta_disk.ordinal.Interned`): equal values are one object, so
+equality is identity.
 """
 
 from __future__ import annotations
 
-import inspect
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate
 from typing import Iterable, Sequence
 
-from theta_disk.ordinal import json_int
+from theta_disk.ordinal import Interned, json_int
 
 Vertex = tuple[int, int]
-
-
-class _InternTable(type):
-    """Looks a value up by its field tuple before building it."""
-
-    def __init__(cls, *args, **kwargs) -> None:
-        super().__init__(*args, **kwargs)
-        cls._table: dict[tuple, object] = {}
-
-    def __call__(cls, *args, **kwargs):
-        if kwargs:
-            return cls(*cls._positions(args, kwargs))
-        try:
-            return cls._table[args]
-        except KeyError:
-            if len(args) < len(fields(cls)):
-                value = cls._table[args] = cls(*cls._positions(args, {}))
-                return value
-            # A value that fails validation raises here and is not stored.
-            value = cls._table[args] = super().__call__(*args)
-            return value
-
-    def _positions(cls, args: tuple, kwargs: dict) -> tuple:
-        """The full positional field tuple of a call, defaults filled in."""
-        bound = inspect.signature(cls.__init__).bind(None, *args, **kwargs)
-        bound.apply_defaults()
-        return bound.args[1:]
-
-
-class Interned(metaclass=_InternTable):
-    """Base of frozen value classes whose equal values are one object.
-
-    Calling the class looks the field tuple up in the class's table, and
-    only a value not seen before is built, so ``__post_init__`` validates
-    each distinct value once.  The key is the full positional field tuple:
-    keyword arguments are mapped to their positions and omitted fields
-    take their defaults, so every call naming one value finds one key.  A
-    positional call that leaves defaulted fields out is also stored under
-    its own short tuple, so repeating it is one lookup.  Pickle and copy
-    rebuild through the constructor, so every instance comes from the
-    table.  Subclasses are dataclasses with ``eq=False``: equality and
-    hashing are identity.
-    """
-
-    def __reduce__(self):
-        return type(self), tuple(getattr(self, f.name) for f in fields(self))
 
 
 @dataclass(frozen=True, eq=False)

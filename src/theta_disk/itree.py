@@ -14,7 +14,7 @@ index on the appropriate side.  In the interval flavor the trivial object
 is terminal; in the ordinal flavor it is initial.  The ``vee``/``wedge``
 pair exchanges the two flavors contravariantly and is mutually inverse.
 
-Objects are interned (see :class:`theta_disk.globular.Interned`): equal
+Objects are interned (see :class:`theta_disk.ordinal.Interned`): equal
 trees are one object.  Morphisms keep value equality, but the hom-sets
 and duals of child morphisms are shared: ``enumerate_morphisms`` and
 ``vee``/``wedge`` build each child morphism once and reuse it, while the
@@ -30,8 +30,8 @@ from functools import lru_cache
 from itertools import product
 from math import prod
 
-from theta_disk.globular import Interned
 from theta_disk.ordinal import (
+    Interned,
     OrdMap,
     Ordinal,
     compose as compose_ord,

@@ -20,7 +20,7 @@ per codomain vertex.  Relabeling through the ordinal dualities swaps the
 two flavors contravariantly, and cropped single-root trees convert back
 and forth with the inductive tree categories vertex for vertex.
 
-Labeled trees are interned (see :class:`theta_disk.globular.Interned`),
+Labeled trees are interned (see :class:`theta_disk.ordinal.Interned`),
 so each is validated once and equality is identity.  Their validation
 diagnostics, restrictions and inductive-tree images are memoized and
 kept for the life of the process, as are the ``(level_maps, alphas)``
@@ -49,7 +49,6 @@ from theta_disk.forest import (
     subtree_rows,
     suspend,
 )
-from theta_disk.globular import Interned
 from theta_disk.itree import (
     FLAVORS,
     INTERVAL,
@@ -63,6 +62,7 @@ from theta_disk.itree import (
     trivial_root,
 )
 from theta_disk.ordinal import (
+    Interned,
     OrdMap,
     Ordinal,
     compose as compose_ord,

@@ -21,14 +21,13 @@ from theta_disk.globular import (
     EMPTY_CARDINAL,
     GlobCard,
     GlobMor,
-    Interned,
     desuspend,
     desuspend_mor,
     suspend_gc,
     suspend_gc_mor,
 )
 from theta_disk.itree import ORDINAL, ITreeObj, trivial_obj
-from theta_disk.ordinal import Ordinal, json_int
+from theta_disk.ordinal import Interned, Ordinal, json_int
 
 
 @dataclass(frozen=True, eq=False)

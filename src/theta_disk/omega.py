@@ -40,7 +40,6 @@ from itertools import product
 from theta_disk.globular import (
     GlobCard,
     GlobMor,
-    Interned,
     compose_glob_mors,
     desuspend,
     desuspend_mor,
@@ -58,7 +57,7 @@ from theta_disk.ograph import (
     gamma_prime,
     upsilon,
 )
-from theta_disk.ordinal import json_int, json_str, wedge_map
+from theta_disk.ordinal import Interned, json_int, json_str, wedge_map
 
 # ---------------------------------------------------------------------------
 # Cells over a globular cardinal

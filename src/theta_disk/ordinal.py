@@ -10,11 +10,17 @@ The two constructions ``vee`` (drop the top, pass to the right adjoint) and
 ``wedge`` (add a top, pass to the left adjoint) translate between interval
 maps and arbitrary monotone maps in opposite directions, and are mutually
 inverse; the rest of the package leans on them for every duality.
+
+Ordinals and maps are interned (see :class:`Interned`, the base every
+interned value class of the package shares): equal values are one
+object, so each distinct map is validated once and equality and hashing
+are identity.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import inspect
+from dataclasses import dataclass, fields
 from functools import lru_cache
 from itertools import combinations_with_replacement
 from math import comb
@@ -38,13 +44,65 @@ def json_str(value: object) -> str:
     return value
 
 
-@dataclass(frozen=True, order=True)
-class Ordinal:
+class _InternTable(type):
+    """Looks a value up by its field tuple before building it."""
+
+    def __init__(cls, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        cls._table: dict[tuple, object] = {}
+
+    def __call__(cls, *args, **kwargs):
+        if kwargs:
+            return cls(*cls._positions(args, kwargs))
+        try:
+            return cls._table[args]
+        except KeyError:
+            if len(args) < len(fields(cls)):
+                value = cls._table[args] = cls(*cls._positions(args, {}))
+                return value
+            # A value that fails validation raises here and is not stored.
+            value = cls._table[args] = super().__call__(*args)
+            return value
+
+    def _positions(cls, args: tuple, kwargs: dict) -> tuple:
+        """The full positional field tuple of a call, defaults filled in."""
+        bound = inspect.signature(cls.__init__).bind(None, *args, **kwargs)
+        bound.apply_defaults()
+        return bound.args[1:]
+
+
+class Interned(metaclass=_InternTable):
+    """Base of frozen value classes whose equal values are one object.
+
+    Calling the class looks the field tuple up in the class's table, and
+    only a value not seen before is built, so ``__post_init__`` validates
+    each distinct value once.  The key is the full positional field tuple:
+    keyword arguments are mapped to their positions and omitted fields
+    take their defaults, so every call naming one value finds one key.  A
+    positional call that leaves defaulted fields out is also stored under
+    its own short tuple, so repeating it is one lookup.  Pickle and copy
+    rebuild through the constructor, so every instance comes from the
+    table.  Subclasses are dataclasses with ``eq=False``: equality and
+    hashing are identity.
+
+    Keys compare by value, so a call whose fields equal a stored value's
+    (``Ordinal(True)`` once ``Ordinal(1)`` is stored) returns the stored
+    value.  Validation therefore rejects mistyped fields, which would
+    otherwise enter the table that every caller shares.
+    """
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, f.name) for f in fields(self))
+
+
+@dataclass(frozen=True, eq=False)
+class Ordinal(Interned):
     """The finite linear order ``[n] = {0, ..., n}``; ``[-1]`` is empty."""
 
     n: int
 
     def __post_init__(self) -> None:
+        json_int(self.n)
         if self.n < -1:
             raise ValueError(f"ordinal index must be >= -1, got {self.n}")
 
@@ -66,8 +124,8 @@ class Ordinal:
         return Ordinal(json_int(data["n"]))
 
 
-@dataclass(frozen=True)
-class OrdMap:
+@dataclass(frozen=True, eq=False)
+class OrdMap(Interned):
     """A monotone map between finite ordinals, stored by its value tuple."""
 
     dom: Ordinal
@@ -75,6 +133,8 @@ class OrdMap:
     images: tuple[int, ...]
 
     def __post_init__(self) -> None:
+        if type(self.images) is not tuple:
+            raise ValueError(f"expected a tuple of values, got {self.images!r}")
         if len(self.images) != self.dom.size:
             raise ValueError(
                 f"expected {self.dom.size} values for a map out of {self.dom}, "
@@ -82,6 +142,7 @@ class OrdMap:
             )
         prev = 0
         for j in self.images:
+            json_int(j)
             if not 0 <= j <= self.cod.n:
                 raise ValueError(f"value {j} outside {self.cod}")
             if j < prev:

@@ -3,7 +3,7 @@
 The benchmark runs outside the test suite, so a rename in ``src/`` would
 otherwise break its traced runs and negative controls only when the
 benchmark runs.  These tests read the benchmark's files without running
-them.
+them, and replay the CLI requests its oracle pins.
 """
 
 from __future__ import annotations
@@ -16,15 +16,17 @@ from pathlib import Path
 
 import pytest
 
+from theta_disk.cli import main
 from theta_disk.verify import CHECKS
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 SCRIPTS = sorted(PERFBENCH.glob("*.py"))
 
 
-def load_tracer():
+def load_script(stem: str):
+    """``perfbench/<stem>.py`` as a module, without perfbench on the path."""
     spec = importlib.util.spec_from_file_location(
-        "perfbench_tracer", PERFBENCH / "tracer.py"
+        f"perfbench_{stem}", PERFBENCH / f"{stem}.py"
     )
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
@@ -49,7 +51,7 @@ def test_the_benchmark_scripts_are_found():
 
 
 def test_traced_functions_and_counted_classes_exist():
-    tracer = load_tracer()
+    tracer = load_script("tracer")
     assert tracer.GROUPS and tracer.CONSTRUCTED
     for group, (module, functions, _) in tracer.GROUPS.items():
         mod = importlib.import_module(f"theta_disk.{module}")
@@ -106,3 +108,20 @@ def test_negative_control_seams_exist():
         parameters = inspect.signature(CHECKS[check]).parameters
         for keyword in keywords:
             assert keyword in parameters, f"{check}: {keyword}"
+
+
+def test_cli_answers_every_oracle_request():
+    """Every request of the cli-requests universe exits and prints as
+    ``perfbench/cli_oracle.json`` pins, so a drift in CLI output fails
+    here and not only in a benchmark run."""
+    w = load_script("workloads")
+    oracle = w.load_json(w.ORACLE_PATH)
+    universe = w.cli_universe(w.cli_pools())
+    assert len(universe) == 1471
+    assert {w.request_key(argv) for argv in universe} == set(oracle)
+    wrong = []
+    for argv in universe:
+        code, stdout, _ = w.call_cli(main, argv)
+        if [code, w.digest(stdout)] != oracle[w.request_key(argv)]:
+            wrong.append((argv, code))
+    assert wrong == []

@@ -19,7 +19,6 @@ from theta_disk.globular import (
     GlobCard,
     GlobMor,
     GlobSet,
-    Interned,
     _linear_order,
     compose_glob_mors,
     desuspend,
@@ -32,6 +31,7 @@ from theta_disk.globular import (
     suspend_gc_mor,
 )
 from theta_disk.ograph import enumerate_ographs, gamma_prime
+from theta_disk.ordinal import Interned
 from theta_disk.verify import POOLS, parse_bounds
 from tests.test_omega import comp_subfunctor
 
@@ -413,7 +413,10 @@ class TestInterning:
                     classes.append(cls)
                     stack.append(cls)
         names = {cls.__name__ for cls in classes}
-        assert {"GlobSet", "LabeledTree", "Cell", "EnrichedCell", "OGraph"} <= names
+        assert {
+            "GlobSet", "LabeledTree", "Cell", "EnrichedCell", "OGraph",
+            "Ordinal", "OrdMap",
+        } <= names
         for cls in classes:
             assert "__eq__" not in vars(cls), cls
             assert "__hash__" not in vars(cls), cls

@@ -17,7 +17,6 @@ from theta_disk.globular import (
     GlobMor,
     GlobSet,
     Vertex,
-    _InternTable,
     _linear_order,
     compose_glob_mors,
     desuspend,
@@ -68,6 +67,7 @@ from theta_disk.omega import (
     psi_mor,
     psi_obj,
 )
+from theta_disk.ordinal import _InternTable
 
 ARROW_OGRAPH = OGraph(2, (POINT_OGRAPH,))
 CHAIN2_OGRAPH = OGraph(3, (POINT_OGRAPH, POINT_OGRAPH))

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import copy
+import pickle
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -242,3 +245,103 @@ class TestEnumeration:
         f = om(2, 3, 0, 1, 3)
         assert OrdMap.from_dict(f.to_dict()) == f
         assert Ordinal.from_dict(Ordinal(2).to_dict()) == Ordinal(2)
+
+
+class TestInterning:
+    def test_equal_values_are_one_object(self):
+        assert Ordinal(3) is Ordinal(3) is Ordinal(n=3)
+        f = om(2, 3, 0, 1, 3)
+        assert OrdMap(Ordinal(2), Ordinal(3), (0, 1, 3)) is f
+        assert OrdMap(dom=Ordinal(2), cod=Ordinal(3), images=(0, 1, 3)) is f
+        assert OrdMap(Ordinal(2), images=(0, 1, 3), cod=Ordinal(3)) is f
+        assert compose(identity(Ordinal(3)), f) is f
+
+    def test_serialization_returns_the_interned_value(self):
+        ordinals = [Ordinal(n) for n in range(-1, 4)]
+        for a in ordinals:
+            assert Ordinal.from_dict(a.to_dict()) is a
+            for b in ordinals:
+                for f in enumerate_ord_maps(a, b):
+                    assert OrdMap.from_dict(f.to_dict()) is f
+
+    def test_pickle_and_copy_return_the_interned_value(self):
+        for x in (Ordinal(-1), Ordinal(2), om(-1, 0), om(2, 1, 0, 1, 1)):
+            for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+                assert pickle.loads(pickle.dumps(x, protocol)) is x
+            assert copy.deepcopy(x) is x
+            assert copy.copy(x) is x
+
+    def test_invalid_value_raises_every_time(self):
+        for _ in range(2):
+            with pytest.raises(ValueError, match=">= -1"):
+                Ordinal(-2)
+            with pytest.raises(ValueError, match=">= -1"):
+                Ordinal(n=-2)
+            with pytest.raises(ValueError, match="not monotone"):
+                om(1, 2, 2, 1)
+            with pytest.raises(ValueError, match="not monotone"):
+                OrdMap(dom=Ordinal(1), cod=Ordinal(2), images=(2, 1))
+
+    def test_vee_of_equal_maps_is_one_object(self):
+        f = om(2, 3, 0, 1, 3)
+        g = compose(identity(Ordinal(3)), OrdMap(Ordinal(2), Ordinal(3), (0, 1, 3)))
+        assert vee_map(f) is vee_map(g)
+        assert wedge_map(vee_map(g)) is f
+
+
+class TestMistypedFields:
+    """The intern table is shared by every caller, so a call whose fields
+    have the wrong type either finds the stored value they equal or
+    raises; it never stores a mistyped value."""
+
+    MISTYPED = {
+        "bool": lambda: Ordinal(True),
+        "whole-float": lambda: Ordinal(1.0),
+        "float": lambda: Ordinal(1.5),
+        "str": lambda: Ordinal("1"),
+        "bool-keyword": lambda: Ordinal(n=True),
+        "bool-image": lambda: OrdMap(Ordinal(1), Ordinal(1), (0, True)),
+        "whole-float-image": lambda: OrdMap(Ordinal(1), Ordinal(1), (0.0, 1)),
+        "float-image": lambda: OrdMap(Ordinal(1), Ordinal(1), (0, 0.5)),
+        "range-images": lambda: OrdMap(Ordinal(1), Ordinal(1), range(2)),
+    }
+
+    @pytest.mark.parametrize("call", MISTYPED.values(), ids=MISTYPED)
+    def test_call_returns_the_stored_value_or_raises(self, call):
+        om(1, 1, 0, 1)
+        try:
+            value = call()
+        except ValueError:
+            pass
+        else:
+            if isinstance(value, Ordinal):
+                assert value is Ordinal(1)
+            else:
+                assert value is om(1, 1, 0, 1)
+        assert Ordinal(1).to_dict() == {"kind": "ordinal", "n": 1}
+        assert type(Ordinal(1).n) is int
+        assert om(1, 1, 0, 1).to_dict()["images"] == [0, 1]
+        assert all(type(j) is int for j in om(1, 1, 0, 1).images)
+
+    def test_equal_keys_find_the_stored_value(self):
+        one, f = Ordinal(1), om(1, 1, 0, 1)
+        assert Ordinal(True) is one
+        assert Ordinal(1.0) is one
+        assert OrdMap(one, one, (0, True)) is f
+
+    def test_mistyped_first_call_stores_nothing(self):
+        n = 7_654_321
+        for _ in range(2):
+            with pytest.raises(ValueError, match="expected an integer"):
+                Ordinal(float(n))
+        assert type(Ordinal(n).n) is int
+        assert Ordinal(float(n)) is Ordinal(n)
+        with pytest.raises(ValueError, match="expected an integer"):
+            OrdMap(Ordinal(0), Ordinal(n), (float(n),))
+        assert type(OrdMap(Ordinal(0), Ordinal(n), (n,)).images[0]) is int
+
+    def test_images_must_be_a_tuple(self):
+        with pytest.raises(ValueError, match="tuple"):
+            OrdMap(Ordinal(1), Ordinal(1), range(2))
+        with pytest.raises((TypeError, ValueError)):
+            OrdMap(Ordinal(1), Ordinal(1), [0, 1])
