@@ -12,6 +12,7 @@ from pathlib import Path
 
 from theta_disk.disk import (
     Disk,
+    count_disk_morphisms,
     phi_inverse_obj,
     phi_obj,
 )
@@ -29,6 +30,7 @@ from theta_disk.labeled import (
     LabeledTreeMor,
     con_dualize,
     con_dualize_mor,
+    count_labeled_mors,
     xi_interval,
     xi_inverse,
     xi_ordinal,
@@ -198,15 +200,14 @@ def _apply_functor(name: str, obj):
 
 def _hom_count(a, b, maps: str | None) -> int:
     # Every kind is counted by formula or recurrence, without listing the
-    # morphisms: disks through their interval trees, labeled trees through
-    # their inductive trees and cardinals through their ordinal graphs.
+    # morphisms; cardinals are counted through their ordinal graphs.
     counters = {
         Ordinal: count_interval_maps if maps == "interval" else count_ord_maps,
         OGraph: count_ograph_morphisms,
-        Disk: lambda a, b: count_morphisms(phi_obj(a), phi_obj(b)),
+        Disk: count_disk_morphisms,
         ITreeObj: count_morphisms,
         GlobCard: lambda a, b: count_ograph_morphisms(gamma(a), gamma(b)),
-        LabeledTree: lambda a, b: count_morphisms(_xi(a), _xi(b)),
+        LabeledTree: count_labeled_mors,
     }
     kind = type(a)
     if kind is not type(b) or kind not in counters:

@@ -15,10 +15,10 @@ a singleton only in the degree-0 (trivial) disks.
 reading the root fiber as an interval and recursing into the subtrees over
 its elements; ``phi_inverse_obj`` rebuilds the disk by suspending the
 coproduct of the children's disks.  The interval-tree readings, and the
-level maps of the morphisms between subdisks, are memoized and kept for
-the life of the process; disk morphisms are built afresh on every call,
-and only those returned are validated.  ``phi_mor`` reads its image off
-the given morphism, one fiber at a time.
+level maps and counts of the subdisk hom-sets (``hom_recursion``), are
+memoized for the life of the process; disk morphisms are built afresh on
+every call, and only those returned are validated.  ``phi_mor`` reads its
+image off the given morphism, one fiber at a time.
 """
 
 from __future__ import annotations
@@ -51,6 +51,7 @@ from theta_disk.ordinal import (
     OrdMap,
     Ordinal,
     enumerate_interval_maps,
+    hom_recursion,
     json_int,
 )
 
@@ -196,10 +197,14 @@ def compose_disk_mors(g: DiskMor, f: DiskMor) -> DiskMor:
     return DiskMor(f.dom, g.cod, compose_tree_maps(g.tree_map, f.tree_map))
 
 
-def phi_obj(d: Disk) -> ITreeObj:
-    """Read a disk as an inductive interval tree."""
+def _require_disk(d: Disk) -> None:
     if problems := validate_disk(d):
         raise ValueError(f"invalid disk: {problems[0]}")
+
+
+def phi_obj(d: Disk) -> ITreeObj:
+    """Read a disk as an inductive interval tree."""
+    _require_disk(d)
     return _phi_obj(d.tree)
 
 
@@ -273,33 +278,37 @@ def _nontrivial_disks(max_degree: int, max_fiber: int) -> list[Disk]:
 
 
 def enumerate_disk_morphisms(a: Disk, b: Disk) -> list[DiskMor]:
-    """All disk morphisms ``a -> b``, deterministically ordered, built on
-    every call from the shared level maps of ``_child_level_maps``."""
+    """All disk morphisms ``a -> b``, deterministically ordered, new each call."""
     return [
         DiskMor(a, b, TreeMap(a.tree, b.tree, maps))
         for maps in _level_maps(a.tree, b.tree)
     ]
 
 
-def _level_maps(a: LevelTree, b: LevelTree) -> list[LevelMaps]:
-    """Level maps of the disk morphisms between the disks on ``a``, ``b``."""
+def count_disk_morphisms(a: Disk, b: Disk) -> int:
+    """``len(enumerate_disk_morphisms(a, b))`` of valid disks, unlisted."""
+    _require_disk(a)
+    _require_disk(b)
+    return _count_level_maps(a.tree, b.tree)
+
+
+def _branches(a: LevelTree, b: LevelTree) -> list:
+    """Each root map of ``a -> b`` with the subdisk pairs over it."""
     if b.depth == 0:
-        return [tuple((0,) * size for size in a.levels)]
+        return [(None, ())]
     if a.depth == 0:
         return []
-    out = []
-    k_dom, k_cod = a.levels[1], b.levels[1]
-    for root in enumerate_interval_maps(Ordinal(k_dom - 1), Ordinal(k_cod - 1)):
-        options = [
-            _child_level_maps(restrict(a, (1, i)), restrict(b, (1, root(i))))
-            for i in range(k_dom)
-        ]
-        for subs in product(*options):
-            out.append(glue_level_maps(a, b, root, subs))
-    return out
+    dom, cod = Ordinal(a.levels[1] - 1), Ordinal(b.levels[1] - 1)
+    return [
+        (f, [(restrict(a, (1, i)), restrict(b, (1, f(i)))) for i in dom.elements()])
+        for f in enumerate_interval_maps(dom, cod)
+    ]
 
 
-@lru_cache(maxsize=None)
-def _child_level_maps(a: LevelTree, b: LevelTree) -> tuple[LevelMaps, ...]:
-    """``_level_maps(a, b)`` as met between subdisks, computed once."""
-    return tuple(_level_maps(a, b))
+def _glue(a: LevelTree, b: LevelTree, root: OrdMap | None, subs) -> LevelMaps:
+    if root is None:
+        return tuple((0,) * size for size in a.levels)
+    return glue_level_maps(a, b, root, subs)
+
+
+_level_maps, _count_level_maps = hom_recursion(_branches, _glue)

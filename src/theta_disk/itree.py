@@ -16,10 +16,10 @@ pair exchanges the two flavors contravariantly and is mutually inverse.
 
 Objects are interned (see :class:`theta_disk.ordinal.Interned`): equal
 trees are one object.  Morphisms keep value equality, but the hom-sets
-and duals of child morphisms are shared: ``enumerate_morphisms`` and
-``vee``/``wedge`` build each child morphism once and reuse it, while the
-morphisms they return at the top level are built afresh on every call
-and held by no table.
+and duals of child morphisms are shared: ``enumerate_morphisms`` (through
+:func:`theta_disk.ordinal.hom_recursion`) and ``vee``/``wedge`` build
+each child morphism once and reuse it, while the morphisms they return
+at the top level are built afresh on every call and held by no table.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ from collections.abc import Callable
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
-from math import prod
 
 from theta_disk.ordinal import (
     Interned,
@@ -37,6 +36,7 @@ from theta_disk.ordinal import (
     compose as compose_ord,
     enumerate_interval_maps,
     enumerate_ord_maps,
+    hom_recursion,
     identity as identity_ord,
     json_int,
     json_str,
@@ -398,53 +398,20 @@ def enumerate_objects(
     return [trivial] + nontrivial
 
 
-def _ends(h: ITreeObj, k: ITreeObj):
-    """The flavor table and ``(index, value)`` ends of ``h -> k``."""
+def _branches(h: ITreeObj, k: ITreeObj) -> list:
+    """Each root map of ``h -> k`` with the ends of its child morphisms."""
     if h.flavor != k.flavor:
         raise ValueError("hom-sets require a common flavor")
     spec = FLAVORS[h.flavor]
-    return spec, *spec.orient(h, k)
-
-
-def _child_pairs(spec: Flavor, root: OrdMap, index: ITreeObj, value: ITreeObj):
-    """``(dom, cod)`` of each child morphism over ``root``, as two lists."""
-    return spec.orient(index.children, spec.routed(root, value.children))
-
-
-def enumerate_morphisms(h: ITreeObj, k: ITreeObj) -> list[ITreeMor]:
-    """All morphisms ``h -> k``, deterministically ordered.
-
-    The list and its morphisms are new on every call; their child
-    morphisms come from the shared table ``_child_homs``.
-    """
-    spec, index, value = _ends(h, k)
+    index, value = spec.orient(h, k)
     if value.is_trivial:
-        return [marker(h, k)]
+        return [(None, ())]
     if index.is_trivial:
         return []
-    out = []
-    for root in spec.root_maps(h.root, k.root):
-        child_options = map(_child_homs, *_child_pairs(spec, root, index, value))
-        for kids in product(*child_options):
-            out.append(ITreeMor(h, k, root, kids))
-    return out
-
-
-@lru_cache(maxsize=None)
-def _child_homs(h: ITreeObj, k: ITreeObj) -> tuple[ITreeMor, ...]:
-    """The hom-set ``h -> k`` as met among the children of a morphism."""
-    return tuple(enumerate_morphisms(h, k))
-
-
-@lru_cache(maxsize=None)
-def count_morphisms(h: ITreeObj, k: ITreeObj) -> int:
-    """``len(enumerate_morphisms(h, k))``, counted without listing."""
-    spec, index, value = _ends(h, k)
-    if value.is_trivial:
-        return 1
-    if index.is_trivial:
-        return 0
-    return sum(
-        prod(map(count_morphisms, *_child_pairs(spec, root, index, value)))
+    return [
+        (root, zip(*spec.orient(index.children, spec.routed(root, value.children))))
         for root in spec.root_maps(h.root, k.root)
-    )
+    ]
+
+
+enumerate_morphisms, count_morphisms = hom_recursion(_branches, ITreeMor)

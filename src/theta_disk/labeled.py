@@ -24,16 +24,17 @@ Labeled trees are interned (see :class:`theta_disk.ordinal.Interned`),
 so each is validated once and equality is identity.  Their validation
 diagnostics, restrictions and inductive-tree images are memoized and
 kept for the life of the process, as are the ``(level_maps, alphas)``
-rows of the morphisms between subtrees; morphisms are built afresh on
-every call, and only those returned are validated.  The inductive-tree
-image of a morphism is read off its components, vertex by vertex.
+rows and counts of the subtree hom-sets (``hom_recursion``); morphisms
+are built afresh on every call, and only those returned are validated.
+The inductive-tree image of a morphism is read off its components,
+vertex by vertex.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain, product
+from itertools import chain
 
 from theta_disk.forest import (
     LevelMaps,
@@ -66,6 +67,7 @@ from theta_disk.ordinal import (
     OrdMap,
     Ordinal,
     compose as compose_ord,
+    hom_recursion,
     identity as identity_ord,
     json_int,
     json_str,
@@ -535,14 +537,18 @@ def enumerate_cropped_trees(
     ]
 
 
+def _require_hom(a: LabeledTree, b: LabeledTree) -> None:
+    if a.flavor != b.flavor:
+        raise ValueError("hom-sets require a common flavor")
+    _require_cropped_trees(a.flavor, a, b)
+
+
 def enumerate_labeled_mors(
     a: LabeledTree, b: LabeledTree
 ) -> list[LabeledTreeMor]:
     """All morphisms ``a -> b`` of cropped trees, deterministically ordered,
-    built on every call from the shared rows of ``_child_rows``."""
-    if a.flavor != b.flavor:
-        raise ValueError("hom-sets require a common flavor")
-    _require_cropped_trees(a.flavor, a, b)
+    built on every call from the shared rows of the subtree hom-sets."""
+    _require_hom(a, b)
     ends = FLAVORS[a.flavor].orient(a.tree, b.tree)
     return [
         LabeledTreeMor(a, b, TreeMap(*ends, maps), alphas)
@@ -550,11 +556,37 @@ def enumerate_labeled_mors(
     ]
 
 
-def _mor_rows(a: LabeledTree, b: LabeledTree) -> list[tuple[LevelMaps, Alphas]]:
-    """``(level_maps, alphas)`` of every morphism ``a -> b``, in order."""
+def count_labeled_mors(a: LabeledTree, b: LabeledTree) -> int:
+    """``len(enumerate_labeled_mors(a, b))``, counted without listing."""
+    _require_hom(a, b)
+    return _count_mor_rows(a, b)
+
+
+def _branches(a: LabeledTree, b: LabeledTree) -> list:
+    """Each root component of ``a -> b`` with the ends of its children."""
     spec = FLAVORS[a.flavor]
     index, value = spec.orient(a, b)
     if value.depth == 0:
+        return [(None, ())]
+    if index.depth == 0:
+        return []
+    kids = [restrict_labeled(index, (1, i)) for i in range(index.tree.levels[1])]
+    out = []
+    for g in spec.root_maps(a.labels[0][0], b.labels[0][0]):
+        slot = spec.slot_map(g)
+        pairs = [
+            spec.orient(kid, restrict_labeled(value, (1, slot(i))))
+            for i, kid in enumerate(kids)
+        ]
+        out.append(((g, slot, kids), pairs))
+    return out
+
+
+def _row(a: LabeledTree, b: LabeledTree, outer, combo) -> tuple[LevelMaps, Alphas]:
+    """The ``(level_maps, alphas)`` of one morphism ``a -> b``."""
+    spec = FLAVORS[a.flavor]
+    index, value = spec.orient(a, b)
+    if outer is None:
         # Everything collapses onto the trivial value end, whose label has
         # exactly one component to (interval) or from (ordinal) each label.
         def unique(lab: Ordinal) -> OrdMap:
@@ -562,38 +594,20 @@ def _mor_rows(a: LabeledTree, b: LabeledTree) -> list[tuple[LevelMaps, Alphas]]:
             return OrdMap(dom, cod, (0,) * dom.size)
 
         alphas = tuple(tuple(unique(lab) for lab in row) for row in index.labels)
-        return [(tuple((0,) * size for size in index.tree.levels), alphas)]
-    if index.depth == 0:
-        return []
+        return tuple((0,) * size for size in index.tree.levels), alphas
+    g, slot, kids = outer
+    maps = glue_level_maps(index.tree, value.tree, slot, [sub for sub, _ in combo])
     # Past a child's stored depth its chain carries identity components.
     single = identity_ord(spec.trivial_root)
-    kids = [restrict_labeled(index, (1, i)) for i in range(index.tree.levels[1])]
-    out = []
-    for g in spec.root_maps(a.labels[0][0], b.labels[0][0]):
-        slot = spec.slot_map(g)
-        options = [
-            _child_rows(*spec.orient(kid, restrict_labeled(value, (1, slot(i)))))
-            for i, kid in enumerate(kids)
-        ]
-        for combo in product(*options):
-            maps = glue_level_maps(
-                index.tree, value.tree, slot, [sub for sub, _ in combo]
-            )
-            below = tuple(
-                tuple(
-                    alphas[n][t] if n < len(alphas) else single
-                    for kid, (_, alphas) in zip(kids, combo)
-                    for t in range(kid.tree.level_size(n))
-                )
-                for n in range(index.depth)
-            )
-            out.append((maps, ((g,), *below)))
-    return out
+    below = tuple(
+        tuple(
+            alphas[n][t] if n < len(alphas) else single
+            for kid, (_, alphas) in zip(kids, combo)
+            for t in range(kid.tree.level_size(n))
+        )
+        for n in range(index.depth)
+    )
+    return maps, ((g,), *below)
 
 
-@lru_cache(maxsize=None)
-def _child_rows(
-    a: LabeledTree, b: LabeledTree
-) -> tuple[tuple[LevelMaps, Alphas], ...]:
-    """``_mor_rows(a, b)`` as met between subtrees, computed once."""
-    return tuple(_mor_rows(a, b))
+_mor_rows, _count_mor_rows = hom_recursion(_branches, _row)

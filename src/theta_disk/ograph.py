@@ -27,7 +27,7 @@ from theta_disk.globular import (
     suspend_gc_mor,
 )
 from theta_disk.itree import ORDINAL, ITreeObj, trivial_obj
-from theta_disk.ordinal import Interned, Ordinal, json_int
+from theta_disk.ordinal import Interned, Ordinal, hom_recursion, json_int
 
 
 @dataclass(frozen=True, eq=False)
@@ -139,39 +139,19 @@ def compose_ograph_mors(g: OGraphMor, f: OGraphMor) -> OGraphMor:
     )
 
 
-def enumerate_ograph_morphisms(g: OGraph, h: OGraph) -> list[OGraphMor]:
-    """All morphisms ``g -> h``, deterministically ordered."""
+def _branches(g: OGraph, h: OGraph) -> list:
+    """Each vertex offset of ``g -> h`` with the edge pairs over it."""
     if g.is_empty:
-        return [OGraphMor(g, h, 0, ())]
-    out = []
-    for offset in range(h.vertices - g.vertices + 1):
-        options = [
-            enumerate_ograph_morphisms(e, h.edges[offset + i])
-            for i, e in enumerate(g.edges)
-        ]
-        if any(not o for o in options):
-            continue
-        for combo in product(*options):
-            out.append(OGraphMor(g, h, offset, combo))
-    return out
-
-
-def count_ograph_morphisms(g: OGraph, h: OGraph) -> int:
-    if g.is_empty:
-        return 1
-    return sum(
-        _product_counts(g, h, offset)
+        return [(0, ())]
+    return [
+        (offset, [(e, h.edges[offset + i]) for i, e in enumerate(g.edges)])
         for offset in range(h.vertices - g.vertices + 1)
-    )
+    ]
 
 
-def _product_counts(g: OGraph, h: OGraph, offset: int) -> int:
-    total = 1
-    for i, e in enumerate(g.edges):
-        total *= count_ograph_morphisms(e, h.edges[offset + i])
-        if total == 0:
-            return 0
-    return total
+enumerate_ograph_morphisms, count_ograph_morphisms = hom_recursion(
+    _branches, OGraphMor
+)
 
 
 @lru_cache(maxsize=None)

@@ -57,7 +57,7 @@ from theta_disk.ograph import (
     gamma_prime,
     upsilon,
 )
-from theta_disk.ordinal import Interned, json_int, json_str, wedge_map
+from theta_disk.ordinal import Interned, hom_recursion, json_int, json_str, wedge_map
 
 # ---------------------------------------------------------------------------
 # Cells over a globular cardinal
@@ -314,22 +314,21 @@ class EnrichedCell(Interned):
         )
 
 
-def free_on_ograph_cells(g: OGraph, n: int) -> list[EnrichedCell]:
-    """All cells of nominal dimension ``n`` of the free omega-category on
-    an ordinal graph."""
+def _cell_branches(g: OGraph, n: int) -> list:
+    """The span ``(h, k)`` of each n-cell with the (edge, dimension) of its
+    parts: a marker on every vertex and, above dimension 0, every span."""
     if n < 0:
         raise ValueError("cells live in non-negative dimensions")
-    if n == 0:
-        return [EnrichedCell(0, i, i) for i in range(g.vertices)]
-    out = [EnrichedCell(n, h, h) for h in range(g.vertices)]
-    for h in range(g.vertices):
-        for k in range(h + 1, g.vertices):
-            options = [
-                free_on_ograph_cells(g.edges[j], n - 1) for j in range(h, k)
-            ]
-            for combo in product(*options):
-                out.append(EnrichedCell(n, h, k, combo))
-    return out
+    spans = [(h, h) for h in range(g.vertices)]
+    if n:
+        spans += [(h, k) for h in range(g.vertices) for k in range(h + 1, g.vertices)]
+    return [(span, [(g.edges[j], n - 1) for j in range(*span)]) for span in spans]
+
+
+# The n-cells of the free omega-category on an ordinal graph, new each call.
+free_on_ograph_cells = hom_recursion(
+    _cell_branches, lambda g, n, span, parts: EnrichedCell(n, *span, parts)
+)[0]
 
 
 def enriched_m_source(c: EnrichedCell, m: int) -> EnrichedCell:

@@ -22,8 +22,8 @@ from __future__ import annotations
 import inspect
 from dataclasses import dataclass, fields
 from functools import lru_cache
-from itertools import combinations_with_replacement
-from math import comb
+from itertools import combinations_with_replacement, product
+from math import comb, prod
 
 
 def json_int(value: object) -> int:
@@ -56,6 +56,8 @@ class _InternTable(type):
             return cls(*cls._positions(args, kwargs))
         try:
             return cls._table[args]
+        except TypeError:
+            raise ValueError(f"{cls.__name__} fields must be hashable") from None
         except KeyError:
             if len(args) < len(fields(cls)):
                 value = cls._table[args] = cls(*cls._positions(args, {}))
@@ -318,3 +320,31 @@ def enumerate_interval_maps(m: Ordinal, n: Ordinal) -> list[OrdMap]:
         OrdMap(m, n, (0, *mid, n.n))
         for mid in combinations_with_replacement(range(n.size), m.n - 1)
     ]
+
+
+def hom_recursion(branches, build):
+    """``(enumerate, count)`` for hom-sets whose morphisms are an outer map
+    plus one child morphism per index over it (Berger's wreath product):
+    ``branches(a, b)`` lists each outer map of ``a -> b`` with the ``(dom,
+    cod)`` pairs of its children, and ``build(a, b, outer, kids)`` makes
+    one morphism."""
+
+    def enumerate_homs(a, b) -> list:
+        """All morphisms ``a -> b`` in a new list, by outer map and then
+        children in ``product`` order, from one shared tuple per pair."""
+        return [
+            build(a, b, outer, kids)
+            for outer, pairs in branches(a, b)
+            for kids in product(*[children(*pair) for pair in pairs])
+        ]
+
+    @lru_cache(maxsize=None)
+    def children(a, b) -> tuple:
+        return tuple(enumerate_homs(a, b))
+
+    @lru_cache(maxsize=None)
+    def count(a, b) -> int:
+        """``len(enumerate(a, b))``, memoized, without listing."""
+        return sum(prod(count(*p) for p in pairs) for _, pairs in branches(a, b))
+
+    return enumerate_homs, count

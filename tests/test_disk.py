@@ -13,6 +13,7 @@ from theta_disk.disk import (
     Disk,
     DiskMor,
     compose_disk_mors,
+    count_disk_morphisms,
     enumerate_disk_morphisms,
     enumerate_disks,
     identity_disk_mor,
@@ -356,13 +357,13 @@ class TestPhiOnMorphisms:
 
     @pytest.mark.parametrize("degree, fiber", [(3, 3), (2, 5)])
     def test_hom_counts_are_interval_tree_hom_counts(self, degree, fiber):
-        # hom-count counts disk hom-sets this way, without listing them.
+        # hom-count counts disk hom-sets natively, without listing them.
         disks = enumerate_disks(degree, fiber)
         for a in disks:
             for b in disks:
-                assert count_morphisms(phi_obj(a), phi_obj(b)) == len(
-                    enumerate_disk_morphisms(a, b)
-                )
+                listed = len(enumerate_disk_morphisms(a, b))
+                assert count_morphisms(phi_obj(a), phi_obj(b)) == listed
+                assert count_disk_morphisms(a, b) == listed
 
     def test_functorial(self):
         a, b = tall_disk(), two_disk()

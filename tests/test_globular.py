@@ -388,6 +388,9 @@ class TestInterning:
         for _ in range(2):
             with pytest.raises(ValueError, match="not canonical"):
                 GlobCard(GlobSet((2, 1), ((1,),), ((0,),)))
+        for _ in range(2):
+            with pytest.raises(ValueError, match="GlobSet fields must be hashable"):
+                GlobSet([1], (), ())
 
     def test_pickle_and_copy_return_the_interned_value(self):
         values = [

@@ -42,6 +42,7 @@ from theta_disk.labeled import (
     con_dualize,
     con_dualize_mor,
     coproduct_labeled,
+    count_labeled_mors,
     enumerate_cropped_trees,
     enumerate_labeled_mors,
     identity_labeled,
@@ -431,12 +432,12 @@ class TestMorphisms:
         self, flavor, height, max_root, count, digest
     ):
         trees = enumerate_cropped_trees(flavor, height, max_root)
-        rows = [
-            m.to_dict()
-            for a in trees
-            for b in trees
-            for m in enumerate_labeled_mors(a, b)
-        ]
+        rows = []
+        for a in trees:
+            for b in trees:
+                homs = enumerate_labeled_mors(a, b)
+                assert count_labeled_mors(a, b) == len(homs)
+                rows.extend(m.to_dict() for m in homs)
         assert len(rows) == count
         text = json.dumps(rows, sort_keys=True)
         assert hashlib.sha256(text.encode()).hexdigest() == digest

@@ -197,6 +197,22 @@ class TestOGraphMorphisms:
             assert len(enumerate_ograph_morphisms(g, h)) == expected
             assert count_ograph_morphisms(g, h) == expected
 
+    def test_mutating_a_returned_list_leaves_the_next_call_unchanged(self):
+        # ``POINT -> ARROW`` is also the child hom-set of ``ARROW -> GLOBE2``.
+        pairs = [
+            (ARROW_OGRAPH, GLOBE2_OGRAPH),
+            (POINT_OGRAPH, ARROW_OGRAPH),
+            (EMPTY_OGRAPH, ARROW_OGRAPH),
+        ]
+        expected = [list(enumerate_ograph_morphisms(g, h)) for g, h in pairs]
+        for (g, h), want in zip(pairs, expected):
+            first = enumerate_ograph_morphisms(g, h)
+            first.clear()
+            again = enumerate_ograph_morphisms(g, h)
+            assert again == want and again is not first
+            again.append(again[0])
+        assert [enumerate_ograph_morphisms(g, h) for g, h in pairs] == expected
+
     def test_counts_match_enumeration(self):
         family = enumerate_ographs(7, 7)
         for g in family:

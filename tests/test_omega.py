@@ -636,6 +636,18 @@ class TestEnrichedCells:
         assert len(free_on_ograph_cells(ARROW_OGRAPH, 0)) == 2
         assert len(free_on_ograph_cells(ARROW_OGRAPH, 1)) == 3
 
+    def test_mutating_a_returned_list_leaves_the_next_call_unchanged(self):
+        # The 1-cells of ARROW are also the parts of WHISKER's 2-cells.
+        pairs = [(WHISKER_OGRAPH, 2), (ARROW_OGRAPH, 1), (WHISKER_OGRAPH, 0)]
+        expected = [list(free_on_ograph_cells(g, n)) for g, n in pairs]
+        for (g, n), want in zip(pairs, expected):
+            first = free_on_ograph_cells(g, n)
+            first.clear()
+            again = free_on_ograph_cells(g, n)
+            assert again == want and again is not first
+            again.append(again[0])
+        assert [free_on_ograph_cells(g, n) for g, n in pairs] == expected
+
     def test_identity_demotes_back(self):
         for n in range(3):
             for c in free_on_ograph_cells(WHISKER_OGRAPH, n):
