@@ -9,7 +9,8 @@ Structural equality of the canonical form then decides disk isomorphism.
 The validity conditions are: every vertex below the degree has a non-empty
 fiber; on each level above the root the vertices with singleton fibers are
 exactly the fiber endpoints from the previous level; and the root fiber is
-a singleton only in the degree-0 (trivial) disks.
+a singleton only in the degree-0 (trivial) disks.  The constructor checks
+them and raises the first that fails, so an invalid disk is never built.
 
 ``phi_obj``/``phi_mor`` convert disks into inductive interval trees by
 reading the root fiber as an interval and recursing into the subtrees over
@@ -58,18 +59,41 @@ from theta_disk.ordinal import (
 
 @dataclass(frozen=True)
 class Disk:
-    """A disk in canonical form: a tree with monotone parent maps."""
+    """A disk in canonical form: a tree with monotone parent maps that
+    meets the validity conditions."""
 
     tree: LevelTree
 
     def __post_init__(self) -> None:
-        if not self.tree.is_tree:
+        tree = self.tree
+        if not tree.is_tree:
             raise ValueError("a disk is carried by a tree (single root)")
-        for n, pmap in enumerate(self.tree.parents):
+        for n, pmap in enumerate(tree.parents):
             if any(pmap[i] > pmap[i + 1] for i in range(len(pmap) - 1)):
                 raise ValueError(
                     f"parent map at step {n} is not monotone; the canonical "
                     "form numbers fibers consecutively in parent order"
+                )
+        if self.degree >= 1 and tree.levels[1] < 2:
+            raise ValueError(
+                "invalid disk: level 0: the root fiber of a positive-degree "
+                "disk has at least two elements"
+            )
+        for n in range(1, self.degree):
+            if not all(fibers(tree, n)):
+                raise ValueError(
+                    f"invalid disk: level {n}: every vertex below the degree "
+                    "has a non-empty fiber"
+                )
+        # Every fiber below the degree is non-empty by now, so has two ends.
+        for n in range(1, self.degree + 1):
+            singleton = {i for i, fib in enumerate(fibers(tree, n)) if len(fib) == 1}
+            ends = {end for fib in fibers(tree, n - 1) for end in (fib[0], fib[-1])}
+            if singleton != ends:
+                raise ValueError(
+                    f"invalid disk: level {n}: vertices with singleton fibers "
+                    f"are {sorted(singleton)} but the fiber endpoints from "
+                    f"below are {sorted(ends)}"
                 )
 
     @property
@@ -113,44 +137,6 @@ class Disk:
 
 def trivial_disk() -> Disk:
     return Disk(LevelTree((1,), ()))
-
-
-def validate_disk(d: Disk) -> list[str]:
-    """Diagnostics for the disk conditions; empty means valid."""
-    problems: list[str] = []
-    tree = d.tree
-    deg = d.degree
-    if deg >= 1 and tree.levels[1] < 2:
-        problems.append(
-            "level 0: the root fiber of a positive-degree disk has at "
-            "least two elements"
-        )
-    for n in range(1, deg):
-        if any(
-            len(d.fiber(n, i)) == 0 for i in range(tree.levels[n])
-        ):
-            problems.append(
-                f"level {n}: every vertex below the degree has a "
-                "non-empty fiber"
-            )
-            break
-    for n in range(1, deg + 1):
-        singleton = {
-            i for i in range(tree.levels[n]) if len(d.fiber(n, i)) == 1
-        }
-        ends: set[int] = set()
-        for parent_index in range(tree.levels[n - 1]):
-            fib = d.fiber(n - 1, parent_index)
-            if fib:
-                ends.add(fib[0])
-                ends.add(fib[-1])
-        if singleton != ends:
-            problems.append(
-                f"level {n}: vertices with singleton fibers are "
-                f"{sorted(singleton)} but the fiber endpoints from below "
-                f"are {sorted(ends)}"
-            )
-    return problems
 
 
 @dataclass(frozen=True)
@@ -197,14 +183,8 @@ def compose_disk_mors(g: DiskMor, f: DiskMor) -> DiskMor:
     return DiskMor(f.dom, g.cod, compose_tree_maps(g.tree_map, f.tree_map))
 
 
-def _require_disk(d: Disk) -> None:
-    if problems := validate_disk(d):
-        raise ValueError(f"invalid disk: {problems[0]}")
-
-
 def phi_obj(d: Disk) -> ITreeObj:
     """Read a disk as an inductive interval tree."""
-    _require_disk(d)
     return _phi_obj(d.tree)
 
 
@@ -233,10 +213,6 @@ def _phi_mor(f: TreeMap, x: Vertex) -> ITreeMor:
     dom_t, cod_t = _phi_obj(restrict(f.dom, x)), _phi_obj(restrict(f.cod, y))
     if cod_t.is_trivial:
         return marker(dom_t, cod_t)
-    if dom_t.is_trivial:
-        raise ValueError(
-            "no disk morphism runs from the trivial disk to a non-trivial one"
-        )
     fiber = f.dom.children(*x)
     first = f.cod.children(*y)[0]
     below = f.at_level(x[0] + 1)
@@ -286,9 +262,7 @@ def enumerate_disk_morphisms(a: Disk, b: Disk) -> list[DiskMor]:
 
 
 def count_disk_morphisms(a: Disk, b: Disk) -> int:
-    """``len(enumerate_disk_morphisms(a, b))`` of valid disks, unlisted."""
-    _require_disk(a)
-    _require_disk(b)
+    """``len(enumerate_disk_morphisms(a, b))``, counted without listing."""
     return _count_level_maps(a.tree, b.tree)
 
 

@@ -7,7 +7,9 @@ wedge of the root in the ordinal flavor.  A child must be trivial exactly
 at the endpoints of its index range, and a non-trivial root must have at
 least two elements in the interval flavor (at least one in the ordinal
 flavor): without that floor, towers of trivial children would be distinct
-objects that none of the equivalences checked here can reach.
+objects that none of the equivalences checked here can reach.  The
+constructor enforces these rules, so a tree that breaks them is never
+built.
 
 Morphisms mirror the objects: a root map plus one child morphism per
 index on the appropriate side.  In the interval flavor the trivial object
@@ -123,7 +125,9 @@ class ITreeObj(Interned):
     The trivial object has no children; a non-trivial object carries one
     child per element of its root (interval flavor) or of its root's
     wedge (ordinal flavor).  Objects are interned, so equal trees are one
-    object, validated once, and equality and hashing are identity.
+    object, validated once, and equality and hashing are identity.  A
+    node checks the root floor and which of its own children are trivial;
+    deeper nodes were checked when they were built.
     """
 
     flavor: str
@@ -147,6 +151,17 @@ class ITreeObj(Interned):
                 f"root {self.root} requires {expected} children, "
                 f"got {len(self.children)}"
             )
+        if self.root.n < spec.least_root:
+            raise ValueError(
+                f"non-trivial {self.flavor} root must be at least "
+                f"[{spec.least_root}], got {self.root}"
+            )
+        for i, child in enumerate(self.children):
+            endpoint = i == 0 or i == expected - 1
+            if endpoint and not child.is_trivial:
+                raise ValueError(f"child {i}: endpoint child must be trivial")
+            if not endpoint and child.is_trivial:
+                raise ValueError(f"child {i}: interior child must be non-trivial")
 
     @property
     def is_trivial(self) -> bool:
@@ -180,32 +195,6 @@ def height(h: ITreeObj) -> int:
     if h.is_trivial:
         return 0
     return 1 + max(height(c) for c in h.children)
-
-
-def validate(h: ITreeObj) -> list[str]:
-    """Diagnostics for the inductive validity rules; empty means valid."""
-    problems: list[str] = []
-    floor = FLAVORS[h.flavor].least_root
-
-    def walk(node: ITreeObj, path: str) -> None:
-        if node.is_trivial:
-            return
-        if node.root.n < floor:
-            problems.append(
-                f"{path}: non-trivial {node.flavor} root must be at least "
-                f"[{floor}], got {node.root}"
-            )
-        last = len(node.children) - 1
-        for i, child in enumerate(node.children):
-            endpoint = i == 0 or i == last
-            if endpoint and not child.is_trivial:
-                problems.append(f"{path}.{i}: endpoint child must be trivial")
-            if not endpoint and child.is_trivial:
-                problems.append(f"{path}.{i}: interior child must be non-trivial")
-            walk(child, f"{path}.{i}")
-
-    walk(h, "root")
-    return problems
 
 
 @dataclass(frozen=True)

@@ -25,7 +25,6 @@ from theta_disk.disk import (
     phi_inverse_obj,
     phi_mor,
     phi_obj,
-    validate_disk,
 )
 from theta_disk.globular import enumerate_glob_morphisms
 from theta_disk.itree import (
@@ -34,7 +33,6 @@ from theta_disk.itree import (
     count_morphisms,
     enumerate_morphisms,
     enumerate_objects,
-    validate as validate_itree,
     vee,
     wedge,
 )
@@ -251,15 +249,14 @@ def _round_trips(
     law="object-round-trip",
     *,
     item_law=None,
-    image_law=None,
 ):
     """Count each ``x`` of ``items`` under ``key``, if any, and fail ``law``
     unless ``back(there(x)) == x``; a failure names ``x`` as ``witness``.
 
-    ``item_law`` and ``image_law`` are ``(law, validate)`` pairs: an ``x``,
-    or an image ``there(x)``, in which ``validate`` finds problems fails
-    that law first.  ``x`` is validated before ``there`` runs, because the
-    conversions reject invalid input.  Returns the images.
+    ``item_law`` is a ``(law, validate)`` pair: an ``x`` in which
+    ``validate`` finds problems fails that law first.  ``x`` is validated
+    before ``there`` runs, because the conversions reject invalid input.
+    Returns the images.
     """
     images = []
     for x in items:
@@ -269,8 +266,6 @@ def _round_trips(
             yield _fail(item_law[0], **{witness: x})
         y = there(x)
         images.append(y)
-        if image_law and image_law[1](y):
-            yield _fail(image_law[0], **{witness: x}, image=y)
         if back(y) != x:
             yield _fail(law, **{witness: x})
     return images
@@ -407,15 +402,7 @@ def check_phi(bounds: Bounds, counts: dict, *, phi_obj_fn=None):
     objects and a hom-set bijection."""
     phi_obj_fn = phi_obj_fn or phi_obj
     disks = POOLS["disk"](bounds)
-    yield from _round_trips(
-        counts,
-        "disks",
-        disks,
-        phi_obj_fn,
-        phi_inverse_obj,
-        "disk",
-        image_law=("image-valid", validate_itree),
-    )
+    yield from _round_trips(counts, "disks", disks, phi_obj_fn, phi_inverse_obj, "disk")
     yield from _round_trips(
         counts,
         "tree_objects",
@@ -424,7 +411,6 @@ def check_phi(bounds: Bounds, counts: dict, *, phi_obj_fn=None):
         phi_obj_fn,
         "tree",
         "object-section",
-        image_law=("preimage-valid", validate_disk),
     )
     yield from _hom_bijection(
         counts,
@@ -497,7 +483,6 @@ def check_upsilon(bounds: Bounds, counts: dict, *, upsilon_fn=None):
         upsilon_fn,
         "graph",
         "surjectivity",
-        image_law=("preimage-valid", validate_itree),
     )
 
 

@@ -17,7 +17,11 @@ from theta_disk import cli
 from theta_disk.cli import _PARSERS, FUNCTORS, main
 from theta_disk.disk import trivial_disk
 from theta_disk.forest import POINT_TREE
-from theta_disk.globular import ARROW_CARDINAL, enumerate_glob_morphisms
+from theta_disk.globular import (
+    ARROW_CARDINAL,
+    POINT_CARDINAL,
+    enumerate_glob_morphisms,
+)
 from theta_disk.itree import INTERVAL, ORDINAL, enumerate_objects, trivial_obj
 from theta_disk.labeled import (
     LabeledTree,
@@ -118,6 +122,42 @@ class TestParsing:
 
     def test_malformed_json_input(self, capsys):
         assert main(["convert", "--functor", "vee", "{broken"]) == 2
+        # Well-formed JSON of a known kind whose fields do not fit together.
+        arrow, point = ARROW_CARDINAL.to_dict(), POINT_CARDINAL.to_dict()
+        one = trivial_labeled(INTERVAL).to_dict()
+
+        def globmor(cod: dict, maps: list) -> dict:
+            return {"kind": "globmor", "dom": arrow, "cod": cod, "level_maps": maps}
+
+        for data, problem in [
+            (globmor(arrow, [[0, 1]]), "one cell map per dimension"),
+            (globmor(point, [[0, 0], [0]]), "no cells in some needed dimension"),
+            (globmor(arrow, [[0, 1], [0, 0]]), "dimension 1 has wrong arity"),
+            (globmor(arrow, [[0, 2], [0]]), "dimension 0 has values out of range"),
+            (
+                {
+                    "kind": "labeled-tree-mor",
+                    "direction": "sideways",
+                    "dom": one,
+                    "cod": one,
+                    "level_maps": [[0]],
+                    "alphas": [],
+                },
+                "unknown direction 'sideways'",
+            ),
+            (
+                {"kind": "tree", "levels": [1, -1], "parents": [[]]},
+                "level sizes must be non-negative",
+            ),
+            (
+                {"kind": "tree", "levels": [1, 3], "parents": [[0, 0]]},
+                "parent map at step 0 has wrong arity",
+            ),
+        ]:
+            assert main(["render", "--format", "json", json.dumps(data)]) == 2
+            out, err = capsys.readouterr()
+            assert out == ""
+            assert problem in err, data
 
     def test_unknown_object_kind(self, capsys):
         assert main(["convert", "--functor", "vee", '{"kind": "mystery"}']) == 2
@@ -653,6 +693,32 @@ class TestHomCount:
         )
         assert main(["hom-count", bare, bare]) == 2
         assert "invalid disk" in capsys.readouterr().err
+        # A disk or an inductive tree that breaks its rules is refused on
+        # every verb, before any functor or counter sees it.
+        flat = json.dumps({"kind": "disk", "levels": [1, 3], "parents": [[0, 0, 0]]})
+        t_i, t_o = trivial_obj(INTERVAL).to_dict(), trivial_obj(ORDINAL).to_dict()
+        o0 = {"kind": "itree", "flavor": ORDINAL, "root": 0, "children": [t_o, t_o]}
+        hollow = json.dumps(
+            {"kind": "itree", "flavor": INTERVAL, "root": 2, "children": [t_i] * 3}
+        )
+        capped = json.dumps(
+            {"kind": "itree", "flavor": ORDINAL, "root": 0, "children": [o0, o0]}
+        )
+        for argv, problem in [
+            (["render", flat], "invalid disk: level 1"),
+            (["convert", "--functor", "vee", hollow], "interior child"),
+            (["convert", "--functor", "phi-inverse", hollow], "interior child"),
+            (["convert", "--functor", "xi-inverse", hollow], "interior child"),
+            (["hom-count", hollow, hollow], "interior child"),
+            (["render", hollow], "interior child"),
+            (["convert", "--functor", "upsilon", capped], "endpoint child"),
+            (["convert", "--functor", "psi", capped], "endpoint child"),
+            (["convert", "--functor", "wedge", capped], "endpoint child"),
+        ]:
+            assert main(argv) == 2, argv
+            out, err = capsys.readouterr()
+            assert out == ""
+            assert problem in err, argv
 
     def test_mismatched_kinds_fail(self, capsys):
         code = main(

@@ -21,7 +21,6 @@ from theta_disk.disk import (
     phi_mor,
     phi_obj,
     trivial_disk,
-    validate_disk,
 )
 from theta_disk.forest import (
     LevelTree,
@@ -38,7 +37,6 @@ from theta_disk.itree import (
     enumerate_objects,
     marker,
     trivial_obj,
-    validate,
 )
 from theta_disk.itree import compose as compose_itree
 from theta_disk.ordinal import OrdMap, Ordinal
@@ -111,29 +109,30 @@ def phi_mor_by_restriction(f: DiskMor) -> ITreeMor:
 
 class TestDiskValidity:
     def test_trivial_is_valid(self):
-        assert validate_disk(trivial_disk()) == []
+        assert trivial_disk().is_trivial
 
     def test_example_tree_is_a_valid_disk(self):
-        assert validate_disk(example_disk()) == []
+        assert example_disk().degree == 4
 
     def test_small_disks_valid(self):
-        assert validate_disk(two_disk()) == []
-        assert validate_disk(tall_disk()) == []
+        assert two_disk().degree == 1
+        assert tall_disk().degree == 2
 
     def test_interior_singleton_fiber_rejected(self):
-        flat = Disk(LevelTree((1, 3), ((0, 0, 0),)))
-        assert any("level 1" in p for p in validate_disk(flat))
-        bad = Disk(LevelTree((1, 3, 4), ((0, 0, 0), (0, 1, 2, 2))))
-        assert any("level 1" in p for p in validate_disk(bad))
+        with pytest.raises(ValueError, match="invalid disk: level 1"):
+            Disk(LevelTree((1, 3), ((0, 0, 0),)))
+        with pytest.raises(ValueError, match="invalid disk: level 1"):
+            Disk(LevelTree((1, 3, 4), ((0, 0, 0), (0, 1, 2, 2))))
 
     def test_singleton_root_fiber_rejected_for_positive_degree(self):
-        bad = Disk(LevelTree((1, 1, 2), ((0,), (0, 0))))
-        assert any("root fiber" in p for p in validate_disk(bad))
+        with pytest.raises(ValueError, match="root fiber"):
+            Disk(LevelTree((1, 1, 2), ((0,), (0, 0))))
 
     def test_wide_top_fiber_rejected(self):
-        bad = Disk(LevelTree((1, 2, 5), ((0, 0), (0, 0, 0, 1, 1))))
-        problems = validate_disk(bad)
-        assert any("level 2" in p for p in problems)
+        # Level 1 keeps the rules; the three-element top fiber over its
+        # middle vertex has an interior vertex with a singleton fiber.
+        with pytest.raises(ValueError, match="level 2"):
+            Disk(LevelTree((1, 3, 5), ((0, 0, 0), (0, 1, 1, 1, 2))))
 
     def test_non_monotone_parents_rejected_structurally(self):
         with pytest.raises(ValueError, match="monotone"):
@@ -160,8 +159,10 @@ class TestFibers:
         assert list(d.fiber(4, 7)) == [7]
 
     def test_empty_fiber(self):
-        bad = Disk(LevelTree((1, 2, 2), ((0, 0), (0, 0))))
-        assert list(bad.fiber(1, 1)) == []
+        tree = LevelTree((1, 2, 2), ((0, 0), (0, 0)))
+        assert tree.children(1, 1) == []
+        with pytest.raises(ValueError, match="non-empty fiber"):
+            Disk(tree)
 
 
 class TestSerialization:
@@ -204,9 +205,8 @@ class TestPhi:
         ]
 
     def test_validates_input(self):
-        bad = Disk(LevelTree((1, 3), ((0, 0, 0),)))
         with pytest.raises(ValueError, match="invalid disk"):
-            phi_obj(bad)
+            phi_obj(Disk(LevelTree((1, 3), ((0, 0, 0),))))
 
     def test_round_trip_from_disks(self):
         for d in enumerate_disks(3, 3):
@@ -217,12 +217,14 @@ class TestPhi:
             assert phi_obj(phi_inverse_obj(h)) == h
 
     def test_images_are_valid_trees(self):
+        # A tree that breaks the rules cannot be built.
         for d in enumerate_disks(3, 4):
-            assert validate(phi_obj(d)) == []
+            phi_obj(d)
 
     def test_preimages_are_valid_disks(self):
+        # A disk that breaks the rules cannot be built.
         for h in enumerate_objects(INTERVAL, 3, 4):
-            assert validate_disk(phi_inverse_obj(h)) == []
+            phi_inverse_obj(h)
 
 
 class TestEnumeration:
@@ -241,8 +243,8 @@ class TestEnumeration:
             assert n_disks == n_trees
 
     def test_all_enumerated_disks_valid(self):
-        for d in enumerate_disks(3, 4):
-            assert validate_disk(d) == []
+        # A disk that breaks the rules cannot be built.
+        enumerate_disks(3, 4)
 
 
 class TestDiskMorphisms:

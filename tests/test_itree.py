@@ -26,7 +26,6 @@ from theta_disk.itree import (
     identity,
     marker,
     trivial_obj,
-    validate,
     vee,
     wedge,
 )
@@ -65,22 +64,24 @@ class TestObjects:
         assert height(O1) == 2
 
     def test_validate_accepts(self):
+        # Each named tree was checked when it was built; building it
+        # again returns it.
         for obj in (T_I, I1, I2, I3, T_O, O0, O1):
-            assert validate(obj) == []
+            assert ITreeObj(obj.flavor, obj.root, obj.children) is obj
 
     def test_validate_rejects_trivial_interior(self):
-        bad = interval(2, T_I, T_I, T_I)
-        assert any("interior" in p for p in validate(bad))
+        with pytest.raises(ValueError, match="interior"):
+            interval(2, T_I, T_I, T_I)
 
     def test_validate_rejects_nontrivial_endpoint(self):
-        bad = ordinal_tree(0, O0, O0)
-        assert any("endpoint" in p for p in validate(bad))
+        with pytest.raises(ValueError, match="endpoint"):
+            ordinal_tree(0, O0, O0)
 
     def test_validate_rejects_degenerate_towers(self):
-        tower = interval(0, T_I)
-        assert any("at least" in p for p in validate(tower))
-        otower = ordinal_tree(-1, T_O)
-        assert any("at least" in p for p in validate(otower))
+        with pytest.raises(ValueError, match="at least"):
+            interval(0, T_I)
+        with pytest.raises(ValueError, match="at least"):
+            ordinal_tree(-1, T_O)
 
     def test_structural_validation(self):
         with pytest.raises(ValueError):

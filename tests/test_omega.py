@@ -41,6 +41,7 @@ from theta_disk.ograph import (
     gamma,
     gamma_prime,
     upsilon,
+    upsilon_prime,
 )
 from theta_disk.omega import (
     EMPTY_PRESENTATION,
@@ -967,12 +968,15 @@ class TestPsi:
             assert tuple(g for g, _ in psi_mor(f).assignments) == gens
 
     def test_apply_matches_evaluation(self):
-        trivial, o0, o1 = self.small_trees()
-        for f in enumerate_morphisms(o1, o1):
-            action = psi_mor(f)
-            for n in range(3):
-                for c in free_on_ograph_cells(ARROW_OGRAPH, n):
-                    assert eval_functor(action, c) == psi_apply(f, c)
+        # An arrow with a two-edge chain over it: evaluating a 2-cell that
+        # composes two edges goes through ``_find_split``.
+        for graph in (ARROW_OGRAPH, OGraph(2, (CHAIN2_OGRAPH,))):
+            tree = upsilon_prime(graph)
+            for f in enumerate_morphisms(tree, tree):
+                action = psi_mor(f)
+                for n in range(3):
+                    for c in free_on_ograph_cells(graph, n):
+                        assert eval_functor(action, c) == psi_apply(f, c)
 
     def test_small_hom_sets_are_in_bijection_with_functors(self):
         trees = self.small_trees()

@@ -18,7 +18,6 @@ from theta_disk.itree import (
     ITreeObj,
     height,
     trivial_obj,
-    validate,
     vee,
     wedge,
 )
@@ -64,7 +63,7 @@ ROUND_TRIPS = settings(max_examples=40, deadline=None)
 @ROUND_TRIPS
 @given(st.sampled_from([INTERVAL, ORDINAL]).flatmap(itrees))
 def test_strategy_draws_valid_trees_within_the_bounds(h):
-    assert validate(h) == []
+    # A tree that breaks the rules cannot be built.
     assert height(h) <= MAX_HEIGHT
 
 

@@ -20,6 +20,7 @@ from theta_disk.itree import (
 )
 from theta_disk.labeled import (
     enumerate_labeled_mors,
+    suspend_labeled,
     trivial_labeled,
     xi_interval,
     xi_inverse,
@@ -313,6 +314,32 @@ def next_dual(real):
     return dual
 
 
+def with_uncropped(real):
+    """Corrupt ``enumerate_cropped_trees``: each interval pool comes out
+    with a tree appended whose labels fit its fibers (it is constrained)
+    but whose middle child carries the single-slot label (not cropped)."""
+    star = suspend_labeled([trivial_labeled(INTERVAL)] * 3, Ordinal(2))
+
+    def listing(flavor, *bounds):
+        items = list(real(flavor, *bounds))
+        if flavor == INTERVAL:
+            items.append(star)
+        return items
+
+    return listing
+
+
+def borrowed_dual(real):
+    """Corrupt ``con_dualize``: the last tree of the default interval pool
+    comes out as the dual of the tree before it."""
+    pool = verify.POOLS["cropped-interval"](Bounds())
+
+    def dual(t):
+        return real(pool[-2] if t == pool[-1] else t)
+
+    return dual
+
+
 # Controls for laws that no seam reaches: the check, the ``verify`` global
 # to corrupt, the corruption of it and the law the check must fail.
 GLOBAL_CONTROLS = {
@@ -357,6 +384,18 @@ GLOBAL_CONTROLS = {
         check_xi,
         "con_dualize_mor",
         next_dual,
+        "duality-square",
+    ),
+    "xi-enumeration-cropped": (
+        check_xi,
+        "enumerate_cropped_trees",
+        with_uncropped,
+        "enumeration-cropped",
+    ),
+    "xi-object-duality-square": (
+        check_xi,
+        "con_dualize",
+        borrowed_dual,
         "duality-square",
     ),
 }
