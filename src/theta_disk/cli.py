@@ -16,7 +16,7 @@ from theta_disk.disk import (
     phi_inverse_obj,
     phi_obj,
 )
-from theta_disk.forest import LevelTree
+from theta_disk.forest import LevelTree, fibers
 from theta_disk.globular import GlobCard, GlobMor
 from theta_disk.itree import (
     INTERVAL,
@@ -230,7 +230,7 @@ def _level_view(obj) -> tuple[LevelTree, Callable[[int, int], str]]:
         return obj, lambda n, i: ""
     if type(obj) is Disk:
         return obj.tree, lambda n, i: (
-            f" fiber {len(obj.fiber(n, i))}" if n < obj.tree.depth else ""
+            f" fiber {len(fibers(obj.tree, n)[i])}" if n < obj.tree.depth else ""
         )
     if type(obj) is LabeledTree:
         return obj.tree, lambda n, i: f" [{obj.labels[n][i].n}]"
@@ -254,7 +254,7 @@ def _render_text(obj) -> str:
         def walk(level: int, index: int, depth: int) -> None:
             lines.append("  " * depth + f"({level}, {index}){note(level, index)}")
             if level < tree.depth:
-                for child in tree.children(level, index):
+                for child in fibers(tree, level)[index]:
                     walk(level + 1, child, depth + 1)
 
         for root in range(tree.levels[0]):
@@ -310,8 +310,9 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="verb", required=True)
 
-    def add_common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--bounds", help=_BOUNDS_HELP)
+    def add_common(p: argparse.ArgumentParser, bounds: bool = False) -> None:
+        if bounds:
+            p.add_argument("--bounds", help=_BOUNDS_HELP)
         p.add_argument("--out", help="write output to this path instead of stdout")
 
     p = sub.add_parser(
@@ -322,7 +323,7 @@ def _build_parser() -> argparse.ArgumentParser:
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
     p.add_argument("--kind", choices=ENUMERATIONS, required=True)
-    add_common(p)
+    add_common(p, bounds=True)
 
     p = sub.add_parser(
         "convert",
@@ -361,7 +362,7 @@ def _build_parser() -> argparse.ArgumentParser:
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
     p.add_argument("input", help="path to a JSON file, or inline JSON")
-    add_common(p)
+    add_common(p, bounds=True)
 
     p = sub.add_parser(
         "verify",
@@ -372,7 +373,7 @@ def _build_parser() -> argparse.ArgumentParser:
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--check", choices=sorted(CHECKS))
     group.add_argument("--all", action="store_true")
-    add_common(p)
+    add_common(p, bounds=True)
 
     p = sub.add_parser(
         "render",
@@ -404,22 +405,23 @@ def main(argv: list[str] | None = None) -> int:
         return 2
 
 
-def _enumerate(args: argparse.Namespace, bounds: Bounds) -> tuple[str, int]:
-    objects = POOLS[args.kind](bounds)
+def _enumerate(args: argparse.Namespace) -> tuple[str, int]:
+    objects = POOLS[args.kind](_resolve_bounds(args.bounds))
     return "".join(_dump(o.to_dict()) for o in objects), 0
 
 
-def _convert(args: argparse.Namespace, bounds: Bounds) -> tuple[str, int]:
+def _convert(args: argparse.Namespace) -> tuple[str, int]:
     image = _apply_functor(args.functor, _load_object(args.input))
     return _dump(image.to_dict()), 0
 
 
-def _count(args: argparse.Namespace, bounds: Bounds) -> tuple[str, int]:
+def _count(args: argparse.Namespace) -> tuple[str, int]:
     count = _hom_count(_load_object(args.dom), _load_object(args.cod), args.kind)
     return _dump({"kind": "hom-count", "count": count}), 0
 
 
-def _cells(args: argparse.Namespace, bounds: Bounds) -> tuple[str, int]:
+def _cells(args: argparse.Namespace) -> tuple[str, int]:
+    bounds = _resolve_bounds(args.bounds)
     base = _load_object(args.input)
     if isinstance(base, OGraph):
         base = gamma_prime(base)
@@ -429,12 +431,13 @@ def _cells(args: argparse.Namespace, bounds: Bounds) -> tuple[str, int]:
     return _dump({"kind": "cell-counts", "counts": counts}), 0
 
 
-def _verify(args: argparse.Namespace, bounds: Bounds) -> tuple[str, int]:
+def _verify(args: argparse.Namespace) -> tuple[str, int]:
+    bounds = _resolve_bounds(args.bounds)
     reports = run_all(bounds) if args.all else [CHECKS[args.check](bounds)]
     return render_reports(reports), 0 if all(r.passed for r in reports) else 1
 
 
-def _render(args: argparse.Namespace, bounds: Bounds) -> tuple[str, int]:
+def _render(args: argparse.Namespace) -> tuple[str, int]:
     renderer = {
         "text": _render_text,
         "dot": _render_dot,
@@ -456,7 +459,7 @@ _VERBS = {
 
 
 def _dispatch(args: argparse.Namespace) -> int:
-    text, status = _VERBS[args.verb](args, _resolve_bounds(args.bounds))
+    text, status = _VERBS[args.verb](args)
     _emit(text, args.out)
     return status
 

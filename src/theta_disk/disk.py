@@ -5,6 +5,7 @@ by their interval order, and the fibers of a level are concatenated in the
 order of their parent vertices, so the parent maps are monotone and the
 endpoint sections are simply the first and last element of each fiber.
 Structural equality of the canonical form then decides disk isomorphism.
+Fibers are read from the tree's shared table ``forest.fibers``.
 
 The validity conditions are: every vertex below the degree has a non-empty
 fiber; on each level above the root the vertices with singleton fibers are
@@ -104,18 +105,14 @@ class Disk:
     def is_trivial(self) -> bool:
         return self.degree == 0
 
-    def fiber(self, level: int, index: int) -> list[int]:
-        """Indices at ``level + 1`` of the fiber over ``(level, index)``."""
-        return self.tree.children(level, index)
-
     def to_dict(self) -> dict:
         return {
             "kind": "disk",
             "levels": list(self.tree.levels),
             "parents": [list(p) for p in self.tree.parents],
             "fiber_sizes": [
-                [len(self.fiber(n, i)) for i in range(size)]
-                for n, size in enumerate(self.tree.levels[:-1])
+                [len(fib) for fib in fibers(self.tree, n)]
+                for n in range(self.degree)
             ],
         }
 
@@ -126,10 +123,7 @@ class Disk:
             declared = [
                 [json_int(v) for v in row] for row in data["fiber_sizes"]
             ]
-            actual = [
-                [len(d.fiber(n, i)) for i in range(size)]
-                for n, size in enumerate(d.tree.levels[:-1])
-            ]
+            actual = [[len(fib) for fib in fibers(d.tree, n)] for n in range(d.degree)]
             if declared != actual:
                 raise ValueError("declared fiber sizes disagree with parents")
         return d
@@ -213,8 +207,8 @@ def _phi_mor(f: TreeMap, x: Vertex) -> ITreeMor:
     dom_t, cod_t = _phi_obj(restrict(f.dom, x)), _phi_obj(restrict(f.cod, y))
     if cod_t.is_trivial:
         return marker(dom_t, cod_t)
-    fiber = f.dom.children(*x)
-    first = f.cod.children(*y)[0]
+    fiber = fibers(f.dom, x[0])[x[1]]
+    first = fibers(f.cod, y[0])[y[1]][0]
     below = f.at_level(x[0] + 1)
     root = OrdMap(dom_t.root, cod_t.root, tuple(below[j] - first for j in fiber))
     children = tuple(_phi_mor(f, (x[0] + 1, j)) for j in fiber)

@@ -12,8 +12,9 @@ modules that add interval structure on fibers.
 
 Level trees are interned (see :class:`theta_disk.ordinal.Interned`):
 equal trees are one object, so each is validated once, and its fiber
-table, subtree rows and restrictions are computed once and kept for the
-life of the process.  Tree maps keep value equality and are not interned.
+table :func:`fibers`, the one reader of a vertex's children, its subtree
+rows and restrictions are computed once and kept for the life of the
+process.  Tree maps keep value equality and are not interned.
 """
 
 from __future__ import annotations
@@ -69,27 +70,6 @@ class LevelTree(Interned):
     def level_size(self, n: int) -> int:
         """Size of level ``n``, following the implicit continuation."""
         return self.levels[min(n, self.depth)]
-
-    def parent(self, level: int, index: int) -> int:
-        """Parent index of vertex ``(level, index)``; ``level >= 1``."""
-        if level <= self.depth:
-            return self.parents[level - 1][index]
-        return index
-
-    def children(self, level: int, index: int) -> list[int]:
-        """Child indices of vertex ``(level, index)`` at level ``level + 1``.
-
-        The list is new on every call; the fibers come from a shared table.
-        """
-        if level + 1 <= self.depth:
-            return list(fibers(self, level)[index])
-        return [index]
-
-    def vertices(self):
-        """All stored vertices as ``(level, index)`` pairs."""
-        for n, size in enumerate(self.levels):
-            for i in range(size):
-                yield (n, i)
 
     @property
     def is_tree(self) -> bool:
@@ -160,11 +140,9 @@ def subtree_rows(a: LevelTree, x: Vertex) -> tuple[tuple[int, ...], ...]:
     if n >= a.depth:
         return ((i,),)
     keep = [(i,)]
-    for lvl in range(n + 1, a.depth + 1):
-        members = set(keep[-1])
-        keep.append(
-            tuple(j for j, p in enumerate(a.parents[lvl - 1]) if p in members)
-        )
+    for lvl in range(n, a.depth):
+        table = fibers(a, lvl)
+        keep.append(tuple(sorted(j for p in keep[-1] for j in table[p])))
     return tuple(keep)
 
 
@@ -244,13 +222,18 @@ class TreeMap:
             if any(not 0 <= v < self.cod.level_size(n) for v in fmap):
                 raise ValueError(f"level map {n} has values out of range")
         for n in range(1, span):
-            for i in range(self.dom.level_size(n)):
-                if self.cod.parent(n, self.level_maps[n][i]) != self.level_maps[
-                    n - 1
-                ][self.dom.parent(n, i)]:
-                    raise ValueError(
-                        f"map does not commute with parents at level {n}, index {i}"
-                    )
+            here, targets = self.level_maps[n], fibers(self.cod, n - 1)
+            bad = [
+                j
+                for x, fib in zip(self.level_maps[n - 1], fibers(self.dom, n - 1))
+                for j in fib
+                if here[j] not in targets[x]
+            ]
+            if bad:
+                raise ValueError(
+                    "map does not commute with parents at level "
+                    f"{n}, index {min(bad)}"
+                )
 
     def at_level(self, n: int) -> tuple[int, ...]:
         return self.level_maps[min(n, len(self.level_maps) - 1)]

@@ -4,7 +4,8 @@ A globular set stores, per dimension, how many cells it has and the
 source/target cell of each cell one dimension down, subject to the usual
 globular identities.  A globular cardinal is a finite globular set whose
 cells are linearly ordered by the relation generated by placing every
-cell strictly between its source and its target.
+cell strictly between its source and its target.  The cells between two
+cells of a cardinal are read from one shared table, :func:`cells_by_ends`.
 
 Cardinals are kept in canonical form: within each dimension the cell
 indices appear in ascending order along the linear order.  Structural
@@ -71,12 +72,6 @@ class GlobSet(Interned):
             (k, i) for k, size in enumerate(self.levels) for i in range(size)
         ]
 
-    def source(self, v: Vertex) -> Vertex:
-        return (v[0] - 1, self.src[v[0] - 1][v[1]])
-
-    def target(self, v: Vertex) -> Vertex:
-        return (v[0] - 1, self.tgt[v[0] - 1][v[1]])
-
     def to_dict(self) -> dict:
         return {
             "kind": "globcard",
@@ -104,10 +99,10 @@ def _linear_order(gset: GlobSet) -> tuple[Vertex, ...] | None:
     """
     succ: dict[Vertex, list[Vertex]] = {v: [] for v in gset.vertices()}
     indegree = dict.fromkeys(succ, 0)
-    for k in range(1, len(gset.levels)):
-        for i in range(gset.levels[k]):
+    for k, (src, tgt) in enumerate(zip(gset.src, gset.tgt), start=1):
+        for i, (s, t) in enumerate(zip(src, tgt)):
             v = (k, i)
-            for a, b in ((gset.source(v), v), (v, gset.target(v))):
+            for a, b in (((k - 1, s), v), (v, (k - 1, t))):
                 succ[a].append(b)
                 indegree[b] += 1
     ready = [v for v, d in indegree.items() if d == 0]
@@ -231,21 +226,17 @@ class GlobMor(Interned):
                 raise ValueError(
                     f"cell map at dimension {k} has values out of range"
                 )
+        by_ends = cells_by_ends(self.cod)
         for k in range(1, len(dlevels)):
-            for i in range(dlevels[k]):
-                image = (k, self.level_maps[k][i])
-                if self.cod.gset.source(image) != self(
-                    self.dom.gset.source((k, i))
-                ) or self.cod.gset.target(image) != self(
-                    self.dom.gset.target((k, i))
-                ):
+            below = self.level_maps[k - 1]
+            src, tgt = self.dom.gset.src[k - 1], self.dom.gset.tgt[k - 1]
+            for i, v in enumerate(self.level_maps[k]):
+                ends = (below[src[i]], below[tgt[i]])
+                if v not in by_ends[k - 1].get(ends, ()):
                     raise ValueError(
                         f"map does not commute with source/target at "
                         f"dimension {k}, cell {i}"
                     )
-
-    def __call__(self, v: Vertex) -> Vertex:
-        return (v[0], self.level_maps[v[0]][v[1]])
 
     def to_dict(self) -> dict:
         return {
@@ -294,7 +285,7 @@ def enumerate_glob_morphisms(x: GlobCard, y: GlobCard) -> list[GlobMor]:
         return [GlobMor(x, y, ())]
     if len(dlevels) > len(y.gset.levels):
         return []
-    by_ends = _cells_by_ends(y)
+    by_ends = cells_by_ends(y)
     plan = _search_plan(x)
     objects = range(y.gset.levels[0])
     maps = [[0] * size for size in dlevels]
@@ -322,7 +313,7 @@ def enumerate_glob_morphisms(x: GlobCard, y: GlobCard) -> list[GlobMor]:
 
 
 @lru_cache(maxsize=None)
-def _cells_by_ends(
+def cells_by_ends(
     y: GlobCard,
 ) -> tuple[dict[tuple[int, int], tuple[int, ...]], ...]:
     """``[k - 1][(s, t)]``: the dimension-``k`` cells of ``y`` from cell

@@ -44,6 +44,7 @@ from theta_disk.forest import (
     Vertex,
     compose_tree_maps,
     coproduct,
+    fibers,
     glue_level_maps,
     identity_tree_map,
     restrict,
@@ -188,7 +189,7 @@ def _constrained_problems(t: LabeledTree) -> tuple[str, ...]:
     for n in range(t.depth):
         for i, lab in enumerate(t.labels[n]):
             want = label_slots(t.flavor, lab)
-            got = len(t.tree.children(n, i))
+            got = len(fibers(t.tree, n)[i])
             if want != got:
                 problems.append(
                     f"vertex ({n}, {i}) has label {lab} prescribing {want} "
@@ -217,8 +218,7 @@ def _cropped_problems(t: LabeledTree) -> tuple[str, ...]:
                 f"single-slot label {single}, got {lab}"
             )
     for n in range(d):
-        for i in range(t.tree.levels[n]):
-            kids = t.tree.children(n, i)
+        for kids in fibers(t.tree, n):
             for pos, j in enumerate(kids):
                 outer = pos == 0 or pos == len(kids) - 1
                 if outer != (t.labels[n + 1][j] == single):
@@ -349,10 +349,10 @@ class LabeledTreeMor:
                     )
         for n in range(index.depth):
             here, there = self.tree_map.at_level(n), self.tree_map.at_level(n + 1)
-            for i in range(index.tree.levels[n]):
-                kids_there = value.tree.children(n, here[i])
-                picked = spec.routed(self.alphas[n][i], kids_there)
-                for j, want in zip(index.tree.children(n, i), picked):
+            targets = fibers(value.tree, n)
+            for i, kids in enumerate(fibers(index.tree, n)):
+                picked = spec.routed(self.alphas[n][i], targets[here[i]])
+                for j, want in zip(kids, picked):
                     if there[j] != want:
                         raise ValueError(
                             f"children of vertex ({n}, {i}) do not land in "
@@ -470,7 +470,7 @@ def _xi_obj(t: LabeledTree) -> ITreeObj:
         return trivial_obj(t.flavor)
     kids = tuple(
         _xi_obj(restrict_labeled(t, (1, j)))
-        for j in t.tree.children(0, 0)
+        for j in fibers(t.tree, 0)[0]
     )
     return ITreeObj(t.flavor, t.labels[0][0], kids)
 
@@ -500,7 +500,7 @@ def _xi_mor(m: LabeledTreeMor, x: Vertex) -> ITreeMor:
     there = _xi_obj(restrict_labeled(value, m.tree_map(x)))
     if there.is_trivial:
         return marker(*orient(here, there))
-    kids = tuple(_xi_mor(m, (x[0] + 1, j)) for j in index.tree.children(*x))
+    kids = tuple(_xi_mor(m, (x[0] + 1, j)) for j in fibers(index.tree, x[0])[x[1]])
     return ITreeMor(*orient(here, there), _alpha_at(m, *x), kids)
 
 

@@ -40,6 +40,7 @@ from itertools import product
 from theta_disk.globular import (
     GlobCard,
     GlobMor,
+    cells_by_ends,
     compose_glob_mors,
     desuspend,
     desuspend_mor,
@@ -135,18 +136,6 @@ def enumerate_cells(x: GlobCard, n: int) -> tuple[Cell, ...]:
     return tuple(out)
 
 
-def _bands(shape: GlobCard, m: int) -> list[list[int]]:
-    """Indices of level-``m`` cells grouped by source/target pair, in order."""
-    size = shape.gset.levels[m]
-    if m == 0:
-        return [list(range(size))]
-    groups: dict[tuple[int, int], list[int]] = {}
-    for i in range(size):
-        key = (shape.gset.src[m - 1][i], shape.gset.tgt[m - 1][i])
-        groups.setdefault(key, []).append(i)
-    return [groups[key] for key in sorted(groups)]
-
-
 def _face(shape: GlobCard, m: int, least: bool) -> GlobMor:
     """The inclusion of the m-source (``least``) or m-target of a shape:
     every cell below dimension ``m`` and the least or greatest cell of
@@ -155,7 +144,11 @@ def _face(shape: GlobCard, m: int, least: bool) -> GlobMor:
     if m >= shape.dim:
         return identity_glob_mor(shape)
     keep = [range(size) for size in shape.gset.levels[:m]]
-    keep.append([band[0] if least else band[-1] for band in _bands(shape, m)])
+    if m == 0:
+        bands = [range(shape.gset.levels[0])]
+    else:
+        bands = cells_by_ends(shape)[m - 1].values()
+    keep.append([band[0] if least else band[-1] for band in bands])
     return sub_globcard(shape, keep)[1]
 
 

@@ -167,8 +167,23 @@ class TestParsing:
         assert code == 2
         assert "does not apply" in capsys.readouterr().err
 
-    def test_bad_bounds_text(self, capsys):
+    def test_bad_bounds_text(self, capsys, monkeypatch):
         assert main(["enumerate", "--kind", "ordinal", "--bounds", "width=2"]) == 2
+        # Only enumerate, cells and verify read bounds, so only they take
+        # --bounds or read THETA_DISK_BOUNDS.
+        tree = json.dumps(trivial_obj(INTERVAL).to_dict())
+        requests = [
+            ["convert", "--functor", "vee", '{"kind": "ordinal", "n": 3}'],
+            ["hom-count", tree, tree],
+            ["render", tree],
+        ]
+        monkeypatch.delenv("THETA_DISK_BOUNDS", raising=False)
+        answers = [run(capsys, *argv) for argv in requests]
+        assert [code for code, _ in answers] == [0, 0, 0]
+        monkeypatch.setenv("THETA_DISK_BOUNDS", "width=2")
+        assert [run(capsys, *argv) for argv in requests] == answers
+        for verb, *rest in requests:
+            assert run(capsys, verb, "--bounds", "label=9", *rest) == (2, "")
 
     def test_number_too_large_for_an_integer(self, capsys):
         code = main(["convert", "--functor", "vee", '{"kind": "ordinal", "n": 1e400}'])

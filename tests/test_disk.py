@@ -25,6 +25,7 @@ from theta_disk.disk import (
 from theta_disk.forest import (
     LevelTree,
     TreeMap,
+    fibers,
     glue_level_maps,
     make_level_tree,
     restrict,
@@ -145,22 +146,22 @@ class TestDiskValidity:
 
 class TestFibers:
     def test_root_fiber(self):
-        assert list(example_disk().fiber(0, 0)) == [0, 1, 2]
+        assert list(fibers(example_disk().tree, 0)[0]) == [0, 1, 2]
 
     def test_interior_fibers(self):
-        d = example_disk()
-        assert list(d.fiber(1, 0)) == [0]
-        assert list(d.fiber(1, 1)) == [1, 2, 3, 4]
-        assert list(d.fiber(1, 2)) == [5]
-        assert list(d.fiber(2, 3)) == [4, 5, 6]
+        tree = example_disk().tree
+        assert list(fibers(tree, 1)[0]) == [0]
+        assert list(fibers(tree, 1)[1]) == [1, 2, 3, 4]
+        assert list(fibers(tree, 1)[2]) == [5]
+        assert list(fibers(tree, 2)[3]) == [4, 5, 6]
 
     def test_continuation_fibers_are_singletons(self):
-        d = example_disk()
-        assert list(d.fiber(4, 7)) == [7]
+        tree = example_disk().tree
+        assert list(fibers(tree, 4)[7]) == [7]
 
     def test_empty_fiber(self):
         tree = LevelTree((1, 2, 2), ((0, 0), (0, 0)))
-        assert tree.children(1, 1) == []
+        assert fibers(tree, 1)[1] == ()
         with pytest.raises(ValueError, match="non-empty fiber"):
             Disk(tree)
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import copy
 import pickle
+from itertools import product
 
 import pytest
 
@@ -16,6 +17,7 @@ from theta_disk.forest import (
     Vertex,
     compose_tree_maps,
     coproduct,
+    fibers,
     glue_level_maps,
     identity_tree_map,
     make_level_tree,
@@ -86,9 +88,10 @@ class TestLevelTree:
 
     def test_children_and_continuation(self):
         t = LevelTree((1, 2), ((0, 0),))
-        assert t.children(0, 0) == [0, 1]
-        assert t.children(1, 1) == [1]  # implicit singleton fiber
-        assert t.parent(2, 1) == 1
+        assert fibers(t, 0)[0] == (0, 1)
+        assert fibers(t, 1)[1] == (1,)  # implicit singleton fiber
+        # the parent of (2, 1) is the one vertex whose fiber holds it
+        assert [x for x, fib in enumerate(fibers(t, 1)) if 1 in fib] == [1]
         assert t.level_size(5) == 2
 
     def test_serialization_round_trip(self):
@@ -116,14 +119,13 @@ class TestInterning:
                 LevelTree(*key)
             assert key not in LevelTree._table
 
-    def test_children_list_is_new_on_every_call(self):
+    def test_fiber_table_is_one_shared_tuple(self):
         t = example_tree()
-        kids = t.children(1, 1)
-        assert kids == [1, 2, 3, 4]
-        kids.append(99)
-        kids.clear()
-        assert t.children(1, 1) == [1, 2, 3, 4]
-        assert t.children(1, 1) is not t.children(1, 1)
+        table = fibers(t, 1)
+        assert table == ((0,), (1, 2, 3, 4), (5,))
+        assert all(isinstance(fib, tuple) for fib in table)
+        assert fibers(t, 1) is table
+        assert fibers(t, 7) is fibers(t, 7)
 
 
 def oracle_rows(a: LevelTree, x) -> list[list[int]]:
@@ -160,7 +162,8 @@ class TestSharedTables:
         checked = 0
         for a in trees:
             beyond = [(a.depth + 1, i) for i in range(a.level_size(a.depth + 1))]
-            for x in [*a.vertices(), *beyond]:
+            stored = [(n, i) for n, size in enumerate(a.levels) for i in range(size)]
+            for x in [*stored, *beyond]:
                 rows = subtree_rows(a, x)
                 assert isinstance(rows, tuple)
                 assert all(isinstance(row, tuple) for row in rows)
@@ -240,6 +243,56 @@ class TestTreeMap:
         with pytest.raises(ValueError):
             # sends a child of root-child 0 under root-child 1: breaks parents
             TreeMap(deep, deep, ((0,), (0, 1), (2, 1, 2)))
+        # past the stored depth of one side, its fibers are the continuation
+        shallow = LevelTree((1, 2), ((0, 0),))
+        message = "does not commute with parents at level 2, index 1"
+        with pytest.raises(ValueError, match=message):
+            TreeMap(shallow, deep, ((0,), (0, 1), (0, 1)))
+        with pytest.raises(ValueError, match=message):
+            TreeMap(deep, shallow, ((0,), (0, 1), (0, 1, 1)))
+        f = TreeMap(deep, shallow, ((0,), (0, 1), (0, 0, 1)))
+        assert f((2, 2)) == (2, 1)
+
+    def test_commutation_matches_a_parent_by_parent_check(self):
+        def parent(t: LevelTree, n: int, i: int) -> int:
+            return t.parents[n - 1][i] if n <= t.depth else i
+
+        def first_break(dom: LevelTree, cod: LevelTree, maps) -> Vertex | None:
+            for n in range(1, len(maps)):
+                for i in range(dom.level_size(n)):
+                    if parent(cod, n, maps[n][i]) != maps[n - 1][parent(dom, n, i)]:
+                        return (n, i)
+            return None
+
+        pool = [
+            EMPTY_FOREST,
+            POINT_TREE,
+            LevelTree((1, 2), ((0, 0),)),
+            LevelTree((1, 2, 3), ((0, 0), (0, 0, 1))),
+            LevelTree((1, 1, 2), ((0,), (0, 0))),
+            LevelTree((2, 3), ((0, 1, 1),)),
+            LevelTree((1, 3, 2), ((0, 0, 0), (2, 1))),
+        ]
+        outcomes = [0, 0]
+        for dom, cod in product(pool, repeat=2):
+            span = max(dom.depth, cod.depth) + 1
+            rows = [
+                list(product(range(cod.level_size(n)), repeat=dom.level_size(n)))
+                for n in range(span)
+            ]
+            for maps in product(*rows):
+                broken = first_break(dom, cod, maps)
+                if broken is None:
+                    assert TreeMap(dom, cod, maps).level_maps == maps
+                else:
+                    message = (
+                        "does not commute with parents at level "
+                        f"{broken[0]}, index {broken[1]}$"
+                    )
+                    with pytest.raises(ValueError, match=message):
+                        TreeMap(dom, cod, maps)
+                outcomes[broken is None] += 1
+        assert outcomes == [1973, 220]  # [rejected, accepted]
 
     def test_maps_span_both_depths(self):
         shallow = LevelTree((1, 2), ((0, 0),))

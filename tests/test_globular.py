@@ -20,6 +20,7 @@ from theta_disk.globular import (
     GlobMor,
     GlobSet,
     _linear_order,
+    cells_by_ends,
     compose_glob_mors,
     desuspend,
     desuspend_mor,
@@ -63,11 +64,10 @@ def count_linear_extensions(gset: GlobSet) -> int:
     """Oracle: the number of total orders extending the span relation."""
     verts = gset.vertices()
     edges = []
-    for k in range(1, len(gset.levels)):
-        for i in range(gset.levels[k]):
-            v = (k, i)
-            edges.append((gset.source(v), v))
-            edges.append((v, gset.target(v)))
+    for k, (src, tgt) in enumerate(zip(gset.src, gset.tgt), start=1):
+        for i, (s, t) in enumerate(zip(src, tgt)):
+            edges.append(((k - 1, s), (k, i)))
+            edges.append(((k, i), (k - 1, t)))
     count = 0
     for perm in permutations(verts):
         pos = {v: n for n, v in enumerate(perm)}
@@ -168,8 +168,8 @@ class TestGlobSet:
 
     def test_source_target(self):
         g = globe2().gset
-        assert g.source((2, 0)) == (1, 0)
-        assert g.target((2, 0)) == (1, 1)
+        assert (g.src[1][0], g.tgt[1][0]) == (0, 1)
+        assert cells_by_ends(globe2())[1][(0, 1)] == (0,)
 
     def test_serialization(self):
         g = whisker().gset
@@ -574,6 +574,6 @@ class TestRestrictionMorphisms:
                     offset, restricted = desuspend_mor(f)
                     assert len(restricted) == x.gset.levels[0] - 1
                     for i, r in enumerate(restricted):
-                        assert f((0, i)) == (0, offset + i)
+                        assert f.level_maps[0][i] == offset + i
                         assert r.dom == desuspend(x)[i][0]
                         assert r.cod == desuspend(y)[offset + i][0]

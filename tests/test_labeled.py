@@ -14,6 +14,7 @@ from theta_disk.forest import (
     POINT_TREE,
     TreeMap,
     Vertex,
+    fibers,
     glue_level_maps,
     make_level_tree,
     subtree_rows,
@@ -102,7 +103,7 @@ def xi_mor_by_restriction(m: LabeledTreeMor) -> ITreeMor:
         return marker(dom_obj, cod_obj)
     kids = tuple(
         xi_mor_by_restriction(restrict_labeled_mor(m, (1, j)))
-        for j in orient(m.dom, m.cod)[0].tree.children(0, 0)
+        for j in fibers(orient(m.dom, m.cod)[0].tree, 0)[0]
     )
     return ITreeMor(dom_obj, cod_obj, m.alphas[0][0], kids)
 
@@ -319,8 +320,9 @@ class TestRestrict:
 
     def test_restriction_preserves_cropped(self):
         t = deep()
-        for v in t.tree.vertices():
-            assert validate_cropped(restrict_labeled(t, v)) == []
+        for n, size in enumerate(t.tree.levels):
+            for i in range(size):
+                assert validate_cropped(restrict_labeled(t, (n, i))) == []
 
     def test_rows_are_the_vertex_labels(self):
         # Raised labels put a non-single label at the stored depth.

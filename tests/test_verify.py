@@ -438,7 +438,7 @@ class TestBounds:
     def test_parse_rejects_values_that_are_not_ascii_integers(self, capsys, entry):
         with pytest.raises(ValueError, match="bounds entry"):
             parse_bounds(entry)
-        assert main(["render", "--bounds", entry, "[2]"]) == 2
+        assert main(["cells", "--bounds", entry, "[2]"]) == 2
         assert f"bounds entry {entry!r}" in capsys.readouterr().err
 
     def test_parse_strips_blanks_and_keeps_the_sign_check(self):
@@ -460,7 +460,7 @@ class TestBounds:
         after = parse_bounds.cache_info()
         assert (after.hits, after.currsize) == (before.hits, before.currsize)
         for _ in range(2):
-            assert main(["render", "--bounds", "width=3", "[2]"]) == 2
+            assert main(["cells", "--bounds", "width=3", "[2]"]) == 2
             assert "unknown bounds entry" in capsys.readouterr().err
 
 
