@@ -54,7 +54,7 @@ from theta_disk.ordinal import (
     Ordinal,
     enumerate_interval_maps,
     hom_recursion,
-    json_int,
+    json_field,
 )
 
 
@@ -118,12 +118,12 @@ class Disk:
 
     @staticmethod
     def from_dict(data: dict) -> "Disk":
-        d = Disk(LevelTree.from_dict(data))
+        d = Disk(LevelTree.from_dict(data, "disk"))
         if "fiber_sizes" in data:
-            declared = [
-                [json_int(v) for v in row] for row in data["fiber_sizes"]
-            ]
-            actual = [[len(fib) for fib in fibers(d.tree, n)] for n in range(d.degree)]
+            declared = json_field(data, "disk", "fiber_sizes", depth=2)
+            actual = tuple(
+                tuple(len(fib) for fib in fibers(d.tree, n)) for n in range(d.degree)
+            )
             if declared != actual:
                 raise ValueError("declared fiber sizes disagree with parents")
         return d

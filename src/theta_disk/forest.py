@@ -23,7 +23,7 @@ from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from functools import lru_cache
 
-from theta_disk.ordinal import Interned, json_int
+from theta_disk.ordinal import Interned, json_field
 
 Vertex = tuple[int, int]
 LevelMaps = tuple[tuple[int, ...], ...]
@@ -87,12 +87,11 @@ class LevelTree(Interned):
         }
 
     @staticmethod
-    def from_dict(data: dict) -> "LevelTree":
+    def from_dict(data: dict, kind: str = "tree") -> "LevelTree":
+        """The tree of ``data``; ``kind`` names the input in errors."""
         return make_level_tree(
-            tuple(json_int(s) for s in data["levels"]),
-            tuple(
-                tuple(json_int(p) for p in pmap) for pmap in data["parents"]
-            ),
+            json_field(data, kind, "levels", depth=1),
+            json_field(data, kind, "parents", depth=2),
         )
 
 

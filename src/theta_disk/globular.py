@@ -27,7 +27,7 @@ from functools import lru_cache
 from itertools import accumulate
 from typing import Iterable, Sequence
 
-from theta_disk.ordinal import Interned, json_int
+from theta_disk.ordinal import Interned, json_field
 
 Vertex = tuple[int, int]
 
@@ -83,9 +83,9 @@ class GlobSet(Interned):
     @staticmethod
     def from_dict(data: dict) -> "GlobSet":
         return GlobSet(
-            tuple(json_int(v) for v in data["levels"]),
-            tuple(tuple(json_int(v) for v in s) for s in data["src"]),
-            tuple(tuple(json_int(v) for v in t) for t in data["tgt"]),
+            json_field(data, "globcard", "levels", depth=1),
+            json_field(data, "globcard", "src", depth=2),
+            json_field(data, "globcard", "tgt", depth=2),
         )
 
 
@@ -249,9 +249,9 @@ class GlobMor(Interned):
     @staticmethod
     def from_dict(data: dict) -> "GlobMor":
         return GlobMor(
-            GlobCard.from_dict(data["dom"]),
-            GlobCard.from_dict(data["cod"]),
-            tuple(tuple(json_int(v) for v in m) for m in data["level_maps"]),
+            json_field(data, "globmor", "dom", GlobCard.from_dict),
+            json_field(data, "globmor", "cod", GlobCard.from_dict),
+            json_field(data, "globmor", "level_maps", depth=2),
         )
 
 

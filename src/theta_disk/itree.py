@@ -22,6 +22,9 @@ and duals of child morphisms are shared: ``enumerate_morphisms`` (through
 :func:`theta_disk.ordinal.hom_recursion`) and ``vee``/``wedge`` build
 each child morphism once and reuse it, while the morphisms they return
 at the top level are built afresh on every call and held by no table.
+The rules of a morphism's shape ``(dom, cod, root_map)`` and the ends of
+its children are worked out once per shape, in a table kept for the life
+of the process that the constructor and the hom recursion share.
 """
 
 from __future__ import annotations
@@ -40,7 +43,7 @@ from theta_disk.ordinal import (
     enumerate_ord_maps,
     hom_recursion,
     identity as identity_ord,
-    json_int,
+    json_field,
     json_str,
     require_interval,
     vee_map,
@@ -87,6 +90,7 @@ class Flavor:
 
 # The enumerators and slot maps go through the module globals at call
 # time, so a function rebound on this module (a tracing wrapper) runs.
+# Slot maps are read when ``_child_ends`` meets a shape it has not stored.
 FLAVORS = {
     INTERVAL: Flavor(
         trivial_root=Ordinal(0),
@@ -178,9 +182,9 @@ class ITreeObj(Interned):
     @staticmethod
     def from_dict(data: dict) -> "ITreeObj":
         return ITreeObj(
-            json_str(data["flavor"]),
-            Ordinal(json_int(data["root"])),
-            tuple(ITreeObj.from_dict(c) for c in data["children"]),
+            json_field(data, "itree", "flavor", json_str),
+            Ordinal(json_field(data, "itree", "root")),
+            json_field(data, "itree", "children", ITreeObj.from_dict, 1),
         )
 
 
@@ -197,6 +201,37 @@ def height(h: ITreeObj) -> int:
     return 1 + max(height(c) for c in h.children)
 
 
+_MARKER_RULE = (
+    "a marker morphism requires the trivial object on the "
+    "collapsing side and has no children"
+)
+
+
+@lru_cache(maxsize=None)
+def _child_ends(dom: ITreeObj, cod: ITreeObj, root_map: OrdMap | None) -> tuple:
+    """``(domains, codomains)`` of the children of a morphism of this shape,
+    after every check that depends only on the shape.  The index end's
+    side is its own ``children`` tuple, the other the routed value-end
+    children."""
+    if dom.flavor != cod.flavor:
+        raise ValueError("morphism ends must share a flavor")
+    spec = FLAVORS[dom.flavor]
+    index, value = spec.orient(dom, cod)
+    if root_map is None:
+        if not value.is_trivial:
+            raise ValueError(_MARKER_RULE)
+        return (), ()
+    if index.is_trivial or value.is_trivial:
+        raise ValueError(
+            "morphisms touching the trivial object use the marker form"
+        )
+    if root_map.dom != dom.root or root_map.cod != cod.root:
+        raise ValueError("root map has the wrong ends")
+    if dom.flavor == INTERVAL:
+        require_interval(root_map)
+    return spec.orient(index.children, tuple(spec.routed(root_map, value.children)))
+
+
 @dataclass(frozen=True)
 class ITreeMor:
     """A morphism of inductive trees.
@@ -206,6 +241,12 @@ class ITreeMor:
     (ordinal flavor): the value end is trivial.  Otherwise both ends are
     non-trivial, ``root_map`` runs between the roots, and ``children``
     holds one morphism per child of the index end (see :class:`Flavor`).
+
+    The checks on the ends and the root map (a common flavor, the marker
+    and trivial-end rules, the root map's ends, interval root maps) run
+    once per shape, in ``_child_ends``; a shape that fails is not stored
+    and fails again on every attempt.  The child count and each child's
+    ends are checked on every construction.
     """
 
     dom: ITreeObj
@@ -214,35 +255,16 @@ class ITreeMor:
     children: tuple[ITreeMor, ...] = ()
 
     def __post_init__(self) -> None:
-        if self.dom.flavor != self.cod.flavor:
-            raise ValueError("morphism ends must share a flavor")
-        spec = FLAVORS[self.dom.flavor]
-        index, value = spec.orient(self.dom, self.cod)
-        if self.root_map is None:
-            if not value.is_trivial or self.children:
-                raise ValueError(
-                    "a marker morphism requires the trivial object on the "
-                    "collapsing side and has no children"
-                )
-            return
-        if index.is_trivial or value.is_trivial:
-            raise ValueError(
-                "morphisms touching the trivial object use the marker form"
-            )
-        if self.root_map.dom != self.dom.root or self.root_map.cod != self.cod.root:
-            raise ValueError("root map has the wrong ends")
-        if self.dom.flavor == INTERVAL:
-            require_interval(self.root_map)
-        if len(self.children) != len(index.children):
-            end = spec.orient("domain", "codomain")[0]
+        doms, cods = _child_ends(self.dom, self.cod, self.root_map)
+        if len(self.children) != len(doms):
+            if self.root_map is None:
+                raise ValueError(_MARKER_RULE)
+            end = FLAVORS[self.flavor].orient("domain", "codomain")[0]
             raise ValueError(f"one child morphism per child of the {end}")
-        doms, cods = spec.orient(
-            index.children, spec.routed(self.root_map, value.children)
-        )
         for i, sub in enumerate(self.children):
-            if sub.dom != doms[i]:
+            if sub.dom is not doms[i]:
                 raise ValueError(f"child {i} has the wrong domain")
-            if sub.cod != cods[i]:
+            if sub.cod is not cods[i]:
                 raise ValueError(f"child {i} has the wrong codomain")
 
     def __hash__(self) -> int:
@@ -398,7 +420,7 @@ def _branches(h: ITreeObj, k: ITreeObj) -> list:
     if index.is_trivial:
         return []
     return [
-        (root, zip(*spec.orient(index.children, spec.routed(root, value.children))))
+        (root, zip(*_child_ends(h, k, root)))
         for root in spec.root_maps(h.root, k.root)
     ]
 

@@ -70,6 +70,7 @@ from theta_disk.ordinal import (
     compose as compose_ord,
     hom_recursion,
     identity as identity_ord,
+    json_field,
     json_int,
     json_str,
     vee_map,
@@ -141,10 +142,10 @@ class LabeledTree(Interned):
 
     @staticmethod
     def from_dict(data: dict) -> "LabeledTree":
-        flavor = json_str(data["flavor"])
-        tree = LevelTree.from_dict(data)
-        rows = tuple(
-            tuple(Ordinal(json_int(n)) for n in row) for row in data["labels"]
+        flavor = json_field(data, "labeled-tree", "flavor", json_str)
+        tree = LevelTree.from_dict(data, "labeled-tree")
+        rows = json_field(
+            data, "labeled-tree", "labels", lambda n: Ordinal(json_int(n)), 2
         )
         if len(rows) > len(data["levels"]):
             raise ValueError(
@@ -375,19 +376,18 @@ class LabeledTreeMor:
 
     @staticmethod
     def from_dict(data: dict) -> "LabeledTreeMor":
-        dom = LabeledTree.from_dict(data["dom"])
-        cod = LabeledTree.from_dict(data["cod"])
-        direction = json_str(data["direction"])
+        kind = "labeled-tree-mor"
+        dom = json_field(data, kind, "dom", LabeledTree.from_dict)
+        cod = json_field(data, kind, "cod", LabeledTree.from_dict)
+        direction = json_field(data, kind, "direction", json_str)
         if direction not in ("forward", "op"):
             raise ValueError(f"unknown direction {direction!r}")
         if (direction == "forward") != (dom.flavor == INTERVAL):
             raise ValueError(
                 f"direction {direction!r} does not match flavor {dom.flavor!r}"
             )
-        rows = tuple(tuple(json_int(v) for v in row) for row in data["level_maps"])
-        alphas = tuple(
-            tuple(OrdMap.from_dict(a) for a in row) for row in data["alphas"]
-        )
+        rows = json_field(data, kind, "level_maps", depth=2)
+        alphas = json_field(data, kind, "alphas", OrdMap.from_dict, 2)
         ends = FLAVORS[dom.flavor].orient(dom.tree, cod.tree)
         return LabeledTreeMor(dom, cod, TreeMap(*ends, rows), alphas)
 

@@ -27,7 +27,7 @@ from theta_disk.globular import (
     suspend_gc_mor,
 )
 from theta_disk.itree import ORDINAL, ITreeObj, trivial_obj
-from theta_disk.ordinal import Interned, Ordinal, hom_recursion, json_int
+from theta_disk.ordinal import Interned, Ordinal, hom_recursion, json_field
 
 
 @dataclass(frozen=True, eq=False)
@@ -80,8 +80,8 @@ class OGraph(Interned):
     @staticmethod
     def from_dict(data: dict) -> "OGraph":
         return OGraph(
-            json_int(data["vertices"]),
-            tuple(OGraph.from_dict(e) for e in data["edges"]),
+            json_field(data, "ograph", "vertices"),
+            json_field(data, "ograph", "edges", OGraph.from_dict, 1),
         )
 
 

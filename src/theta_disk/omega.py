@@ -58,7 +58,7 @@ from theta_disk.ograph import (
     gamma_prime,
     upsilon,
 )
-from theta_disk.ordinal import Interned, hom_recursion, json_int, json_str, wedge_map
+from theta_disk.ordinal import Interned, hom_recursion, json_field, json_str, wedge_map
 
 # ---------------------------------------------------------------------------
 # Cells over a globular cardinal
@@ -99,10 +99,10 @@ class Cell(Interned):
 
     @staticmethod
     def from_dict(data: dict) -> "Cell":
-        base = GlobCard.from_dict(data["base"])
-        shape = GlobCard.from_dict(data["shape"])
-        level_maps = tuple(tuple(json_int(v) for v in m) for m in data["map"])
-        dim = json_int(data["dim"])
+        base = json_field(data, "cell", "base", GlobCard.from_dict)
+        shape = json_field(data, "cell", "shape", GlobCard.from_dict)
+        level_maps = json_field(data, "cell", "map", depth=2)
+        dim = json_field(data, "cell", "dim")
         return Cell(base, shape, GlobMor(shape, base, level_maps), dim)
 
 
@@ -300,10 +300,10 @@ class EnrichedCell(Interned):
     @staticmethod
     def from_dict(data: dict) -> "EnrichedCell":
         return EnrichedCell(
-            json_int(data["dim"]),
-            json_int(data["h"]),
-            json_int(data["k"]),
-            tuple(EnrichedCell.from_dict(p) for p in data["parts"]),
+            json_field(data, "enriched-cell", "dim"),
+            json_field(data, "enriched-cell", "h"),
+            json_field(data, "enriched-cell", "k"),
+            json_field(data, "enriched-cell", "parts", EnrichedCell.from_dict, 1),
         )
 
 
@@ -435,7 +435,8 @@ class OmegaPresentation:
 
     @staticmethod
     def from_dict(data: dict) -> "OmegaPresentation":
-        tag, base = json_str(data["tag"]), data.get("base")
+        tag = json_field(data, "omega-presentation", "tag", json_str)
+        base = data.get("base")
         if tag not in ("empty", "free_ograph"):
             raise ValueError(f"unknown presentation tag {tag!r}")
         if tag == "empty":

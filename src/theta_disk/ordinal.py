@@ -44,6 +44,34 @@ def json_str(value: object) -> str:
     return value
 
 
+def json_field(data: object, kind: str, name: str, read=json_int, depth: int = 0):
+    """Field ``name`` of a ``kind`` object, read by ``read``.
+
+    With ``depth`` 1 or 2 the field is a JSON list, or a list of lists,
+    returned as tuples, and ``read`` reads each innermost entry.  Input
+    that is not a JSON object, a missing field and a field that is not
+    nested so deep raise a ``ValueError`` naming the kind and the field;
+    ``read`` raises its own.
+    """
+    try:
+        value = data[name]
+    except KeyError:
+        raise ValueError(f"{kind} field {name!r} is missing") from None
+    except TypeError:
+        raise ValueError(f"{kind} must be a JSON object, got {data!r}") from None
+    if not depth:
+        return read(value)
+    if type(value) is list:
+        if depth == 1:
+            return tuple([read(v) for v in value])
+        rows = tuple([tuple([read(v) for v in r]) for r in value if type(r) is list])
+        if len(rows) == len(value):
+            return rows
+        value = next(r for r in value if type(r) is not list)
+    shape = "a list" if depth == 1 else "a list of lists"
+    raise ValueError(f"{kind} field {name!r} must be {shape}; {value!r} is not a list")
+
+
 class _InternTable(type):
     """Looks a value up by its field tuple before building it."""
 
@@ -123,7 +151,7 @@ class Ordinal(Interned):
 
     @staticmethod
     def from_dict(data: dict) -> "Ordinal":
-        return Ordinal(json_int(data["n"]))
+        return Ordinal(json_field(data, "ordinal", "n"))
 
 
 @dataclass(frozen=True, eq=False)
@@ -175,9 +203,9 @@ class OrdMap(Interned):
     @staticmethod
     def from_dict(data: dict) -> "OrdMap":
         return OrdMap(
-            Ordinal(json_int(data["dom"])),
-            Ordinal(json_int(data["cod"])),
-            tuple(json_int(v) for v in data["images"]),
+            Ordinal(json_field(data, "ordmap", "dom")),
+            Ordinal(json_field(data, "ordmap", "cod")),
+            json_field(data, "ordmap", "images", depth=1),
         )
 
 

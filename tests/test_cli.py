@@ -231,6 +231,56 @@ class TestParsing:
         assert capsys.readouterr().err == "error: expected a string, got [1]\n"
 
     @pytest.mark.parametrize(
+        "text, message",
+        [
+            (
+                '{"kind": "itree", "flavor": "interval", "root": 1, '
+                '"children": {"a": 1}}',
+                "itree field 'children' must be a list; {'a': 1} is not a list",
+            ),
+            (
+                '{"kind": "itree", "flavor": "interval", "root": 1}',
+                "itree field 'children' is missing",
+            ),
+            (
+                '{"kind": "itree", "flavor": "interval", "root": 1, '
+                '"children": [1, 2]}',
+                "itree must be a JSON object, got 1",
+            ),
+            (
+                '{"kind": "disk", "levels": [1, 2], "parents": [[0, 0]], '
+                '"fiber_sizes": 5}',
+                "disk field 'fiber_sizes' must be a list of lists; "
+                "5 is not a list",
+            ),
+            (
+                '{"kind": "tree", "levels": [1, 2]}',
+                "tree field 'parents' is missing",
+            ),
+            (
+                '{"kind": "tree", "levels": [1, 2], "parents": [5]}',
+                "tree field 'parents' must be a list of lists; 5 is not a list",
+            ),
+            (
+                '{"kind": "ordmap", "dom": 1, "cod": 1, "images": 5}',
+                "ordmap field 'images' must be a list; 5 is not a list",
+            ),
+            (
+                '{"kind": "labeled-tree", "levels": [1], "parents": [], '
+                '"labels": [[0]]}',
+                "labeled-tree field 'flavor' is missing",
+            ),
+            (
+                '{"kind": "ograph", "vertices": 2}',
+                "ograph field 'edges' is missing",
+            ),
+        ],
+    )
+    def test_mistyped_field_names_the_kind_and_field(self, capsys, text, message):
+        assert main(["render", text]) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
+    @pytest.mark.parametrize(
         "flavor, single, other", [(INTERVAL, 0, 5), (ORDINAL, -1, 0)]
     )
     def test_label_row_below_the_stored_depth(self, capsys, flavor, single, other):

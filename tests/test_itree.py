@@ -14,10 +14,12 @@ import pytest
 
 import theta_disk
 from theta_disk.itree import (
+    FLAVORS,
     INTERVAL,
     ORDINAL,
     ITreeMor,
     ITreeObj,
+    _child_ends,
     compose,
     count_morphisms,
     enumerate_morphisms,
@@ -327,6 +329,63 @@ class TestMorphismValidation:
     def test_ends_must_share_a_flavor(self):
         with pytest.raises(ValueError, match="share a flavor"):
             ITreeMor(I1, O0, None)
+
+
+class TestShapeTable:
+    """The checks that depend only on ``(dom, cod, root_map)`` run once per
+    shape through ``_child_ends``; the children are checked every time."""
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            ((I1, O0, None), "share a flavor"),
+            ((T_I, I1, None), "marker morphism"),
+            ((I1, I1, identity_ord(Ordinal(2))), "root map has the wrong ends"),
+            ((I1, I1, OrdMap(Ordinal(1), Ordinal(1), (0, 0))), "not an interval"),
+            ((T_O, T_O, identity_ord(Ordinal(-1))), "use the marker form"),
+        ],
+        ids=["flavor", "marker", "ends", "interval", "trivial"],
+    )
+    def test_rejected_shape_raises_every_time(self, args, message):
+        for _ in range(2):
+            with pytest.raises(ValueError, match=message):
+                ITreeMor(*args)
+
+    @pytest.mark.parametrize("obj", [I2, O1], ids=[INTERVAL, ORDINAL])
+    def test_children_are_checked_once_the_shape_is_stored(self, obj):
+        ident = identity(obj)
+        kids = ident.children
+        wrong = _hom(I1, I2) if obj is I2 else _hom(O0, O1)
+        swapped = (kids[1], kids[0], *kids[2:])
+        _child_ends(obj, obj, ident.root_map)
+        hits = _child_ends.cache_info().hits
+        with pytest.raises(ValueError, match="child 0 has the wrong domain"):
+            ITreeMor(obj, obj, ident.root_map, swapped)
+        with pytest.raises(ValueError, match="child 1 has the wrong codomain"):
+            ITreeMor(obj, obj, ident.root_map, (kids[0], wrong, *kids[2:]))
+        assert _child_ends.cache_info().hits == hits + 2
+
+    @pytest.mark.parametrize("flavor", [INTERVAL, ORDINAL])
+    def test_children_have_the_routed_ends(self, flavor):
+        spec = FLAVORS[flavor]
+        objs = enumerate_objects(flavor, 3, 3)
+        checked = 0
+        for a in objs:
+            for b in objs:
+                for f in enumerate_morphisms(a, b):
+                    if f.is_marker:
+                        assert f.children == ()
+                        continue
+                    index, value = (b, a) if spec.cod_indexes else (a, b)
+                    slots = spec.slot_map(f.root_map).images
+                    assert len(f.children) == len(index.children)
+                    for i, sub in enumerate(f.children):
+                        ends = (index.children[i], value.children[slots[i]])
+                        if spec.cod_indexes:
+                            ends = ends[::-1]
+                        assert (sub.dom, sub.cod) == ends
+                        checked += 1
+        assert checked
 
 
 class TestDuality:
