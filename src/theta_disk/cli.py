@@ -9,6 +9,7 @@ import os
 import sys
 from collections.abc import Callable
 from pathlib import Path
+from typing import NamedTuple
 
 from theta_disk.disk import (
     Disk,
@@ -57,6 +58,7 @@ from theta_disk.ordinal import (
     count_interval_maps,
     count_ord_maps,
     json_str,
+    printable,
     vee_map,
     vee_obj,
     wedge_map,
@@ -220,7 +222,7 @@ def _hom_count(a, b, maps: str | None) -> int:
             f"--kind applies only to a pair of ordinals; got two "
             f"{kind.__name__} objects"
         )
-    return counters[kind](a, b)
+    return printable(counters[kind](a, b))
 
 
 def _level_view(obj) -> tuple[LevelTree, Callable[[int, int], str]]:
@@ -294,117 +296,6 @@ def _render_dot(obj) -> str:
     return "\n".join(lines) + "\n"
 
 
-@functools.cache
-def _build_parser() -> argparse.ArgumentParser:
-    """The CLI's parser, built on the first call and reused after.
-
-    ``parse_args`` leaves the parser unchanged and returns a fresh
-    namespace, so one parser serves every call to ``main``.  It is built
-    lazily, not at import, so importing the module stays cheap.
-    """
-    parser = argparse.ArgumentParser(
-        prog="theta-disk",
-        description="Finite categories of trees, disks, and free "
-        "omega-categories: enumerate objects, apply the structure "
-        "functors, count hom-sets, and verify the structural laws.",
-    )
-    sub = parser.add_subparsers(dest="verb", required=True)
-
-    def add_common(p: argparse.ArgumentParser, bounds: bool = False) -> None:
-        if bounds:
-            p.add_argument("--bounds", help=_BOUNDS_HELP)
-        p.add_argument("--out", help="write output to this path instead of stdout")
-
-    p = sub.add_parser(
-        "enumerate",
-        help="list the objects of a named family under the bounds",
-        description="Emit one canonical JSON object per line.",
-        epilog=_INPUT_HELP,
-        formatter_class=argparse.RawDescriptionHelpFormatter,
-    )
-    p.add_argument("--kind", choices=ENUMERATIONS, required=True)
-    add_common(p, bounds=True)
-
-    p = sub.add_parser(
-        "convert",
-        help="apply a named functor to a serialized object",
-        description="Read one object, apply the functor, print the image.",
-        epilog=_INPUT_HELP,
-        formatter_class=argparse.RawDescriptionHelpFormatter,
-    )
-    p.add_argument("--functor", choices=FUNCTORS, required=True)
-    p.add_argument("input", help="path to a JSON file, or inline JSON")
-    add_common(p)
-
-    p = sub.add_parser(
-        "hom-count",
-        help="count the morphisms between two serialized objects",
-        description="Both inputs must deserialize to the same kind of object.",
-        epilog=_INPUT_HELP,
-        formatter_class=argparse.RawDescriptionHelpFormatter,
-    )
-    p.add_argument("dom", help="path to a JSON file, or inline JSON")
-    p.add_argument("cod", help="path to a JSON file, or inline JSON")
-    p.add_argument(
-        "--kind",
-        choices=("interval", "ordinal"),
-        help="only for a pair of ordinals: count endpoint-preserving "
-        "interval maps, or all monotone maps (the default)",
-    )
-    add_common(p)
-
-    p = sub.add_parser(
-        "cells",
-        help="count free-category cells per dimension over a base",
-        description="Input is a globcard or ograph; dimensions run from 0 "
-        "to the dim bound.",
-        epilog=_INPUT_HELP,
-        formatter_class=argparse.RawDescriptionHelpFormatter,
-    )
-    p.add_argument("input", help="path to a JSON file, or inline JSON")
-    add_common(p, bounds=True)
-
-    p = sub.add_parser(
-        "verify",
-        help="run the exhaustive structure checks",
-        description="Reports are JSON lines; the exit status is 1 when any "
-        "check fails.",
-    )
-    group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--check", choices=sorted(CHECKS))
-    group.add_argument("--all", action="store_true")
-    add_common(p, bounds=True)
-
-    p = sub.add_parser(
-        "render",
-        help="pretty-print a tree-shaped object",
-        description="Formats: text (indented), dot (Graphviz; levels are "
-        "ranks, fiber order is left-to-right), json (canonical).",
-        epilog=_INPUT_HELP,
-        formatter_class=argparse.RawDescriptionHelpFormatter,
-    )
-    p.add_argument("input", help="path to a JSON file, or inline JSON")
-    p.add_argument("--format", choices=("text", "dot", "json"), default="text")
-    add_common(p)
-
-    return parser
-
-
-def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    try:
-        return _dispatch(args)
-    except (
-        ValueError, KeyError, TypeError, OSError, OverflowError, RecursionError
-    ) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-
-
 def _enumerate(args: argparse.Namespace) -> tuple[str, int]:
     objects = POOLS[args.kind](_resolve_bounds(args.bounds))
     return "".join(_dump(o.to_dict()) for o in objects), 0
@@ -446,22 +337,142 @@ def _render(args: argparse.Namespace) -> tuple[str, int]:
     return renderer(_load_object(args.input)), 0
 
 
-# Each verb returns its output and exit status; nothing is written until
-# the verb has finished, so a failing request prints only its error.
+class _Verb(NamedTuple):
+    """A verb: its handler, its line in the top-level help, its description,
+    and its arguments as ``(name, add_argument keywords)`` pairs in help
+    order, where a list of pairs is a required mutually exclusive group.
+    ``run`` returns the output and exit status; nothing is written until it
+    has finished, so a failing request prints only its error."""
+
+    run: Callable[[argparse.Namespace], tuple[str, int]]
+    help: str
+    description: str
+    arguments: tuple
+    # The keywords that end its help: the JSON shapes, raw so their lines stay.
+    page: dict = {
+        "epilog": _INPUT_HELP,
+        "formatter_class": argparse.RawDescriptionHelpFormatter,
+    }
+
+    def parser(self, make: Callable, **keywords) -> argparse.ArgumentParser:
+        """This verb's parser, made by ``make(**keywords, ...)``."""
+        parser = make(**keywords, description=self.description, **self.page)
+        for argument in self.arguments:
+            group = isinstance(argument, list)
+            to = parser.add_mutually_exclusive_group(required=True) if group else parser
+            for flag, options in argument if group else [argument]:
+                to.add_argument(flag, **options)
+        return parser
+
+
+_JSON = {"help": "path to a JSON file, or inline JSON"}
+_INPUT = ("input", _JSON)
+_BOUNDS = ("--bounds", {"help": _BOUNDS_HELP})
+_OUT = ("--out", {"help": "write output to this path instead of stdout"})
+
 _VERBS = {
-    "enumerate": _enumerate,
-    "convert": _convert,
-    "hom-count": _count,
-    "cells": _cells,
-    "verify": _verify,
-    "render": _render,
+    "enumerate": _Verb(
+        _enumerate,
+        "list the objects of a named family under the bounds",
+        "Emit one canonical JSON object per line.",
+        (("--kind", {"choices": ENUMERATIONS, "required": True}), _BOUNDS, _OUT),
+    ),
+    "convert": _Verb(
+        _convert,
+        "apply a named functor to a serialized object",
+        "Read one object, apply the functor, print the image.",
+        (("--functor", {"choices": FUNCTORS, "required": True}), _INPUT, _OUT),
+    ),
+    "hom-count": _Verb(
+        _count,
+        "count the morphisms between two serialized objects",
+        "Both inputs must deserialize to the same kind of object.",
+        (
+            ("dom", _JSON),
+            ("cod", _JSON),
+            ("--kind", {"choices": ("interval", "ordinal"), "help": "only for a "
+                        "pair of ordinals: count endpoint-preserving interval maps, "
+                        "or all monotone maps (the default)"}),
+            _OUT,
+        ),
+    ),
+    "cells": _Verb(
+        _cells,
+        "count free-category cells per dimension over a base",
+        "Input is a globcard or ograph; dimensions run from 0 to the dim bound.",
+        (_INPUT, _BOUNDS, _OUT),
+    ),
+    "verify": _Verb(
+        _verify,
+        "run the exhaustive structure checks",
+        "Reports are JSON lines; the exit status is 1 when any check fails.",
+        (
+            [("--check", {"choices": sorted(CHECKS)}),
+             ("--all", {"action": "store_true"})],
+            _BOUNDS,
+            _OUT,
+        ),
+        page={},
+    ),
+    "render": _Verb(
+        _render,
+        "pretty-print a tree-shaped object",
+        "Formats: text (indented), dot (Graphviz; levels are ranks, fiber "
+        "order is left-to-right), json (canonical).",
+        (
+            _INPUT,
+            ("--format", {"choices": ("text", "dot", "json"), "default": "text"}),
+            _OUT,
+        ),
+    ),
 }
 
 
-def _dispatch(args: argparse.Namespace) -> int:
-    text, status = _VERBS[args.verb](args)
-    _emit(text, args.out)
-    return status
+@functools.cache
+def _verb_parser(name: str) -> argparse.ArgumentParser:
+    """The parser of one verb, built on its first request and reused after:
+    ``parse_args`` leaves it unchanged and returns a fresh namespace."""
+    return _VERBS[name].parser(argparse.ArgumentParser, prog=f"theta-disk {name}")
+
+
+@functools.cache
+def _top_parser() -> argparse.ArgumentParser:
+    """The parser of a command line that does not start with a verb, for its
+    help or its usage error.  Its subparsers take their verbs' arguments,
+    so ``theta-disk --bogus convert`` fails as ``convert`` does."""
+    parser = argparse.ArgumentParser(
+        prog="theta-disk",
+        description="Finite categories of trees, disks, and free "
+        "omega-categories: enumerate objects, apply the structure "
+        "functors, count hom-sets, and verify the structural laws.",
+    )
+    sub = parser.add_subparsers(dest="verb", required=True)
+    for name, verb in _VERBS.items():
+        verb.parser(sub.add_parser, name=name, help=verb.help)
+    return parser
+
+
+def main(argv: list[str] | None = None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
+    try:
+        if argv and argv[0] in _VERBS:
+            args, extra = _verb_parser(argv[0]).parse_known_args(argv[1:])
+            if extra:  # reported by the top-level parser, as argparse does
+                _top_parser().error(f"unrecognized arguments: {' '.join(extra)}")
+            args.verb = argv[0]
+        else:
+            args = _top_parser().parse_args(argv)
+    except SystemExit as exc:
+        return int(exc.code or 0)
+    try:
+        text, status = _VERBS[args.verb].run(args)
+        _emit(text, args.out)
+        return status
+    except (
+        ValueError, KeyError, TypeError, OSError, OverflowError, RecursionError
+    ) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

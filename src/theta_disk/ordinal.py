@@ -20,10 +20,11 @@ are identity.
 from __future__ import annotations
 
 import inspect
+import sys
 from dataclasses import dataclass, fields
 from functools import lru_cache
 from itertools import combinations_with_replacement, product
-from math import comb, prod
+from math import comb, log10, prod
 
 
 def json_int(value: object) -> int:
@@ -317,12 +318,43 @@ def enumerate_ord_maps(m: Ordinal, n: Ordinal) -> list[OrdMap]:
     ]
 
 
+_TOO_LONG = (
+    "the count has more than {} decimal digits, the most Python prints "
+    "(sys.get_int_max_str_digits(); PYTHONINTMAXSTRDIGITS sets it)"
+)
+
+
+def printable(count: int) -> int:
+    """``count``, refused with a ValueError when it has more decimal
+    digits than ``sys.get_int_max_str_digits()`` lets Python print."""
+    limit = sys.get_int_max_str_digits()
+    if limit and count.bit_length() > 3 * limit and count >= 10**limit:
+        raise ValueError(_TOO_LONG.format(limit))
+    return count
+
+
+def _comb(n: int, k: int) -> int:
+    """``comb(n, k)``, refused before it is computed once its decimal digits
+    are sure to pass the printing limit: a count of millions of digits takes
+    minutes to compute and could not be printed."""
+    limit = sys.get_int_max_str_digits()
+    if limit:  # 0 lifts the limit
+        j, digits = min(k, n - k), 0.0
+        # comb(n, j) is the product over i <= j of (n - j + i) / i, each
+        # factor at least 2: the sum passes the limit within 3.3 * limit terms.
+        for i in range(1, j + 1):
+            digits += log10(n - j + i) - log10(i)
+            if digits > limit + 1:
+                raise ValueError(_TOO_LONG.format(limit))
+    return comb(n, k)
+
+
 def count_ord_maps(m: Ordinal, n: Ordinal) -> int:
     """``len(enumerate_ord_maps(m, n))``: multisets of ``m.size`` values
     drawn from ``n.size``, without listing them."""
     if m.n == -1:
         return 1
-    return comb(n.size + m.size - 1, m.size)
+    return _comb(n.size + m.size - 1, m.size)
 
 
 def _require_non_empty(m: Ordinal, n: Ordinal) -> None:
@@ -336,7 +368,7 @@ def count_interval_maps(m: Ordinal, n: Ordinal) -> int:
     _require_non_empty(m, n)
     if m.n == 0:
         return 1 if n.n == 0 else 0
-    return comb(n.size + m.n - 2, m.n - 1)
+    return _comb(n.size + m.n - 2, m.n - 1)
 
 
 def enumerate_interval_maps(m: Ordinal, n: Ordinal) -> list[OrdMap]:

@@ -8,6 +8,7 @@ import os
 import shutil
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -318,6 +319,101 @@ class TestParsing:
         assert capsys.readouterr().err.startswith("error: ")
 
 
+ONE = '{"kind": "ordinal", "n": 1}'
+# SHA-256 of ``json.dumps([exit, stdout, stderr])`` for help and usage
+# errors at ``COLUMNS=80``: the top-level cases, then per verb its help, a
+# missing required argument, an unknown flag and a bad choice.
+USAGE_TEXT_SHA256 = {
+    (): "d7411eb432e7684000ce6b2c80fd7d8818c6786aa98e640c07410a0da926f32f",
+    ("--help",): "cf810f2a74f763301c73fa3b0b9f61a3b15727917e6e3b4f59b03901b052d1f8",
+    ("frobnicate",): (
+        "06dfc44f9550c19123481e9fbf81b4e5fc63e2b76ea3ee19be6996d644f825ad"
+    ),
+    ("--", "convert"): (
+        "0040a2fdad91d72fae40d0439f1156ceaf34e56917c7ff6fd5aa6c4e24e29cbe"
+    ),
+    ("--bogus", "convert"): (
+        "353cf186c6363cefb0dacc6105f6f53f29358c9362b923de0aa9e07a87aa215f"
+    ),
+    ("enumerate", "--help"): (
+        "fa48c449eaf1cd045c1ced130f06d3d378e08672ced99ab251f136555fa8aead"
+    ),
+    ("enumerate",): "0504406e16fa24160a323bed97e93fd6d02f55a79659a2773ca3efcbdf0ff644",
+    ("enumerate", "--kind", "ordinal", "--nope"): (
+        "ee805f0a2a03a7185980f61374c522af0b8d843aceec8ab96c100652306f0320"
+    ),
+    ("enumerate", "--kind", "nope"): (
+        "aef5b7f1c0a79f0c118e3f6b1aed210d5c80da27862af4d436e643ee67350539"
+    ),
+    ("convert", "--help"): (
+        "44f5e149031a366913b62420dd4e185163d35a3b431ba6cf09903ea3a928d5c5"
+    ),
+    ("convert", ONE): (
+        "975bc999630cc6d8bea9d2a950fad74eb2d041ccb1825aea44fcd5d862df4279"
+    ),
+    ("convert", "--functor", "vee", ONE, "--nope"): (
+        "ee805f0a2a03a7185980f61374c522af0b8d843aceec8ab96c100652306f0320"
+    ),
+    ("convert", "--functor", "nope", ONE): (
+        "9df99e66469801a9472299b902477a842839ea593476028d32bb327143c247e9"
+    ),
+    ("hom-count", "--help"): (
+        "bfa92c1d36aa290097c754860920a23d0101d3b8d2b5a446d47bcda358339db6"
+    ),
+    ("hom-count", ONE): (
+        "d57286356a1b55b8b895ab3247e44ffe0cd7ef44acd9f0edd6cb60c95d92fc11"
+    ),
+    ("hom-count", ONE, ONE, "--nope"): (
+        "ee805f0a2a03a7185980f61374c522af0b8d843aceec8ab96c100652306f0320"
+    ),
+    ("hom-count", "--kind", "nope", ONE, ONE): (
+        "e0f68ea079a8f511a15bf320ac3a7fa14d8002aa157caa468895d3904da82052"
+    ),
+    ("cells", "--help"): (
+        "4984fe93ce727bcf62396ab14a764a066d321eb768ba09a35cf64e9d12978522"
+    ),
+    ("cells",): "f62f0b256467d5d50d7b77f1fd0c176663fb38869c13da276266c63e8f6e123e",
+    ("cells", ONE, "--nope"): (
+        "ee805f0a2a03a7185980f61374c522af0b8d843aceec8ab96c100652306f0320"
+    ),
+    ("verify", "--help"): (
+        "c947f70510e2a01d3a55cea9b3f59389eff9383a0d8d3e29945889895bf1bb3b"
+    ),
+    ("verify",): "2bfafbb76ea28c31c4294555033eb64b15a61510cb9a697758e74850a4a8d478",
+    ("verify", "--all", "--nope"): (
+        "ee805f0a2a03a7185980f61374c522af0b8d843aceec8ab96c100652306f0320"
+    ),
+    ("verify", "--check", "nope"): (
+        "aaabbf1e9a7761ed40da90d81df64ad0c5fe27e930615ace1ca8338c1f897c81"
+    ),
+    ("verify", "--all", "--check", "phi"): (
+        "0fbf04f04a39360422c6cc1ca381f192184beb14ec7d37184160595f44881e7a"
+    ),
+    ("render", "--help"): (
+        "79fd3ff15bc6bd6270d6f6e13ea606c8338ed243fe9943fbb6eb6c5ef1e8b6b7"
+    ),
+    ("render",): "1f1e3f40e6212a78350092b8754811276ed3694da63542d8a13507cbdad65d91",
+    ("render", ONE, "--nope"): (
+        "ee805f0a2a03a7185980f61374c522af0b8d843aceec8ab96c100652306f0320"
+    ),
+    ("render", "--format", "svg", ONE): (
+        "52e98fac64bb8c61f3acafe5d719677980d7ca8f9312d4ab04b0abcb00070ac9"
+    ),
+}
+
+
+def _argv_id(argv: tuple) -> str:
+    return " ".join("ONE" if a == ONE else a for a in argv) or "no-arguments"
+
+
+@pytest.mark.parametrize("argv", USAGE_TEXT_SHA256, ids=_argv_id)
+def test_usage_text_is_pinned(capsys, monkeypatch, argv):
+    monkeypatch.setenv("COLUMNS", "80")
+    code = main(list(argv))
+    text = json.dumps([code, *capsys.readouterr()])
+    assert hashlib.sha256(text.encode()).hexdigest() == USAGE_TEXT_SHA256[argv]
+
+
 # One request of each outcome: a result, a parse error, a missing
 # selection, help, and a verify report.
 STATELESS_REQUESTS = (
@@ -330,7 +426,8 @@ STATELESS_REQUESTS = (
 
 
 class TestParserReuse:
-    """``main`` reuses one parser; no call may leave state for the next."""
+    """``main`` reuses each verb's parser; no call may leave state for the
+    next."""
 
     def test_requests_answer_alike_in_any_order(self, capsys):
         def answers(order) -> dict:
@@ -356,7 +453,7 @@ class TestParserReuse:
 
     def test_parser_is_built_once(self, capsys):
         main(list(CONVERT_ARGS))
-        assert cli._build_parser() is cli._build_parser()
+        assert cli._verb_parser("convert") is cli._verb_parser("convert")
 
     def test_rebound_functor_wins_after_a_warm_up(self, capsys, monkeypatch):
         assert run_json(capsys, *CONVERT_ARGS) == {"kind": "ordinal", "n": 2}
@@ -371,8 +468,8 @@ class TestParserReuse:
 
     def test_import_does_not_build_the_parser(self):
         code = (
-            "from theta_disk import cli; "
-            "print(cli._build_parser.cache_info().currsize)"
+            "from theta_disk import cli; print(cli._top_parser.cache_info()"
+            ".currsize, cli._verb_parser.cache_info().currsize)"
         )
         result = subprocess.run(
             [sys.executable, "-c", code],
@@ -382,7 +479,37 @@ class TestParserReuse:
             timeout=SCRIPT_TIMEOUT_S,
         )
         assert result.returncode == 0, result.stderr
-        assert result.stdout == "0\n"
+        assert result.stdout == "0 0\n"
+
+    def test_a_request_builds_only_its_own_verb_parser(self):
+        # In a fresh process, one convert request builds the convert parser
+        # alone, and a second request reuses it.
+        code = f"""if True:
+            from theta_disk import cli
+            def built():
+                info = cli._verb_parser.cache_info()
+                top = cli._top_parser.cache_info().currsize
+                return top, info.currsize, info.misses, info.hits
+            states = [built()]
+            for _ in range(2):
+                assert cli.main({list(CONVERT_ARGS)!r}) == 0
+                states.append(built())
+            cli._verb_parser("convert")
+            states.append(built())
+            print(states)
+        """
+        result = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            env=_source_env(),
+            timeout=SCRIPT_TIMEOUT_S,
+        )
+        assert result.returncode == 0, result.stderr
+        # (top-level parsers, verb parsers, builds, reuses) after import,
+        # after each request, and after asking for the convert parser.
+        states = result.stdout.splitlines()[-1]
+        assert states == "[(0, 0, 0, 0), (0, 1, 1, 0), (0, 1, 1, 1), (0, 1, 1, 2)]"
 
 
 class TestEnumerate:
@@ -652,6 +779,46 @@ class TestHomCount:
     def test_large_ordinals_are_counted_by_formula(self, capsys, n, count):
         big = json.dumps({"kind": "ordinal", "n": n})
         assert run_json(capsys, "hom-count", big, big)["count"] == count
+
+    @pytest.fixture
+    def digit_limit(self):
+        """Python's default limit on printed integer digits, for one test."""
+        old = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(4300)
+        yield 4300
+        sys.set_int_max_str_digits(old)
+
+    @pytest.mark.parametrize("maps", [[], ["--kind", "interval"]])
+    @pytest.mark.parametrize("n", [3_000_000, 100_000])
+    def test_counts_too_long_to_print_are_refused(self, capsys, digit_limit, maps, n):
+        big = json.dumps({"kind": "ordinal", "n": n})
+        start = time.perf_counter()
+        assert main(["hom-count", *maps, big, big]) == 2
+        assert time.perf_counter() - start < 1.0
+        assert capsys.readouterr() == (
+            "",
+            "error: the count has more than 4300 decimal digits, the most "
+            "Python prints (sys.get_int_max_str_digits(); PYTHONINTMAXSTRDIGITS "
+            "sets it)\n",
+        )
+
+    def test_a_long_count_within_the_limit_is_printed(self, capsys, digit_limit):
+        # [0] -> [10**400]: one map per value, a count of 401 digits.
+        point, huge = (json.dumps({"kind": "ordinal", "n": n}) for n in (0, 10**400))
+        assert run_json(capsys, "hom-count", point, huge)["count"] == 10**400 + 1
+
+    def test_every_counter_refuses_a_count_too_long_to_print(
+        self, capsys, monkeypatch, digit_limit
+    ):
+        arrow = json.dumps(ARROW_OGRAPH.to_dict())
+        limit = digit_limit
+        monkeypatch.setattr(cli, "count_ograph_morphisms", lambda a, b: 10**limit)
+        assert main(["hom-count", arrow, arrow]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert f"more than {limit} decimal digits" in err
+        monkeypatch.setattr(cli, "count_ograph_morphisms", lambda a, b: 10**limit - 1)
+        assert run_json(capsys, "hom-count", arrow, arrow)["count"] == 10**limit - 1
 
     @pytest.mark.parametrize("dom, cod", [(-1, 2), (2, -1), (-1, -1)])
     def test_interval_maps_need_non_empty_ordinals(self, capsys, dom, cod):
