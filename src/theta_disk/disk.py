@@ -58,6 +58,14 @@ from theta_disk.ordinal import (
 )
 
 
+def _listed(vertices: set[int]) -> str:
+    """``vertices`` in order, or their number and the first three if many."""
+    listed = sorted(vertices)
+    if len(listed) <= 10:
+        return str(listed)
+    return f"{len(listed):,} vertices ({', '.join(map(str, listed[:3]))}, …)"
+
+
 @dataclass(frozen=True)
 class Disk:
     """A disk in canonical form: a tree with monotone parent maps that
@@ -93,8 +101,8 @@ class Disk:
             if singleton != ends:
                 raise ValueError(
                     f"invalid disk: level {n}: vertices with singleton fibers "
-                    f"are {sorted(singleton)} but the fiber endpoints from "
-                    f"below are {sorted(ends)}"
+                    f"are {_listed(singleton)} but the fiber endpoints from "
+                    f"below are {_listed(ends)}"
                 )
 
     @property

@@ -17,9 +17,10 @@ is terminal; in the ordinal flavor it is initial.  The ``vee``/``wedge``
 pair exchanges the two flavors contravariantly and is mutually inverse.
 
 Objects are interned (see :class:`theta_disk.ordinal.Interned`): equal
-trees are one object.  Morphisms keep value equality, but the hom-sets
-and duals of child morphisms are shared: ``enumerate_morphisms`` (through
-:func:`theta_disk.ordinal.hom_recursion`) and ``vee``/``wedge`` build
+trees are one object.  A morphism is a checked tuple of its fields: it
+equals that plain tuple, and its hash is the tuple's, not cached.  The
+hom-sets and duals of child morphisms are shared: ``enumerate_morphisms``
+(through :func:`theta_disk.ordinal.hom_recursion`) and ``vee``/``wedge`` build
 each child morphism once and reuse it, while the morphisms they return
 at the top level are built afresh on every call and held by no table.
 The rules of a morphism's shape ``(dom, cod, root_map)`` and the ends of
@@ -33,6 +34,7 @@ from collections.abc import Callable
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
+from operator import itemgetter
 
 from theta_disk.ordinal import (
     Interned,
@@ -232,9 +234,8 @@ def _child_ends(dom: ITreeObj, cod: ITreeObj, root_map: OrdMap | None) -> tuple:
     return spec.orient(index.children, tuple(spec.routed(root_map, value.children)))
 
 
-@dataclass(frozen=True)
-class ITreeMor:
-    """A morphism of inductive trees.
+class ITreeMor(tuple):
+    """A morphism of inductive trees: the tuple ``(dom, cod, root_map, children)``.
 
     ``root_map is None`` marks the canonical morphism into the terminal
     trivial object (interval flavor) or out of the initial trivial object
@@ -246,41 +247,39 @@ class ITreeMor:
     and trivial-end rules, the root map's ends, interval root maps) run
     once per shape, in ``_child_ends``; a shape that fails is not stored
     and fails again on every attempt.  The child count and each child's
-    ends are checked on every construction.
+    ends are checked on every construction, pickle and copy included.
+    Equality and hashing are the tuple's: a morphism equals the plain
+    tuple of its fields, and its hash is not cached.
     """
 
-    dom: ITreeObj
-    cod: ITreeObj
-    root_map: OrdMap | None
-    children: tuple[ITreeMor, ...] = ()
+    __slots__ = ()
+    dom, cod, root_map, children = (property(itemgetter(i)) for i in range(4))
+
+    def __new__(cls, dom, cod, root_map, children=()):
+        self = tuple.__new__(cls, (dom, cod, root_map, children))
+        self.__post_init__()  # read from the class, so a rebound hook runs
+        return self
 
     def __post_init__(self) -> None:
-        doms, cods = _child_ends(self.dom, self.cod, self.root_map)
-        if len(self.children) != len(doms):
-            if self.root_map is None:
+        dom, cod, root_map, children = self
+        doms, cods = _child_ends(dom, cod, root_map)
+        if len(children) != len(doms):
+            if root_map is None:
                 raise ValueError(_MARKER_RULE)
-            end = FLAVORS[self.flavor].orient("domain", "codomain")[0]
+            end = FLAVORS[dom.flavor].orient("domain", "codomain")[0]
             raise ValueError(f"one child morphism per child of the {end}")
-        for i, sub in enumerate(self.children):
+        for i, sub in enumerate(children):
             if sub.dom is not doms[i]:
                 raise ValueError(f"child {i} has the wrong domain")
             if sub.cod is not cods[i]:
                 raise ValueError(f"child {i} has the wrong codomain")
 
-    def __hash__(self) -> int:
-        # Computed once per node: the generated hash would walk every
-        # child morphism on each lookup in the shared dual tables.
-        try:
-            return self._hash
-        except AttributeError:
-            h = hash((self.dom, self.cod, self.root_map, self.children))
-            object.__setattr__(self, "_hash", h)
-            return h
-
     def __reduce__(self):
-        # Rebuild through the initializer, so no cached hash (which depends
-        # on the process's object ids and hash seed) crosses a pickle.
-        return ITreeMor, (self.dom, self.cod, self.root_map, self.children)
+        # Tuple pickling at protocols 0 and 1 would skip ``__new__``.
+        return type(self), tuple(self)
+
+    def __repr__(self) -> str:
+        return "ITreeMor(dom=%r, cod=%r, root_map=%r, children=%r)" % tuple(self)
 
     @property
     def flavor(self) -> str:
@@ -341,11 +340,11 @@ def _wedge_tree(x: ITreeObj) -> ITreeObj:
 
 def _dual_mor(f: ITreeMor, dual_tree, dual_map, dual_child) -> ITreeMor:
     """``f`` dualized contravariantly; ``dual_child`` dualizes its children."""
-    dom, cod = dual_tree(f.cod), dual_tree(f.dom)
-    if f.is_marker:
-        return marker(dom, cod)
-    kids = tuple(map(dual_child, f.children))
-    return ITreeMor(dom, cod, dual_map(f.root_map), kids)
+    dom, cod, root_map, children = f
+    ends = dual_tree(cod), dual_tree(dom)
+    if root_map is None:
+        return marker(*ends)
+    return ITreeMor(*ends, dual_map(root_map), tuple(map(dual_child, children)))
 
 
 # Child morphism duals, memoized like the object duals above: the children

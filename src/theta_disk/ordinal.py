@@ -79,21 +79,27 @@ class _InternTable(type):
     def __init__(cls, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
         cls._table: dict[tuple, object] = {}
+        # The field count, read on the first miss: the dataclass decorator
+        # adds the fields after the class is made.
+        cls._arity = 0
 
     def __call__(cls, *args, **kwargs):
         if kwargs:
             return cls(*cls._positions(args, kwargs))
         try:
-            return cls._table[args]
+            value = cls._table.get(args)
         except TypeError:
             raise ValueError(f"{cls.__name__} fields must be hashable") from None
-        except KeyError:
-            if len(args) < len(fields(cls)):
-                value = cls._table[args] = cls(*cls._positions(args, {}))
-                return value
-            # A value that fails validation raises here and is not stored.
-            value = cls._table[args] = super().__call__(*args)
-            return value
+        if value is None:
+            if not cls._arity:
+                cls._arity = len(fields(cls))
+            if len(args) < cls._arity:
+                value = cls(*cls._positions(args, {}))
+            else:
+                # A value that fails validation raises here and is not stored.
+                value = super().__call__(*args)
+            cls._table[args] = value
+        return value
 
     def _positions(cls, args: tuple, kwargs: dict) -> tuple:
         """The full positional field tuple of a call, defaults filled in."""

@@ -869,6 +869,28 @@ class TestHomCount:
         assert run_json(capsys, "hom-count", trivial, json.dumps(tall))["count"] == 0
 
     @pytest.mark.parametrize(
+        "width, lists",
+        [
+            (3, "are [0, 1, 2] but the fiber endpoints from below are [0, 2]"),
+            (
+                3000,
+                "are 3,000 vertices (0, 1, 2, …) but the fiber endpoints from "
+                "below are [0, 2999]",
+            ),
+        ],
+    )
+    def test_an_invalid_disk_names_few_vertices(self, capsys, width, lists):
+        # Every vertex of level 1 has a singleton fiber, not just the ends.
+        wide = json.dumps(
+            {"kind": "disk", "levels": [1, width], "parents": [[0] * width]}
+        )
+        assert main(["hom-count", wide, wide]) == 2
+        assert capsys.readouterr() == (
+            "",
+            f"error: invalid disk: level 1: vertices with singleton fibers {lists}\n",
+        )
+
+    @pytest.mark.parametrize(
         "flavor, height, root",
         [(INTERVAL, 2, 4), (ORDINAL, 2, 3), (INTERVAL, 3, 3), (ORDINAL, 3, 2)],
     )

@@ -467,8 +467,8 @@ def dual(h: ITreeObj) -> ITreeObj:
 
 
 class TestSharedTrees:
-    """Interned objects, the cached morphism hash and the memoized
-    ``vee``/``wedge`` must agree with fresh constructions."""
+    """Interned objects, morphism hashes and the memoized ``vee``/``wedge``
+    must agree with fresh constructions."""
 
     def test_trivial_object_is_shared(self):
         for flavor in (INTERVAL, ORDINAL):
@@ -554,3 +554,113 @@ class TestSharedTrees:
             timeout=60,
         )
         assert result.returncode == 0, result.stderr.decode()
+
+
+def _unchecked(*fields) -> ITreeMor:
+    """An ``ITreeMor`` built past its checks, as no route of the module may."""
+    return tuple.__new__(ITreeMor, fields)
+
+
+# Each route that builds a morphism from an existing one.
+REBUILDS = {
+    **{
+        f"pickle-{p}": lambda f, p=p: pickle.loads(pickle.dumps(f, p))
+        for p in range(pickle.HIGHEST_PROTOCOL + 1)
+    },
+    "copy": copy.copy,
+    "deepcopy": copy.deepcopy,
+}
+
+
+def _nodes(f: ITreeMor) -> set[int]:
+    """The ids of ``f`` and of every child morphism below it."""
+    seen, stack = set(), [f]
+    while stack:
+        g = stack.pop()
+        if id(g) not in seen:
+            seen.add(id(g))
+            stack.extend(g.children)
+    return seen
+
+
+class TestTupleForm:
+    """``ITreeMor`` is a tuple whose every construction runs the checks;
+    equality and hashing are the tuple's own."""
+
+    def test_no_python_level_equality_or_hash(self):
+        assert issubclass(ITreeMor, tuple)
+        for name in ("__eq__", "__ne__", "__hash__"):
+            assert name not in vars(ITreeMor), name
+        # no namedtuple helpers, which would build a morphism unchecked
+        assert not hasattr(ITreeMor, "_make") and not hasattr(ITreeMor, "_replace")
+        assert ITreeMor.__slots__ == ()
+
+    def test_equals_the_plain_tuple_of_its_fields(self):
+        f = enumerate_morphisms(O1, O1)[-1]
+        fields = (f.dom, f.cod, f.root_map, f.children)
+        assert tuple(f) == fields and f == fields and hash(f) == hash(fields)
+        assert ITreeMor(*fields) == f and ITreeMor(*fields) is not f
+
+    def test_fields_flavor_and_marker(self):
+        f = marker(I1, T_I)
+        assert (f.dom, f.cod, f.root_map, f.children) == (I1, T_I, None, ())
+        assert f.is_marker and f.flavor == INTERVAL
+        g = identity(O1)
+        assert not g.is_marker and g.flavor == ORDINAL
+        assert g.root_map == identity_ord(Ordinal(1))
+
+    def test_repr_names_every_field(self):
+        assert repr(marker(T_O, O0)) == (
+            f"ITreeMor(dom={T_O!r}, cod={O0!r}, root_map=None, children=())"
+        )
+        g = identity(I1)
+        assert repr(g) == (
+            f"ITreeMor(dom={I1!r}, cod={I1!r}, root_map={g.root_map!r}, "
+            f"children=({g.children[0]!r}, {g.children[1]!r}))"
+        )
+
+    @pytest.mark.parametrize("route", REBUILDS.values(), ids=REBUILDS.keys())
+    @pytest.mark.parametrize("obj", [I2, O1], ids=[INTERVAL, ORDINAL])
+    def test_every_route_rejects_a_wrong_child(self, obj, route):
+        ident = identity(obj)
+        kids = ident.children
+        swapped = (kids[1], kids[0], *kids[2:])
+        with pytest.raises(ValueError, match="child 0 has the wrong domain"):
+            ITreeMor(obj, obj, ident.root_map, swapped)
+        with pytest.raises(ValueError, match="child 0 has the wrong domain"):
+            route(_unchecked(obj, obj, ident.root_map, swapped))
+
+    @pytest.mark.parametrize("route", REBUILDS.values(), ids=REBUILDS.keys())
+    def test_every_route_rejects_a_bad_shape(self, route):
+        with pytest.raises(ValueError, match="marker morphism"):
+            route(_unchecked(T_I, I1, None, ()))
+
+    @pytest.mark.parametrize("route", REBUILDS.values(), ids=REBUILDS.keys())
+    def test_valid_clones_are_equal_with_equal_hashes(self, route):
+        for f in enumerate_morphisms(O1, O1) + enumerate_morphisms(I3, I2):
+            clone = route(f)
+            assert type(clone) is ITreeMor
+            assert clone == f and hash(clone) == hash(f)
+            assert clone.dom is f.dom and clone.cod is f.cod
+
+    @pytest.mark.parametrize("name", ["constructor", *REBUILDS])
+    def test_a_rebound_initializer_counts_every_construction(self, monkeypatch, name):
+        # The benchmark's tracer counts constructions by rebinding the hook.
+        original = ITreeMor.__post_init__
+        counted = []
+
+        def counting(obj) -> None:
+            counted.append(obj)
+            original(obj)
+
+        monkeypatch.setattr(ITreeMor, "__post_init__", counting)
+        f = enumerate_morphisms(O1, O1)[-1]
+        counted.clear()
+        if name == "constructor":
+            clone, expected = ITreeMor(*f), 1
+        else:
+            # copy keeps the children; pickle and deepcopy rebuild each once
+            clone = REBUILDS[name](f)
+            expected = 1 if name == "copy" else len(_nodes(f))
+        assert len(counted) == expected > 0
+        assert any(g is clone for g in counted)

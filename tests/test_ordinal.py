@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from theta_disk import ordinal
 from theta_disk.ordinal import (
     OrdMap,
     Ordinal,
@@ -281,6 +282,12 @@ class TestInterning:
                 om(1, 2, 2, 1)
             with pytest.raises(ValueError, match="not monotone"):
                 OrdMap(dom=Ordinal(1), cod=Ordinal(2), images=(2, 1))
+
+    def test_a_miss_reads_no_fields_once_the_count_is_kept(self, monkeypatch):
+        Ordinal(0)  # a first miss keeps Ordinal's field count
+        monkeypatch.setattr(ordinal, "fields", None)  # any call now fails
+        fresh = Ordinal(98_765_432)
+        assert fresh.n == 98_765_432 and Ordinal(98_765_432) is fresh
 
     def test_vee_of_equal_maps_is_one_object(self):
         f = om(2, 3, 0, 1, 3)
