@@ -212,10 +212,16 @@ def _hom_count(a, b, maps: str | None) -> int:
         LabeledTree: count_labeled_mors,
     }
     kind = type(a)
-    if kind is not type(b) or kind not in counters:
+    if kind is not type(b):
         raise ValueError(
             "hom-count requires two objects of the same kind; got "
             f"{kind.__name__} and {type(b).__name__}"
+        )
+    if kind not in counters:
+        raise ValueError(
+            f"hom-count does not count {kind.__name__} morphisms; it counts "
+            "them between two objects of kind ordinal, ograph, disk, itree, "
+            "globcard or labeled-tree"
         )
     if maps is not None and kind is not Ordinal:
         raise ValueError(

@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from theta_disk.ordinal import Interned, json_field
 
@@ -89,7 +89,6 @@ class GlobSet(Interned):
         )
 
 
-@lru_cache(maxsize=None)
 def _linear_order(gset: GlobSet) -> tuple[Vertex, ...] | None:
     """The unique linear order compatible with the spans, if it exists.
 
@@ -272,32 +271,42 @@ def compose_glob_mors(g: GlobMor, f: GlobMor) -> GlobMor:
 
 
 def enumerate_glob_morphisms(x: GlobCard, y: GlobCard) -> list[GlobMor]:
-    """All globular morphisms ``x -> y``, deterministically ordered.
-
-    A depth-first search assigns the cells of ``x`` in (dimension, index)
-    order, each to the cells of ``y`` with the wanted source and target in
-    ascending order, so the list is ordered lexicographically by level
-    maps.  A prefix is dropped as soon as a cell one dimension up with
-    both ends assigned has no candidate image.
-    """
-    dlevels = x.gset.levels
-    if not dlevels:
+    """All globular morphisms ``x -> y``, ordered lexicographically by
+    level maps (see :func:`search_maps`)."""
+    if not x.gset.levels:
         return [GlobMor(x, y, ())]
-    if len(dlevels) > len(y.gset.levels):
+    if len(x.gset.levels) > len(y.gset.levels):
         return []
-    by_ends = cells_by_ends(y)
-    plan = _search_plan(x)
-    objects = range(y.gset.levels[0])
-    maps = [[0] * size for size in dlevels]
-    found: list[tuple[tuple[int, ...], ...]] = []
+    found = search_maps(x, range(y.gset.levels[0]), cells_by_ends(y))
+    return [GlobMor(x, y, level_maps) for level_maps in found]
 
-    def extend(p: int) -> None:
+
+def search_maps(
+    x: GlobCard, objects: Iterable, by_ends: Sequence[dict]
+) -> Iterator[tuple[tuple, ...]]:
+    """The level maps of every map from the cardinal ``x`` that sends
+    each cell to a cell between the images of its source and target.
+
+    The target is given by its ``objects`` and by ``by_ends[k - 1]``,
+    which maps each pair of dimension-``k - 1`` cells to the
+    dimension-``k`` cells from one to the other, in order.  A depth-first
+    search assigns the cells of ``x`` in (dimension, index) order, each
+    to its candidates in the order given, and yields the maps one at a
+    time, ordered lexicographically by level maps, so that a caller
+    holds only the values it builds from them.  A prefix is dropped as
+    soon as a cell one dimension up with both ends assigned has no
+    candidate image.
+    """
+    plan = _search_plan(x)
+    maps: list[list] = [[None] * size for size in x.gset.levels]
+
+    def extend(p: int) -> Iterator[tuple[tuple, ...]]:
         if p == len(plan):
-            found.append(tuple(map(tuple, maps)))
+            yield tuple(map(tuple, maps))
             return
         k, i, ends, closed = plan[p]
         if k == 0:
-            candidates: Iterable[int] = objects
+            candidates: Iterable = objects
         else:
             below = maps[k - 1]
             image = (below[ends[0]], below[ends[1]])
@@ -306,10 +315,9 @@ def enumerate_glob_morphisms(x: GlobCard, y: GlobCard) -> list[GlobMor]:
         for v in candidates:
             row[i] = v
             if all((row[s], row[t]) in by_ends[k] for s, t in closed):
-                extend(p + 1)
+                yield from extend(p + 1)
 
-    extend(0)
-    return [GlobMor(x, y, level_maps) for level_maps in found]
+    return extend(0)
 
 
 @lru_cache(maxsize=None)

@@ -21,9 +21,10 @@ dimension at a time, and is a bijection commuting with boundaries and
 compositions.  ``psi_obj``/``psi_mor`` present the free omega-category
 of an ordinal-flavor inductive tree and the action of a tree morphism
 on generating cells; ``enumerate_omega_functors`` enumerates all
-functors between presented free omega-categories by a depth-first
-search that assigns generators compatibly, and ``hom_graph_count``
-counts them without listing.
+functors between presented free omega-categories as the globular maps
+from the generators of the domain into the cells of the codomain (the
+search of ``globular.search_maps``), and ``hom_graph_count`` counts them
+without listing.
 
 Cells and enriched cells are interned, so the work on them is memoized
 per distinct value: boundaries, composites (``_composite``, one per
@@ -35,7 +36,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import product
+from itertools import chain
 
 from theta_disk.globular import (
     GlobCard,
@@ -46,6 +47,7 @@ from theta_disk.globular import (
     desuspend_mor,
     enumerate_glob_morphisms,
     identity_glob_mor,
+    search_maps,
     sub_globcard,
     suspend_gc,
     suspend_gc_mor,
@@ -492,7 +494,9 @@ class GeneratorAction:
 
 
 class _Evaluator:
-    """Evaluates a generator action on arbitrary enriched cells."""
+    """The reference evaluation of a generator action on any enriched
+    cell, through identities and composites; the functor search needs
+    only generator images and does not use it."""
 
     def __init__(self, action: GeneratorAction):
         self.table = dict(action.assignments)
@@ -562,66 +566,25 @@ def enumerate_omega_functors(
 ) -> list[GeneratorAction]:
     """All omega-functors between presented free omega-categories.
 
-    A depth-first search assigns the generators in
-    ``all_enriched_generators`` order, each from its candidates in ``b``
-    with the wanted boundary, so the functors come out in the order of
-    their assignment tuples.  One evaluator's table and cache grow with
-    the assigned prefix and are cut back on backtracking.
+    A functor out of a free omega-category is fixed by its generator
+    images, and both boundaries of an n-generator are (n-1)-generators.
+    The generators of ``a`` are the cells of ``gamma_prime(a.graph)``, in
+    its (dimension, index) order, so the functors are the globular maps
+    from that cardinal into the cells over ``b.graph``.
+    :func:`search_maps` lists them in the order of their assignment
+    tuples.
     """
     g = a.graph
-    max_dim = g.dim
-    objects = enriched_generators(g, 0)
-    object_candidates = free_on_ograph_cells(b.graph, 0)
-    dims = range(1, max_dim + 1)
-    gens_by_dim = {n: enriched_generators(g, n) for n in dims}
-    by_boundary = {n: _by_boundary(b.graph, n) for n in dims}
-    evaluate = _Evaluator(GeneratorAction(a, b, ()))
-    assigned, cache = evaluate.table, evaluate.cache
-    out: list[GeneratorAction] = []
-
-    def extend(n: int) -> None:
-        """Assign the generators of dimension ``n`` and up, leaving the
-        assignments and the cache as they were found."""
-        if n > max_dim:
-            out.append(GeneratorAction(a, b, tuple(assigned.items())))
-            return
-        mark = len(cache)
-        gens = gens_by_dim[n]
-        options = [
-            by_boundary[n].get(
-                (
-                    evaluate(enriched_m_source(gen, n - 1)),
-                    evaluate(enriched_m_target(gen, n - 1)),
-                ),
-                (),
-            )
-            for gen in gens
-        ]
-        if all(options):
-            for combo in product(*options):
-                assigned.update(zip(gens, combo))
-                extend(n + 1)
-            for gen in gens:
-                del assigned[gen]
-        while len(cache) > mark:
-            cache.popitem()
-
-    def place(i: int) -> None:
-        """Assign objects ``i`` and up.  An object image after the first
-        is kept only if the gap before it has a candidate arrow: every
-        edge graph is non-empty, so every gap has 1-generators."""
-        if i == len(objects):
-            extend(1)
-            return
-        for cand in object_candidates:
-            if i and not by_boundary[1].get((assigned[objects[i - 1]], cand)):
-                continue
-            assigned[objects[i]] = cand
-            place(i + 1)
-        assigned.pop(objects[i], None)
-
-    place(0)
-    return out
+    found = search_maps(
+        gamma_prime(g),
+        free_on_ograph_cells(b.graph, 0),
+        tuple(_by_boundary(b.graph, n) for n in range(1, g.dim + 1)),
+    )
+    gens = all_enriched_generators(g)
+    return [
+        GeneratorAction(a, b, tuple(zip(gens, chain.from_iterable(level_maps))))
+        for level_maps in found
+    ]
 
 
 def _by_boundary(g: OGraph, n: int) -> dict[tuple, list]:

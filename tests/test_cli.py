@@ -846,6 +846,45 @@ class TestHomCount:
         assert main(["hom-count", "--kind", maps, arrow, arrow]) == 2
         assert run_json(capsys, "hom-count", trivial, trivial)["count"] == 1
 
+    @pytest.mark.parametrize(
+        "obj, name",
+        [
+            ({"kind": "tree", "levels": [1, 2], "parents": [[0, 0]]}, "LevelTree"),
+            ({"kind": "ordmap", "dom": 1, "cod": 2, "images": [0, 2]}, "OrdMap"),
+        ],
+    )
+    def test_a_same_kind_pair_without_a_counter_names_the_counted_kinds(
+        self, capsys, obj, name
+    ):
+        text = json.dumps(obj)
+        assert main(["hom-count", text, text]) == 2
+        assert capsys.readouterr() == (
+            "",
+            f"error: hom-count does not count {name} morphisms; it counts them "
+            "between two objects of kind ordinal, ograph, disk, itree, globcard "
+            "or labeled-tree\n",
+        )
+        # Every kind the message names is counted.
+        for counted in (
+            {"kind": "ordinal", "n": 1},
+            ARROW_OGRAPH.to_dict(),
+            trivial_disk().to_dict(),
+            trivial_obj(ORDINAL).to_dict(),
+            POINT_CARDINAL.to_dict(),
+            trivial_labeled(INTERVAL).to_dict(),
+        ):
+            text = json.dumps(counted)
+            assert run_json(capsys, "hom-count", text, text)["kind"] == "hom-count"
+
+    def test_a_mixed_pair_names_both_kinds(self, capsys):
+        point = json.dumps({"kind": "ordinal", "n": 0})
+        assert main(["hom-count", point, json.dumps(ARROW_OGRAPH.to_dict())]) == 2
+        assert capsys.readouterr() == (
+            "",
+            "error: hom-count requires two objects of the same kind; got Ordinal "
+            "and OGraph\n",
+        )
+
     def test_ograph_pair(self, capsys):
         arrow = json.dumps(ARROW_OGRAPH.to_dict())
         data = run_json(capsys, "hom-count", arrow, arrow)

@@ -747,6 +747,44 @@ class TestPresentations:
             assert OmegaPresentation.from_dict(p.to_dict()) == p
 
 
+class TestGeneratorsAreCardinalCells:
+    """The generators of the free omega-category on an ordinal graph are
+    the cells of its cardinal, and the boundaries of each are the
+    generators at the cell's source and target: so the functors out of it
+    are the globular maps out of the cardinal."""
+
+    graphs = enumerate_ographs(9, 9)
+
+    def test_one_generator_per_cell_in_cell_order(self):
+        for g in self.graphs:
+            x = gamma_prime(g)
+            gens = all_enriched_generators(g)
+            cells = x.gset.vertices()
+            assert [gen.dim for gen in gens] == [k for k, _ in cells], g
+            for gen, (k, i) in zip(gens, cells):
+                # The cell spanned by (k, i) and its iterated boundaries,
+                # read as an enriched cell over ``gamma(x) == g``.
+                keep = [{i}]
+                below = zip(reversed(x.gset.src[:k]), reversed(x.gset.tgt[:k]))
+                for src, tgt in below:
+                    keep.append({t[j] for j in keep[-1] for t in (src, tgt)})
+                sub, incl = sub_globcard(x, keep[::-1])
+                assert comparison_L(Cell(x, sub, incl, k)) == gen, (g, k, i)
+
+    def test_boundaries_are_the_generators_at_the_cell_ends(self):
+        for g in self.graphs:
+            gset = gamma_prime(g).gset
+            gens = all_enriched_generators(g)
+            at = dict(zip(gset.vertices(), gens))
+            for k in range(1, len(gset.levels)):
+                for i in range(gset.levels[k]):
+                    gen = at[(k, i)]
+                    src = at[(k - 1, gset.src[k - 1][i])]
+                    tgt = at[(k - 1, gset.tgt[k - 1][i])]
+                    assert enriched_m_source(gen, k - 1) == src, (g, k, i)
+                    assert enriched_m_target(gen, k - 1) == tgt, (g, k, i)
+
+
 class TestFunctorEnumeration:
     def test_empty_domain_gives_one_functor(self):
         for cod in (EMPTY_PRESENTATION, OmegaPresentation(ARROW_OGRAPH)):
@@ -818,7 +856,9 @@ class TestFunctorEnumeration:
         assert seen == 2 * 462
 
     def test_matches_adjunction_count(self):
-        graphs = enumerate_ographs(5, 2)
+        # Every graph up to size 9 (those of ``(5, 2)`` among them), up
+        # to dimension 4.
+        graphs = enumerate_ographs(9, 9)
         for g in graphs:
             for h in graphs:
                 expected = hom_graph_count(g, h)
@@ -847,7 +887,10 @@ class TestSearchOrder:
                 self.assert_same(a, b)
 
     def test_graph_presentations(self):
-        presentations = [OmegaPresentation(g) for g in enumerate_ographs(5, 2)]
+        # Every graph up to size 9, which holds those of ``(5, 2)`` and
+        # reaches dimension 4, where the search drops a prefix before a
+        # whole dimension is assigned.
+        presentations = [OmegaPresentation(g) for g in enumerate_ographs(9, 9)]
         for a in presentations:
             for b in presentations:
                 self.assert_same(a, b)
