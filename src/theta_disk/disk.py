@@ -17,10 +17,11 @@ them and raises the first that fails, so an invalid disk is never built.
 reading the root fiber as an interval and recursing into the subtrees over
 its elements; ``phi_inverse_obj`` rebuilds the disk by suspending the
 coproduct of the children's disks.  The interval-tree readings, and the
-level maps and counts of the subdisk hom-sets (``hom_recursion``), are
-memoized for the life of the process; disk morphisms are built afresh on
-every call, and only those returned are validated.  ``phi_mor`` reads its
-image off the given morphism, one fiber at a time.
+level maps and counts of the hom-sets (the interval case of
+``labeled.LEVEL_MAPS``), are memoized for the life of the process; disk
+morphisms are built afresh on every call, and only those returned are
+validated.  ``phi_mor`` reads its image off the given morphism, one
+fiber at a time.
 """
 
 from __future__ import annotations
@@ -30,14 +31,12 @@ from functools import lru_cache
 from itertools import product
 
 from theta_disk.forest import (
-    LevelMaps,
     LevelTree,
     TreeMap,
     Vertex,
     compose_tree_maps,
     coproduct,
     fibers,
-    glue_level_maps,
     identity_tree_map,
     restrict,
     suspend,
@@ -49,13 +48,8 @@ from theta_disk.itree import (
     marker,
     trivial_obj,
 )
-from theta_disk.ordinal import (
-    OrdMap,
-    Ordinal,
-    enumerate_interval_maps,
-    hom_recursion,
-    json_field,
-)
+from theta_disk.labeled import LEVEL_MAPS
+from theta_disk.ordinal import OrdMap, Ordinal, json_field
 
 
 def _listed(vertices: set[int]) -> str:
@@ -268,23 +262,5 @@ def count_disk_morphisms(a: Disk, b: Disk) -> int:
     return _count_level_maps(a.tree, b.tree)
 
 
-def _branches(a: LevelTree, b: LevelTree) -> list:
-    """Each root map of ``a -> b`` with the subdisk pairs over it."""
-    if b.depth == 0:
-        return [(None, ())]
-    if a.depth == 0:
-        return []
-    dom, cod = Ordinal(a.levels[1] - 1), Ordinal(b.levels[1] - 1)
-    return [
-        (f, [(restrict(a, (1, i)), restrict(b, (1, f(i)))) for i in dom.elements()])
-        for f in enumerate_interval_maps(dom, cod)
-    ]
-
-
-def _glue(a: LevelTree, b: LevelTree, root: OrdMap | None, subs) -> LevelMaps:
-    if root is None:
-        return tuple((0,) * size for size in a.levels)
-    return glue_level_maps(a, b, root, subs)
-
-
-_level_maps, _count_level_maps = hom_recursion(_branches, _glue)
+# A disk's morphisms are those of the cropped interval tree on its tree.
+_level_maps, _count_level_maps = LEVEL_MAPS[INTERVAL]

@@ -21,19 +21,21 @@ two flavors contravariantly, and cropped single-root trees convert back
 and forth with the inductive tree categories vertex for vertex.
 
 Labeled trees are interned (see :class:`theta_disk.ordinal.Interned`),
-so each is validated once and equality is identity.  Their validation
+so each is validated once and equality is identity.  Their cropped
 diagnostics, restrictions and inductive-tree images are memoized and
-kept for the life of the process, as are the ``(level_maps, alphas)``
-rows and counts of the subtree hom-sets (``hom_recursion``); morphisms
-are built afresh on every call, and only those returned are validated.
-The inductive-tree image of a morphism is read off its components,
-vertex by vertex.
+kept for the life of the process, as are the level maps and counts of
+the subtree hom-sets (``LEVEL_MAPS``: a cropped tree's labels are its
+fiber sizes, so one ``hom_recursion`` per flavor runs on level trees,
+and disks share the interval one); morphisms are built afresh on every
+call, their components read off the tree map, and only those returned
+are validated.  The inductive-tree image of a morphism is read off its
+components, vertex by vertex.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import chain
 
 from theta_disk.forest import (
@@ -55,6 +57,7 @@ from theta_disk.itree import (
     FLAVORS,
     INTERVAL,
     ORDINAL,
+    Flavor,
     ITreeMor,
     ITreeObj,
     enumerate_objects,
@@ -173,13 +176,12 @@ def trivial_labeled(flavor: str) -> LabeledTree:
 def validate_constrained(t: LabeledTree) -> list[str]:
     """Diagnostics for the fiber-realization rules; empty means valid.
 
-    The list is new on every call; the diagnostics are computed once.
+    The list is new on every call.
     """
-    return list(_constrained_problems(t))
+    return _constrained_problems(t)
 
 
-@lru_cache(maxsize=None)
-def _constrained_problems(t: LabeledTree) -> tuple[str, ...]:
+def _constrained_problems(t: LabeledTree) -> list[str]:
     problems: list[str] = []
     for step, row in enumerate(t.tree.parents):
         if any(row[q] > row[q + 1] for q in range(len(row) - 1)):
@@ -196,7 +198,7 @@ def _constrained_problems(t: LabeledTree) -> tuple[str, ...]:
                     f"vertex ({n}, {i}) has label {lab} prescribing {want} "
                     f"children but its fiber has {got}"
                 )
-    return tuple(problems)
+    return problems
 
 
 def validate_cropped(t: LabeledTree) -> list[str]:
@@ -209,7 +211,7 @@ def validate_cropped(t: LabeledTree) -> list[str]:
 
 @lru_cache(maxsize=None)
 def _cropped_problems(t: LabeledTree) -> tuple[str, ...]:
-    problems = list(_constrained_problems(t))
+    problems = _constrained_problems(t)
     single = trivial_root(t.flavor)
     d = t.depth
     for i, lab in enumerate(t.labels[d]):
@@ -547,67 +549,83 @@ def enumerate_labeled_mors(
     a: LabeledTree, b: LabeledTree
 ) -> list[LabeledTreeMor]:
     """All morphisms ``a -> b`` of cropped trees, deterministically ordered,
-    built on every call from the shared rows of the subtree hom-sets."""
+    built on every call from the shared level maps of the subtree hom-sets;
+    the components are read off each tree map."""
     _require_hom(a, b)
     ends = FLAVORS[a.flavor].orient(a.tree, b.tree)
-    return [
-        LabeledTreeMor(a, b, TreeMap(*ends, maps), alphas)
-        for maps, alphas in _mor_rows(a, b)
-    ]
+    maps = (TreeMap(*ends, rows) for rows in LEVEL_MAPS[a.flavor][0](*ends))
+    return [LabeledTreeMor(a, b, f, _components(a.flavor, f)) for f in maps]
 
 
 def count_labeled_mors(a: LabeledTree, b: LabeledTree) -> int:
     """``len(enumerate_labeled_mors(a, b))``, counted without listing."""
     _require_hom(a, b)
-    return _count_mor_rows(a, b)
+    return LEVEL_MAPS[a.flavor][1](*FLAVORS[a.flavor].orient(a.tree, b.tree))
 
 
-def _branches(a: LabeledTree, b: LabeledTree) -> list:
-    """Each root component of ``a -> b`` with the ends of its children."""
-    spec = FLAVORS[a.flavor]
-    index, value = spec.orient(a, b)
-    if value.depth == 0:
+def _components(flavor: str, f: TreeMap) -> Alphas:
+    """The components of the cropped-tree morphism whose tree map is ``f``.
+
+    At each stored vertex of the index end the component is the slot map
+    that sends the vertex's children where ``f`` sends them, read through
+    the op in the ordinal flavor.  Fibers are numbered consecutively, so a
+    child's slot is its image less the first child of the image.  A vertex
+    with one child carries the single-slot label, and so does its image:
+    its component is the identity on the trivial root.
+    """
+    single = identity_ord(trivial_root(flavor))
+    rows = []
+    for n in range(f.dom.depth + 1):
+        here, below = f.at_level(n), f.at_level(n + 1)
+        targets = fibers(f.cod, n)
+        row = [single] * len(here)
+        for i, kids in enumerate(fibers(f.dom, n)):
+            if len(kids) > 1:
+                there = targets[here[i]]
+                slots = tuple([below[j] - there[0] for j in kids])
+                row[i] = _component(flavor, len(there), slots)
+        rows.append(tuple(row))
+    return tuple(rows)
+
+
+@lru_cache(maxsize=None)
+def _component(flavor: str, size: int, slots: tuple[int, ...]) -> OrdMap:
+    """The component whose slot map sends child ``t`` to slot ``slots[t]``
+    of a fiber of ``size``."""
+    slot_map = OrdMap(Ordinal(len(slots) - 1), Ordinal(size - 1), slots)
+    return vee_map(slot_map) if flavor == ORDINAL else slot_map
+
+
+def _branches(spec: Flavor, a: LevelTree, b: LevelTree) -> list:
+    """Each slot map of the morphisms with index end ``a`` and value end
+    ``b``, with the ends of their children.
+
+    A cropped tree's labels, and a disk's, are read off its fiber sizes.
+    """
+    if b.depth == 0:
         return [(None, ())]
-    if index.depth == 0:
+    if a.depth == 0:
         return []
-    kids = [restrict_labeled(index, (1, i)) for i in range(index.tree.levels[1])]
+    kids = [restrict(a, (1, i)) for i in range(a.levels[1])]
+    tops = [restrict(b, (1, j)) for j in range(b.levels[1])]
+    roots = [Ordinal(len(t) - 1 - spec.extra_slot) for t in (kids, tops)]
     out = []
-    for g in spec.root_maps(a.labels[0][0], b.labels[0][0]):
+    for g in spec.root_maps(*spec.orient(*roots)):
         slot = spec.slot_map(g)
-        pairs = [
-            spec.orient(kid, restrict_labeled(value, (1, slot(i))))
-            for i, kid in enumerate(kids)
-        ]
-        out.append(((g, slot, kids), pairs))
+        out.append((slot, [(kid, tops[j]) for kid, j in zip(kids, slot.images)]))
     return out
 
 
-def _row(a: LabeledTree, b: LabeledTree, outer, combo) -> tuple[LevelMaps, Alphas]:
-    """The ``(level_maps, alphas)`` of one morphism ``a -> b``."""
-    spec = FLAVORS[a.flavor]
-    index, value = spec.orient(a, b)
-    if outer is None:
-        # Everything collapses onto the trivial value end, whose label has
-        # exactly one component to (interval) or from (ordinal) each label.
-        def unique(lab: Ordinal) -> OrdMap:
-            dom, cod = spec.orient(lab, value.labels[0][0])
-            return OrdMap(dom, cod, (0,) * dom.size)
-
-        alphas = tuple(tuple(unique(lab) for lab in row) for row in index.labels)
-        return tuple((0,) * size for size in index.tree.levels), alphas
-    g, slot, kids = outer
-    maps = glue_level_maps(index.tree, value.tree, slot, [sub for sub, _ in combo])
-    # Past a child's stored depth its chain carries identity components.
-    single = identity_ord(spec.trivial_root)
-    below = tuple(
-        tuple(
-            alphas[n][t] if n < len(alphas) else single
-            for kid, (_, alphas) in zip(kids, combo)
-            for t in range(kid.tree.level_size(n))
-        )
-        for n in range(index.depth)
-    )
-    return maps, ((g,), *below)
+def _glue(a: LevelTree, b: LevelTree, slot: OrdMap | None, subs) -> LevelMaps:
+    if slot is None:
+        return tuple((0,) * size for size in a.levels)
+    return glue_level_maps(a, b, slot, subs)
 
 
-_mor_rows, _count_mor_rows = hom_recursion(_branches, _row)
+# Per flavor, ``(enumerate, count)`` of the level maps of the morphisms
+# between cropped trees, keyed by the index-end and value-end trees.
+# Disks are the interval case.
+LEVEL_MAPS = {
+    flavor: hom_recursion(partial(_branches, spec), _glue)
+    for flavor, spec in FLAVORS.items()
+}

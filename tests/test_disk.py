@@ -8,7 +8,7 @@ from itertools import product
 
 import pytest
 
-from theta_disk import disk
+from theta_disk import labeled
 from theta_disk.disk import (
     Disk,
     DiskMor,
@@ -40,6 +40,7 @@ from theta_disk.itree import (
     trivial_obj,
 )
 from theta_disk.itree import compose as compose_itree
+from theta_disk.labeled import enumerate_labeled_mors, xi_inverse
 from theta_disk.ordinal import OrdMap, Ordinal
 
 from tests.test_forest import EXAMPLE_LEVELS, EXAMPLE_PARENTS, restrict_map
@@ -329,8 +330,9 @@ class TestDiskMorphisms:
             return ((1,), *glue_level_maps(*args)[1:])
 
         # The child tables of ``a -> b`` are filled above, so only the
-        # returned morphisms are glued by the corrupt function.
-        monkeypatch.setattr(disk, "glue_level_maps", corrupt_glue)
+        # returned morphisms are glued by the corrupt function.  Disk level
+        # maps are glued by the level-tree recursion in ``labeled``.
+        monkeypatch.setattr(labeled, "glue_level_maps", corrupt_glue)
         with pytest.raises(ValueError, match="out of range"):
             enumerate_disk_morphisms(a, b)
 
@@ -399,6 +401,21 @@ class TestPhiOnMorphisms:
         collapse = enumerate_disk_morphisms(two_disk(), trivial_disk())[0]
         assert phi_mor(collapse).root_map is None
         assert phi_mor(f).root_map is None
+
+
+class TestCroppedIntervalTrees:
+    def test_disk_morphisms_are_cropped_interval_tree_maps(self):
+        # A disk's tree is the tree of its cropped interval tree, and both
+        # hom-sets list the same tree maps in the same order.
+        disks = enumerate_disks(3, 4)
+        assert len(disks) == 14
+        cropped = [xi_inverse(phi_obj(d)) for d in disks]
+        assert all(t.tree is d.tree for d, t in zip(disks, cropped))
+        for a, s in zip(disks, cropped):
+            for b, t in zip(disks, cropped):
+                assert [f.tree_map for f in enumerate_disk_morphisms(a, b)] == [
+                    m.tree_map for m in enumerate_labeled_mors(s, t)
+                ]
 
 
 class TestRestriction:

@@ -566,6 +566,24 @@ class TestMorphisms:
         with pytest.raises(ValueError, match="out of range"):
             enumerate_labeled_mors(t, t)
 
+    @pytest.mark.parametrize(
+        "flavor, count", [(INTERVAL, 56), (ORDINAL, 498)], ids=[INTERVAL, ORDINAL]
+    )
+    def test_components_are_read_off_the_tree_map(self, flavor, count):
+        # Enumeration reads each component off the tree map; composites,
+        # duals and parsed morphisms carry components built otherwise.
+        pool = enumerate_cropped_trees(flavor, 2, 3)
+        homs = {(a, b): enumerate_labeled_mors(a, b) for a in pool for b in pool}
+        others = []
+        for (a, b), fs in homs.items():
+            for c in pool:
+                others += [compose_labeled(g, f) for f in fs for g in homs[b, c]]
+            others += [con_dualize_mor(f) for f in fs]
+            others += [LabeledTreeMor.from_dict(f.to_dict()) for f in fs]
+        assert len(others) == count
+        read = [labeled._components(m.flavor, m.tree_map) for m in others]
+        assert [m for m, alphas in zip(others, read) if alphas != m.alphas] == []
+
     def test_trivial_interval_tree_is_terminal(self):
         for h in enumerate_objects(INTERVAL, 2, 3):
             t = xi_inverse(h)
