@@ -13,43 +13,37 @@ exactly the fiber endpoints from the previous level; and the root fiber is
 a singleton only in the degree-0 (trivial) disks.  The constructor checks
 them and raises the first that fails, so an invalid disk is never built.
 
-``phi_obj``/``phi_mor`` convert disks into inductive interval trees by
-reading the root fiber as an interval and recursing into the subtrees over
-its elements; ``phi_inverse_obj`` rebuilds the disk by suspending the
-coproduct of the children's disks.  The interval-tree readings, and the
-level maps and counts of the hom-sets (the interval case of
-``labeled.LEVEL_MAPS``), are memoized for the life of the process; disk
-morphisms are built afresh on every call, and only those returned are
-validated.  ``phi_mor`` reads its image off the given morphism, one
-fiber at a time.
+A disk is the cropped interval tree on its tree (see
+:mod:`theta_disk.labeled`), whose labels are its fiber sizes.  So a disk
+morphism is a tree map that sends each fiber monotonely onto the fiber
+over its image, ends to ends, checked by ``forest.fiber_slots`` as for
+cropped trees; the level maps and counts of the hom-sets are the interval
+case of ``labeled.LEVEL_MAPS``; ``phi_obj``/``phi_mor``, the readings as
+inductive interval trees, are the interval case of
+``labeled.xi_obj``/``xi_mor``; and ``phi_inverse_obj`` keeps the tree of
+``labeled.xi_inverse``.  The readings and the hom tables are memoized for
+the life of the process; disk morphisms are built afresh on every call,
+and only those returned are validated.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import product
 
 from theta_disk.forest import (
     LevelTree,
     TreeMap,
-    Vertex,
     compose_tree_maps,
     coproduct,
+    fiber_slots,
     fibers,
     identity_tree_map,
-    restrict,
     suspend,
 )
-from theta_disk.itree import (
-    INTERVAL,
-    ITreeMor,
-    ITreeObj,
-    marker,
-    trivial_obj,
-)
-from theta_disk.labeled import LEVEL_MAPS
-from theta_disk.ordinal import OrdMap, Ordinal, json_field
+from theta_disk.itree import INTERVAL, ITreeMor, ITreeObj
+from theta_disk.labeled import LEVEL_MAPS, xi_inverse, xi_mor, xi_obj
+from theta_disk.ordinal import json_field
 
 
 def _listed(vertices: set[int]) -> str:
@@ -148,25 +142,7 @@ class DiskMor:
         f = self.tree_map
         if f.dom != self.dom.tree or f.cod != self.cod.tree:
             raise ValueError("tree map does not run between the given disks")
-        span = max(self.dom.tree.depth, self.cod.tree.depth)
-        for n in range(span):
-            here, cur = f.at_level(n), f.at_level(n + 1)
-            targets = fibers(self.cod.tree, n)
-            for x, fib in enumerate(fibers(self.dom.tree, n)):
-                target = targets[here[x]]
-                values = [cur[j] for j in fib]
-                if any(
-                    values[a] > values[a + 1] for a in range(len(values) - 1)
-                ):
-                    raise ValueError(
-                        f"fiber over level-{n} vertex {x} is not mapped "
-                        "monotonely"
-                    )
-                if values[0] != target[0] or values[-1] != target[-1]:
-                    raise ValueError(
-                        f"fiber over level-{n} vertex {x} does not preserve "
-                        "endpoints"
-                    )
+        fiber_slots(f)
 
 
 def identity_disk_mor(d: Disk) -> DiskMor:
@@ -181,40 +157,12 @@ def compose_disk_mors(g: DiskMor, f: DiskMor) -> DiskMor:
 
 def phi_obj(d: Disk) -> ITreeObj:
     """Read a disk as an inductive interval tree."""
-    return _phi_obj(d.tree)
-
-
-@lru_cache(maxsize=None)
-def _phi_obj(t: LevelTree) -> ITreeObj:
-    """The interval-tree reading of a disk's tree."""
-    if t.depth == 0:
-        return trivial_obj(INTERVAL)
-    k = t.levels[1]
-    children = tuple(_phi_obj(restrict(t, (1, i))) for i in range(k))
-    return ITreeObj(INTERVAL, Ordinal(k - 1), children)
+    return xi_obj(INTERVAL, d.tree)
 
 
 def phi_mor(f: DiskMor) -> ITreeMor:
     """Read a disk morphism as an inductive interval tree morphism."""
-    return _phi_mor(f.tree_map, (0, 0))
-
-
-def _phi_mor(f: TreeMap, x: Vertex) -> ITreeMor:
-    """The reading of ``f`` between the subtrees over ``x`` and ``f(x)``.
-
-    The root map is ``f`` on the fiber over ``x``, numbered within the
-    fiber over ``f(x)``; the children are the readings at that fiber.
-    """
-    y = f(x)
-    dom_t, cod_t = _phi_obj(restrict(f.dom, x)), _phi_obj(restrict(f.cod, y))
-    if cod_t.is_trivial:
-        return marker(dom_t, cod_t)
-    fiber = fibers(f.dom, x[0])[x[1]]
-    first = fibers(f.cod, y[0])[y[1]][0]
-    below = f.at_level(x[0] + 1)
-    root = OrdMap(dom_t.root, cod_t.root, tuple(below[j] - first for j in fiber))
-    children = tuple(_phi_mor(f, (x[0] + 1, j)) for j in fiber)
-    return ITreeMor(dom_t, cod_t, root, children)
+    return xi_mor(INTERVAL, f.tree_map)
 
 
 def _assemble(children: list[Disk]) -> Disk:
@@ -226,9 +174,7 @@ def phi_inverse_obj(h: ITreeObj) -> Disk:
     """The canonical disk whose interval-tree reading is ``h``."""
     if h.flavor != INTERVAL:
         raise ValueError("disks correspond to interval-flavor trees")
-    if h.is_trivial:
-        return trivial_disk()
-    return _assemble([phi_inverse_obj(c) for c in h.children])
+    return Disk(xi_inverse(h).tree)
 
 
 def enumerate_disks(max_degree: int, max_fiber: int) -> list[Disk]:

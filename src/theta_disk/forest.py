@@ -15,6 +15,12 @@ equal trees are one object, so each is validated once, and its fiber
 table :func:`fibers`, the one reader of a vertex's children, its subtree
 rows and restrictions are computed once and kept for the life of the
 process.  Tree maps keep value equality and are not interned.
+
+The interval structures built on these trees -- disks and cropped labeled
+trees -- number each fiber consecutively in parent order, and their
+morphisms are the tree maps that send each fiber monotonely onto the
+fiber over its image, ends to ends.  :func:`fiber_slots` is that rule,
+written once for both.
 """
 
 from __future__ import annotations
@@ -22,6 +28,7 @@ from __future__ import annotations
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import gt
 
 from theta_disk.ordinal import Interned, json_field
 
@@ -239,6 +246,39 @@ class TreeMap:
 
     def __call__(self, v: Vertex) -> Vertex:
         return (v[0], self.at_level(v[0])[v[1]])
+
+
+def fiber_slots(f: TreeMap) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """``[n][x]``: where ``f`` sends the children of vertex ``(n, x)``, as
+    slots of the fiber over its image, for every level ``f`` stores.
+
+    This is the fiber rule of the interval structures (disks, cropped
+    trees): each fiber goes monotonely onto the fiber over its image, its
+    ends onto the ends.  Raises ``ValueError`` naming the first vertex
+    whose fiber breaks it.  Both trees must have no empty fiber below
+    their stored depth and store fibers consecutively in parent order, as
+    those structures do; a slot is then a child's image less the first
+    child of the image.
+    """
+    rows = []
+    for n in range(len(f.level_maps)):
+        here, below = f.at_level(n), f.at_level(n + 1)
+        targets = fibers(f.cod, n)
+        row = []
+        for x, kids in enumerate(fibers(f.dom, n)):
+            there = targets[here[x]]
+            slots = tuple([below[j] - there[0] for j in kids])
+            if any(map(gt, slots, slots[1:])):
+                raise ValueError(
+                    f"fiber over level-{n} vertex {x} is not mapped monotonely"
+                )
+            if slots[0] or slots[-1] != there[-1] - there[0]:
+                raise ValueError(
+                    f"fiber over level-{n} vertex {x} does not preserve endpoints"
+                )
+            row.append(slots)
+        rows.append(tuple(row))
+    return tuple(rows)
 
 
 def identity_tree_map(a: LevelTree) -> TreeMap:

@@ -16,26 +16,31 @@ Morphisms follow the flavor: interval-labeled morphisms carry a forward
 tree map with one endpoint-preserving component per domain vertex, while
 ordinal-labeled morphisms are stored as op-morphisms -- the tree map runs
 from the codomain's tree to the domain's, with one monotone component
-per codomain vertex.  Relabeling through the ordinal dualities swaps the
-two flavors contravariantly, and cropped single-root trees convert back
-and forth with the inductive tree categories vertex for vertex.
+per codomain vertex.  A cropped tree's labels are its fiber sizes, so a
+morphism is its tree map: it is valid when the tree map sends each fiber
+monotonely onto the fiber over its image, ends to ends (the fiber rule,
+``forest.fiber_slots``), and its components are read off where the
+children land.  Relabeling through the ordinal dualities swaps the two
+flavors contravariantly on the same tree map, and cropped single-root
+trees convert back and forth with the inductive tree categories vertex
+for vertex.
 
 Labeled trees are interned (see :class:`theta_disk.ordinal.Interned`),
-so each is validated once and equality is identity.  Their cropped
-diagnostics, restrictions and inductive-tree images are memoized and
-kept for the life of the process, as are the level maps and counts of
-the subtree hom-sets (``LEVEL_MAPS``: a cropped tree's labels are its
-fiber sizes, so one ``hom_recursion`` per flavor runs on level trees,
-and disks share the interval one); morphisms are built afresh on every
-call, their components read off the tree map, and only those returned
-are validated.  The inductive-tree image of a morphism is read off its
-components, vertex by vertex.
+so each is validated once and equality is identity.  Everything that
+reads a cropped tree reads its level tree: the inductive-tree images
+(``xi_obj``, keyed by flavor and level tree) and the level maps and
+counts of the subtree hom-sets (``LEVEL_MAPS``, one ``hom_recursion`` per
+flavor) are memoized for the life of the process, as are the cropped
+diagnostics and the components of each slot map.  Disks are the interval
+case of all of these.  Morphisms are built afresh on every call, and only
+those returned are validated; the inductive-tree image of a morphism is
+read off its tree map, vertex by vertex.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import cached_property, lru_cache, partial
 from itertools import chain
 
 from theta_disk.forest import (
@@ -46,6 +51,7 @@ from theta_disk.forest import (
     Vertex,
     compose_tree_maps,
     coproduct,
+    fiber_slots,
     fibers,
     glue_level_maps,
     identity_tree_map,
@@ -70,15 +76,12 @@ from theta_disk.ordinal import (
     Interned,
     OrdMap,
     Ordinal,
-    compose as compose_ord,
     hom_recursion,
-    identity as identity_ord,
     json_field,
     json_int,
     json_str,
     vee_map,
     vee_obj,
-    wedge_map,
     wedge_obj,
 )
 
@@ -293,24 +296,21 @@ Alphas = tuple[tuple[OrdMap, ...], ...]
 
 @dataclass(frozen=True)
 class LabeledTreeMor:
-    """A fiber-compatible morphism between cropped labeled forests.
+    """A morphism between cropped labeled forests, given by its tree map.
 
     As for inductive trees (see :class:`theta_disk.itree.Flavor`), one end
     indexes the components and the tree map runs from it to the other
-    end.  Interval flavor: ``tree_map`` runs from the domain's tree to the
-    codomain's and ``alphas[n][i]`` is an endpoint-preserving component
-    from the domain label to the codomain label at the image vertex.
-    Ordinal flavor (op-morphisms): ``tree_map`` runs from the codomain's
-    tree to the domain's and ``alphas[n][x]`` is a monotone component
-    from the domain label at the image to the codomain label at ``x``.
-    In both flavors each component determines where the children of its
-    vertex land, slot by slot, and the tree map must agree.
+    end: from the domain's tree to the codomain's in the interval flavor,
+    and the other way in the ordinal flavor (op-morphisms).  The tree map
+    must send each fiber monotonely onto the fiber over its image, ends to
+    ends (:func:`theta_disk.forest.fiber_slots`); since a cropped tree's
+    labels are its fiber sizes, that makes the components, which
+    ``alphas`` reads off it.
     """
 
     dom: LabeledTree
     cod: LabeledTree
     tree_map: TreeMap
-    alphas: Alphas
 
     def __post_init__(self) -> None:
         if self.dom.flavor != self.cod.flavor:
@@ -327,44 +327,21 @@ class LabeledTreeMor:
                 f"tree map must run from the {index_name}'s tree to the "
                 f"{value_name}'s tree"
             )
-        if len(self.alphas) != index.depth + 1:
-            raise ValueError(
-                f"expected {index.depth + 1} component rows, "
-                f"got {len(self.alphas)}"
-            )
-        for n, row in enumerate(self.alphas):
-            if len(row) != index.tree.levels[n]:
-                raise ValueError(f"component row {n} has the wrong arity")
-            for i, alpha in enumerate(row):
-                want_dom, want_cod = spec.orient(
-                    index.labels[n][i], value.label(self.tree_map((n, i)))
-                )
-                if alpha.dom != want_dom or alpha.cod != want_cod:
-                    raise ValueError(
-                        f"component at vertex ({n}, {i}) must run "
-                        f"{want_dom} -> {want_cod}, got {alpha.dom} -> "
-                        f"{alpha.cod}"
-                    )
-                if self.flavor == INTERVAL and not alpha.is_interval:
-                    raise ValueError(
-                        f"component at vertex ({n}, {i}) must preserve "
-                        "both endpoints"
-                    )
-        for n in range(index.depth):
-            here, there = self.tree_map.at_level(n), self.tree_map.at_level(n + 1)
-            targets = fibers(value.tree, n)
-            for i, kids in enumerate(fibers(index.tree, n)):
-                picked = spec.routed(self.alphas[n][i], targets[here[i]])
-                for j, want in zip(kids, picked):
-                    if there[j] != want:
-                        raise ValueError(
-                            f"children of vertex ({n}, {i}) do not land in "
-                            "the slots its component selects"
-                        )
+        fiber_slots(self.tree_map)
 
     @property
     def flavor(self) -> str:
         return self.dom.flavor
+
+    @cached_property
+    def alphas(self) -> Alphas:
+        """``[n][i]``: the component at the index end's stored vertex
+        ``(n, i)``.  Interval flavor: an endpoint-preserving map from the
+        domain label to the codomain label at the image.  Ordinal flavor:
+        a monotone map from the domain label at the image to the codomain
+        label."""
+        rows = fiber_slots(self.tree_map)[: self.tree_map.dom.depth + 1]
+        return tuple(tuple(_component(self.flavor, s) for s in row) for row in rows)
 
     def to_dict(self) -> dict:
         return {
@@ -391,51 +368,41 @@ class LabeledTreeMor:
         rows = json_field(data, kind, "level_maps", depth=2)
         alphas = json_field(data, kind, "alphas", OrdMap.from_dict, 2)
         ends = FLAVORS[dom.flavor].orient(dom.tree, cod.tree)
-        return LabeledTreeMor(dom, cod, TreeMap(*ends, rows), alphas)
+        m = LabeledTreeMor(dom, cod, TreeMap(*ends, rows))
+        if alphas != m.alphas:
+            raise ValueError("declared components disagree with the level maps")
+        return m
 
 
-def _alpha_at(m: LabeledTreeMor, level: int, i: int) -> OrdMap:
-    """Component at a vertex, following the implicit chain continuation."""
-    if level < len(m.alphas):
-        return m.alphas[level][i]
-    return identity_ord(trivial_root(m.flavor))
+@lru_cache(maxsize=None)
+def _component(flavor: str, slots: tuple[int, ...]) -> OrdMap:
+    """The component whose slot map sends child ``t`` to slot ``slots[t]``
+    of the fiber over the image, whose last slot the last child takes."""
+    slot_map = OrdMap(Ordinal(len(slots) - 1), Ordinal(slots[-1]), slots)
+    return vee_map(slot_map) if flavor == ORDINAL else slot_map
 
 
 def identity_labeled(t: LabeledTree) -> LabeledTreeMor:
-    alphas = tuple(tuple(identity_ord(lab) for lab in row) for row in t.labels)
-    return LabeledTreeMor(t, t, identity_tree_map(t.tree), alphas)
+    return LabeledTreeMor(t, t, identity_tree_map(t.tree))
 
 
 def compose_labeled(g: LabeledTreeMor, f: LabeledTreeMor) -> LabeledTreeMor:
     """The composite ``g after f``."""
     if f.cod != g.dom:
         raise ValueError("labeled morphisms do not compose")
-    orient = FLAVORS[f.flavor].orient
     # ``first`` shares the composite's index end; ``second`` continues it.
-    first, second = orient(f, g)
-    alphas = tuple(
-        tuple(
-            compose_ord(
-                *orient(_alpha_at(second, n, first.tree_map.at_level(n)[i]), a)
-            )
-            for i, a in enumerate(row)
-        )
-        for n, row in enumerate(first.alphas)
-    )
+    first, second = FLAVORS[f.flavor].orient(f, g)
     tree_map = compose_tree_maps(second.tree_map, first.tree_map)
-    return LabeledTreeMor(f.dom, g.cod, tree_map, alphas)
+    return LabeledTreeMor(f.dom, g.cod, tree_map)
 
 
 def _duality(flavor: str):
-    """The other flavor, and the maps taking labels and components there.
+    """The other flavor, and the map taking labels there.
 
     Built on every call from the module globals, so that a function
     rebound on this module (a tracing wrapper) is the one that runs.
     """
-    return {
-        INTERVAL: (ORDINAL, vee_obj, vee_map),
-        ORDINAL: (INTERVAL, wedge_obj, wedge_map),
-    }[flavor]
+    return {INTERVAL: (ORDINAL, vee_obj), ORDINAL: (INTERVAL, wedge_obj)}[flavor]
 
 
 def con_dualize(t: LabeledTree) -> LabeledTree:
@@ -443,16 +410,14 @@ def con_dualize(t: LabeledTree) -> LabeledTree:
     problems = validate_cropped(t)
     if problems:
         raise ValueError(problems[0])
-    flavor, relabel, _ = _duality(t.flavor)
+    flavor, relabel = _duality(t.flavor)
     labels = tuple(tuple(relabel(lab) for lab in row) for row in t.labels)
     return LabeledTree(flavor, t.tree, labels)
 
 
 def con_dualize_mor(m: LabeledTreeMor) -> LabeledTreeMor:
     """The dual of a labeled morphism; contravariant, same tree map."""
-    _, _, recomponent = _duality(m.flavor)
-    alphas = tuple(tuple(recomponent(a) for a in row) for row in m.alphas)
-    return LabeledTreeMor(con_dualize(m.cod), con_dualize(m.dom), m.tree_map, alphas)
+    return LabeledTreeMor(con_dualize(m.cod), con_dualize(m.dom), m.tree_map)
 
 
 def _require_cropped_trees(flavor: str, *trees: LabeledTree) -> None:
@@ -467,55 +432,60 @@ def _require_cropped_trees(flavor: str, *trees: LabeledTree) -> None:
 
 
 @lru_cache(maxsize=None)
-def _xi_obj(t: LabeledTree) -> ITreeObj:
+def xi_obj(flavor: str, t: LevelTree) -> ITreeObj:
+    """The inductive tree of the cropped ``flavor`` tree on ``t``, whose
+    labels are its fiber sizes; a disk's reading is the interval case."""
     if t.depth == 0:
-        return trivial_obj(t.flavor)
-    kids = tuple(
-        _xi_obj(restrict_labeled(t, (1, j)))
-        for j in fibers(t.tree, 0)[0]
-    )
-    return ITreeObj(t.flavor, t.labels[0][0], kids)
+        return trivial_obj(flavor)
+    kids = tuple(xi_obj(flavor, restrict(t, (1, j))) for j in range(t.levels[1]))
+    return ITreeObj(flavor, _root(FLAVORS[flavor], len(kids)), kids)
 
 
 def xi_interval(t: LabeledTree) -> ITreeObj:
     """Convert a cropped interval-labeled tree to an inductive tree."""
     _require_cropped_trees(INTERVAL, t)
-    return _xi_obj(t)
+    return xi_obj(INTERVAL, t.tree)
 
 
 def xi_ordinal(t: LabeledTree) -> ITreeObj:
     """Convert a cropped ordinal-labeled tree to an inductive tree."""
     _require_cropped_trees(ORDINAL, t)
-    return _xi_obj(t)
+    return xi_obj(ORDINAL, t.tree)
 
 
-def _xi_mor(m: LabeledTreeMor, x: Vertex) -> ITreeMor:
-    """The inductive-tree reading of ``m`` between the subtrees over ``x``
-    and its image, read off ``m``.
+def xi_mor(flavor: str, f: TreeMap) -> ITreeMor:
+    """The inductive-tree reading of the cropped ``flavor`` morphism whose
+    tree map is ``f``; a disk morphism's reading is the interval case."""
+    return _xi_mor(flavor, f, fiber_slots(f), (0, 0))
+
+
+def _xi_mor(flavor: str, f: TreeMap, slots: tuple, x: Vertex) -> ITreeMor:
+    """The reading between the subtrees over ``x`` and ``f(x)``, whose
+    component is read off the slots of ``x``'s children.
 
     ``x`` addresses the side that indexes the components: the domain for
     the interval flavor, the codomain for the ordinal flavor.
     """
-    orient = FLAVORS[m.flavor].orient
-    index, value = orient(m.dom, m.cod)
-    here = _xi_obj(restrict_labeled(index, x))
-    there = _xi_obj(restrict_labeled(value, m.tree_map(x)))
+    orient = FLAVORS[flavor].orient
+    here = xi_obj(flavor, restrict(f.dom, x))
+    there = xi_obj(flavor, restrict(f.cod, f(x)))
     if there.is_trivial:
         return marker(*orient(here, there))
-    kids = tuple(_xi_mor(m, (x[0] + 1, j)) for j in fibers(index.tree, x[0])[x[1]])
-    return ITreeMor(*orient(here, there), _alpha_at(m, *x), kids)
+    n, i = x
+    kids = tuple(_xi_mor(flavor, f, slots, (n + 1, j)) for j in fibers(f.dom, n)[i])
+    return ITreeMor(*orient(here, there), _component(flavor, slots[n][i]), kids)
 
 
 def xi_interval_mor(m: LabeledTreeMor) -> ITreeMor:
     """Convert an interval-labeled morphism to an inductive tree morphism."""
     _require_cropped_trees(INTERVAL, m.dom, m.cod)
-    return _xi_mor(m, (0, 0))
+    return xi_mor(INTERVAL, m.tree_map)
 
 
 def xi_ordinal_mor(m: LabeledTreeMor) -> ITreeMor:
     """Convert an ordinal-labeled op-morphism to an inductive tree morphism."""
     _require_cropped_trees(ORDINAL, m.dom, m.cod)
-    return _xi_mor(m, (0, 0))
+    return xi_mor(ORDINAL, m.tree_map)
 
 
 def xi_inverse(h: ITreeObj) -> LabeledTree:
@@ -549,51 +519,17 @@ def enumerate_labeled_mors(
     a: LabeledTree, b: LabeledTree
 ) -> list[LabeledTreeMor]:
     """All morphisms ``a -> b`` of cropped trees, deterministically ordered,
-    built on every call from the shared level maps of the subtree hom-sets;
-    the components are read off each tree map."""
+    built on every call from the shared level maps of the subtree hom-sets."""
     _require_hom(a, b)
     ends = FLAVORS[a.flavor].orient(a.tree, b.tree)
     maps = (TreeMap(*ends, rows) for rows in LEVEL_MAPS[a.flavor][0](*ends))
-    return [LabeledTreeMor(a, b, f, _components(a.flavor, f)) for f in maps]
+    return [LabeledTreeMor(a, b, f) for f in maps]
 
 
 def count_labeled_mors(a: LabeledTree, b: LabeledTree) -> int:
     """``len(enumerate_labeled_mors(a, b))``, counted without listing."""
     _require_hom(a, b)
     return LEVEL_MAPS[a.flavor][1](*FLAVORS[a.flavor].orient(a.tree, b.tree))
-
-
-def _components(flavor: str, f: TreeMap) -> Alphas:
-    """The components of the cropped-tree morphism whose tree map is ``f``.
-
-    At each stored vertex of the index end the component is the slot map
-    that sends the vertex's children where ``f`` sends them, read through
-    the op in the ordinal flavor.  Fibers are numbered consecutively, so a
-    child's slot is its image less the first child of the image.  A vertex
-    with one child carries the single-slot label, and so does its image:
-    its component is the identity on the trivial root.
-    """
-    single = identity_ord(trivial_root(flavor))
-    rows = []
-    for n in range(f.dom.depth + 1):
-        here, below = f.at_level(n), f.at_level(n + 1)
-        targets = fibers(f.cod, n)
-        row = [single] * len(here)
-        for i, kids in enumerate(fibers(f.dom, n)):
-            if len(kids) > 1:
-                there = targets[here[i]]
-                slots = tuple([below[j] - there[0] for j in kids])
-                row[i] = _component(flavor, len(there), slots)
-        rows.append(tuple(row))
-    return tuple(rows)
-
-
-@lru_cache(maxsize=None)
-def _component(flavor: str, size: int, slots: tuple[int, ...]) -> OrdMap:
-    """The component whose slot map sends child ``t`` to slot ``slots[t]``
-    of a fiber of ``size``."""
-    slot_map = OrdMap(Ordinal(len(slots) - 1), Ordinal(size - 1), slots)
-    return vee_map(slot_map) if flavor == ORDINAL else slot_map
 
 
 def _branches(spec: Flavor, a: LevelTree, b: LevelTree) -> list:
@@ -608,12 +544,17 @@ def _branches(spec: Flavor, a: LevelTree, b: LevelTree) -> list:
         return []
     kids = [restrict(a, (1, i)) for i in range(a.levels[1])]
     tops = [restrict(b, (1, j)) for j in range(b.levels[1])]
-    roots = [Ordinal(len(t) - 1 - spec.extra_slot) for t in (kids, tops)]
+    roots = [_root(spec, len(t)) for t in (kids, tops)]
     out = []
     for g in spec.root_maps(*spec.orient(*roots)):
         slot = spec.slot_map(g)
         out.append((slot, [(kid, tops[j]) for kid, j in zip(kids, slot.images)]))
     return out
+
+
+def _root(spec: Flavor, children: int) -> Ordinal:
+    """The label of a cropped tree's vertex with ``children`` children."""
+    return Ordinal(children - 1 - spec.extra_slot)
 
 
 def _glue(a: LevelTree, b: LevelTree, slot: OrdMap | None, subs) -> LevelMaps:

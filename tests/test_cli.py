@@ -160,6 +160,22 @@ class TestParsing:
             assert out == ""
             assert problem in err, data
 
+    @pytest.mark.parametrize("flavor, cap", [(INTERVAL, 3), (ORDINAL, 2)])
+    def test_components_that_disagree_with_the_level_maps(self, capsys, flavor, cap):
+        # A labeled morphism's components are fixed by its level maps, so a
+        # request that declares others is refused.
+        trees = enumerate_cropped_trees(flavor, 2, cap)
+        data = enumerate_labeled_mors(trees[-1], trees[-1])[0].to_dict()
+        assert main(["render", "--format", "json", json.dumps(data)]) == 0
+        capsys.readouterr()
+        root = data["alphas"][0][0]
+        assert root["images"] != list(range(len(root["images"])))
+        root["images"] = list(range(len(root["images"])))
+        assert main(["render", "--format", "json", json.dumps(data)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: declared components disagree with the level maps\n"
+
     def test_unknown_object_kind(self, capsys):
         assert main(["convert", "--functor", "vee", '{"kind": "mystery"}']) == 2
 

@@ -44,6 +44,7 @@ from theta_disk.labeled import enumerate_labeled_mors, xi_inverse
 from theta_disk.ordinal import OrdMap, Ordinal
 
 from tests.test_forest import EXAMPLE_LEVELS, EXAMPLE_PARENTS, restrict_map
+from tests.test_labeled import accepts, brute_force_tree_maps
 
 
 def example_disk() -> Disk:
@@ -416,6 +417,29 @@ class TestCroppedIntervalTrees:
                 assert [f.tree_map for f in enumerate_disk_morphisms(a, b)] == [
                     m.tree_map for m in enumerate_labeled_mors(s, t)
                 ]
+
+
+    @pytest.mark.parametrize(
+        "degree, fiber, tried, accepted", [(3, 3, 4520, 26), (2, 4, 4728, 35)]
+    )
+    def test_disk_and_cropped_tree_morphisms_accept_the_same_tree_maps(
+        self, degree, fiber, tried, accepted
+    ):
+        disks = enumerate_disks(degree, fiber)
+        cropped = [xi_inverse(phi_obj(d)) for d in disks]
+        maps = kept = 0
+        for a, s in zip(disks, cropped):
+            for b, t in zip(disks, cropped):
+                for f in brute_force_tree_maps(a.tree, b.tree):
+                    try:
+                        DiskMor(a, b, f)
+                    except ValueError:
+                        assert not accepts(s, t, f)
+                    else:
+                        assert accepts(s, t, f)
+                        kept += 1
+                    maps += 1
+        assert (maps, kept) == (tried, accepted)
 
 
 class TestRestriction:

@@ -17,6 +17,7 @@ from theta_disk.forest import (
     Vertex,
     compose_tree_maps,
     coproduct,
+    fiber_slots,
     fibers,
     glue_level_maps,
     identity_tree_map,
@@ -302,6 +303,23 @@ class TestTreeMap:
         assert f((2, 1)) == (2, 2)
         # beyond both depths the map continues unchanged
         assert f((5, 1)) == (5, 2)
+
+    def test_fiber_slots(self):
+        tall = LevelTree((1, 3, 4), ((0, 0, 0), (0, 1, 1, 2)))
+        two = LevelTree((1, 2), ((0, 0),))
+        f = TreeMap(tall, two, ((0,), (0, 1, 1), (0, 1, 1, 1)))
+        # one row per stored level, past the codomain's depth too
+        assert fiber_slots(f) == (
+            ((0, 1, 1),),
+            ((0,), (0, 0), (0,)),
+            ((0,), (0,), (0,), (0,)),
+        )
+        swapped = TreeMap(tall, tall, ((0,), (0, 1, 2), (0, 2, 1, 3)))
+        with pytest.raises(ValueError, match="level-1 vertex 1 is not mapped"):
+            fiber_slots(swapped)
+        short = TreeMap(two, tall, ((0,), (0, 1), (0, 1)))
+        with pytest.raises(ValueError, match="level-0 vertex 0 does not preserve"):
+            fiber_slots(short)
 
     def test_restrict_map(self):
         t = example_tree()

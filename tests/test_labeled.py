@@ -6,12 +6,14 @@ import copy
 import hashlib
 import json
 import pickle
+from itertools import product
 
 import pytest
 
 from theta_disk import labeled
 from theta_disk.forest import (
     POINT_TREE,
+    LevelTree,
     TreeMap,
     Vertex,
     fibers,
@@ -31,13 +33,13 @@ from theta_disk.itree import (
     identity as identity_itree,
     marker,
     trivial_obj,
+    trivial_root,
     vee,
     wedge,
 )
 from theta_disk.labeled import (
     LabeledTree,
     LabeledTreeMor,
-    _alpha_at,
     compose_labeled,
     con_dualize,
     con_dualize_mor,
@@ -58,7 +60,14 @@ from theta_disk.labeled import (
     xi_ordinal,
     xi_ordinal_mor,
 )
-from theta_disk.ordinal import OrdMap, Ordinal
+from theta_disk.ordinal import (
+    OrdMap,
+    Ordinal,
+    compose as compose_ord,
+    identity as identity_ord,
+    vee_map,
+    wedge_map,
+)
 
 from tests.test_forest import restrict_map
 
@@ -82,15 +91,40 @@ def restrict_labeled_mor(m: LabeledTreeMor, x: Vertex) -> LabeledTreeMor:
     index, value = orient(m.dom, m.cod)
     sub_index = restrict_labeled(index, x)
     sub_value = restrict_labeled(value, m.tree_map(x))
-    rows = subtree_rows(index.tree, x)
-    n = x[0]
-    alphas = tuple(
-        tuple(_alpha_at(m, n + k, j) for j in rows[k])
-        for k in range(sub_index.depth + 1)
-    )
-    return LabeledTreeMor(
-        *orient(sub_index, sub_value), restrict_map(m.tree_map, x), alphas
-    )
+    return LabeledTreeMor(*orient(sub_index, sub_value), restrict_map(m.tree_map, x))
+
+
+def component(m: LabeledTreeMor, x: Vertex) -> OrdMap:
+    """The component of ``m`` at vertex ``x`` of its index end, following
+    the implicit chain continuation past the stored depth."""
+    if x[0] < len(m.alphas):
+        return m.alphas[x[0]][x[1]]
+    return identity_ord(trivial_root(m.flavor))
+
+
+def brute_force_tree_maps(index: LevelTree, value: LevelTree) -> list[TreeMap]:
+    """Oracle: every tree map between the single-root trees ``index`` and
+    ``value``, trying at each level every choice of a child of each
+    parent's image."""
+    found = [((0,) * index.levels[0],)] if value.levels[0] else []
+    for n in range(1, max(index.depth, value.depth) + 1):
+        size = index.level_size(n)
+        parents = index.parents[n - 1] if n <= index.depth else range(size)
+        found = [
+            maps + (row,)
+            for maps in found
+            for row in product(*(fibers(value, n - 1)[maps[-1][p]] for p in parents))
+        ]
+    return [TreeMap(index, value, maps) for maps in found]
+
+
+def accepts(a: LabeledTree, b: LabeledTree, f: TreeMap) -> bool:
+    """Whether ``LabeledTreeMor(a, b, f)`` can be built."""
+    try:
+        LabeledTreeMor(a, b, f)
+    except ValueError:
+        return False
+    return True
 
 
 def xi_mor_by_restriction(m: LabeledTreeMor) -> ITreeMor:
@@ -480,6 +514,13 @@ class TestMorphisms:
         text = json.dumps(rows, sort_keys=True)
         assert hashlib.sha256(text.encode()).hexdigest() == digest
 
+    @staticmethod
+    def declared(m: LabeledTreeMor, alphas) -> dict:
+        """``m`` serialized with the given component rows."""
+        data = m.to_dict()
+        data["alphas"] = [[a.to_dict() for a in row] for row in alphas]
+        return data
+
     @pytest.mark.parametrize("flavor", [INTERVAL, ORDINAL])
     def test_components_must_run_between_the_labels(self, flavor):
         t = xi_inverse(I2 if flavor == INTERVAL else O1)
@@ -487,18 +528,18 @@ class TestMorphisms:
         wider = OrdMap(o(2), o(2), (0, 1, 2))
         rows = (ident.alphas[0], (ident.alphas[1][0], wider, ident.alphas[1][2]))
         rows += ident.alphas[2:]
-        with pytest.raises(ValueError, match=r"component at vertex \(1, 1\)"):
-            LabeledTreeMor(t, t, ident.tree_map, rows)
+        with pytest.raises(ValueError, match="components disagree"):
+            LabeledTreeMor.from_dict(self.declared(ident, rows))
 
     @pytest.mark.parametrize("flavor", [INTERVAL, ORDINAL])
     def test_one_component_row_per_index_level(self, flavor):
         t = xi_inverse(I2 if flavor == INTERVAL else O1)
         ident = identity_labeled(t)
-        with pytest.raises(ValueError, match="component rows"):
-            LabeledTreeMor(t, t, ident.tree_map, ident.alphas[:-1])
+        with pytest.raises(ValueError, match="components disagree"):
+            LabeledTreeMor.from_dict(self.declared(ident, ident.alphas[:-1]))
         short = ident.alphas[:1] + (ident.alphas[1][:2],) + ident.alphas[2:]
-        with pytest.raises(ValueError, match="wrong arity"):
-            LabeledTreeMor(t, t, ident.tree_map, short)
+        with pytest.raises(ValueError, match="components disagree"):
+            LabeledTreeMor.from_dict(self.declared(ident, short))
 
     def test_identity_is_accepted_and_composes(self):
         for t in (deep(), trivial_labeled(INTERVAL), trivial_labeled(ORDINAL)):
@@ -515,8 +556,8 @@ class TestMorphisms:
             (ident.alphas[1][0], squashed, ident.alphas[1][2]),
             ident.alphas[2],
         )
-        with pytest.raises(ValueError, match="preserve both endpoints"):
-            LabeledTreeMor(t, t, ident.tree_map, rows)
+        with pytest.raises(ValueError, match="components disagree"):
+            LabeledTreeMor.from_dict(self.declared(ident, rows))
 
     def test_children_must_follow_the_component_slots(self):
         t = xi_inverse(I2)
@@ -524,17 +565,15 @@ class TestMorphisms:
         rerouted = TreeMap(
             t.tree, t.tree, (ident.tree_map.level_maps[0], (0, 1, 2), (0, 2, 1, 3))
         )
-        with pytest.raises(ValueError, match="slots its component selects"):
-            LabeledTreeMor(t, t, rerouted, ident.alphas)
+        with pytest.raises(ValueError, match="level-1 vertex 1 is not mapped"):
+            LabeledTreeMor(t, t, rerouted)
 
     def test_op_morphism_tree_map_direction_is_enforced(self):
         s = suspend_labeled([trivial_labeled(ORDINAL)] * 2, o(0))
         t = trivial_labeled(ORDINAL)
         forward = TreeMap(t.tree, s.tree, ((0,), (0,)))
-        empty = OrdMap(o(-1), o(-1), ())
-        alphas = ((OrdMap(o(-1), o(0), ()),), (empty, empty))
         with pytest.raises(ValueError, match="codomain's tree"):
-            LabeledTreeMor(t, s, forward, alphas)
+            LabeledTreeMor(t, s, forward)
 
     def test_morphism_ends_must_be_cropped(self):
         bad = LabeledTree(INTERVAL, POINT_TREE, (labs(2),))
@@ -569,20 +608,60 @@ class TestMorphisms:
     @pytest.mark.parametrize(
         "flavor, count", [(INTERVAL, 56), (ORDINAL, 498)], ids=[INTERVAL, ORDINAL]
     )
-    def test_components_are_read_off_the_tree_map(self, flavor, count):
-        # Enumeration reads each component off the tree map; composites,
-        # duals and parsed morphisms carry components built otherwise.
+    def test_composites_and_duals_act_on_the_components(self, flavor, count):
+        # Components are read off the tree map.  A composite's component is
+        # the composite of its factors' components, in the flavor's order; a
+        # dual's are the duals of the original's; a parsed morphism's are
+        # the ones it was written with.
         pool = enumerate_cropped_trees(flavor, 2, 3)
         homs = {(a, b): enumerate_labeled_mors(a, b) for a in pool for b in pool}
-        others = []
+        orient = FLAVORS[flavor].orient
+        dual = vee_map if flavor == INTERVAL else wedge_map
+        checked = 0
         for (a, b), fs in homs.items():
-            for c in pool:
-                others += [compose_labeled(g, f) for f in fs for g in homs[b, c]]
-            others += [con_dualize_mor(f) for f in fs]
-            others += [LabeledTreeMor.from_dict(f.to_dict()) for f in fs]
-        assert len(others) == count
-        read = [labeled._components(m.flavor, m.tree_map) for m in others]
-        assert [m for m, alphas in zip(others, read) if alphas != m.alphas] == []
+            for f in fs:
+                for g in (g for c in pool for g in homs[b, c]):
+                    first, second = orient(f, g)
+
+                    def composite(n: int, i: int) -> OrdMap:
+                        after = component(second, first.tree_map((n, i)))
+                        return compose_ord(*orient(after, first.alphas[n][i]))
+
+                    expected = tuple(
+                        tuple(composite(n, i) for i in range(len(row)))
+                        for n, row in enumerate(first.alphas)
+                    )
+                    assert compose_labeled(g, f).alphas == expected
+                    checked += 1
+                duals = tuple(tuple(map(dual, row)) for row in f.alphas)
+                assert con_dualize_mor(f).alphas == duals
+                assert LabeledTreeMor.from_dict(f.to_dict()).alphas == f.alphas
+                checked += 2
+        assert checked == count
+
+    @pytest.mark.parametrize(
+        "flavor, height, max_root, tried, accepted",
+        [
+            (INTERVAL, 3, 3, 4520, 26),
+            (INTERVAL, 2, 4, 4728, 35),
+            (ORDINAL, 3, 2, 4520, 26),
+            (ORDINAL, 2, 3, 4728, 35),
+        ],
+    )
+    def test_accepts_exactly_the_listed_tree_maps(
+        self, flavor, height, max_root, tried, accepted
+    ):
+        pool = enumerate_cropped_trees(flavor, height, max_root)
+        orient = FLAVORS[flavor].orient
+        maps = kept = 0
+        for a in pool:
+            for b in pool:
+                candidates = brute_force_tree_maps(*orient(a.tree, b.tree))
+                listed = {m.tree_map for m in enumerate_labeled_mors(a, b)}
+                assert {f for f in candidates if accepts(a, b, f)} == listed
+                maps += len(candidates)
+                kept += len(listed)
+        assert (maps, kept) == (tried, accepted)
 
     def test_trivial_interval_tree_is_terminal(self):
         for h in enumerate_objects(INTERVAL, 2, 3):
