@@ -17,18 +17,19 @@ A disk is the cropped interval tree on its tree (see
 :mod:`theta_disk.labeled`), whose labels are its fiber sizes.  So a disk
 morphism is a tree map that sends each fiber monotonely onto the fiber
 over its image, ends to ends, checked by ``forest.fiber_slots`` as for
-cropped trees; the level maps and counts of the hom-sets are the interval
-case of ``labeled.LEVEL_MAPS``; ``phi_obj``/``phi_mor``, the readings as
-inductive interval trees, are the interval case of
-``labeled.xi_obj``/``xi_mor``; and ``phi_inverse_obj`` keeps the tree of
-``labeled.xi_inverse``.  The readings and the hom tables are memoized for
-the life of the process; disk morphisms are built afresh on every call,
-and only those returned are validated.
+cropped trees, and both keep the slots it returns; the level maps and
+counts of the hom-sets are the interval case of ``labeled.LEVEL_MAPS``;
+``phi_obj``/``phi_mor``, the readings as inductive interval trees, are
+the interval case of ``labeled.xi_obj``/``xi_mor``; and
+``phi_inverse_obj`` keeps the tree of ``labeled.xi_inverse``.  The
+readings and the hom tables are memoized for the life of the process;
+disk morphisms are built afresh on every call, and only those returned
+are validated.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import product
 
 from theta_disk.forest import (
@@ -132,17 +133,19 @@ def trivial_disk() -> Disk:
 @dataclass(frozen=True)
 class DiskMor:
     """A disk morphism: a tree map, monotone and endpoint-preserving on
-    every fiber."""
+    every fiber.  ``slots`` keeps where each fiber goes, as the check
+    returns it; it is neither compared nor shown."""
 
     dom: Disk
     cod: Disk
     tree_map: TreeMap
+    slots: tuple = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         f = self.tree_map
         if f.dom != self.dom.tree or f.cod != self.cod.tree:
             raise ValueError("tree map does not run between the given disks")
-        fiber_slots(f)
+        object.__setattr__(self, "slots", fiber_slots(f))
 
 
 def identity_disk_mor(d: Disk) -> DiskMor:
@@ -162,7 +165,7 @@ def phi_obj(d: Disk) -> ITreeObj:
 
 def phi_mor(f: DiskMor) -> ITreeMor:
     """Read a disk morphism as an inductive interval tree morphism."""
-    return xi_mor(INTERVAL, f.tree_map)
+    return xi_mor(INTERVAL, f)
 
 
 def _assemble(children: list[Disk]) -> Disk:

@@ -10,7 +10,12 @@ prescription exactly, fiber by fiber, in sibling order.  Cropped trees
 additionally end every branch at single-slot labels, placed exactly at
 the two outer positions of each fiber.  Both are properties of a plain
 :class:`LabeledTree`, checked by :func:`validate_constrained` and
-:func:`validate_cropped`.
+:func:`validate_cropped`.  A cropped tree is fixed by its flavor and its
+level tree, since its labels are its fiber sizes: :func:`xi_inverse`
+builds the level tree with ``forest.suspend`` and ``forest.coproduct``,
+and one labeling rule reads each fiber size off the parent rows.  Any
+other labeled tree, such as a constrained tree that is not cropped, is
+written out as a :class:`LabeledTree` literal.
 
 Morphisms follow the flavor: interval-labeled morphisms carry a forward
 tree map with one endpoint-preserving component per domain vertex, while
@@ -31,17 +36,17 @@ reads a cropped tree reads its level tree: the inductive-tree images
 (``xi_obj``, keyed by flavor and level tree) and the level maps and
 counts of the subtree hom-sets (``LEVEL_MAPS``, one ``hom_recursion`` per
 flavor) are memoized for the life of the process, as are the cropped
-diagnostics and the components of each slot map.  Disks are the interval
-case of all of these.  Morphisms are built afresh on every call, and only
-those returned are validated; the inductive-tree image of a morphism is
-read off its tree map, vertex by vertex.
+diagnostics, the label of each fiber size and the components of each slot
+map.  Disks are the interval case of all of these.  Morphisms are built
+afresh on every call, and only those returned are validated; the
+inductive-tree image of a morphism is read off its tree map and the fiber
+slots its constructor keeps, vertex by vertex.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, lru_cache, partial
-from itertools import chain
 
 from theta_disk.forest import (
     LevelMaps,
@@ -56,14 +61,12 @@ from theta_disk.forest import (
     glue_level_maps,
     identity_tree_map,
     restrict,
-    subtree_rows,
     suspend,
 )
 from theta_disk.itree import (
     FLAVORS,
     INTERVAL,
     ORDINAL,
-    Flavor,
     ITreeMor,
     ITreeObj,
     enumerate_objects,
@@ -173,7 +176,28 @@ class LabeledTree(Interned):
 
 def trivial_labeled(flavor: str) -> LabeledTree:
     """The single-vertex tree carrying the flavor's single-slot label."""
-    return LabeledTree(flavor, POINT_TREE, ((trivial_root(flavor),),))
+    return _labeled_by_fibers(flavor, POINT_TREE)
+
+
+def _labeled_by_fibers(flavor: str, t: LevelTree) -> LabeledTree:
+    """The cropped ``flavor`` tree on ``t``: above the stored depth each
+    vertex is labeled by its fiber size, counted off the parent row, and
+    at the stored depth by the single-slot label."""
+    rows = []
+    for n, parents in enumerate(t.parents):
+        sizes = [0] * t.levels[n]
+        for p in parents:
+            sizes[p] += 1
+        rows.append(tuple([_root(flavor, k) for k in sizes]))
+    rows.append((trivial_root(flavor),) * t.levels[-1])
+    return LabeledTree(flavor, t, tuple(rows))
+
+
+@lru_cache(maxsize=None)
+def _root(flavor: str, children: int) -> Ordinal:
+    """The label of a cropped ``flavor`` tree's vertex with ``children``
+    children, computed once per flavor and fiber size."""
+    return Ordinal(children - 1 - FLAVORS[flavor].extra_slot)
 
 
 def validate_constrained(t: LabeledTree) -> list[str]:
@@ -235,62 +259,6 @@ def _cropped_problems(t: LabeledTree) -> tuple[str, ...]:
     return tuple(problems)
 
 
-@lru_cache(maxsize=None)
-def restrict_labeled(t: LabeledTree, x: Vertex) -> LabeledTree:
-    """The labeled subtree over vertex ``x``, re-truncated at its degree.
-
-    Computed once per tree and vertex and shared.
-    """
-    shape = restrict(t.tree, x)
-    rows = subtree_rows(t.tree, x)
-    n = x[0]
-    single = (trivial_root(t.flavor),)
-    labels = tuple(
-        tuple(t.labels[n + k][j] for j in rows[k])
-        if n + k <= t.depth
-        else single * len(rows[k])
-        for k in range(shape.depth + 1)
-    )
-    return LabeledTree(t.flavor, shape, labels)
-
-
-def coproduct_labeled(
-    flavor: str, trees: list[LabeledTree]
-) -> LabeledTree:
-    """Disjoint union of labeled forests, level-wise, in list order."""
-    for t in trees:
-        if t.flavor != flavor:
-            raise ValueError("all summands must share the flavor")
-    shape = coproduct([t.tree for t in trees])
-    single = (trivial_root(flavor),)
-    labels = tuple(
-        tuple(
-            chain.from_iterable(
-                t.labels[n] if n <= t.depth else single * t.tree.level_size(n)
-                for t in trees
-            )
-        )
-        for n in range(shape.depth + 1)
-    )
-    return LabeledTree(flavor, shape, labels)
-
-
-def suspend_labeled(forest: list[LabeledTree], c: Ordinal) -> LabeledTree:
-    """Put a fresh ``c``-labeled root over the trees, one per slot of ``c``."""
-    if not forest:
-        raise ValueError("suspension requires at least one summand")
-    flavor = forest[0].flavor
-    if len(forest) != label_slots(flavor, c):
-        raise ValueError(
-            f"label {c} prescribes {label_slots(flavor, c)} children, "
-            f"got {len(forest)} trees"
-        )
-    base = coproduct_labeled(flavor, forest)
-    shape = suspend(base.tree)
-    stacked = ((c,),) + base.labels
-    return LabeledTree(flavor, shape, stacked[: shape.depth + 1])
-
-
 Alphas = tuple[tuple[OrdMap, ...], ...]
 
 
@@ -305,12 +273,14 @@ class LabeledTreeMor:
     must send each fiber monotonely onto the fiber over its image, ends to
     ends (:func:`theta_disk.forest.fiber_slots`); since a cropped tree's
     labels are its fiber sizes, that makes the components, which
-    ``alphas`` reads off it.
+    ``alphas`` reads off the slots the check returns.  ``slots`` keeps
+    them; it is neither compared nor shown.
     """
 
     dom: LabeledTree
     cod: LabeledTree
     tree_map: TreeMap
+    slots: tuple = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.dom.flavor != self.cod.flavor:
@@ -327,7 +297,7 @@ class LabeledTreeMor:
                 f"tree map must run from the {index_name}'s tree to the "
                 f"{value_name}'s tree"
             )
-        fiber_slots(self.tree_map)
+        object.__setattr__(self, "slots", fiber_slots(self.tree_map))
 
     @property
     def flavor(self) -> str:
@@ -340,7 +310,7 @@ class LabeledTreeMor:
         domain label to the codomain label at the image.  Ordinal flavor:
         a monotone map from the domain label at the image to the codomain
         label."""
-        rows = fiber_slots(self.tree_map)[: self.tree_map.dom.depth + 1]
+        rows = self.slots[: self.tree_map.dom.depth + 1]
         return tuple(tuple(_component(self.flavor, s) for s in row) for row in rows)
 
     def to_dict(self) -> dict:
@@ -438,7 +408,7 @@ def xi_obj(flavor: str, t: LevelTree) -> ITreeObj:
     if t.depth == 0:
         return trivial_obj(flavor)
     kids = tuple(xi_obj(flavor, restrict(t, (1, j))) for j in range(t.levels[1]))
-    return ITreeObj(flavor, _root(FLAVORS[flavor], len(kids)), kids)
+    return ITreeObj(flavor, _root(flavor, len(kids)), kids)
 
 
 def xi_interval(t: LabeledTree) -> ITreeObj:
@@ -453,10 +423,11 @@ def xi_ordinal(t: LabeledTree) -> ITreeObj:
     return xi_obj(ORDINAL, t.tree)
 
 
-def xi_mor(flavor: str, f: TreeMap) -> ITreeMor:
-    """The inductive-tree reading of the cropped ``flavor`` morphism whose
-    tree map is ``f``; a disk morphism's reading is the interval case."""
-    return _xi_mor(flavor, f, fiber_slots(f), (0, 0))
+def xi_mor(flavor: str, m: LabeledTreeMor) -> ITreeMor:
+    """The inductive-tree reading of the cropped ``flavor`` morphism ``m``,
+    read off its tree map and its fiber slots; a disk morphism, which
+    keeps both too, reads as the interval case."""
+    return _xi_mor(flavor, m.tree_map, m.slots, (0, 0))
 
 
 def _xi_mor(flavor: str, f: TreeMap, slots: tuple, x: Vertex) -> ITreeMor:
@@ -479,13 +450,13 @@ def _xi_mor(flavor: str, f: TreeMap, slots: tuple, x: Vertex) -> ITreeMor:
 def xi_interval_mor(m: LabeledTreeMor) -> ITreeMor:
     """Convert an interval-labeled morphism to an inductive tree morphism."""
     _require_cropped_trees(INTERVAL, m.dom, m.cod)
-    return xi_mor(INTERVAL, m.tree_map)
+    return xi_mor(INTERVAL, m)
 
 
 def xi_ordinal_mor(m: LabeledTreeMor) -> ITreeMor:
     """Convert an ordinal-labeled op-morphism to an inductive tree morphism."""
     _require_cropped_trees(ORDINAL, m.dom, m.cod)
-    return xi_mor(ORDINAL, m.tree_map)
+    return xi_mor(ORDINAL, m)
 
 
 def xi_inverse(h: ITreeObj) -> LabeledTree:
@@ -497,7 +468,8 @@ def xi_inverse(h: ITreeObj) -> LabeledTree:
 def _xi_inverse(h: ITreeObj) -> LabeledTree:
     if h.is_trivial:
         return trivial_labeled(h.flavor)
-    return suspend_labeled([_xi_inverse(c) for c in h.children], h.root)
+    forest = coproduct([_xi_inverse(c).tree for c in h.children])
+    return _labeled_by_fibers(h.flavor, suspend(forest))
 
 
 def enumerate_cropped_trees(
@@ -532,7 +504,7 @@ def count_labeled_mors(a: LabeledTree, b: LabeledTree) -> int:
     return LEVEL_MAPS[a.flavor][1](*FLAVORS[a.flavor].orient(a.tree, b.tree))
 
 
-def _branches(spec: Flavor, a: LevelTree, b: LevelTree) -> list:
+def _branches(flavor: str, a: LevelTree, b: LevelTree) -> list:
     """Each slot map of the morphisms with index end ``a`` and value end
     ``b``, with the ends of their children.
 
@@ -544,17 +516,13 @@ def _branches(spec: Flavor, a: LevelTree, b: LevelTree) -> list:
         return []
     kids = [restrict(a, (1, i)) for i in range(a.levels[1])]
     tops = [restrict(b, (1, j)) for j in range(b.levels[1])]
-    roots = [_root(spec, len(t)) for t in (kids, tops)]
+    spec = FLAVORS[flavor]
+    roots = [_root(flavor, len(t)) for t in (kids, tops)]
     out = []
     for g in spec.root_maps(*spec.orient(*roots)):
         slot = spec.slot_map(g)
         out.append((slot, [(kid, tops[j]) for kid, j in zip(kids, slot.images)]))
     return out
-
-
-def _root(spec: Flavor, children: int) -> Ordinal:
-    """The label of a cropped tree's vertex with ``children`` children."""
-    return Ordinal(children - 1 - spec.extra_slot)
 
 
 def _glue(a: LevelTree, b: LevelTree, slot: OrdMap | None, subs) -> LevelMaps:
@@ -567,6 +535,5 @@ def _glue(a: LevelTree, b: LevelTree, slot: OrdMap | None, subs) -> LevelMaps:
 # between cropped trees, keyed by the index-end and value-end trees.
 # Disks are the interval case.
 LEVEL_MAPS = {
-    flavor: hom_recursion(partial(_branches, spec), _glue)
-    for flavor, spec in FLAVORS.items()
+    flavor: hom_recursion(partial(_branches, flavor), _glue) for flavor in FLAVORS
 }

@@ -17,7 +17,7 @@ import theta_disk
 from theta_disk import cli
 from theta_disk.cli import _PARSERS, FUNCTORS, main
 from theta_disk.disk import trivial_disk
-from theta_disk.forest import POINT_TREE
+from theta_disk.forest import POINT_TREE, LevelTree
 from theta_disk.globular import (
     ARROW_CARDINAL,
     POINT_CARDINAL,
@@ -28,7 +28,6 @@ from theta_disk.labeled import (
     LabeledTree,
     enumerate_cropped_trees,
     enumerate_labeled_mors,
-    suspend_labeled,
     trivial_labeled,
 )
 from theta_disk.ograph import OGraph, POINT_OGRAPH, enumerate_ographs, gamma_prime
@@ -38,7 +37,13 @@ from theta_disk.verify import CHECKS, Bounds, Report
 
 
 ARROW_OGRAPH = OGraph(2, (POINT_OGRAPH,))
+# The cropped interval tree of one root over two leaves.
+TWO_LEAVES = LabeledTree(
+    INTERVAL, LevelTree((1, 2), ((0, 0),)), ((Ordinal(1),), (Ordinal(0),) * 2)
+)
 TINY = "height=1,label=1,vertices=2,dim=1"
+WIDE_HEIGHT = "height=4,label=3"
+WIDE_LABEL = "height=3,label=4"
 # SHA-256 of ``theta-disk enumerate --kind KIND --bounds BOUNDS`` stdout.
 ENUMERATE_SHA256 = {
     ("ordinal", ""): "e8505877f6b74e77ceaaeb5b4b69e16520668044a6b9e75c246b9824752dd7aa",
@@ -72,6 +77,19 @@ ENUMERATE_SHA256 = {
     ),
     ("cropped-ordinal", TINY): (
         "ff1a573aae8b37449c2b79ca96f7404ae82d7d05418f2a687cba6ce037a74de6"
+    ),
+    # 184 trees per flavor, and 86: a changed label shows here.
+    ("cropped-interval", WIDE_HEIGHT): (
+        "214f2653d391c32f6060dc60f4f7ee2df345ea393c0cab5d8758597c1f6e0f69"
+    ),
+    ("cropped-interval", WIDE_LABEL): (
+        "fd008eaec22d3f9fc9475d8e2361440bf02483894f27e00eba8ca8aed25ea961"
+    ),
+    ("cropped-ordinal", WIDE_HEIGHT): (
+        "85e24adf0fcf629b5fcc3572cb069a8882c986e719cbabbd13c1e4d219d9a42c"
+    ),
+    ("cropped-ordinal", WIDE_LABEL): (
+        "136b2cf188863db7a87cbd19ddbb55d468a1d31f4e8b62c1622f2d3c343fe82f"
     ),
 }
 # SHA-256 of ``theta-disk convert --functor psi`` stdout, concatenated over
@@ -636,17 +654,14 @@ class TestConvert:
         assert back == ARROW_OGRAPH.to_dict()
 
     def test_xi_round_trips_on_a_labeled_tree(self, capsys):
-        labeled = suspend_labeled(
-            [trivial_labeled(INTERVAL), trivial_labeled(INTERVAL)], Ordinal(1)
-        )
         tree = run_json(
-            capsys, "convert", "--functor", "xi", json.dumps(labeled.to_dict())
+            capsys, "convert", "--functor", "xi", json.dumps(TWO_LEAVES.to_dict())
         )
         assert tree["kind"] == "itree"
         back = run_json(
             capsys, "convert", "--functor", "xi-inverse", json.dumps(tree)
         )
-        assert back == labeled.to_dict()
+        assert back == TWO_LEAVES.to_dict()
 
     def test_con_dualize_flips_the_flavor(self, capsys):
         data = run_json(
@@ -970,9 +985,14 @@ class TestHomCount:
 
     def test_labeled_pair(self, capsys):
         point = trivial_labeled(INTERVAL)
-        two = json.dumps(suspend_labeled([point] * 2, Ordinal(1)).to_dict())
+        two = json.dumps(TWO_LEAVES.to_dict())
         # Not cropped: the interior slot holds a single-slot label.
-        wide = json.dumps(suspend_labeled([point] * 3, Ordinal(2)).to_dict())
+        star = LabeledTree(
+            INTERVAL,
+            LevelTree((1, 3), ((0, 0, 0),)),
+            ((Ordinal(2),), (Ordinal(0),) * 3),
+        )
+        wide = json.dumps(star.to_dict())
         assert run_json(capsys, "hom-count", two, two)["count"] == 1
         data = run_json(capsys, "hom-count", two, json.dumps(point.to_dict()))
         assert data["count"] == 1
@@ -1128,10 +1148,7 @@ class TestVerify:
 
 class TestRender:
     def test_text_shows_vertices_and_labels(self, capsys):
-        labeled = suspend_labeled(
-            [trivial_labeled(INTERVAL), trivial_labeled(INTERVAL)], Ordinal(1)
-        )
-        code, out = run(capsys, "render", json.dumps(labeled.to_dict()))
+        code, out = run(capsys, "render", json.dumps(TWO_LEAVES.to_dict()))
         assert code == 0
         assert out.split("\n")[:3] == ["(0, 0) [1]", "  (1, 0) [0]", "  (1, 1) [0]"]
 
@@ -1148,11 +1165,8 @@ class TestRender:
         assert out == "(0, 0)\n"
 
     def test_dot_output_ranks_levels(self, capsys):
-        labeled = suspend_labeled(
-            [trivial_labeled(INTERVAL), trivial_labeled(INTERVAL)], Ordinal(1)
-        )
         code, out = run(
-            capsys, "render", json.dumps(labeled.to_dict()), "--format", "dot"
+            capsys, "render", json.dumps(TWO_LEAVES.to_dict()), "--format", "dot"
         )
         assert code == 0
         assert out.startswith("digraph")

@@ -25,6 +25,7 @@ from theta_disk.disk import (
 from theta_disk.forest import (
     LevelTree,
     TreeMap,
+    fiber_slots,
     fibers,
     glue_level_maps,
     make_level_tree,
@@ -336,6 +337,15 @@ class TestDiskMorphisms:
         monkeypatch.setattr(labeled, "glue_level_maps", corrupt_glue)
         with pytest.raises(ValueError, match="out of range"):
             enumerate_disk_morphisms(a, b)
+
+    def test_fiber_slots_are_kept_but_neither_compared_nor_shown(self):
+        d = example_disk()
+        f = identity_disk_mor(d)
+        assert f.slots == fiber_slots(f.tree_map)
+        assert "slots" not in repr(f)
+        g = DiskMor(d, d, f.tree_map)
+        object.__setattr__(g, "slots", ())
+        assert g == f and hash(g) == hash(f)
 
     def test_composition_closure(self):
         shapes = [two_disk(), tall_disk()]

@@ -16,10 +16,13 @@ from theta_disk.forest import (
     LevelTree,
     TreeMap,
     Vertex,
+    fiber_slots,
     fibers,
     glue_level_maps,
     make_level_tree,
+    restrict,
     subtree_rows,
+    suspend,
 )
 from theta_disk.itree import (
     FLAVORS,
@@ -43,14 +46,11 @@ from theta_disk.labeled import (
     compose_labeled,
     con_dualize,
     con_dualize_mor,
-    coproduct_labeled,
     count_labeled_mors,
     enumerate_cropped_trees,
     enumerate_labeled_mors,
     identity_labeled,
     label_slots,
-    restrict_labeled,
-    suspend_labeled,
     trivial_labeled,
     validate_constrained,
     validate_cropped,
@@ -80,6 +80,10 @@ def labs(*ns: int) -> tuple[Ordinal, ...]:
     return tuple(Ordinal(n) for n in ns)
 
 
+# The cropped tree of a flavor on a level tree: labels are fiber sizes.
+by_fibers = labeled._labeled_by_fibers
+
+
 def restrict_labeled_mor(m: LabeledTreeMor, x: Vertex) -> LabeledTreeMor:
     """Oracle: the morphism induced between the subtrees over ``x`` and its
     image, built and validated whole.
@@ -89,8 +93,8 @@ def restrict_labeled_mor(m: LabeledTreeMor, x: Vertex) -> LabeledTreeMor:
     """
     orient = FLAVORS[m.flavor].orient
     index, value = orient(m.dom, m.cod)
-    sub_index = restrict_labeled(index, x)
-    sub_value = restrict_labeled(value, m.tree_map(x))
+    sub_index = by_fibers(m.flavor, restrict(index.tree, x))
+    sub_value = by_fibers(m.flavor, restrict(value.tree, m.tree_map(x)))
     return LabeledTreeMor(*orient(sub_index, sub_value), restrict_map(m.tree_map, x))
 
 
@@ -324,18 +328,13 @@ class TestCroppedValidation:
 
 
 class TestRestrict:
-    def test_restrictions_are_plain_and_shared_across_classes(self):
-        plain = LabeledTree(INTERVAL, DEEP_TREE, DEEP_LABELS)
-        for x in [(1, 1), (2, 3), (4, 0)]:
-            sub = restrict_labeled(deep(), x)
-            assert type(sub) is LabeledTree
-            assert restrict_labeled(plain, x) == sub
-
+    # A restriction of a cropped tree is the cropped tree on the restricted
+    # level tree.
     def test_restrict_at_root_is_identity(self):
-        assert restrict_labeled(deep(), (0, 0)) == deep()
+        assert by_fibers(INTERVAL, restrict(DEEP_TREE, (0, 0))) is deep()
 
     def test_restrict_at_branch_vertex(self):
-        sub = restrict_labeled(deep(), (1, 1))
+        sub = by_fibers(INTERVAL, restrict(DEEP_TREE, (1, 1)))
         assert sub.tree == make_level_tree(
             (1, 4, 7, 8),
             ((0, 0, 0, 0), (0, 1, 1, 2, 2, 2, 3), (0, 1, 2, 3, 4, 4, 5, 6)),
@@ -349,25 +348,22 @@ class TestRestrict:
         assert validate_cropped(sub) == []
 
     def test_restrict_at_chain_vertex_collapses(self):
-        assert restrict_labeled(deep(), (1, 0)) == trivial_labeled(INTERVAL)
-        assert restrict_labeled(deep(), (6, 9)) == trivial_labeled(INTERVAL)
+        for x in ((1, 0), (6, 9)):
+            sub = by_fibers(INTERVAL, restrict(DEEP_TREE, x))
+            assert sub is trivial_labeled(INTERVAL)
 
     def test_restriction_preserves_cropped(self):
         t = deep()
         for n, size in enumerate(t.tree.levels):
             for i in range(size):
-                assert validate_cropped(restrict_labeled(t, (n, i))) == []
+                sub = by_fibers(INTERVAL, restrict(t.tree, (n, i)))
+                assert validate_cropped(sub) == []
 
     def test_rows_are_the_vertex_labels(self):
-        # Raised labels put a non-single label at the stored depth.
-        raised = tuple(
-            tuple(o(lab.n + 1) for lab in row) for row in DEEP_LABELS
-        )
-        for flavor in (INTERVAL, ORDINAL):
-            t = LabeledTree(flavor, DEEP_TREE, raised)
+        for t in (deep(), con_dualize(deep())):
             for n in range(t.depth + 2):
                 for i in range(t.tree.level_size(n)):
-                    sub = restrict_labeled(t, (n, i))
+                    sub = by_fibers(t.flavor, restrict(t.tree, (n, i)))
                     rows = subtree_rows(t.tree, (n, i))
                     assert sub.labels == tuple(
                         tuple(t.label((n + k, j)) for j in rows[k])
@@ -376,56 +372,43 @@ class TestRestrict:
 
 
 class TestSuspendCoproduct:
+    # ``xi_inverse`` suspends the coproduct of its children's level trees
+    # and labels the result by its fiber sizes.
     def test_suspending_one_trivial_tree_gives_the_trivial_tree(self):
-        t = suspend_labeled([trivial_labeled(INTERVAL)], o(0))
-        assert t == trivial_labeled(INTERVAL)
-        t = suspend_labeled([trivial_labeled(ORDINAL)], o(-1))
-        assert t == trivial_labeled(ORDINAL)
+        for flavor in (INTERVAL, ORDINAL):
+            t = by_fibers(flavor, suspend(POINT_TREE))
+            assert t is trivial_labeled(flavor)
+            assert t is LabeledTree(flavor, POINT_TREE, ((trivial_root(flavor),),))
 
     def test_suspension_places_one_tree_per_slot(self):
-        t = suspend_labeled(
-            [trivial_labeled(INTERVAL), trivial_labeled(INTERVAL)], o(1)
+        fan = make_level_tree((1, 2), ((0, 0),))
+        assert xi_inverse(I1) is LabeledTree(INTERVAL, fan, (labs(1), labs(0, 0)))
+        lo0 = xi_inverse(O0)
+        assert lo0 is LabeledTree(ORDINAL, fan, (labs(0), labs(-1, -1)))
+        s = LabeledTree(
+            ORDINAL,
+            make_level_tree((1, 3, 4), ((0, 0, 0), (0, 1, 1, 2))),
+            (labs(1), labs(-1, 0, -1), labs(-1, -1, -1, -1)),
         )
-        assert t.tree == make_level_tree((1, 2), ((0, 0),))
-        assert t.labels == (labs(1), labs(0, 0))
-        assert validate_cropped(t) == []
-        lo0 = suspend_labeled([trivial_labeled(ORDINAL)] * 2, o(0))
-        assert lo0.tree == make_level_tree((1, 2), ((0, 0),))
-        assert lo0.labels == (labs(0), labs(-1, -1))
-        assert validate_cropped(lo0) == []
-        s = suspend_labeled(
-            [trivial_labeled(ORDINAL), lo0, trivial_labeled(ORDINAL)], o(1)
-        )
-        assert s == xi_inverse(O1)
         assert validate_cropped(s) == []
-
-    def test_singleton_interior_slots_break_croppedness_only(self):
-        star = suspend_labeled([trivial_labeled(ORDINAL)] * 3, o(1))
-        assert star.tree == make_level_tree((1, 3), ((0, 0, 0),))
-        assert star.labels == (labs(1), labs(-1, -1, -1))
-        assert validate_constrained(star) == []
-        assert validate_cropped(star) != []
-
-    def test_suspension_arity_is_checked(self):
-        with pytest.raises(ValueError, match="prescribes 2 children"):
-            suspend_labeled([trivial_labeled(INTERVAL)], o(1))
-        with pytest.raises(ValueError, match="at least one"):
-            suspend_labeled([], o(0))
+        assert s == xi_inverse(O1)
 
     def test_coproduct_pads_shallow_summands_with_chains(self):
-        small = suspend_labeled(
-            [trivial_labeled(INTERVAL), trivial_labeled(INTERVAL)], o(1)
+        # The trivial children beside ``I1`` continue as chains, whose
+        # vertices carry the single-slot label.
+        t = LabeledTree(
+            INTERVAL,
+            make_level_tree((1, 3, 4), ((0, 0, 0), (0, 1, 1, 2))),
+            (labs(2), labs(0, 1, 0), labs(0, 0, 0, 0)),
         )
-        both = coproduct_labeled(INTERVAL, [small, trivial_labeled(INTERVAL)])
-        assert both.tree == make_level_tree((2, 3), ((0, 0, 1),))
-        assert both.labels == (labs(1, 0), labs(0, 0, 0))
-        assert validate_cropped(both) == []
+        assert validate_cropped(t) == []
+        assert xi_inverse(I2) is t
 
-    def test_coproduct_rejects_mixed_flavors(self):
-        with pytest.raises(ValueError, match="share the flavor"):
-            coproduct_labeled(
-                INTERVAL, [trivial_labeled(INTERVAL), trivial_labeled(ORDINAL)]
-            )
+    def test_singleton_interior_slots_break_croppedness_only(self):
+        fan = make_level_tree((1, 3), ((0, 0, 0),))
+        star = LabeledTree(ORDINAL, fan, (labs(1), labs(-1, -1, -1)))
+        assert validate_constrained(star) == []
+        assert validate_cropped(star) != []
 
 
 class TestMorphisms:
@@ -541,6 +524,16 @@ class TestMorphisms:
         with pytest.raises(ValueError, match="components disagree"):
             LabeledTreeMor.from_dict(self.declared(ident, short))
 
+    @pytest.mark.parametrize("h", [I2, O1], ids=[INTERVAL, ORDINAL])
+    def test_fiber_slots_are_kept_but_neither_compared_nor_shown(self, h):
+        t = xi_inverse(h)
+        f = identity_labeled(t)
+        assert f.slots == fiber_slots(f.tree_map)
+        assert "slots" not in repr(f)
+        g = LabeledTreeMor(t, t, f.tree_map)
+        object.__setattr__(g, "slots", ())
+        assert g == f and hash(g) == hash(f)
+
     def test_identity_is_accepted_and_composes(self):
         for t in (deep(), trivial_labeled(INTERVAL), trivial_labeled(ORDINAL)):
             ident = identity_labeled(t)
@@ -569,7 +562,7 @@ class TestMorphisms:
             LabeledTreeMor(t, t, rerouted)
 
     def test_op_morphism_tree_map_direction_is_enforced(self):
-        s = suspend_labeled([trivial_labeled(ORDINAL)] * 2, o(0))
+        s = xi_inverse(O0)
         t = trivial_labeled(ORDINAL)
         forward = TreeMap(t.tree, s.tree, ((0,), (0,)))
         with pytest.raises(ValueError, match="codomain's tree"):
@@ -797,12 +790,7 @@ class TestXiObjects:
         with pytest.raises(ValueError, match="interval-flavor"):
             xi_interval(trivial_labeled(ORDINAL))
         with pytest.raises(ValueError, match="single-root"):
-            xi_interval(
-                coproduct_labeled(
-                    INTERVAL,
-                    [trivial_labeled(INTERVAL), trivial_labeled(INTERVAL)],
-                )
-            )
+            xi_interval(LabeledTree(INTERVAL, LevelTree((2,), ()), (labs(0, 0),)))
         shape = make_level_tree((1, 3), ((0, 0, 0),))
         with pytest.raises(ValueError, match="outer positions"):
             xi_interval(LabeledTree(INTERVAL, shape, (labs(2), labs(0, 0, 0))))

@@ -30,7 +30,6 @@ UNREFERENCED = {
     "itree.identity",
     "labeled.compose_labeled",
     "labeled.identity_labeled",
-    "labeled.restrict_labeled",
     "labeled.validate_constrained",
     "ograph.compose_ograph_mors",
     "ograph.identity_ograph_mor",

@@ -10,6 +10,7 @@ import pytest
 
 from theta_disk import cli, verify
 from theta_disk.cli import main
+from theta_disk.forest import make_level_tree
 from theta_disk.globular import POINT_CARDINAL
 from theta_disk.itree import (
     INTERVAL,
@@ -19,9 +20,8 @@ from theta_disk.itree import (
     vee,
 )
 from theta_disk.labeled import (
+    LabeledTree,
     enumerate_labeled_mors,
-    suspend_labeled,
-    trivial_labeled,
     xi_interval,
     xi_inverse,
 )
@@ -318,7 +318,8 @@ def with_uncropped(real):
     """Corrupt ``enumerate_cropped_trees``: each interval pool comes out
     with a tree appended whose labels fit its fibers (it is constrained)
     but whose middle child carries the single-slot label (not cropped)."""
-    star = suspend_labeled([trivial_labeled(INTERVAL)] * 3, Ordinal(2))
+    fan = make_level_tree((1, 3), ((0, 0, 0),))
+    star = LabeledTree(INTERVAL, fan, ((Ordinal(2),), (Ordinal(0),) * 3))
 
     def listing(flavor, *bounds):
         items = list(real(flavor, *bounds))
