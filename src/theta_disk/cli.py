@@ -241,7 +241,7 @@ def _level_view(obj) -> tuple[LevelTree, Callable[[int, int], str]]:
             f" fiber {len(fibers(obj.tree, n)[i])}" if n < obj.tree.depth else ""
         )
     if type(obj) is LabeledTree:
-        return obj.tree, lambda n, i: f" [{obj.labels[n][i].n}]"
+        return obj.tree, lambda n, i: f" [{obj.label((n, i)).n}]"
     raise ValueError(
         f"rendering covers tree-shaped objects, not {type(obj).__name__}"
     )

@@ -7,24 +7,26 @@ endpoint sections are simply the first and last element of each fiber.
 Structural equality of the canonical form then decides disk isomorphism.
 Fibers are read from the tree's shared table ``forest.fibers``.
 
-The validity conditions are: every vertex below the degree has a non-empty
-fiber; on each level above the root the vertices with singleton fibers are
-exactly the fiber endpoints from the previous level; and the root fiber is
-a singleton only in the degree-0 (trivial) disks.  The constructor checks
-them and raises the first that fails, so an invalid disk is never built.
-
 A disk is the cropped interval tree on its tree (see
-:mod:`theta_disk.labeled`), whose labels are its fiber sizes.  So a disk
-morphism is a tree map that sends each fiber monotonely onto the fiber
-over its image, ends to ends, checked by ``forest.fiber_slots`` as for
-cropped trees, and both keep the slots it returns; the level maps and
-counts of the hom-sets are the interval case of ``labeled.LEVEL_MAPS``;
-``phi_obj``/``phi_mor``, the readings as inductive interval trees, are
-the interval case of ``labeled.xi_obj``/``xi_mor``; and
-``phi_inverse_obj`` keeps the tree of ``labeled.xi_inverse``.  The
-readings and the hom tables are memoized for the life of the process;
-disk morphisms are built afresh on every call, and only those returned
-are validated.
+:mod:`theta_disk.labeled`), whose labels are its fiber sizes, so its
+validity conditions are the one cropped rule, ``labeled.validate_cropped``:
+a single root, monotone parent maps, a root fiber of at least two
+elements in positive degree, a non-empty fiber at every vertex below the
+degree, and on each level above the root the vertices with singleton
+fibers exactly the fiber endpoints from the previous level.  The
+constructor applies it and raises the first condition that fails, so an
+invalid disk is never built.
+
+So a disk morphism is a tree map that sends each fiber monotonely onto
+the fiber over its image, ends to ends, checked by ``forest.fiber_slots``
+as for cropped trees, and both keep the slots it returns; the level maps
+and counts of the hom-sets are the interval case of
+``labeled.LEVEL_MAPS``; ``phi_obj``/``phi_mor``, the readings as
+inductive interval trees, are the interval case of
+``labeled.xi_obj``/``xi_mor``; and ``phi_inverse_obj`` keeps the tree of
+``labeled.xi_inverse``.  The readings and the hom tables are memoized
+for the life of the process; disk morphisms are built afresh on every
+call, and only those returned are validated.
 """
 
 from __future__ import annotations
@@ -43,56 +45,18 @@ from theta_disk.forest import (
     suspend,
 )
 from theta_disk.itree import INTERVAL, ITreeMor, ITreeObj
-from theta_disk.labeled import LEVEL_MAPS, xi_inverse, xi_mor, xi_obj
+from theta_disk.labeled import LEVEL_MAPS, validate_cropped, xi_inverse, xi_mor, xi_obj
 from theta_disk.ordinal import json_field
-
-
-def _listed(vertices: set[int]) -> str:
-    """``vertices`` in order, or their number and the first three if many."""
-    listed = sorted(vertices)
-    if len(listed) <= 10:
-        return str(listed)
-    return f"{len(listed):,} vertices ({', '.join(map(str, listed[:3]))}, …)"
 
 
 @dataclass(frozen=True)
 class Disk:
-    """A disk in canonical form: a tree with monotone parent maps that
-    meets the validity conditions."""
+    """A disk in canonical form: a tree that meets the cropped rule."""
 
     tree: LevelTree
 
     def __post_init__(self) -> None:
-        tree = self.tree
-        if not tree.is_tree:
-            raise ValueError("a disk is carried by a tree (single root)")
-        for n, pmap in enumerate(tree.parents):
-            if any(pmap[i] > pmap[i + 1] for i in range(len(pmap) - 1)):
-                raise ValueError(
-                    f"parent map at step {n} is not monotone; the canonical "
-                    "form numbers fibers consecutively in parent order"
-                )
-        if self.degree >= 1 and tree.levels[1] < 2:
-            raise ValueError(
-                "invalid disk: level 0: the root fiber of a positive-degree "
-                "disk has at least two elements"
-            )
-        for n in range(1, self.degree):
-            if not all(fibers(tree, n)):
-                raise ValueError(
-                    f"invalid disk: level {n}: every vertex below the degree "
-                    "has a non-empty fiber"
-                )
-        # Every fiber below the degree is non-empty by now, so has two ends.
-        for n in range(1, self.degree + 1):
-            singleton = {i for i, fib in enumerate(fibers(tree, n)) if len(fib) == 1}
-            ends = {end for fib in fibers(tree, n - 1) for end in (fib[0], fib[-1])}
-            if singleton != ends:
-                raise ValueError(
-                    f"invalid disk: level {n}: vertices with singleton fibers "
-                    f"are {_listed(singleton)} but the fiber endpoints from "
-                    f"below are {_listed(ends)}"
-                )
+        validate_cropped(self.tree)
 
     @property
     def degree(self) -> int:

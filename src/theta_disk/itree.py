@@ -196,13 +196,6 @@ def trivial_obj(flavor: str) -> ITreeObj:
     return ITreeObj(flavor, trivial_root(flavor))
 
 
-def height(h: ITreeObj) -> int:
-    """0 for the trivial object, else one more than the tallest child."""
-    if h.is_trivial:
-        return 0
-    return 1 + max(height(c) for c in h.children)
-
-
 _MARKER_RULE = (
     "a marker morphism requires the trivial object on the "
     "collapsing side and has no children"

@@ -1,52 +1,61 @@
-"""Trees labeled by finite linear orders, with fiber constraints and dualities.
+"""Cropped labeled trees: a flavor on a disk's tree, labeled by fiber sizes.
 
-A labeled tree pairs a stored forest with one label per vertex, drawn
-from the interval world (labels ``[m]`` with ``m >= 0``, components
-preserving both endpoints) or from the ordinal world (labels down to
-``[-1]``, arbitrary monotone components).  Every label prescribes a
-number of child slots -- ``m + 1`` for an interval label ``[m]``,
-``m + 2`` for an ordinal label -- and a constrained tree realizes that
-prescription exactly, fiber by fiber, in sibling order.  Cropped trees
-additionally end every branch at single-slot labels, placed exactly at
-the two outer positions of each fiber.  Both are properties of a plain
-:class:`LabeledTree`, checked by :func:`validate_constrained` and
-:func:`validate_cropped`.  A cropped tree is fixed by its flavor and its
-level tree, since its labels are its fiber sizes: :func:`xi_inverse`
-builds the level tree with ``forest.suspend`` and ``forest.coproduct``,
-and one labeling rule reads each fiber size off the parent rows.  Any
-other labeled tree, such as a constrained tree that is not cropped, is
-written out as a :class:`LabeledTree` literal.
+A cropped tree pairs a level tree with a flavor: the interval world
+(labels ``[m]`` with ``m >= 0``, components preserving both endpoints) or
+the ordinal world (labels down to ``[-1]``, arbitrary monotone
+components).  Every vertex is labeled by its fiber size: a vertex with
+``k`` children carries the label that prescribes ``k`` child slots,
+``[k - 1]`` in the interval flavor and ``[k - 2]`` in the ordinal one,
+and past the stored depth every vertex carries the single-slot label.
+So a :class:`LabeledTree` is its flavor and its level tree, and its
+labels are read off the fibers.
+
+One rule, :func:`validate_cropped`, says which level trees carry cropped
+trees: a single root; fibers stored in slot order; a root with at least
+two children unless the tree is a point; a non-empty fiber at every
+vertex below the stored depth; and at each level the vertices with one
+child, which carry the single-slot label, are exactly the outer
+positions of the fibers.  A disk is the cropped interval tree on its
+tree, and :class:`theta_disk.disk.Disk` checks its tree with the same
+function, so the rule speaks of disks: the cropped trees of both flavors
+on a level tree exist exactly when it carries a disk.  The constructor
+checks the rule once per tree, and nothing else checks it again.
+:func:`validate_constrained` checks the label rows an input declares
+against the fiber sizes.
 
 Morphisms follow the flavor: interval-labeled morphisms carry a forward
 tree map with one endpoint-preserving component per domain vertex, while
 ordinal-labeled morphisms are stored as op-morphisms -- the tree map runs
 from the codomain's tree to the domain's, with one monotone component
-per codomain vertex.  A cropped tree's labels are its fiber sizes, so a
-morphism is its tree map: it is valid when the tree map sends each fiber
+per codomain vertex.  Since the labels are the fiber sizes, a morphism
+is its tree map: it is valid when the tree map sends each fiber
 monotonely onto the fiber over its image, ends to ends (the fiber rule,
 ``forest.fiber_slots``), and its components are read off where the
-children land.  Relabeling through the ordinal dualities swaps the two
-flavors contravariantly on the same tree map, and cropped single-root
-trees convert back and forth with the inductive tree categories vertex
-for vertex.
+children land.  The ordinal dualities send the label a fiber size
+prescribes in one flavor to the label it prescribes in the other, so
+:func:`con_dualize` is the cropped tree of the other flavor on the same
+level tree, and duals of morphisms keep their tree maps.  Cropped
+single-root trees convert back and forth with the inductive tree
+categories vertex for vertex.
 
 Labeled trees are interned (see :class:`theta_disk.ordinal.Interned`),
 so each is validated once and equality is identity.  Everything that
 reads a cropped tree reads its level tree: the inductive-tree images
 (``xi_obj``, keyed by flavor and level tree) and the level maps and
 counts of the subtree hom-sets (``LEVEL_MAPS``, one ``hom_recursion`` per
-flavor) are memoized for the life of the process, as are the cropped
-diagnostics, the label of each fiber size and the components of each slot
-map.  Disks are the interval case of all of these.  Morphisms are built
-afresh on every call, and only those returned are validated; the
-inductive-tree image of a morphism is read off its tree map and the fiber
-slots its constructor keeps, vertex by vertex.
+flavor) are memoized for the life of the process, as are the label of
+each fiber size and the components of each slot map.  Disks are the
+interval case of all of these.  Morphisms are built afresh on every
+call, and only those returned are validated; the inductive-tree image of
+a morphism is read off its tree map and the fiber slots its constructor
+keeps, vertex by vertex.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache, partial
+from itertools import accumulate
 
 from theta_disk.forest import (
     LevelMaps,
@@ -84,41 +93,85 @@ from theta_disk.ordinal import (
     json_int,
     json_str,
     vee_map,
-    vee_obj,
-    wedge_obj,
 )
 
 
-def label_slots(flavor: str, label: Ordinal) -> int:
-    """Number of child slots a vertex label prescribes."""
-    return flavor_of(flavor).slots(label)
+def _listed(vertices: set[int]) -> str:
+    """``vertices`` in order, or their number and the first three if many."""
+    listed = sorted(vertices)
+    if len(listed) <= 10:
+        return str(listed)
+    return f"{len(listed):,} vertices ({', '.join(map(str, listed[:3]))}, …)"
+
+
+@lru_cache(maxsize=None)
+def validate_cropped(tree: LevelTree) -> None:
+    """Raise the first part of the cropped rule that ``tree`` breaks.
+
+    The rule is a disk's, and so are its messages: the cropped trees of
+    both flavors on ``tree`` exist exactly when ``tree`` carries a disk.
+    A tree that passes is remembered, so it is checked once per process;
+    one that fails raises on every call.
+    """
+    if not tree.is_tree:
+        raise ValueError("a disk is carried by a tree (single root)")
+    for n, pmap in enumerate(tree.parents):
+        if list(pmap) != sorted(pmap):
+            raise ValueError(
+                f"parent map at step {n} is not monotone; the canonical "
+                "form numbers fibers consecutively in parent order"
+            )
+    if tree.depth >= 1 and tree.levels[1] < 2:
+        raise ValueError(
+            "invalid disk: level 0: the root fiber of a positive-degree "
+            "disk has at least two elements"
+        )
+    sizes = _fiber_sizes(tree)
+    for n in range(1, tree.depth):
+        if 0 in sizes[n]:
+            raise ValueError(
+                f"invalid disk: level {n}: every vertex below the degree "
+                "has a non-empty fiber"
+            )
+    # Every fiber below the degree is non-empty by now, so has two ends, and
+    # the fibers of a level are stored one after another.
+    for n in range(1, tree.depth + 1):
+        singleton = {i for i, size in enumerate(sizes[n]) if size == 1}
+        starts = list(accumulate(sizes[n - 1], initial=0))
+        ends = set(starts[:-1]).union([start - 1 for start in starts[1:]])
+        if singleton != ends:
+            raise ValueError(
+                f"invalid disk: level {n}: vertices with singleton fibers "
+                f"are {_listed(singleton)} but the fiber endpoints from "
+                f"below are {_listed(ends)}"
+            )
+
+
+def _fiber_sizes(tree: LevelTree) -> list[list[int]]:
+    """``[n][i]``: the number of children of stored vertex ``(n, i)``,
+    counted off the parent rows; one each at the stored depth."""
+    rows = []
+    for n, parents in enumerate(tree.parents):
+        sizes = [0] * tree.levels[n]
+        for p in parents:
+            sizes[p] += 1
+        rows.append(sizes)
+    rows.append([1] * tree.levels[-1])
+    return rows
 
 
 @dataclass(frozen=True, eq=False)
 class LabeledTree(Interned):
-    """A stored forest with one interval- or ordinal-label per vertex.
-
-    Vertices beyond the stored depth continue as single chains and
-    implicitly carry the single-slot label of the flavor.  Equal trees are
-    one object; being constrained or cropped is a checked property, not a
-    subclass.
-    """
+    """The cropped ``flavor`` tree on ``tree``, whose labels are its fiber
+    sizes.  Equal trees are one object; the constructor checks the
+    cropped rule (:func:`validate_cropped`)."""
 
     flavor: str
     tree: LevelTree
-    labels: tuple[tuple[Ordinal, ...], ...]
 
     def __post_init__(self) -> None:
         flavor_of(self.flavor)
-        if len(self.labels) != len(self.tree.levels):
-            raise ValueError("one label row per stored level is required")
-        for n, row in enumerate(self.labels):
-            if len(row) != self.tree.levels[n]:
-                raise ValueError(f"label row {n} has the wrong arity")
-        if self.flavor == INTERVAL and any(
-            lab.n < 0 for row in self.labels for lab in row
-        ):
-            raise ValueError("interval labels must be at least [0]")
+        validate_cropped(self.tree)
 
     @property
     def depth(self) -> int:
@@ -127,18 +180,21 @@ class LabeledTree(Interned):
     @property
     def is_trivial(self) -> bool:
         """A single root carrying the single-slot label and nothing below."""
-        return self.tree == POINT_TREE and self.labels[0][0] == trivial_root(
-            self.flavor
-        )
+        return self.tree == POINT_TREE
 
     def label(self, v: Vertex) -> Ordinal:
-        """Label of vertex ``v``, following the implicit continuation."""
+        """Label of vertex ``v``, read off its fiber size; past the stored
+        depth, the single-slot label of the chain continuation."""
         n, i = v
         if n < 0 or not 0 <= i < self.tree.level_size(n):
             raise ValueError(f"unknown vertex {v}")
-        if n <= self.depth:
-            return self.labels[n][i]
-        return trivial_root(self.flavor)
+        return self.labels[min(n, self.depth)][i]
+
+    @cached_property
+    def labels(self) -> tuple[tuple[Ordinal, ...], ...]:
+        """``[n][i]``: the label of stored vertex ``(n, i)``."""
+        root = partial(_root, self.flavor)
+        return tuple(tuple(map(root, row)) for row in _fiber_sizes(self.tree))
 
     def to_dict(self) -> dict:
         return {
@@ -162,35 +218,41 @@ class LabeledTree(Interned):
                 f"give one label row per level, got {len(rows)} rows for "
                 f"{len(data['levels'])} levels"
             )
-        # Rows past the stored depth describe the chain continuation, whose
-        # labels are implicit; dropping them must not lose a label.
-        single = trivial_root(flavor)
-        for n, row in enumerate(rows[tree.depth + 1 :], tree.depth + 1):
-            if any(lab != single for lab in row):
-                raise ValueError(
-                    f"label row {n} lies below the stored depth, where every "
-                    f"label is {single}; got {list(row)}"
-                )
-        return LabeledTree(flavor, tree, rows[: tree.depth + 1])
+        t = LabeledTree(flavor, tree)
+        validate_constrained(t, rows)
+        return t
+
+
+def validate_constrained(t: LabeledTree, rows) -> None:
+    """Raise unless the label ``rows`` declared for ``t`` are its labels:
+    one row per stored level, and per level below it if given, each of its
+    level's arity, each label prescribing as many child slots as its
+    vertex has children."""
+    if len(rows) <= t.depth:
+        raise ValueError("one label row per stored level is required")
+    for n, row in enumerate(rows):
+        # Below the stored depth every row is the single-slot row.
+        want = t.labels[min(n, t.depth)]
+        if len(row) != len(want):
+            raise ValueError(f"label row {n} has the wrong arity")
+        if row == want:
+            continue
+        if n > t.depth:
+            raise ValueError(
+                f"label row {n} lies below the stored depth, where every "
+                f"label is {trivial_root(t.flavor)}; got {list(row)}"
+            )
+        i = next(i for i, lab in enumerate(row) if lab != want[i])
+        raise ValueError(
+            f"vertex ({n}, {i}) has label {row[i]} prescribing "
+            f"{FLAVORS[t.flavor].slots(row[i])} children but its fiber has "
+            f"{FLAVORS[t.flavor].slots(want[i])}"
+        )
 
 
 def trivial_labeled(flavor: str) -> LabeledTree:
     """The single-vertex tree carrying the flavor's single-slot label."""
-    return _labeled_by_fibers(flavor, POINT_TREE)
-
-
-def _labeled_by_fibers(flavor: str, t: LevelTree) -> LabeledTree:
-    """The cropped ``flavor`` tree on ``t``: above the stored depth each
-    vertex is labeled by its fiber size, counted off the parent row, and
-    at the stored depth by the single-slot label."""
-    rows = []
-    for n, parents in enumerate(t.parents):
-        sizes = [0] * t.levels[n]
-        for p in parents:
-            sizes[p] += 1
-        rows.append(tuple([_root(flavor, k) for k in sizes]))
-    rows.append((trivial_root(flavor),) * t.levels[-1])
-    return LabeledTree(flavor, t, tuple(rows))
+    return LabeledTree(flavor, POINT_TREE)
 
 
 @lru_cache(maxsize=None)
@@ -200,71 +262,12 @@ def _root(flavor: str, children: int) -> Ordinal:
     return Ordinal(children - 1 - FLAVORS[flavor].extra_slot)
 
 
-def validate_constrained(t: LabeledTree) -> list[str]:
-    """Diagnostics for the fiber-realization rules; empty means valid.
-
-    The list is new on every call.
-    """
-    return _constrained_problems(t)
-
-
-def _constrained_problems(t: LabeledTree) -> list[str]:
-    problems: list[str] = []
-    for step, row in enumerate(t.tree.parents):
-        if any(row[q] > row[q + 1] for q in range(len(row) - 1)):
-            problems.append(
-                f"parents of level {step + 1} are not sorted; fibers must be "
-                "stored contiguously in slot order"
-            )
-    for n in range(t.depth):
-        for i, lab in enumerate(t.labels[n]):
-            want = label_slots(t.flavor, lab)
-            got = len(fibers(t.tree, n)[i])
-            if want != got:
-                problems.append(
-                    f"vertex ({n}, {i}) has label {lab} prescribing {want} "
-                    f"children but its fiber has {got}"
-                )
-    return problems
-
-
-def validate_cropped(t: LabeledTree) -> list[str]:
-    """Diagnostics for the branch-ending rules on top of the fiber law.
-
-    The list is new on every call; the diagnostics are computed once.
-    """
-    return list(_cropped_problems(t))
-
-
-@lru_cache(maxsize=None)
-def _cropped_problems(t: LabeledTree) -> tuple[str, ...]:
-    problems = _constrained_problems(t)
-    single = trivial_root(t.flavor)
-    d = t.depth
-    for i, lab in enumerate(t.labels[d]):
-        if lab != single:
-            problems.append(
-                f"vertex ({d}, {i}) at the stored depth must carry the "
-                f"single-slot label {single}, got {lab}"
-            )
-    for n in range(d):
-        for kids in fibers(t.tree, n):
-            for pos, j in enumerate(kids):
-                outer = pos == 0 or pos == len(kids) - 1
-                if outer != (t.labels[n + 1][j] == single):
-                    problems.append(
-                        f"vertex ({n + 1}, {j}): single-slot labels must sit "
-                        "exactly at the outer positions of a fiber"
-                    )
-    return tuple(problems)
-
-
 Alphas = tuple[tuple[OrdMap, ...], ...]
 
 
 @dataclass(frozen=True)
 class LabeledTreeMor:
-    """A morphism between cropped labeled forests, given by its tree map.
+    """A morphism between cropped labeled trees, given by its tree map.
 
     As for inductive trees (see :class:`theta_disk.itree.Flavor`), one end
     indexes the components and the tree map runs from it to the other
@@ -285,10 +288,6 @@ class LabeledTreeMor:
     def __post_init__(self) -> None:
         if self.dom.flavor != self.cod.flavor:
             raise ValueError("morphism ends must share a flavor")
-        for end, name in ((self.dom, "domain"), (self.cod, "codomain")):
-            problems = validate_cropped(end)
-            if problems:
-                raise ValueError(f"{name} is not cropped: {problems[0]}")
         spec = FLAVORS[self.flavor]
         index, value = spec.orient(self.dom, self.cod)
         index_name, value_name = spec.orient("domain", "codomain")
@@ -366,23 +365,10 @@ def compose_labeled(g: LabeledTreeMor, f: LabeledTreeMor) -> LabeledTreeMor:
     return LabeledTreeMor(f.dom, g.cod, tree_map)
 
 
-def _duality(flavor: str):
-    """The other flavor, and the map taking labels there.
-
-    Built on every call from the module globals, so that a function
-    rebound on this module (a tracing wrapper) is the one that runs.
-    """
-    return {INTERVAL: (ORDINAL, vee_obj), ORDINAL: (INTERVAL, wedge_obj)}[flavor]
-
-
 def con_dualize(t: LabeledTree) -> LabeledTree:
-    """Relabel a cropped forest through the duality, swapping the flavor."""
-    problems = validate_cropped(t)
-    if problems:
-        raise ValueError(problems[0])
-    flavor, relabel = _duality(t.flavor)
-    labels = tuple(tuple(relabel(lab) for lab in row) for row in t.labels)
-    return LabeledTree(flavor, t.tree, labels)
+    """The cropped tree of the other flavor on ``t``'s level tree: each
+    label relabeled through ``vee_obj`` or ``wedge_obj``."""
+    return LabeledTree(ORDINAL if t.flavor == INTERVAL else INTERVAL, t.tree)
 
 
 def con_dualize_mor(m: LabeledTreeMor) -> LabeledTreeMor:
@@ -390,15 +376,9 @@ def con_dualize_mor(m: LabeledTreeMor) -> LabeledTreeMor:
     return LabeledTreeMor(con_dualize(m.cod), con_dualize(m.dom), m.tree_map)
 
 
-def _require_cropped_trees(flavor: str, *trees: LabeledTree) -> None:
-    for t in trees:
-        if t.flavor != flavor:
-            raise ValueError(f"expected {flavor}-flavor labels, got {t.flavor}")
-        problems = validate_cropped(t)
-        if problems:
-            raise ValueError(problems[0])
-        if not t.tree.is_tree:
-            raise ValueError("a single-root tree is required")
+def _require_flavor(flavor: str, t: LabeledTree | LabeledTreeMor) -> None:
+    if t.flavor != flavor:
+        raise ValueError(f"expected {flavor}-flavor labels, got {t.flavor}")
 
 
 @lru_cache(maxsize=None)
@@ -413,13 +393,13 @@ def xi_obj(flavor: str, t: LevelTree) -> ITreeObj:
 
 def xi_interval(t: LabeledTree) -> ITreeObj:
     """Convert a cropped interval-labeled tree to an inductive tree."""
-    _require_cropped_trees(INTERVAL, t)
+    _require_flavor(INTERVAL, t)
     return xi_obj(INTERVAL, t.tree)
 
 
 def xi_ordinal(t: LabeledTree) -> ITreeObj:
     """Convert a cropped ordinal-labeled tree to an inductive tree."""
-    _require_cropped_trees(ORDINAL, t)
+    _require_flavor(ORDINAL, t)
     return xi_obj(ORDINAL, t.tree)
 
 
@@ -449,13 +429,13 @@ def _xi_mor(flavor: str, f: TreeMap, slots: tuple, x: Vertex) -> ITreeMor:
 
 def xi_interval_mor(m: LabeledTreeMor) -> ITreeMor:
     """Convert an interval-labeled morphism to an inductive tree morphism."""
-    _require_cropped_trees(INTERVAL, m.dom, m.cod)
+    _require_flavor(INTERVAL, m)
     return xi_mor(INTERVAL, m)
 
 
 def xi_ordinal_mor(m: LabeledTreeMor) -> ITreeMor:
     """Convert an ordinal-labeled op-morphism to an inductive tree morphism."""
-    _require_cropped_trees(ORDINAL, m.dom, m.cod)
+    _require_flavor(ORDINAL, m)
     return xi_mor(ORDINAL, m)
 
 
@@ -469,7 +449,7 @@ def _xi_inverse(h: ITreeObj) -> LabeledTree:
     if h.is_trivial:
         return trivial_labeled(h.flavor)
     forest = coproduct([_xi_inverse(c).tree for c in h.children])
-    return _labeled_by_fibers(h.flavor, suspend(forest))
+    return LabeledTree(h.flavor, suspend(forest))
 
 
 def enumerate_cropped_trees(
@@ -484,7 +464,6 @@ def enumerate_cropped_trees(
 def _require_hom(a: LabeledTree, b: LabeledTree) -> None:
     if a.flavor != b.flavor:
         raise ValueError("hom-sets require a common flavor")
-    _require_cropped_trees(a.flavor, a, b)
 
 
 def enumerate_labeled_mors(

@@ -234,8 +234,10 @@ def upsilon(h: ITreeObj) -> OGraph:
     )
 
 
+@lru_cache(maxsize=None)
 def upsilon_prime(g: OGraph) -> ITreeObj:
-    """Build the ordinal-flavor inductive tree of an ordinal graph."""
+    """Build the ordinal-flavor inductive tree of an ordinal graph, once per
+    graph."""
     if g.is_empty:
         return trivial_obj(ORDINAL)
     trivial = trivial_obj(ORDINAL)

@@ -41,7 +41,6 @@ from theta_disk.labeled import (
     con_dualize_mor,
     enumerate_cropped_trees,
     enumerate_labeled_mors,
-    validate_cropped,
     xi_interval,
     xi_interval_mor,
     xi_inverse,
@@ -239,31 +238,15 @@ def _check(name: str, *keys: str):
     return register
 
 
-def _round_trips(
-    counts,
-    key,
-    items,
-    there,
-    back,
-    witness,
-    law="object-round-trip",
-    *,
-    item_law=None,
-):
+def _round_trips(counts, key, items, there, back, witness, law="object-round-trip"):
     """Count each ``x`` of ``items`` under ``key``, if any, and fail ``law``
     unless ``back(there(x)) == x``; a failure names ``x`` as ``witness``.
-
-    ``item_law`` is a ``(law, validate)`` pair: an ``x`` in which
-    ``validate`` finds problems fails that law first.  ``x`` is validated
-    before ``there`` runs, because the conversions reject invalid input.
     Returns the images.
     """
     images = []
     for x in items:
         if key is not None:
             counts[key] += 1
-        if item_law and item_law[1](x):
-            yield _fail(item_law[0], **{witness: x})
         y = there(x)
         images.append(y)
         if back(y) != x:
@@ -647,13 +630,7 @@ def check_xi(bounds: Bounds, counts: dict, *, xi_interval_fn=None):
     ):
         pools[flavor] = POOLS[f"cropped-{flavor}"](bounds)
         images = yield from _round_trips(
-            counts,
-            key,
-            pools[flavor],
-            converters[flavor],
-            xi_inverse,
-            "tree",
-            item_law=("enumeration-cropped", validate_cropped),
+            counts, key, pools[flavor], converters[flavor], xi_inverse, "tree"
         )
         expected = POOLS[f"itree-{flavor}"](replace(bounds, max_label=cap))
         if len(set(images)) != len(images) or set(images) != set(expected):

@@ -38,9 +38,7 @@ from theta_disk.verify import CHECKS, Bounds, Report
 
 ARROW_OGRAPH = OGraph(2, (POINT_OGRAPH,))
 # The cropped interval tree of one root over two leaves.
-TWO_LEAVES = LabeledTree(
-    INTERVAL, LevelTree((1, 2), ((0, 0),)), ((Ordinal(1),), (Ordinal(0),) * 2)
-)
+TWO_LEAVES = LabeledTree(INTERVAL, LevelTree((1, 2), ((0, 0),)))
 TINY = "height=1,label=1,vertices=2,dim=1"
 WIDE_HEIGHT = "height=4,label=3"
 WIDE_LABEL = "height=3,label=4"
@@ -986,13 +984,17 @@ class TestHomCount:
     def test_labeled_pair(self, capsys):
         point = trivial_labeled(INTERVAL)
         two = json.dumps(TWO_LEAVES.to_dict())
-        # Not cropped: the interior slot holds a single-slot label.
-        star = LabeledTree(
-            INTERVAL,
-            LevelTree((1, 3), ((0, 0, 0),)),
-            ((Ordinal(2),), (Ordinal(0),) * 3),
+        # Not cropped: the interior slot holds a single-slot label, as the
+        # labels declare, so the input is refused.
+        wide = json.dumps(
+            {
+                "kind": "labeled-tree",
+                "flavor": "interval",
+                "levels": [1, 3],
+                "parents": [[0, 0, 0]],
+                "labels": [[2], [0, 0, 0]],
+            }
         )
-        wide = json.dumps(star.to_dict())
         assert run_json(capsys, "hom-count", two, two)["count"] == 1
         data = run_json(capsys, "hom-count", two, json.dumps(point.to_dict()))
         assert data["count"] == 1
@@ -1008,8 +1010,8 @@ class TestHomCount:
         )
         for dom, cod, message in [
             (two, ordinal, "common flavor"),
-            (wide, two, "outer positions"),
-            (forest, forest, "single-root tree"),
+            (wide, two, "invalid disk: level 1"),
+            (forest, forest, "a disk is carried by a tree (single root)"),
         ]:
             assert main(["hom-count", dom, cod]) == 2
             assert message in capsys.readouterr().err

@@ -24,7 +24,6 @@ from theta_disk.itree import (
     count_morphisms,
     enumerate_morphisms,
     enumerate_objects,
-    height,
     identity,
     marker,
     trivial_obj,
@@ -45,6 +44,13 @@ def interval(root_n: int, *children: ITreeObj) -> ITreeObj:
 
 def ordinal_tree(root_n: int, *children: ITreeObj) -> ITreeObj:
     return ITreeObj(ORDINAL, Ordinal(root_n), children)
+
+
+def height(h: ITreeObj) -> int:
+    """0 for the trivial object, else one more than the tallest child."""
+    if h.is_trivial:
+        return 0
+    return 1 + max(height(c) for c in h.children)
 
 
 # small named objects used across the tests

@@ -6,11 +6,13 @@ import copy
 import hashlib
 import json
 import pickle
+from functools import partial
 from itertools import product
 
 import pytest
 
 from theta_disk import labeled
+from theta_disk.disk import Disk
 from theta_disk.forest import (
     POINT_TREE,
     LevelTree,
@@ -50,10 +52,7 @@ from theta_disk.labeled import (
     enumerate_cropped_trees,
     enumerate_labeled_mors,
     identity_labeled,
-    label_slots,
     trivial_labeled,
-    validate_constrained,
-    validate_cropped,
     xi_interval,
     xi_interval_mor,
     xi_inverse,
@@ -66,7 +65,9 @@ from theta_disk.ordinal import (
     compose as compose_ord,
     identity as identity_ord,
     vee_map,
+    vee_obj,
     wedge_map,
+    wedge_obj,
 )
 
 from tests.test_forest import restrict_map
@@ -80,8 +81,34 @@ def labs(*ns: int) -> tuple[Ordinal, ...]:
     return tuple(Ordinal(n) for n in ns)
 
 
-# The cropped tree of a flavor on a level tree: labels are fiber sizes.
-by_fibers = labeled._labeled_by_fibers
+def declared(flavor: str, tree: LevelTree, rows) -> dict:
+    """A labeled-tree input on ``tree`` that declares the label ``rows``."""
+    return {
+        "kind": "labeled-tree",
+        "flavor": flavor,
+        "levels": list(tree.levels),
+        "parents": [list(p) for p in tree.parents],
+        "labels": [[lab.n for lab in row] for row in rows],
+    }
+
+
+def single_root_level_trees(max_vertices: int) -> list[LevelTree]:
+    """Every single-root level tree with at most ``max_vertices`` stored
+    vertices and no empty level: each parent map of each sequence of level
+    sizes, kept where ``LevelTree`` accepts it."""
+    found = []
+
+    def grow(levels: tuple, parents: tuple, budget: int) -> None:
+        try:
+            found.append(LevelTree(levels, parents))
+        except ValueError:
+            pass  # the top parent map is a bijection; deeper levels may fix it
+        for size in range(1, budget + 1):
+            for row in product(range(levels[-1]), repeat=size):
+                grow(levels + (size,), parents + (row,), budget - size)
+
+    grow((1,), (), max_vertices - 1)
+    return found
 
 
 def restrict_labeled_mor(m: LabeledTreeMor, x: Vertex) -> LabeledTreeMor:
@@ -93,8 +120,8 @@ def restrict_labeled_mor(m: LabeledTreeMor, x: Vertex) -> LabeledTreeMor:
     """
     orient = FLAVORS[m.flavor].orient
     index, value = orient(m.dom, m.cod)
-    sub_index = by_fibers(m.flavor, restrict(index.tree, x))
-    sub_value = by_fibers(m.flavor, restrict(value.tree, m.tree_map(x)))
+    sub_index = LabeledTree(m.flavor, restrict(index.tree, x))
+    sub_value = LabeledTree(m.flavor, restrict(value.tree, m.tree_map(x)))
     return LabeledTreeMor(*orient(sub_index, sub_value), restrict_map(m.tree_map, x))
 
 
@@ -165,7 +192,7 @@ DEEP_LABELS = (
 
 
 def deep() -> LabeledTree:
-    return LabeledTree(INTERVAL, DEEP_TREE, DEEP_LABELS)
+    return LabeledTree(INTERVAL, DEEP_TREE)
 
 
 TI = trivial_obj(INTERVAL)
@@ -179,22 +206,29 @@ O1 = ITreeObj(ORDINAL, o(1), (TO, O0, TO))
 class TestLabeledTreeBasics:
     def test_row_count_must_match_levels(self):
         with pytest.raises(ValueError, match="one label row per stored level"):
-            LabeledTree(INTERVAL, POINT_TREE, ())
+            LabeledTree.from_dict(declared(INTERVAL, POINT_TREE, ()))
 
     def test_row_arity_must_match_level_size(self):
         with pytest.raises(ValueError, match="wrong arity"):
-            LabeledTree(INTERVAL, POINT_TREE, (labs(0, 0),))
+            LabeledTree.from_dict(declared(INTERVAL, POINT_TREE, (labs(0, 0),)))
 
     def test_interval_labels_start_at_zero(self):
-        with pytest.raises(ValueError, match="at least"):
-            LabeledTree(INTERVAL, POINT_TREE, (labs(-1),))
-        assert LabeledTree(ORDINAL, POINT_TREE, (labs(-1),)).is_trivial
+        # ``[-1]`` prescribes no child slot in the interval flavor and one in
+        # the ordinal flavor.
+        with pytest.raises(ValueError, match="prescribing 0 children"):
+            LabeledTree.from_dict(declared(INTERVAL, POINT_TREE, (labs(-1),)))
+        parsed = LabeledTree.from_dict(declared(ORDINAL, POINT_TREE, (labs(-1),)))
+        assert parsed.is_trivial
 
     def test_label_slots(self):
-        assert label_slots(INTERVAL, o(0)) == 1
-        assert label_slots(INTERVAL, o(2)) == 3
-        assert label_slots(ORDINAL, o(-1)) == 1
-        assert label_slots(ORDINAL, o(2)) == 4
+        # Each label prescribes as many child slots as its vertex has
+        # children, past the stored depth too.
+        for flavor, cap in ((INTERVAL, 4), (ORDINAL, 3)):
+            slots = FLAVORS[flavor].slots
+            for t in enumerate_cropped_trees(flavor, 3, cap):
+                for n in range(t.depth + 2):
+                    for i, kids in enumerate(fibers(t.tree, min(n, t.depth))):
+                        assert slots(t.label((n, i))) == len(kids)
 
     def test_label_lookup_follows_continuation(self):
         t = deep()
@@ -208,13 +242,13 @@ class TestLabeledTreeBasics:
         for flavor in (INTERVAL, ORDINAL):
             t = trivial_labeled(flavor)
             assert t.is_trivial
-            assert validate_cropped(t) == []
+            assert t.labels == ((trivial_root(flavor),),)
         assert not deep().is_trivial
 
     def test_equal_trees_of_one_class_are_one_object(self):
         t = deep()
         assert deep() is t
-        keywords = dict(labels=DEEP_LABELS, tree=DEEP_TREE, flavor=INTERVAL)
+        keywords = dict(tree=DEEP_TREE, flavor=INTERVAL)
         assert LabeledTree(**keywords) is t
         assert LabeledTree.from_dict(t.to_dict()) is t
         assert t != trivial_labeled(INTERVAL)
@@ -227,8 +261,8 @@ class TestLabeledTreeBasics:
     def test_invalid_tree_raises_every_time(self):
         fan = make_level_tree((1, 3), ((0, 0, 0),))
         for _ in range(2):
-            with pytest.raises(ValueError, match="wrong arity"):
-                LabeledTree(INTERVAL, fan, (labs(2), labs(0, 0)))
+            with pytest.raises(ValueError, match="invalid disk: level 1"):
+                LabeledTree(INTERVAL, fan)
 
     def test_serialization_round_trip(self):
         for t in (deep(), trivial_labeled(ORDINAL)):
@@ -248,93 +282,93 @@ class TestLabeledTreeBasics:
 
 
 class TestConstrainedValidation:
+    # An input's label rows must be the labels its fiber sizes prescribe.
     def test_example_tree_is_constrained_and_cropped(self):
-        t = LabeledTree(INTERVAL, DEEP_TREE, DEEP_LABELS)
-        assert validate_constrained(t) == []
-        assert validate_cropped(t) == []
+        t = deep()
+        assert t.labels == DEEP_LABELS
+        assert LabeledTree.from_dict(declared(INTERVAL, DEEP_TREE, DEEP_LABELS)) is t
         assert xi_inverse(xi_interval(t)) is t
 
     def test_fiber_size_must_match_label(self):
         rows = (DEEP_LABELS[0], labs(0, 2, 0)) + DEEP_LABELS[2:]
-        t = LabeledTree(INTERVAL, DEEP_TREE, rows)
-        problems = validate_constrained(t)
-        assert len(problems) == 1
-        assert "vertex (1, 1)" in problems[0]
-        assert "prescribing 3" in problems[0]
-        with pytest.raises(ValueError, match="prescribing"):
-            xi_interval(t)
+        with pytest.raises(
+            ValueError,
+            match=r"vertex \(1, 1\) has label \[2\] prescribing 3 children but "
+            "its fiber has 4",
+        ):
+            LabeledTree.from_dict(declared(INTERVAL, DEEP_TREE, rows))
 
     def test_parent_rows_must_be_sorted(self):
         shape = make_level_tree((1, 2, 3), ((0, 0), (1, 0, 1)))
-        t = LabeledTree(INTERVAL, shape, (labs(1), labs(0, 1), labs(0, 0, 0)))
-        problems = validate_constrained(t)
-        assert len(problems) == 1
-        assert "not sorted" in problems[0]
+        with pytest.raises(ValueError, match="parent map at step 1 is not monotone"):
+            LabeledTree(INTERVAL, shape)
+        rows = (labs(1), labs(0, 1), labs(0, 0, 0))
+        with pytest.raises(ValueError, match="not monotone"):
+            LabeledTree.from_dict(declared(INTERVAL, shape, rows))
 
     def test_stored_depth_must_end_at_single_slot_labels(self):
-        t = LabeledTree(INTERVAL, POINT_TREE, (labs(2),))
-        assert validate_constrained(t) == []
-        problems = validate_cropped(t)
-        assert len(problems) == 1
-        assert "single-slot label" in problems[0]
-
-    def test_returned_lists_are_new_on_every_call(self):
-        # Cropped diagnostics extend the fiber-law ones: neither table may
-        # see the other's additions, nor a caller's.
-        fan = make_level_tree((1, 3), ((0, 0, 0),))
-        trees = [
-            LabeledTree(INTERVAL, POINT_TREE, (labs(3),)),
-            LabeledTree(INTERVAL, fan, (labs(1), labs(0, 0, 0))),
-        ]
-        for t in trees:
-            constrained = validate_constrained(t)
-            cropped = validate_cropped(t)
-            assert cropped[: len(constrained)] == constrained
-            assert len(cropped) > len(constrained)
-            for validate, expected in (
-                (validate_constrained, constrained),
-                (validate_cropped, cropped),
-            ):
-                first = validate(t)
-                assert first == expected and first is not expected
-                first.append("mutated")
-                assert validate(t) == expected
-                validate(t).clear()
-                assert validate(t) == expected
-            assert validate_constrained(t) == constrained
+        with pytest.raises(
+            ValueError, match=r"vertex \(0, 0\) has label \[2\] prescribing 3"
+        ):
+            LabeledTree.from_dict(declared(INTERVAL, POINT_TREE, (labs(2),)))
 
 
 class TestCroppedValidation:
     def test_interior_single_slot_label_is_reported(self):
         shape = make_level_tree((1, 3), ((0, 0, 0),))
-        t = LabeledTree(INTERVAL, shape, (labs(2), labs(0, 0, 0)))
-        assert validate_constrained(t) == []
-        problems = validate_cropped(t)
-        assert len(problems) == 1
-        assert "vertex (1, 1)" in problems[0]
-        assert "outer positions" in problems[0]
-        with pytest.raises(ValueError, match="outer positions"):
-            xi_interval(t)
+        message = (
+            r"invalid disk: level 1: vertices with singleton fibers are "
+            r"\[0, 1, 2\] but the fiber endpoints from below are \[0, 2\]"
+        )
+        for flavor in (INTERVAL, ORDINAL):
+            with pytest.raises(ValueError, match=message):
+                LabeledTree(flavor, shape)
+        rows = (labs(2), labs(0, 0, 0))
+        with pytest.raises(ValueError, match=message):
+            LabeledTree.from_dict(declared(INTERVAL, shape, rows))
 
     def test_outer_positions_must_be_single_slot(self):
         shape = make_level_tree((1, 2, 3), ((0, 0), (0, 0, 1)))
-        t = LabeledTree(
-            INTERVAL, shape, (labs(1), labs(1, 0), labs(0, 0, 0))
-        )
-        assert validate_constrained(t) == []
-        problems = validate_cropped(t)
-        assert len(problems) == 1
-        assert "vertex (1, 0)" in problems[0]
+        with pytest.raises(
+            ValueError,
+            match=r"level 1: vertices with singleton fibers are \[1\] but the "
+            r"fiber endpoints from below are \[0, 1\]",
+        ):
+            LabeledTree(INTERVAL, shape)
+
+    def test_disks_and_both_flavors_accept_the_same_trees(self):
+        # A disk is the cropped interval tree on its tree, and the ordinal
+        # one lives on the same trees: one rule, one message.  Where they
+        # build, each label prescribes the disk's fiber size.
+        trees = single_root_level_trees(8)
+        kept = 0
+        for tree in trees:
+            outcomes = []
+            for build in (Disk, *(partial(LabeledTree, f) for f in FLAVORS)):
+                try:
+                    outcomes.append(build(tree))
+                except ValueError as problem:
+                    outcomes.append(str(problem))
+            disk, *cropped = outcomes
+            if isinstance(disk, str):
+                assert cropped == [disk, disk]
+                continue
+            kept += 1
+            for t in cropped:
+                slots = FLAVORS[t.flavor].slots
+                sizes = [[slots(lab) for lab in row] for row in t.labels[:-1]]
+                assert sizes == disk.to_dict()["fiber_sizes"]
+        assert (len(trees), kept) == (966, 3)
 
 
 class TestRestrict:
     # A restriction of a cropped tree is the cropped tree on the restricted
     # level tree.
     def test_restrict_at_root_is_identity(self):
-        assert by_fibers(INTERVAL, restrict(DEEP_TREE, (0, 0))) is deep()
+        assert LabeledTree(INTERVAL, restrict(DEEP_TREE, (0, 0))) is deep()
 
     def test_restrict_at_branch_vertex(self):
-        sub = by_fibers(INTERVAL, restrict(DEEP_TREE, (1, 1)))
+        sub = LabeledTree(INTERVAL, restrict(DEEP_TREE, (1, 1)))
         assert sub.tree == make_level_tree(
             (1, 4, 7, 8),
             ((0, 0, 0, 0), (0, 1, 1, 2, 2, 2, 3), (0, 1, 2, 3, 4, 4, 5, 6)),
@@ -345,25 +379,24 @@ class TestRestrict:
             labs(0, 0, 0, 0, 1, 0, 0),
             labs(0, 0, 0, 0, 0, 0, 0, 0),
         )
-        assert validate_cropped(sub) == []
 
     def test_restrict_at_chain_vertex_collapses(self):
         for x in ((1, 0), (6, 9)):
-            sub = by_fibers(INTERVAL, restrict(DEEP_TREE, x))
+            sub = LabeledTree(INTERVAL, restrict(DEEP_TREE, x))
             assert sub is trivial_labeled(INTERVAL)
 
     def test_restriction_preserves_cropped(self):
         t = deep()
         for n, size in enumerate(t.tree.levels):
             for i in range(size):
-                sub = by_fibers(INTERVAL, restrict(t.tree, (n, i)))
-                assert validate_cropped(sub) == []
+                sub = LabeledTree(INTERVAL, restrict(t.tree, (n, i)))
+                assert sub.tree is restrict(t.tree, (n, i))
 
     def test_rows_are_the_vertex_labels(self):
         for t in (deep(), con_dualize(deep())):
             for n in range(t.depth + 2):
                 for i in range(t.tree.level_size(n)):
-                    sub = by_fibers(t.flavor, restrict(t.tree, (n, i)))
+                    sub = LabeledTree(t.flavor, restrict(t.tree, (n, i)))
                     rows = subtree_rows(t.tree, (n, i))
                     assert sub.labels == tuple(
                         tuple(t.label((n + k, j)) for j in rows[k])
@@ -376,39 +409,38 @@ class TestSuspendCoproduct:
     # and labels the result by its fiber sizes.
     def test_suspending_one_trivial_tree_gives_the_trivial_tree(self):
         for flavor in (INTERVAL, ORDINAL):
-            t = by_fibers(flavor, suspend(POINT_TREE))
+            t = LabeledTree(flavor, suspend(POINT_TREE))
             assert t is trivial_labeled(flavor)
-            assert t is LabeledTree(flavor, POINT_TREE, ((trivial_root(flavor),),))
+            assert t.labels == ((trivial_root(flavor),),)
 
     def test_suspension_places_one_tree_per_slot(self):
         fan = make_level_tree((1, 2), ((0, 0),))
-        assert xi_inverse(I1) is LabeledTree(INTERVAL, fan, (labs(1), labs(0, 0)))
+        li1 = xi_inverse(I1)
+        assert li1 is LabeledTree(INTERVAL, fan)
+        assert li1.labels == (labs(1), labs(0, 0))
         lo0 = xi_inverse(O0)
-        assert lo0 is LabeledTree(ORDINAL, fan, (labs(0), labs(-1, -1)))
-        s = LabeledTree(
-            ORDINAL,
-            make_level_tree((1, 3, 4), ((0, 0, 0), (0, 1, 1, 2))),
-            (labs(1), labs(-1, 0, -1), labs(-1, -1, -1, -1)),
-        )
-        assert validate_cropped(s) == []
-        assert s == xi_inverse(O1)
+        assert lo0 is LabeledTree(ORDINAL, fan)
+        assert lo0.labels == (labs(0), labs(-1, -1))
+        s = LabeledTree(ORDINAL, make_level_tree((1, 3, 4), ((0, 0, 0), (0, 1, 1, 2))))
+        assert s.labels == (labs(1), labs(-1, 0, -1), labs(-1, -1, -1, -1))
+        assert s is xi_inverse(O1)
 
     def test_coproduct_pads_shallow_summands_with_chains(self):
         # The trivial children beside ``I1`` continue as chains, whose
         # vertices carry the single-slot label.
         t = LabeledTree(
-            INTERVAL,
-            make_level_tree((1, 3, 4), ((0, 0, 0), (0, 1, 1, 2))),
-            (labs(2), labs(0, 1, 0), labs(0, 0, 0, 0)),
+            INTERVAL, make_level_tree((1, 3, 4), ((0, 0, 0), (0, 1, 1, 2)))
         )
-        assert validate_cropped(t) == []
+        assert t.labels == (labs(2), labs(0, 1, 0), labs(0, 0, 0, 0))
         assert xi_inverse(I2) is t
 
     def test_singleton_interior_slots_break_croppedness_only(self):
+        # The star's labels fit its fibers, so only the cropped rule
+        # refuses it.
         fan = make_level_tree((1, 3), ((0, 0, 0),))
-        star = LabeledTree(ORDINAL, fan, (labs(1), labs(-1, -1, -1)))
-        assert validate_constrained(star) == []
-        assert validate_cropped(star) != []
+        star = declared(ORDINAL, fan, (labs(1), labs(-1, -1, -1)))
+        with pytest.raises(ValueError, match="invalid disk: level 1"):
+            LabeledTree.from_dict(star)
 
 
 class TestMorphisms:
@@ -569,9 +601,13 @@ class TestMorphisms:
             LabeledTreeMor(t, s, forward)
 
     def test_morphism_ends_must_be_cropped(self):
-        bad = LabeledTree(INTERVAL, POINT_TREE, (labs(2),))
-        with pytest.raises(ValueError, match="domain is not cropped"):
-            identity_labeled(bad)
+        # An end that is not cropped is refused before any morphism is built.
+        rows = (labs(2), labs(0, 0, 0))
+        star = declared(INTERVAL, make_level_tree((1, 3), ((0, 0, 0),)), rows)
+        end = identity_labeled(xi_inverse(I2)).to_dict()
+        for side in ("dom", "cod"):
+            with pytest.raises(ValueError, match="invalid disk: level 1"):
+                LabeledTreeMor.from_dict({**end, side: star})
 
     def test_hand_counted_hom_sets(self):
         li1, li2 = xi_inverse(I1), xi_inverse(I2)
@@ -710,13 +746,29 @@ class TestDualize:
         assert dual.tree == DEEP_TREE
         assert dual.labels[0] == labs(1)
         assert dual.labels[1] == labs(-1, 2, -1)
-        assert validate_cropped(dual) == []
         assert con_dualize(dual) == deep()
 
     def test_dualize_requires_cropped_input(self):
+        # Both flavors refuse the same level trees, so the dual of a tree
+        # always exists and keeps its level tree.
         shape = make_level_tree((1, 3), ((0, 0, 0),))
-        with pytest.raises(ValueError, match="outer positions"):
-            con_dualize(LabeledTree(INTERVAL, shape, (labs(2), labs(0, 0, 0))))
+        for flavor in (INTERVAL, ORDINAL):
+            with pytest.raises(ValueError, match="invalid disk: level 1"):
+                LabeledTree(flavor, shape)
+        for t in enumerate_cropped_trees(INTERVAL, 3, 4):
+            assert con_dualize(t).tree is t.tree
+
+    @pytest.mark.parametrize(
+        "flavor, height, max_root",
+        [(INTERVAL, 3, 4), (ORDINAL, 3, 3), (INTERVAL, 4, 3), (ORDINAL, 4, 3)],
+    )
+    def test_dual_labels_are_the_dual_ordinals(self, flavor, height, max_root):
+        # The paper's relabel: each label of the dual is ``vee_obj`` (from
+        # intervals) or ``wedge_obj`` (from ordinals) of the label there.
+        relabel = vee_obj if flavor == INTERVAL else wedge_obj
+        for t in enumerate_cropped_trees(flavor, height, max_root):
+            dual = con_dualize(t)
+            assert dual.labels == tuple(tuple(map(relabel, row)) for row in t.labels)
 
     def test_double_dual_is_identity_on_trees(self):
         for flavor, cap in ((INTERVAL, 4), (ORDINAL, 3)):
@@ -773,7 +825,6 @@ class TestXiObjects:
         for flavor, cap in ((INTERVAL, 4), (ORDINAL, 3)):
             for h in enumerate_objects(flavor, 3, cap):
                 t = xi_inverse(h)
-                assert validate_cropped(t) == []
                 converter = xi_interval if flavor == INTERVAL else xi_ordinal
                 assert converter(t) == h
         assert xi_inverse(xi_interval(deep())) == deep()
@@ -789,11 +840,12 @@ class TestXiObjects:
     def test_input_validation(self):
         with pytest.raises(ValueError, match="interval-flavor"):
             xi_interval(trivial_labeled(ORDINAL))
-        with pytest.raises(ValueError, match="single-root"):
-            xi_interval(LabeledTree(INTERVAL, LevelTree((2,), ()), (labs(0, 0),)))
+        # A forest or a tree that is not cropped never reaches ``xi``.
+        with pytest.raises(ValueError, match=r"carried by a tree \(single root\)"):
+            LabeledTree(INTERVAL, LevelTree((2,), ()))
         shape = make_level_tree((1, 3), ((0, 0, 0),))
-        with pytest.raises(ValueError, match="outer positions"):
-            xi_interval(LabeledTree(INTERVAL, shape, (labs(2), labs(0, 0, 0))))
+        with pytest.raises(ValueError, match="invalid disk: level 1"):
+            LabeledTree(INTERVAL, shape)
 
 
 class TestXiMorphisms:

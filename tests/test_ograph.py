@@ -13,7 +13,7 @@ from theta_disk.globular import (
     POINT_CARDINAL,
     enumerate_glob_morphisms,
 )
-from theta_disk.itree import ORDINAL, enumerate_objects, height, trivial_obj
+from theta_disk.itree import ORDINAL, enumerate_objects, trivial_obj
 from theta_disk.ordinal import Ordinal
 from theta_disk.ograph import (
     EMPTY_OGRAPH,
@@ -35,6 +35,7 @@ from theta_disk.ograph import (
 from theta_disk.verify import POOLS, parse_bounds
 
 from tests.test_globular import chain2, globe2, whisker
+from tests.test_itree import height
 
 ARROW_OGRAPH = OGraph(2, (POINT_OGRAPH,))
 CHAIN2_OGRAPH = OGraph(3, (POINT_OGRAPH, POINT_OGRAPH))
@@ -326,6 +327,15 @@ class TestUpsilon:
     def test_height_is_dim_plus_one(self):
         for g in enumerate_ographs(7, 7):
             assert height(upsilon_prime(g)) == g.dim + 1
+
+    def test_upsilon_prime_is_memoized(self):
+        # Interning alone makes the two results one object; the cache hit
+        # shows the second call did not rebuild the tree.
+        g = OGraph(3, (ARROW_OGRAPH, POINT_OGRAPH))
+        first = upsilon_prime(g)
+        hits = upsilon_prime.cache_info().hits
+        assert upsilon_prime(g) is first
+        assert upsilon_prime.cache_info().hits == hits + 1
 
     def test_flavor_enforced(self):
         from theta_disk.itree import INTERVAL

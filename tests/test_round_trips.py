@@ -16,13 +16,14 @@ from theta_disk.itree import (
     INTERVAL,
     ORDINAL,
     ITreeObj,
-    height,
     trivial_obj,
     vee,
     wedge,
 )
 from theta_disk.labeled import con_dualize, xi_interval, xi_inverse, xi_ordinal
 from theta_disk.ordinal import Ordinal
+
+from tests.test_itree import height
 
 MAX_HEIGHT = 5
 MAX_ROOT = 3

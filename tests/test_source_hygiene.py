@@ -26,11 +26,9 @@ UNREFERENCED = {
     "disk.identity_disk_mor",
     "globular.linearize",
     "itree.compose",
-    "itree.height",
     "itree.identity",
     "labeled.compose_labeled",
     "labeled.identity_labeled",
-    "labeled.validate_constrained",
     "ograph.compose_ograph_mors",
     "ograph.identity_ograph_mor",
     "omega._Evaluator",

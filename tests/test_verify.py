@@ -10,7 +10,6 @@ import pytest
 
 from theta_disk import cli, verify
 from theta_disk.cli import main
-from theta_disk.forest import make_level_tree
 from theta_disk.globular import POINT_CARDINAL
 from theta_disk.itree import (
     INTERVAL,
@@ -20,7 +19,6 @@ from theta_disk.itree import (
     vee,
 )
 from theta_disk.labeled import (
-    LabeledTree,
     enumerate_labeled_mors,
     xi_interval,
     xi_inverse,
@@ -314,22 +312,6 @@ def next_dual(real):
     return dual
 
 
-def with_uncropped(real):
-    """Corrupt ``enumerate_cropped_trees``: each interval pool comes out
-    with a tree appended whose labels fit its fibers (it is constrained)
-    but whose middle child carries the single-slot label (not cropped)."""
-    fan = make_level_tree((1, 3), ((0, 0, 0),))
-    star = LabeledTree(INTERVAL, fan, ((Ordinal(2),), (Ordinal(0),) * 3))
-
-    def listing(flavor, *bounds):
-        items = list(real(flavor, *bounds))
-        if flavor == INTERVAL:
-            items.append(star)
-        return items
-
-    return listing
-
-
 def borrowed_dual(real):
     """Corrupt ``con_dualize``: the last tree of the default interval pool
     comes out as the dual of the tree before it."""
@@ -386,12 +368,6 @@ GLOBAL_CONTROLS = {
         "con_dualize_mor",
         next_dual,
         "duality-square",
-    ),
-    "xi-enumeration-cropped": (
-        check_xi,
-        "enumerate_cropped_trees",
-        with_uncropped,
-        "enumeration-cropped",
     ),
     "xi-object-duality-square": (
         check_xi,
