@@ -5,7 +5,9 @@ by their interval order, and the fibers of a level are concatenated in the
 order of their parent vertices, so the parent maps are monotone and the
 endpoint sections are simply the first and last element of each fiber.
 Structural equality of the canonical form then decides disk isomorphism.
-Fibers are read from the tree's shared table ``forest.fibers``.
+Fibers are read from the tree's shared table ``forest.fibers``, and a
+disk is built from the disks over its root's children by grafting their
+trees onto a new root (``forest.graft``).
 
 A disk is the cropped interval tree on its tree (see
 :mod:`theta_disk.labeled`), whose labels are its fiber sizes, so its
@@ -38,11 +40,10 @@ from theta_disk.forest import (
     LevelTree,
     TreeMap,
     compose_tree_maps,
-    coproduct,
     fiber_slots,
     fibers,
+    graft,
     identity_tree_map,
-    suspend,
 )
 from theta_disk.itree import INTERVAL, ITreeMor, ITreeObj
 from theta_disk.labeled import LEVEL_MAPS, validate_cropped, xi_inverse, xi_mor, xi_obj
@@ -134,7 +135,7 @@ def phi_mor(f: DiskMor) -> ITreeMor:
 
 def _assemble(children: list[Disk]) -> Disk:
     """The disk with the given root-fiber subtree disks, in order."""
-    return Disk(suspend(coproduct([c.tree for c in children])))
+    return Disk(graft([c.tree for c in children]))
 
 
 def phi_inverse_obj(h: ITreeObj) -> Disk:

@@ -11,10 +11,14 @@ Bare forests are unordered; sibling order only becomes meaningful in the
 modules that add interval structure on fibers.
 
 Level trees are interned (see :class:`theta_disk.ordinal.Interned`):
-equal trees are one object, so each is validated once, and its fiber
-table :func:`fibers`, the one reader of a vertex's children, its subtree
-rows and restrictions are computed once and kept for the life of the
-process.  Tree maps keep value equality and are not interned.
+equal trees are one object, so each is validated once and stores its
+depth once, and its fiber table :func:`fibers`, the one reader of a
+vertex's children, its subtree rows and restrictions are computed once
+and kept for the life of the process.  :func:`graft` builds a tree from
+the trees over its root's children, the suspension of their coproduct,
+in one step.  Tree maps keep value equality and are not interned; a
+tree map commutes with the parent maps when, at each level, the parent
+row of the images equals the image of the parent row.
 
 The interval structures built on these trees -- disks and cropped labeled
 trees -- number each fiber consecutively in parent order, and their
@@ -46,8 +50,9 @@ class LevelTree(Interned):
 
     ``levels[n]`` is the size of the level-``n`` vertex set and
     ``parents[n][i]`` the parent index at level ``n`` of vertex
-    ``(n+1, i)``.  Trees are interned, so equal trees are one object,
-    validated once, and equality and hashing are identity.
+    ``(n+1, i)``; ``depth`` is the number of stored steps.  Trees are
+    interned, so equal trees are one object, validated once, and equality
+    and hashing are identity.
     """
 
     levels: tuple[int, ...]
@@ -56,23 +61,21 @@ class LevelTree(Interned):
     def __post_init__(self) -> None:
         if not self.levels:
             raise ValueError("a forest stores at least level 0")
-        if any(size < 0 for size in self.levels):
+        if min(self.levels) < 0:
             raise ValueError("level sizes must be non-negative")
         if len(self.parents) != len(self.levels) - 1:
             raise ValueError("one parent map is required per stored step")
         for n, pmap in enumerate(self.parents):
             if len(pmap) != self.levels[n + 1]:
                 raise ValueError(f"parent map at step {n} has wrong arity")
-            if any(not 0 <= p < self.levels[n] for p in pmap):
+            if pmap and (min(pmap) < 0 or max(pmap) >= self.levels[n]):
                 raise ValueError(f"parent map at step {n} has values out of range")
         if self.parents and _is_bijection(self.parents[-1], self.levels[-2]):
             raise ValueError(
                 "storage is not truncated at the degree (top parent map is a bijection)"
             )
-
-    @property
-    def depth(self) -> int:
-        return len(self.levels) - 1
+        # The stored depth, set once: a plain attribute, read per vertex.
+        object.__setattr__(self, "depth", len(self.levels) - 1)
 
     def level_size(self, n: int) -> int:
         """Size of level ``n``, following the implicit continuation."""
@@ -174,33 +177,26 @@ def _restrict(a: LevelTree, x: Vertex) -> LevelTree:
     return make_level_tree(levels, tuple(parents))
 
 
-def suspend(forest: LevelTree) -> LevelTree:
-    """Prepend a fresh root whose children are the forest's roots."""
-    return make_level_tree(
-        (1,) + forest.levels, ((0,) * forest.levels[0],) + forest.parents
-    )
-
-
-def coproduct(forests: list[LevelTree]) -> LevelTree:
-    """Disjoint union of forests, level-wise, in list order."""
-    if not forests:
-        return EMPTY_FOREST
-    depth = max(f.depth for f in forests)
-    levels = tuple(
-        sum(f.level_size(n) for f in forests) for n in range(depth + 1)
-    )
-    parents = []
+def graft(trees: Sequence[LevelTree]) -> LevelTree:
+    """The tree whose root's children are the roots of ``trees``, in list
+    order: the suspension of their disjoint union, written row by row.
+    Each level lists the vertices of the first forest, then the next; a
+    forest shallower than the deepest continues by chains."""
+    depth = max([t.depth for t in trees], default=0)
+    sizes = [t.levels + (t.levels[-1],) * (depth - t.depth) for t in trees]
+    levels = [1] + [sum([s[n] for s in sizes]) for n in range(depth + 1)]
+    parents = [(0,) * levels[1]]
     for n in range(1, depth + 1):
-        step: list[int] = []
+        row: list[int] = []
         offset = 0
-        for f in forests:
-            if n <= f.depth:
-                step.extend(p + offset for p in f.parents[n - 1])
+        for t, s in zip(trees, sizes):
+            if n <= t.depth:
+                row.extend(map(offset.__add__, t.parents[n - 1]))
             else:
-                step.extend(i + offset for i in range(f.level_size(n)))
-            offset += f.level_size(n - 1)
-        parents.append(tuple(step))
-    return make_level_tree(levels, tuple(parents))
+                row.extend(range(offset, offset + s[n]))
+            offset += s[n - 1]
+        parents.append(row)
+    return make_level_tree(levels, parents)
 
 
 @dataclass(frozen=True)
@@ -222,23 +218,25 @@ class TreeMap:
             raise ValueError(
                 f"expected {span} level maps, got {len(self.level_maps)}"
             )
+        dom, cod = self.dom, self.cod
         for n, fmap in enumerate(self.level_maps):
-            if len(fmap) != self.dom.level_size(n):
+            if len(fmap) != dom.level_size(n):
                 raise ValueError(f"level map {n} has wrong arity")
-            if any(not 0 <= v < self.cod.level_size(n) for v in fmap):
+            if fmap and (min(fmap) < 0 or max(fmap) >= cod.level_size(n)):
                 raise ValueError(f"level map {n} has values out of range")
+        # Past its stored depth a vertex is its own parent.
         for n in range(1, span):
-            here, targets = self.level_maps[n], fibers(self.cod, n - 1)
-            bad = [
-                j
-                for x, fib in zip(self.level_maps[n - 1], fibers(self.dom, n - 1))
-                for j in fib
-                if here[j] not in targets[x]
-            ]
-            if bad:
+            here, below = self.level_maps[n], self.level_maps[n - 1]
+            lands = tuple(
+                here if n > cod.depth else map(cod.parents[n - 1].__getitem__, here)
+            )
+            should = tuple(
+                below if n > dom.depth else map(below.__getitem__, dom.parents[n - 1])
+            )
+            if lands != should:
+                bad = next(j for j, x in enumerate(lands) if x != should[j])
                 raise ValueError(
-                    "map does not commute with parents at level "
-                    f"{n}, index {min(bad)}"
+                    f"map does not commute with parents at level {n}, index {bad}"
                 )
 
     def at_level(self, n: int) -> tuple[int, ...]:

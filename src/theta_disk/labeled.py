@@ -36,7 +36,8 @@ prescribes in one flavor to the label it prescribes in the other, so
 :func:`con_dualize` is the cropped tree of the other flavor on the same
 level tree, and duals of morphisms keep their tree maps.  Cropped
 single-root trees convert back and forth with the inductive tree
-categories vertex for vertex.
+categories vertex for vertex; :func:`xi_inverse` grafts the level trees
+of the children onto a new root (``forest.graft``).
 
 Labeled trees are interned (see :class:`theta_disk.ordinal.Interned`),
 so each is validated once and equality is identity.  Everything that
@@ -64,13 +65,12 @@ from theta_disk.forest import (
     TreeMap,
     Vertex,
     compose_tree_maps,
-    coproduct,
     fiber_slots,
     fibers,
     glue_level_maps,
+    graft,
     identity_tree_map,
     restrict,
-    suspend,
 )
 from theta_disk.itree import (
     FLAVORS,
@@ -448,8 +448,7 @@ def xi_inverse(h: ITreeObj) -> LabeledTree:
 def _xi_inverse(h: ITreeObj) -> LabeledTree:
     if h.is_trivial:
         return trivial_labeled(h.flavor)
-    forest = coproduct([_xi_inverse(c).tree for c in h.children])
-    return LabeledTree(h.flavor, suspend(forest))
+    return LabeledTree(h.flavor, graft([_xi_inverse(c).tree for c in h.children]))
 
 
 def enumerate_cropped_trees(

@@ -232,7 +232,7 @@ def compose(g: OrdMap, f: OrdMap) -> OrdMap:
     """The composite ``g after f``."""
     if f.cod != g.dom:
         raise ValueError(f"cannot compose {g} after {f}")
-    return OrdMap(f.dom, g.cod, tuple(g.images[j] for j in f.images))
+    return OrdMap(f.dom, g.cod, tuple(map(g.images.__getitem__, f.images)))
 
 
 def left_adjoint(g: OrdMap) -> OrdMap:

@@ -325,15 +325,16 @@ def check_ordinal_duality(bounds: Bounds, counts: dict, *, vee_map_fn=None):
         "ordinal-map-round-trip",
     )
     small = intervals[: max(cap, 1)]
+    homs = {(a, b): enumerate_interval_maps(a, b) for a in small for b in small}
+    duals = {pair: [vee_map_fn(f) for f in maps] for pair, maps in homs.items()}
     for a in small:
         for b in small:
             for c in small:
-                for f in enumerate_interval_maps(a, b):
-                    for g in enumerate_interval_maps(b, c):
+                for f, dual_f in zip(homs[a, b], duals[a, b]):
+                    for g, dual_g in zip(homs[b, c], duals[b, c]):
                         counts["composable_pairs"] += 1
                         composed = vee_map_fn(compose_ord(g, f))
-                        swapped = compose_ord(vee_map_fn(f), vee_map_fn(g))
-                        if composed != swapped:
+                        if composed != compose_ord(dual_f, dual_g):
                             yield _fail("contravariance", first=f, second=g)
     for m in range(1, cap + 1):
         for n in range(1, cap + 1):

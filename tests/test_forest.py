@@ -1,4 +1,4 @@
-"""Tests for level trees: degree, restriction, suspension, coproduct, maps."""
+"""Tests for level trees: degree, restriction, grafting, maps."""
 
 from __future__ import annotations
 
@@ -16,16 +16,17 @@ from theta_disk.forest import (
     TreeMap,
     Vertex,
     compose_tree_maps,
-    coproduct,
     fiber_slots,
     fibers,
     glue_level_maps,
+    graft,
     identity_tree_map,
     make_level_tree,
     restrict,
     subtree_rows,
-    suspend,
 )
+from theta_disk.itree import INTERVAL, ORDINAL
+from theta_disk.labeled import enumerate_cropped_trees
 
 # The running example tree: level sizes 1,3,6,9,10 with one binary branch
 # at each of the first four levels placed per its fiber structure.
@@ -71,6 +72,20 @@ class TestLevelTree:
             LevelTree((1, 2), ((0, 1),))  # parent out of range
         with pytest.raises(ValueError):
             LevelTree((1, 1), ((0,),))  # top step bijective: not truncated
+
+    def test_empty_rows_and_out_of_range_rows(self):
+        bare = LevelTree((1, 0), ((),))
+        assert (bare.depth, bare.level_size(3)) == (1, 0)
+        assert LevelTree((0,), ()) is EMPTY_FOREST
+        for parents in [((0, 1),), ((0, -1),), ((2, 0),)]:
+            with pytest.raises(ValueError, match="step 0 has values out of range"):
+                LevelTree((1, 2), parents)
+        with pytest.raises(ValueError, match="step 1 has values out of range"):
+            LevelTree((1, 2, 2), ((0, 0), (0, 2)))
+        with pytest.raises(ValueError, match="step 0 has values out of range"):
+            LevelTree((0, 1), ((0,),))
+        with pytest.raises(ValueError, match="level sizes must be non-negative"):
+            LevelTree((1, -1), ((),))
 
     def test_make_level_tree_truncates(self):
         assert make_level_tree((1, 1, 2), ((0,), (0, 0))) == LevelTree(
@@ -198,20 +213,54 @@ class TestRestrict:
         assert restrict(POINT_TREE, (3, 0)) == POINT_TREE
 
 
+def suspend(forest: LevelTree) -> LevelTree:
+    """Reference for :func:`graft`: prepend a fresh root whose children
+    are the forest's roots."""
+    return make_level_tree(
+        (1,) + forest.levels, ((0,) * forest.levels[0],) + forest.parents
+    )
+
+
+def coproduct(forests: list[LevelTree]) -> LevelTree:
+    """Reference for :func:`graft`: disjoint union of forests, level-wise,
+    in list order."""
+    if not forests:
+        return EMPTY_FOREST
+    depth = max(f.depth for f in forests)
+    levels = tuple(
+        sum(f.level_size(n) for f in forests) for n in range(depth + 1)
+    )
+    parents = []
+    for n in range(1, depth + 1):
+        step: list[int] = []
+        offset = 0
+        for f in forests:
+            if n <= f.depth:
+                step.extend(p + offset for p in f.parents[n - 1])
+            else:
+                step.extend(i + offset for i in range(f.level_size(n)))
+            offset += f.level_size(n - 1)
+        parents.append(tuple(step))
+    return make_level_tree(levels, tuple(parents))
+
+
 class TestSuspendCoproduct:
+    # ``graft`` is the suspension of a coproduct, written in one step.
     def test_suspend_empty_forest(self):
         # By the definition the suspension of the empty forest is the bare
         # point with no children at all: levels (1, 0).
-        assert suspend(EMPTY_FOREST) == LevelTree((1, 0), ((),))
+        assert graft([]) is LevelTree((1, 0), ((),))
+        assert graft([]) is suspend(coproduct([]))
+        assert graft([EMPTY_FOREST]) is graft([])
 
     def test_suspend_point(self):
-        assert suspend(POINT_TREE) == POINT_TREE
+        assert graft([POINT_TREE]) is POINT_TREE
 
     def test_coproduct_sizes(self):
         t = LevelTree((1, 2), ((0, 0),))
-        c = coproduct([t, POINT_TREE])
-        assert c.levels == (2, 3)
-        assert c.parents == ((0, 0, 1),)
+        c = graft([t, POINT_TREE])
+        assert c.levels == (1, 2, 3)
+        assert c.parents == ((0, 0), (0, 0, 1))
 
     def test_round_trip_restrict_suspend_coproduct(self):
         trees = [
@@ -221,11 +270,42 @@ class TestSuspendCoproduct:
             LevelTree((1, 2, 3), ((0, 0), (0, 0, 1))),
         ]
         for collection in [trees[:2], trees[1:], trees]:
-            s = suspend(coproduct(collection))
+            s = graft(collection)
             assert s.levels[1] == len(collection)
             for i, t in enumerate(collection):
                 back = restrict(s, (1, i))
                 assert back == t
+
+    def test_graft_matches_the_reference_on_the_cropped_pools(self):
+        pool = [
+            t.tree
+            for flavor, height, root in ((INTERVAL, 3, 4), (ORDINAL, 3, 3))
+            for t in enumerate_cropped_trees(flavor, height, root)
+        ]
+        assert len(pool) == 28
+        for t in pool:
+            kids = [restrict(t, (1, j)) for j in range(t.level_size(1))]
+            assert graft(kids) is t
+            assert graft(kids) is suspend(coproduct(kids))
+        for kids in product(pool, repeat=2):
+            assert graft(kids) is suspend(coproduct(list(kids)))
+
+    def test_graft_matches_the_reference_on_shallow_summands_and_forests(self):
+        fan = LevelTree((1, 2), ((0, 0),))
+        deep = LevelTree((1, 2, 3), ((0, 0), (0, 0, 1)))
+        forests = [EMPTY_FOREST, LevelTree((2, 3), ((0, 1, 1),)), example_tree()]
+        cases = [
+            [POINT_TREE, fan, POINT_TREE],
+            [fan, POINT_TREE, deep, POINT_TREE],
+            [deep, fan],
+            *([f, POINT_TREE, f] for f in forests),
+        ]
+        for kids in cases:
+            assert graft(kids) is suspend(coproduct(kids))
+        # The trivial children beside a fan continue as chains.
+        assert graft(cases[0]) is make_level_tree(
+            (1, 3, 4), ((0, 0, 0), (0, 1, 1, 2))
+        )
 
 
 class TestTreeMap:
@@ -253,6 +333,39 @@ class TestTreeMap:
             TreeMap(deep, shallow, ((0,), (0, 1), (0, 1, 1)))
         f = TreeMap(deep, shallow, ((0,), (0, 1), (0, 0, 1)))
         assert f((2, 2)) == (2, 1)
+
+    def test_level_map_rows_out_of_range_and_empty(self):
+        fan = LevelTree((1, 2), ((0, 0),))
+        for row in [(0, 2), (-1, 0), (3, 0)]:
+            with pytest.raises(ValueError, match="level map 1 has values out of range"):
+                TreeMap(fan, fan, ((0,), row))
+        with pytest.raises(ValueError, match="level map 0 has values out of range"):
+            TreeMap(fan, fan, ((1,), (0, 1)))
+        bare = LevelTree((1, 0), ((),))
+        assert TreeMap(bare, POINT_TREE, ((0,), ())).at_level(1) == ()
+        assert TreeMap(bare, fan, ((0,), ())).at_level(4) == ()
+        # nothing lands in an empty level
+        with pytest.raises(ValueError, match="level map 1 has values out of range"):
+            TreeMap(fan, bare, ((0,), (0, 0)))
+
+    def test_commutation_failure_names_the_least_bad_index(self):
+        deep = LevelTree((1, 2, 4), ((0, 0), (0, 0, 1, 1)))
+        # inside both stored depths: indices 1 and 3 land under the wrong
+        # parent; the message names 1 whichever fiber holds it
+        with pytest.raises(ValueError, match="at level 2, index 1$"):
+            TreeMap(deep, deep, ((0,), (0, 1), (0, 2, 2, 0)))
+        with pytest.raises(ValueError, match="at level 2, index 0$"):
+            TreeMap(deep, deep, ((0,), (1, 0), (0, 2, 3, 1)))
+        # past the stored depth of the domain: vertex j is its own parent
+        fan = LevelTree((1, 2), ((0, 0),))
+        with pytest.raises(ValueError, match="at level 2, index 0$"):
+            TreeMap(fan, deep, ((0,), (0, 1), (2, 3)))
+        with pytest.raises(ValueError, match="at level 2, index 1$"):
+            TreeMap(fan, deep, ((0,), (0, 1), (0, 1)))
+        # past the stored depth of the codomain
+        with pytest.raises(ValueError, match="at level 2, index 2$"):
+            TreeMap(deep, fan, ((0,), (0, 1), (0, 0, 0, 1)))
+        assert TreeMap(fan, deep, ((0,), (0, 1), (1, 2))).at_level(2) == (1, 2)
 
     def test_commutation_matches_a_parent_by_parent_check(self):
         def parent(t: LevelTree, n: int, i: int) -> int:

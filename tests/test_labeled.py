@@ -21,10 +21,10 @@ from theta_disk.forest import (
     fiber_slots,
     fibers,
     glue_level_maps,
+    graft,
     make_level_tree,
     restrict,
     subtree_rows,
-    suspend,
 )
 from theta_disk.itree import (
     FLAVORS,
@@ -405,11 +405,11 @@ class TestRestrict:
 
 
 class TestSuspendCoproduct:
-    # ``xi_inverse`` suspends the coproduct of its children's level trees
+    # ``xi_inverse`` grafts its children's level trees onto a new root
     # and labels the result by its fiber sizes.
     def test_suspending_one_trivial_tree_gives_the_trivial_tree(self):
         for flavor in (INTERVAL, ORDINAL):
-            t = LabeledTree(flavor, suspend(POINT_TREE))
+            t = LabeledTree(flavor, graft([POINT_TREE]))
             assert t is trivial_labeled(flavor)
             assert t.labels == ((trivial_root(flavor),),)
 
