@@ -21,9 +21,9 @@ invalid disk is never built.
 
 So a disk morphism is a tree map that sends each fiber monotonely onto
 the fiber over its image, ends to ends, checked by ``forest.fiber_slots``
-as for cropped trees, and both keep the slots it returns; the level maps
-and counts of the hom-sets are the interval case of
-``labeled.LEVEL_MAPS``; ``phi_obj``/``phi_mor``, the readings as
+as for cropped trees, and both keep the slots it returns; the hom-sets
+are listed and counted by the interval case of ``labeled.LEVEL_MAPS``
+(a path sum counts); ``phi_obj``/``phi_mor``, the readings as
 inductive interval trees, are the interval case of
 ``labeled.xi_obj``/``xi_mor``; and ``phi_inverse_obj`` keeps the tree of
 ``labeled.xi_inverse``.  The readings and the hom tables are memoized
@@ -165,16 +165,10 @@ def _nontrivial_disks(max_degree: int, max_fiber: int) -> list[Disk]:
 
 def enumerate_disk_morphisms(a: Disk, b: Disk) -> list[DiskMor]:
     """All disk morphisms ``a -> b``, deterministically ordered, new each call."""
-    return [
-        DiskMor(a, b, TreeMap(a.tree, b.tree, maps))
-        for maps in _level_maps(a.tree, b.tree)
-    ]
+    maps = LEVEL_MAPS[INTERVAL][0](a.tree, b.tree)
+    return [DiskMor(a, b, TreeMap(a.tree, b.tree, rows)) for rows in maps]
 
 
 def count_disk_morphisms(a: Disk, b: Disk) -> int:
     """``len(enumerate_disk_morphisms(a, b))``, counted without listing."""
-    return _count_level_maps(a.tree, b.tree)
-
-
-# A disk's morphisms are those of the cropped interval tree on its tree.
-_level_maps, _count_level_maps = LEVEL_MAPS[INTERVAL]
+    return LEVEL_MAPS[INTERVAL][1](a.tree, b.tree)

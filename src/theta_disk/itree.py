@@ -19,13 +19,13 @@ pair exchanges the two flavors contravariantly and is mutually inverse.
 Objects are interned (see :class:`theta_disk.ordinal.Interned`): equal
 trees are one object.  A morphism is a checked tuple of its fields: it
 equals that plain tuple, and its hash is the tuple's, not cached.  The
-hom-sets and duals of child morphisms are shared: ``enumerate_morphisms``
-(through :func:`theta_disk.ordinal.hom_recursion`) and ``vee``/``wedge`` build
-each child morphism once and reuse it, while the morphisms they return
-at the top level are built afresh on every call and held by no table.
-The rules of a morphism's shape ``(dom, cod, root_map)`` and the ends of
-its children are worked out once per shape, in a table kept for the life
-of the process that the constructor and the hom recursion share.
+hom-sets are one :func:`theta_disk.ordinal.slot_recursion` over the
+children of the two ends, the one cropped trees and disks use.  Listing
+and ``vee``/``wedge`` build each child morphism once and reuse it, while
+the morphisms they return at the top level are new on every call; the
+count is a path over the grid of child counts, so it never lists a root
+map.  A morphism's shape rules and child ends are worked out once per
+shape ``(dom, cod, root_map)``, in a table kept for the life of the process.
 """
 
 from __future__ import annotations
@@ -43,11 +43,11 @@ from theta_disk.ordinal import (
     compose as compose_ord,
     enumerate_interval_maps,
     enumerate_ord_maps,
-    hom_recursion,
     identity as identity_ord,
     json_field,
     json_str,
     require_interval,
+    slot_recursion,
     vee_map,
     vee_obj,
     wedge_map,
@@ -92,7 +92,7 @@ class Flavor:
 
 # The enumerators and slot maps go through the module globals at call
 # time, so a function rebound on this module (a tracing wrapper) runs.
-# Slot maps are read when ``_child_ends`` meets a shape it has not stored.
+# Slot maps are read per listed root map and per new ``_child_ends`` shape.
 FLAVORS = {
     INTERVAL: Flavor(
         trivial_root=Ordinal(0),
@@ -401,20 +401,12 @@ def enumerate_objects(
     return [trivial] + nontrivial
 
 
-def _branches(h: ITreeObj, k: ITreeObj) -> list:
-    """Each root map of ``h -> k`` with the ends of its child morphisms."""
+def _grid(h: ITreeObj, k: ITreeObj) -> tuple:
+    """The flavor of ``h -> k`` with the children of its index and value ends."""
     if h.flavor != k.flavor:
         raise ValueError("hom-sets require a common flavor")
     spec = FLAVORS[h.flavor]
-    index, value = spec.orient(h, k)
-    if value.is_trivial:
-        return [(None, ())]
-    if index.is_trivial:
-        return []
-    return [
-        (root, zip(*_child_ends(h, k, root)))
-        for root in spec.root_maps(h.root, k.root)
-    ]
+    return spec, *spec.orient(h.children, k.children)
 
 
-enumerate_morphisms, count_morphisms = hom_recursion(_branches, ITreeMor)
+enumerate_morphisms, count_morphisms = slot_recursion(_grid, ITreeMor)

@@ -43,8 +43,9 @@ Labeled trees are interned (see :class:`theta_disk.ordinal.Interned`),
 so each is validated once and equality is identity.  Everything that
 reads a cropped tree reads its level tree: the inductive-tree images
 (``xi_obj``, keyed by flavor and level tree) and the level maps and
-counts of the subtree hom-sets (``LEVEL_MAPS``, one ``hom_recursion`` per
-flavor) are memoized for the life of the process, as are the label of
+counts of the subtree hom-sets (``LEVEL_MAPS``: per flavor, the
+inductive trees' ``slot_recursion`` over the subtrees of the root's
+children) are memoized for the life of the process, as are the label of
 each fiber size and the components of each slot map.  Disks are the
 interval case of all of these.  Morphisms are built afresh on every
 call, and only those returned are validated; the inductive-tree image of
@@ -88,10 +89,10 @@ from theta_disk.ordinal import (
     Interned,
     OrdMap,
     Ordinal,
-    hom_recursion,
     json_field,
     json_int,
     json_str,
+    slot_recursion,
     vee_map,
 )
 
@@ -472,46 +473,37 @@ def enumerate_labeled_mors(
     built on every call from the shared level maps of the subtree hom-sets."""
     _require_hom(a, b)
     ends = FLAVORS[a.flavor].orient(a.tree, b.tree)
-    maps = (TreeMap(*ends, rows) for rows in LEVEL_MAPS[a.flavor][0](*ends))
-    return [LabeledTreeMor(a, b, f) for f in maps]
+    maps = LEVEL_MAPS[a.flavor][0](a.tree, b.tree)
+    return [LabeledTreeMor(a, b, TreeMap(*ends, rows)) for rows in maps]
 
 
 def count_labeled_mors(a: LabeledTree, b: LabeledTree) -> int:
     """``len(enumerate_labeled_mors(a, b))``, counted without listing."""
     _require_hom(a, b)
-    return LEVEL_MAPS[a.flavor][1](*FLAVORS[a.flavor].orient(a.tree, b.tree))
+    return LEVEL_MAPS[a.flavor][1](a.tree, b.tree)
 
 
-def _branches(flavor: str, a: LevelTree, b: LevelTree) -> list:
-    """Each slot map of the morphisms with index end ``a`` and value end
-    ``b``, with the ends of their children.
-
-    A cropped tree's labels, and a disk's, are read off its fiber sizes.
-    """
-    if b.depth == 0:
-        return [(None, ())]
-    if a.depth == 0:
-        return []
-    kids = [restrict(a, (1, i)) for i in range(a.levels[1])]
-    tops = [restrict(b, (1, j)) for j in range(b.levels[1])]
+def _grid(flavor: str, a: LevelTree, b: LevelTree) -> tuple:
+    """The flavor of ``a -> b`` with the root-child subtrees of its ends."""
     spec = FLAVORS[flavor]
-    roots = [_root(flavor, len(t)) for t in (kids, tops)]
-    out = []
-    for g in spec.root_maps(*spec.orient(*roots)):
-        slot = spec.slot_map(g)
-        out.append((slot, [(kid, tops[j]) for kid, j in zip(kids, slot.images)]))
-    return out
+    return spec, *(
+        tuple([restrict(t, (1, i)) for i in range(t.levels[1])]) if t.depth else ()
+        for t in spec.orient(a, b)
+    )
 
 
-def _glue(a: LevelTree, b: LevelTree, slot: OrdMap | None, subs) -> LevelMaps:
-    if slot is None:
-        return tuple((0,) * size for size in a.levels)
-    return glue_level_maps(a, b, slot, subs)
+def _glue(flavor: str, a: LevelTree, b: LevelTree, root, subs) -> LevelMaps:
+    spec = FLAVORS[flavor]
+    index, value = spec.orient(a, b)
+    if root is None:
+        return tuple((0,) * size for size in index.levels)
+    return glue_level_maps(index, value, spec.slot_map(root), subs)
 
 
 # Per flavor, ``(enumerate, count)`` of the level maps of the morphisms
-# between cropped trees, keyed by the index-end and value-end trees.
-# Disks are the interval case.
+# between cropped trees on the given domain and codomain trees, each map
+# running from the index end's tree.  Disks are the interval case.
 LEVEL_MAPS = {
-    flavor: hom_recursion(partial(_branches, flavor), _glue) for flavor in FLAVORS
+    flavor: slot_recursion(partial(_grid, flavor), partial(_glue, flavor))
+    for flavor in FLAVORS
 }

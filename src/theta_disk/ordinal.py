@@ -392,8 +392,8 @@ def hom_recursion(branches, build):
     """``(enumerate, count)`` for hom-sets whose morphisms are an outer map
     plus one child morphism per index over it (Berger's wreath product):
     ``branches(a, b)`` lists each outer map of ``a -> b`` with the ``(dom,
-    cod)`` pairs of its children, and ``build(a, b, outer, kids)`` makes
-    one morphism."""
+    cod)`` pairs of its children, ``build(a, b, outer, kids)`` makes one
+    morphism.  Trees take :func:`slot_recursion`, which counts faster."""
 
     def enumerate_homs(a, b) -> list:
         """All morphisms ``a -> b`` in a new list, by outer map and then
@@ -414,3 +414,40 @@ def hom_recursion(branches, build):
         return sum(prod(count(*p) for p in pairs) for _, pairs in branches(a, b))
 
     return enumerate_homs, count
+
+
+def slot_recursion(grid, build):
+    """``hom_recursion`` for trees: ``grid(a, b)`` gives the flavor of
+    ``a -> b`` (an ``itree.Flavor``) with the children of its index and value
+    ends, none at a trivial end.  Root maps are listed lazily, each slot map
+    ``s`` routing index child ``i`` to value child ``s(i)``; the count sums
+    ``prod_i c(i, s(i))`` over interval maps ``s`` by prefix sums instead."""
+
+    def branches(a, b):
+        spec, index, value = grid(a, b)
+        if not value:
+            return [(None, ())]
+        if not index:
+            return []
+        roots = [Ordinal(len(end) - 1 - spec.extra_slot) for end in (index, value)]
+        return (
+            (root, zip(*spec.orient(index, spec.routed(root, value))))
+            for root in spec.root_maps(*spec.orient(*roots))
+        )
+
+    @lru_cache(maxsize=None)
+    def count(a, b) -> int:
+        spec, index, value = grid(a, b)
+        if not index or not value:
+            return int(not value)
+        # ways[j]: the slot maps of the index children so far that end at
+        # value child j, weighted by their child counts; s(0) is 0.
+        ways = [1] + [0] * (len(value) - 1)
+        for i, x in enumerate(index):
+            total = 0
+            for j, y in enumerate(value if i else value[:1]):
+                total += ways[j]
+                ways[j] = total and total * count(*spec.orient(x, y))
+        return ways[-1]
+
+    return hom_recursion(branches, build)[0], count

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import shutil
 import subprocess
@@ -16,24 +17,27 @@ import pytest
 import theta_disk
 from theta_disk import cli
 from theta_disk.cli import _PARSERS, FUNCTORS, main
-from theta_disk.disk import trivial_disk
+from theta_disk.disk import phi_inverse_obj, trivial_disk
 from theta_disk.forest import POINT_TREE, LevelTree
 from theta_disk.globular import (
     ARROW_CARDINAL,
     POINT_CARDINAL,
     enumerate_glob_morphisms,
 )
-from theta_disk.itree import INTERVAL, ORDINAL, enumerate_objects, trivial_obj
+from theta_disk.itree import INTERVAL, ORDINAL, enumerate_objects, trivial_obj, wedge
 from theta_disk.labeled import (
     LabeledTree,
     enumerate_cropped_trees,
     enumerate_labeled_mors,
     trivial_labeled,
+    xi_inverse,
 )
 from theta_disk.ograph import OGraph, POINT_OGRAPH, enumerate_ographs, gamma_prime
 from theta_disk.omega import EnrichedCell, enumerate_cells, psi_obj
 from theta_disk.ordinal import OrdMap, Ordinal
 from theta_disk.verify import CHECKS, Bounds, Report
+
+from tests.test_itree import wide_ordinal_tree
 
 
 ARROW_OGRAPH = OGraph(2, (POINT_OGRAPH,))
@@ -808,6 +812,24 @@ class TestHomCount:
     def test_large_ordinals_are_counted_by_formula(self, capsys, n, count):
         big = json.dumps({"kind": "ordinal", "n": n})
         assert run_json(capsys, "hom-count", big, big)["count"] == count
+
+    @pytest.mark.parametrize("n", [12, 40])
+    @pytest.mark.parametrize("reading", ["itree", "labeled", "disk"])
+    def test_a_wide_root_is_counted_at_once(self, capsys, n, reading):
+        # C(2n + 1, n) morphisms, one per root map: the count walks the
+        # grid of child counts instead of the root maps.
+        tree = wide_ordinal_tree(n)
+        obj = {
+            "itree": tree,
+            "labeled": xi_inverse(tree),
+            "disk": phi_inverse_obj(wedge(tree)),
+        }[reading]
+        text = json.dumps(obj.to_dict())
+        start = time.perf_counter()
+        assert run_json(capsys, "hom-count", text, text)["count"] == math.comb(
+            2 * n + 1, n
+        )
+        assert time.perf_counter() - start < 1.0
 
     @pytest.fixture
     def digit_limit(self):

@@ -46,6 +46,12 @@ def ordinal_tree(root_n: int, *children: ITreeObj) -> ITreeObj:
     return ITreeObj(ORDINAL, Ordinal(root_n), children)
 
 
+def wide_ordinal_tree(n: int) -> ITreeObj:
+    """The ordinal tree with root ``[n]`` over ``n`` interior ``[0]`` trees.
+    Each of its ``C(2n + 1, n)`` root maps to itself carries one morphism."""
+    return ordinal_tree(n, T_O, *[ordinal_tree(0, T_O, T_O)] * n, T_O)
+
+
 def height(h: ITreeObj) -> int:
     """0 for the trivial object, else one more than the tallest child."""
     if h.is_trivial:

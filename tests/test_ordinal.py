@@ -4,12 +4,18 @@ from __future__ import annotations
 
 import copy
 import pickle
+from functools import cache, partial
+from itertools import product
+from math import comb, prod
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from theta_disk import ordinal
+from theta_disk import itree, labeled, ordinal
+from theta_disk.disk import enumerate_disks
+from theta_disk.itree import FLAVORS, INTERVAL, ORDINAL, enumerate_objects
+from theta_disk.labeled import LEVEL_MAPS, enumerate_cropped_trees
 from theta_disk.ordinal import (
     OrdMap,
     Ordinal,
@@ -21,11 +27,14 @@ from theta_disk.ordinal import (
     identity,
     left_adjoint,
     right_adjoint,
+    slot_recursion,
     vee_map,
     vee_obj,
     wedge_map,
     wedge_obj,
 )
+
+from tests.test_itree import wide_ordinal_tree
 
 
 def om(m: int, n: int, *images: int) -> OrdMap:
@@ -352,3 +361,98 @@ class TestMistypedFields:
             OrdMap(Ordinal(1), Ordinal(1), range(2))
         with pytest.raises(ValueError, match="OrdMap fields must be hashable"):
             OrdMap(Ordinal(1), Ordinal(1), [0, 1])
+
+
+def root_map_count(grid):
+    """The count that lists every root map: the sum over ``spec.root_maps``
+    of the product of the routed child counts.  A reference for the path
+    sum of :func:`slot_recursion`, over the same ``grid``."""
+
+    @cache
+    def count(a, b) -> int:
+        spec, index, value = grid(a, b)
+        if not value:
+            return 1
+        if not index:
+            return 0
+        roots = [Ordinal(len(end) - 1 - spec.extra_slot) for end in (index, value)]
+        return sum(
+            prod(map(count, *spec.orient(index, spec.routed(root, value))))
+            for root in spec.root_maps(*spec.orient(*roots))
+        )
+
+    return count
+
+
+def tuple_trees(depth: int, width: int) -> list[tuple]:
+    """Nested tuples at most ``depth`` deep with at most ``width`` children
+    each; ``()`` is a trivial end.  No floor on roots and no rule on which
+    children are trivial, unlike the tree models."""
+    if depth == 0:
+        return [()]
+    below = tuple_trees(depth - 1, width)
+    return [()] + [
+        kids for n in range(1, width + 1) for kids in product(below, repeat=n)
+    ]
+
+
+def _tuple_grid(flavor: str, a: tuple, b: tuple) -> tuple:
+    spec = FLAVORS[flavor]
+    return spec, *spec.orient(a, b)
+
+
+def tree_family(name: str) -> tuple:
+    """``(pool, grid, enumerate, count)`` of a tree model's hom-sets: the
+    inductive or cropped trees of a flavor, or the disks."""
+    flavor = ORDINAL if name.endswith(ORDINAL) else INTERVAL
+    max_root = 3 if flavor == ORDINAL else 4
+    if name.startswith("itree"):
+        pool = enumerate_objects(flavor, 3, max_root)
+        return pool, itree._grid, itree.enumerate_morphisms, itree.count_morphisms
+    if name.startswith("cropped"):
+        pool = [t.tree for t in enumerate_cropped_trees(flavor, 3, max_root)]
+    else:
+        pool = [d.tree for d in enumerate_disks(2, 5)]
+    return pool, partial(labeled._grid, flavor), *LEVEL_MAPS[flavor]
+
+
+class TestSlotRecursion:
+    @pytest.mark.parametrize(
+        "name",
+        [
+            "itree-interval",
+            "itree-ordinal",
+            "cropped-interval",
+            "cropped-ordinal",
+            "disk",
+        ],
+    )
+    def test_path_sum_is_the_root_map_sum_and_the_listed_length(self, name):
+        pool, grid, enumerate_homs, count = tree_family(name)
+        reference = root_map_count(grid)
+        for a in pool:
+            for b in pool:
+                assert count(a, b) == reference(a, b) == len(enumerate_homs(a, b))
+
+    @pytest.mark.parametrize("flavor", [INTERVAL, ORDINAL])
+    def test_roots_of_one_slot_and_trivial_interior_children(self, flavor):
+        # Shapes the tree models refuse: the recursion does not rely on
+        # their rules.
+        grid = partial(_tuple_grid, flavor)
+        enumerate_homs, count = slot_recursion(grid, lambda *args: args[2:])
+        reference = root_map_count(grid)
+        pool = tuple_trees(2, 3)
+        assert len(pool) == 85
+        for a in pool:
+            for b in pool:
+                assert count(a, b) == reference(a, b) == len(enumerate_homs(a, b))
+        # One slot to two: no interval map [0] -> [1]; one map [-1] -> [0].
+        assert count(((),), ((), ())) == (flavor == ORDINAL)
+        assert count(((),), ((),)) == 1
+
+    def test_the_count_lists_no_root_map(self, monkeypatch):
+        # C(81, 40) root maps, counted on a 42-by-42 grid of child counts.
+        monkeypatch.setattr(itree, "enumerate_ord_maps", None)
+        wide = wide_ordinal_tree(40)
+        _, count = slot_recursion(itree._grid, itree.ITreeMor)
+        assert count(wide, wide) == comb(81, 40)
