@@ -16,9 +16,12 @@ depth once, and its fiber table :func:`fibers`, the one reader of a
 vertex's children, its subtree rows and restrictions are computed once
 and kept for the life of the process.  :func:`graft` builds a tree from
 the trees over its root's children, the suspension of their coproduct,
-in one step.  Tree maps keep value equality and are not interned; a
-tree map commutes with the parent maps when, at each level, the parent
-row of the images equals the image of the parent row.
+in one step: each level lists the children's rows as consecutive
+blocks.  :func:`glue_level_maps` glues a tree map between grafted trees
+from maps between their children, shifting each by its target's block
+offset.  Tree maps keep value equality and are not interned; a tree map
+commutes with the parent maps when, at each level, the parent row of
+the images equals the image of the parent row.
 
 The interval structures built on these trees -- disks and cropped labeled
 trees -- number each fiber consecutively in parent order, and their
@@ -29,9 +32,10 @@ written once for both.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import accumulate
 from operator import gt
 
 from theta_disk.ordinal import Interned, json_field
@@ -84,10 +88,6 @@ class LevelTree(Interned):
     @property
     def is_tree(self) -> bool:
         return self.levels[0] == 1
-
-    @property
-    def is_empty(self) -> bool:
-        return self.levels[0] == 0
 
     def to_dict(self) -> dict:
         return {
@@ -297,53 +297,37 @@ def compose_tree_maps(g: TreeMap, f: TreeMap) -> TreeMap:
 
 
 def glue_level_maps(
-    dom: LevelTree,
-    cod: LevelTree,
-    child_of: Callable[[int], int],
+    index: Sequence[LevelTree],
+    value: Sequence[LevelTree],
+    slots: Sequence[int],
     subs: Sequence[LevelMaps],
 ) -> LevelMaps:
-    """The level maps of the tree map ``dom -> cod`` that sends the root to
-    the root and the subtree over the root's child ``(1, j)`` into the
-    subtree over ``(1, child_of(j))`` by the level maps ``subs[j]``.
+    """The level maps of the tree map ``graft(index) -> graft(value)`` that
+    sends the root to the root and the tree ``index[j]`` into the tree
+    ``value[slots[j]]`` by the level maps ``subs[j]``.
 
-    Each level of ``dom`` must list its vertices subtree by subtree, in
-    the order of the root's children, as trees whose fibers are stored in
-    parent order do.
+    Each row lists the children's maps in order, each shifted to where
+    its target's block starts, as :func:`graft` lays the blocks out.  Both
+    roots have at least two children, or one that is not a point, so that
+    ``graft`` stores the level below each root.
     """
     level_maps: list[tuple[int, ...]] = [(0,)]
-    for n, (sizes, there) in enumerate(_glue_rows(dom, cod, len(subs))):
+    blocks = _block_starts(tuple(value))
+    for n in range(max([t.depth for t in (*index, *value)]) + 1):
+        starts = blocks[min(n, len(blocks) - 1)]
         row: list[int] = []
         for j, sub in enumerate(subs):
-            rows = there[child_of(j)]
-            local = sub[min(n, len(sub) - 1)]
-            row.extend(rows[local[t]] for t in range(sizes[j]))
+            row.extend(map(starts[slots[j]].__add__, sub[min(n, len(sub) - 1)]))
         level_maps.append(tuple(row))
     return tuple(level_maps)
 
 
 @lru_cache(maxsize=None)
-def _glue_rows(
-    dom: LevelTree, cod: LevelTree, children: int
-) -> tuple[tuple[tuple[int, ...], tuple[tuple[int, ...], ...]], ...]:
-    """Per level ``1..`` of a glued map: the number of vertices of each of
-    the first ``children`` subtrees over the root's children of ``dom``,
-    and the vertices of each subtree over a root child of ``cod``.
-
-    Raises ``ValueError`` (not cached) when a level of ``dom`` is not
-    stored subtree by subtree in child order.
-    """
-    dom_rows = [subtree_rows(dom, (1, j)) for j in range(children)]
-    cod_rows = [subtree_rows(cod, (1, j)) for j in range(cod.level_size(1))]
-    table = []
-    for lvl in range(1, max(dom.depth, cod.depth) + 1):
-        here = [rows[min(lvl, dom.depth) - 1] for rows in dom_rows]
-        if [v for part in here for v in part] != list(
-            range(dom.level_size(lvl))
-        ):
-            raise ValueError(
-                f"level {lvl} of the domain is not stored subtree by "
-                "subtree in child order"
-            )
-        there = tuple(rows[min(lvl, cod.depth) - 1] for rows in cod_rows)
-        table.append((tuple(len(part) for part in here), there))
-    return tuple(table)
+def _block_starts(trees: tuple[LevelTree, ...]) -> tuple[tuple[int, ...], ...]:
+    """``[n][k]``: where the level ``n`` block of ``trees[k]`` starts in the
+    level ``n + 1`` row of ``graft(trees)``, for every level the deepest
+    stores; below, each tree continues by chains.  Kept per tuple of trees."""
+    return tuple(
+        tuple(accumulate([t.level_size(n) for t in trees], initial=0))
+        for n in range(max([t.depth for t in trees]) + 1)
+    )

@@ -146,10 +146,6 @@ class GlobCard(Interned):
     def dim(self) -> int:
         return self.gset.dim
 
-    @property
-    def levels(self) -> tuple[int, ...]:
-        return self.gset.levels
-
     def size(self) -> int:
         return sum(self.gset.levels)
 

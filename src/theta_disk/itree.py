@@ -25,14 +25,16 @@ and ``vee``/``wedge`` build each child morphism once and reuse it, while
 the morphisms they return at the top level are new on every call; the
 count is a path over the grid of child counts, so it never lists a root
 map.  A morphism's shape rules and child ends are worked out once per
-shape ``(dom, cod, root_map)``, in a table kept for the life of the process.
+shape ``(dom, cod, root_map)``, in a table kept for the life of the
+process; listing routes each root map's children through that table, so
+the constructor of the morphisms it builds finds them there.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import product
 from operator import itemgetter
 
@@ -402,11 +404,13 @@ def enumerate_objects(
 
 
 def _grid(h: ITreeObj, k: ITreeObj) -> tuple:
-    """The flavor of ``h -> k`` with the children of its index and value ends."""
+    """The flavor of ``h -> k``, the children of its index and value ends,
+    and its router: the shape table ``_child_ends``, which the constructor
+    of each listed morphism reads again."""
     if h.flavor != k.flavor:
         raise ValueError("hom-sets require a common flavor")
     spec = FLAVORS[h.flavor]
-    return spec, *spec.orient(h.children, k.children)
+    return spec, *spec.orient(h.children, k.children), partial(_child_ends, h, k)
 
 
 enumerate_morphisms, count_morphisms = slot_recursion(_grid, ITreeMor)

@@ -46,11 +46,14 @@ reads a cropped tree reads its level tree: the inductive-tree images
 counts of the subtree hom-sets (``LEVEL_MAPS``: per flavor, the
 inductive trees' ``slot_recursion`` over the subtrees of the root's
 children) are memoized for the life of the process, as are the label of
-each fiber size and the components of each slot map.  Disks are the
-interval case of all of these.  Morphisms are built afresh on every
-call, and only those returned are validated; the inductive-tree image of
-a morphism is read off its tree map and the fiber slots its constructor
-keeps, vertex by vertex.
+each fiber size and the components of each slot map.  A hom-set's
+root-child subtrees are read once per pair, and a level map is glued
+from its children's by the block offsets ``graft`` lays them out at
+(``forest.glue_level_maps``).  Disks are the interval case of all of
+these.  Morphisms are built afresh on every call, and only those
+returned are validated; the inductive-tree image of a morphism walks the
+children of the images of its ends, each child picked by the fiber
+slots its constructor keeps.
 """
 
 from __future__ import annotations
@@ -408,24 +411,32 @@ def xi_mor(flavor: str, m: LabeledTreeMor) -> ITreeMor:
     """The inductive-tree reading of the cropped ``flavor`` morphism ``m``,
     read off its tree map and its fiber slots; a disk morphism, which
     keeps both too, reads as the interval case."""
-    return _xi_mor(flavor, m.tree_map, m.slots, (0, 0))
+    f = m.tree_map
+    ends = xi_obj(flavor, f.dom), xi_obj(flavor, f.cod)
+    return _xi_mor(flavor, f, m.slots, (0, 0), *ends)
 
 
-def _xi_mor(flavor: str, f: TreeMap, slots: tuple, x: Vertex) -> ITreeMor:
-    """The reading between the subtrees over ``x`` and ``f(x)``, whose
-    component is read off the slots of ``x``'s children.
+def _xi_mor(
+    flavor: str, f: TreeMap, slots: tuple, x: Vertex, here: ITreeObj, there: ITreeObj
+) -> ITreeMor:
+    """The reading from ``here``, the inductive tree over ``x``, to
+    ``there``, the one over ``f(x)``, whose component is read off the
+    slots of ``x``'s children: child ``k`` goes to ``there``'s child
+    ``slots[n][i][k]``.
 
     ``x`` addresses the side that indexes the components: the domain for
     the interval flavor, the codomain for the ordinal flavor.
     """
     orient = FLAVORS[flavor].orient
-    here = xi_obj(flavor, restrict(f.dom, x))
-    there = xi_obj(flavor, restrict(f.cod, f(x)))
     if there.is_trivial:
         return marker(*orient(here, there))
     n, i = x
-    kids = tuple(_xi_mor(flavor, f, slots, (n + 1, j)) for j in fibers(f.dom, n)[i])
-    return ITreeMor(*orient(here, there), _component(flavor, slots[n][i]), kids)
+    to = slots[n][i]
+    kids = tuple(
+        _xi_mor(flavor, f, slots, (n + 1, j), child, there.children[to[k]])
+        for k, (j, child) in enumerate(zip(fibers(f.dom, n)[i], here.children))
+    )
+    return ITreeMor(*orient(here, there), _component(flavor, to), kids)
 
 
 def xi_interval_mor(m: LabeledTreeMor) -> ITreeMor:
@@ -483,21 +494,24 @@ def count_labeled_mors(a: LabeledTree, b: LabeledTree) -> int:
     return LEVEL_MAPS[a.flavor][1](a.tree, b.tree)
 
 
+@lru_cache(maxsize=None)
 def _grid(flavor: str, a: LevelTree, b: LevelTree) -> tuple:
-    """The flavor of ``a -> b`` with the root-child subtrees of its ends."""
+    """The flavor of ``a -> b``, the root-child subtrees of its index and
+    value ends, and their router; memoized per pair, for ``_glue`` reads
+    it for every glued map."""
     spec = FLAVORS[flavor]
-    return spec, *(
+    index, value = (
         tuple([restrict(t, (1, i)) for i in range(t.levels[1])]) if t.depth else ()
         for t in spec.orient(a, b)
     )
+    return spec, index, value, lambda root: spec.orient(index, spec.routed(root, value))
 
 
 def _glue(flavor: str, a: LevelTree, b: LevelTree, root, subs) -> LevelMaps:
-    spec = FLAVORS[flavor]
-    index, value = spec.orient(a, b)
+    spec, index, value, _ = _grid(flavor, a, b)
     if root is None:
-        return tuple((0,) * size for size in index.levels)
-    return glue_level_maps(index, value, spec.slot_map(root), subs)
+        return tuple((0,) * size for size in spec.orient(a, b)[0].levels)
+    return glue_level_maps(index, value, spec.slot_map(root).images, subs)
 
 
 # Per flavor, ``(enumerate, count)`` of the level maps of the morphisms

@@ -418,26 +418,28 @@ def hom_recursion(branches, build):
 
 def slot_recursion(grid, build):
     """``hom_recursion`` for trees: ``grid(a, b)`` gives the flavor of
-    ``a -> b`` (an ``itree.Flavor``) with the children of its index and value
-    ends, none at a trivial end.  Root maps are listed lazily, each slot map
-    ``s`` routing index child ``i`` to value child ``s(i)``; the count sums
-    ``prod_i c(i, s(i))`` over interval maps ``s`` by prefix sums instead."""
+    ``a -> b`` (an ``itree.Flavor``), the children of its index and value
+    ends, none at a trivial end, and a router.  ``route(root_map)`` is the
+    ``(domains, codomains)`` of the root map's child morphisms, index child
+    ``i`` paired with value child ``s(i)`` for the slot map ``s``.  Root
+    maps are listed lazily and each is routed once, by the grid's router;
+    the count sums ``prod_i c(i, s(i))`` over interval maps ``s`` by prefix
+    sums instead, and routes nothing."""
 
     def branches(a, b):
-        spec, index, value = grid(a, b)
+        spec, index, value, route = grid(a, b)
         if not value:
             return [(None, ())]
         if not index:
             return []
         roots = [Ordinal(len(end) - 1 - spec.extra_slot) for end in (index, value)]
         return (
-            (root, zip(*spec.orient(index, spec.routed(root, value))))
-            for root in spec.root_maps(*spec.orient(*roots))
+            (root, zip(*route(root))) for root in spec.root_maps(*spec.orient(*roots))
         )
 
     @lru_cache(maxsize=None)
     def count(a, b) -> int:
-        spec, index, value = grid(a, b)
+        spec, index, value, _ = grid(a, b)
         if not index or not value:
             return int(not value)
         # ways[j]: the slot maps of the index children so far that end at

@@ -25,8 +25,10 @@ from theta_disk.forest import (
     restrict,
     subtree_rows,
 )
+from theta_disk import labeled
 from theta_disk.itree import INTERVAL, ORDINAL
-from theta_disk.labeled import enumerate_cropped_trees
+from theta_disk.labeled import LEVEL_MAPS, enumerate_cropped_trees
+from theta_disk.ordinal import Ordinal
 
 # The running example tree: level sizes 1,3,6,9,10 with one binary branch
 # at each of the first four levels placed per its fiber structure.
@@ -457,19 +459,73 @@ class TestTreeMap:
             TreeMap(deep, shallow, ((0,), (0, 1), (0, 0, 1))),
         ]
         for f in maps:
-            subs = [
-                restrict_map(f, (1, j)).level_maps
-                for j in range(f.dom.level_size(1))
-            ]
-            child_of = f.at_level(1).__getitem__
-            glued = glue_level_maps(f.dom, f.cod, child_of, subs)
+            index, value = (
+                [restrict(t, (1, j)) for j in range(t.level_size(1))]
+                for t in (f.dom, f.cod)
+            )
+            subs = [restrict_map(f, (1, j)).level_maps for j in range(len(index))]
+            glued = glue_level_maps(index, value, f.at_level(1), subs)
             assert glued == f.level_maps
 
-    def test_glue_rejects_levels_out_of_child_order(self):
-        # Level 2 lists the child of root-child 1 first.
-        t = LevelTree((1, 2, 3), ((0, 0), (1, 0, 0)))
-        ident = identity_tree_map(t)
-        subs = [restrict_map(ident, (1, j)).level_maps for j in range(2)]
-        for _ in range(2):
-            with pytest.raises(ValueError, match="child order"):
-                glue_level_maps(t, t, lambda j: j, subs)
+    @pytest.mark.parametrize("name", ["cropped-interval", "cropped-ordinal", "disk"])
+    def test_glue_matches_the_subtree_row_reference(self, name):
+        # Every morphism of every pair of the pool, root map by root map.
+        flavor = ORDINAL if name.endswith(ORDINAL) else INTERVAL
+        if name == "disk":
+            pool = [d.tree for d in enumerate_disks(2, 5)]
+        else:
+            max_root = 3 if flavor == ORDINAL else 4
+            pool = [t.tree for t in enumerate_cropped_trees(flavor, 3, max_root)]
+        enumerate_maps, count = LEVEL_MAPS[flavor]
+        glued = listed = 0
+        for a, b in product(pool, repeat=2):
+            spec, index, value, _ = labeled._grid(flavor, a, b)
+            if not index or not value:
+                continue
+            roots = [Ordinal(len(end) - 1 - spec.extra_slot) for end in (index, value)]
+            for root in spec.root_maps(*spec.orient(*roots)):
+                slot_map = spec.slot_map(root)
+                homs = [
+                    enumerate_maps(*spec.orient(x, value[s]))
+                    for x, s in zip(index, slot_map.images)
+                ]
+                for subs in product(*homs):
+                    glued += 1
+                    assert glue_level_maps(
+                        index, value, slot_map.images, subs
+                    ) == glue_by_subtree_rows(*spec.orient(a, b), slot_map, subs)
+            listed += count(a, b)
+        assert glued == listed > 100
+
+
+def glue_by_subtree_rows(
+    dom: LevelTree, cod: LevelTree, child_of, subs
+) -> tuple[tuple[int, ...], ...]:
+    """Reference for :func:`glue_level_maps`: the level maps of the tree
+    map ``dom -> cod`` that sends the root to the root and the subtree over
+    ``(1, j)`` into the one over ``(1, child_of(j))`` by ``subs[j]``, read
+    through the subtree rows of both trees."""
+    level_maps: list[tuple[int, ...]] = [(0,)]
+    for n, (sizes, there) in enumerate(_glue_rows(dom, cod, len(subs))):
+        row: list[int] = []
+        for j, sub in enumerate(subs):
+            rows = there[child_of(j)]
+            local = sub[min(n, len(sub) - 1)]
+            row.extend(rows[local[t]] for t in range(sizes[j]))
+        level_maps.append(tuple(row))
+    return tuple(level_maps)
+
+
+def _glue_rows(dom: LevelTree, cod: LevelTree, children: int) -> tuple:
+    """Per level ``1..``: the sizes of the first ``children`` subtrees over
+    the root's children of ``dom``, and the vertices of each subtree over a
+    root child of ``cod``; ``dom`` must list each level subtree by subtree."""
+    dom_rows = [subtree_rows(dom, (1, j)) for j in range(children)]
+    cod_rows = [subtree_rows(cod, (1, j)) for j in range(cod.level_size(1))]
+    table = []
+    for lvl in range(1, max(dom.depth, cod.depth) + 1):
+        here = [rows[min(lvl, dom.depth) - 1] for rows in dom_rows]
+        assert [v for part in here for v in part] == list(range(dom.level_size(lvl)))
+        there = tuple(rows[min(lvl, cod.depth) - 1] for rows in cod_rows)
+        table.append((tuple(len(part) for part in here), there))
+    return tuple(table)

@@ -173,6 +173,23 @@ def xi_mor_by_restriction(m: LabeledTreeMor) -> ITreeMor:
     return ITreeMor(dom_obj, cod_obj, m.alphas[0][0], kids)
 
 
+def xi_mor_by_restricted_ends(flavor: str, f: TreeMap, slots, x: Vertex) -> ITreeMor:
+    """Reference for ``labeled._xi_mor``: the reading between the subtrees
+    over ``x`` and ``f(x)``, each end restricted and read by ``xi_obj``,
+    its component read off the slots of ``x``'s children."""
+    orient = FLAVORS[flavor].orient
+    here = labeled.xi_obj(flavor, restrict(f.dom, x))
+    there = labeled.xi_obj(flavor, restrict(f.cod, f(x)))
+    if there.is_trivial:
+        return marker(*orient(here, there))
+    n, i = x
+    kids = tuple(
+        xi_mor_by_restricted_ends(flavor, f, slots, (n + 1, j))
+        for j in fibers(f.dom, n)[i]
+    )
+    return ITreeMor(*orient(here, there), labeled._component(flavor, slots[n][i]), kids)
+
+
 DEEP_TREE = make_level_tree(
     (1, 3, 6, 9, 10),
     (
@@ -876,6 +893,23 @@ class TestXiMorphisms:
             for b in zoo:
                 for m in enumerate_labeled_mors(a, b):
                     assert xi_mor(m) == xi_mor_by_restriction(m)
+
+    @pytest.mark.parametrize(
+        "flavor, max_root", [(INTERVAL, 4), (ORDINAL, 3)], ids=[INTERVAL, ORDINAL]
+    )
+    def test_read_through_the_children_as_through_restricted_ends(
+        self, flavor, max_root
+    ):
+        zoo = enumerate_cropped_trees(flavor, 3, max_root)
+        read = 0
+        for a, b in product(zoo, repeat=2):
+            for m in enumerate_labeled_mors(a, b):
+                read += 1
+                reference = xi_mor_by_restricted_ends(
+                    flavor, m.tree_map, m.slots, (0, 0)
+                )
+                assert labeled.xi_mor(flavor, m) == reference
+        assert read == 5463
 
     def test_interval_hom_sets_match_inductive_hom_sets(self):
         zoo = enumerate_cropped_trees(INTERVAL, 2, 3)

@@ -370,7 +370,7 @@ def root_map_count(grid):
 
     @cache
     def count(a, b) -> int:
-        spec, index, value = grid(a, b)
+        spec, index, value, _ = grid(a, b)
         if not value:
             return 1
         if not index:
@@ -398,7 +398,8 @@ def tuple_trees(depth: int, width: int) -> list[tuple]:
 
 def _tuple_grid(flavor: str, a: tuple, b: tuple) -> tuple:
     spec = FLAVORS[flavor]
-    return spec, *spec.orient(a, b)
+    index, value = spec.orient(a, b)
+    return spec, index, value, lambda root: spec.orient(index, spec.routed(root, value))
 
 
 def tree_family(name: str) -> tuple:
@@ -456,3 +457,20 @@ class TestSlotRecursion:
         wide = wide_ordinal_tree(40)
         _, count = slot_recursion(itree._grid, itree.ITreeMor)
         assert count(wide, wide) == comb(81, 40)
+
+    def test_each_inductive_shape_is_routed_once(self, monkeypatch):
+        # Listing routes a root map's children through ``_child_ends``, the
+        # shape table each morphism's constructor reads: one routing a shape.
+        calls = []
+
+        def routed(spec, root_map, value_children, real=itree.Flavor.routed):
+            calls.append(root_map)
+            return real(spec, root_map, value_children)
+
+        monkeypatch.setattr(itree.Flavor, "routed", routed)
+        itree._child_ends.cache_clear()
+        enumerate_homs, _ = slot_recursion(itree._grid, itree.ITreeMor)
+        pool = enumerate_objects(ORDINAL, 2, 4)
+        listed = sum(len(enumerate_homs(a, b)) for a in pool for b in pool)
+        # Markers fill the table too, unrouted.
+        assert listed >= itree._child_ends.cache_info().misses >= len(calls) > 100

@@ -28,7 +28,9 @@ from theta_disk.omega import (
     EnrichedCell,
     comparison_L,
     compose_cells,
+    enriched_m_target,
     m_source,
+    m_target,
     promote_cell,
     psi_mor,
 )
@@ -323,6 +325,57 @@ def borrowed_dual(real):
     return dual
 
 
+def source_as_target(real):
+    """Corrupt ``enriched_m_source``: every m-source comes out as the
+    m-target."""
+    return enriched_m_target
+
+
+def composite_as_first(real):
+    """Corrupt ``compose_enriched``: every composite comes out as its first
+    factor ``alpha``."""
+    return lambda beta, alpha, m: alpha
+
+
+def never_an_identity(real):
+    """Corrupt ``demote_enriched``: no enriched cell is an identity."""
+    return lambda c: None
+
+
+def low_source_as_target(real):
+    """Corrupt ``m_source``: a source more than one dimension down comes
+    out as the target there."""
+
+    def source(c, m):
+        return m_target(c, m) if c.nominal_dim > m + 1 else real(c, m)
+
+    return source
+
+
+def proper_after_unit(real):
+    """Corrupt ``compose_cells``: a proper cell after an improper one (a
+    unit on its right) comes out as the improper one."""
+
+    def composite(beta, alpha, m):
+        if beta.is_proper and not alpha.is_proper:
+            return alpha
+        return real(beta, alpha, m)
+
+    return composite
+
+
+def proper_composite_as_first(real):
+    """Corrupt ``compose_cells``: a composite of two proper cells comes out
+    as its first factor ``alpha``, whose target is not the composite's."""
+
+    def composite(beta, alpha, m):
+        if beta.is_proper and alpha.is_proper:
+            return alpha
+        return real(beta, alpha, m)
+
+    return composite
+
+
 # Controls for laws that no seam reaches: the check, the ``verify`` global
 # to corrupt, the corruption of it and the law the check must fail.
 GLOBAL_CONTROLS = {
@@ -356,6 +409,37 @@ GLOBAL_CONTROLS = {
         "free_on_ograph_cells",
         without(-1, lambda g, n: g.vertices > 1),
         "bijective",
+    ),
+    "L-proper-count": (
+        check_L,
+        "demote_enriched",
+        never_an_identity,
+        "proper-count",
+    ),
+    "L-boundaries": (check_L, "enriched_m_source", source_as_target, "boundaries"),
+    "L-composition": (
+        check_L,
+        "compose_enriched",
+        composite_as_first,
+        "composition",
+    ),
+    "omega-laws-globularity": (
+        check_omega_laws,
+        "m_source",
+        low_source_as_target,
+        "globularity",
+    ),
+    "omega-laws-right-unit": (
+        check_omega_laws,
+        "compose_cells",
+        proper_after_unit,
+        "right-unit",
+    ),
+    "omega-laws-target-of-composite": (
+        check_omega_laws,
+        "compose_cells",
+        proper_composite_as_first,
+        "target-of-composite",
     ),
     "xi-object-surjectivity": (
         check_xi,
