@@ -268,10 +268,22 @@ def compose_glob_mors(g: GlobMor, f: GlobMor) -> GlobMor:
 
 def enumerate_glob_morphisms(x: GlobCard, y: GlobCard) -> list[GlobMor]:
     """All globular morphisms ``x -> y``, ordered lexicographically by
-    level maps (see :func:`search_maps`)."""
+    level maps (see :func:`search_maps`).
+
+    A morphism sends each cell to a cell of the same dimension that
+    reaches at least as high on both sides (see :func:`_reach`).  When
+    some cell of ``x`` has no such cell in ``y``, the list is empty and
+    no search runs; the test compares the two cardinals'
+    :func:`_reach_frontier` only."""
     if not x.gset.levels:
         return [GlobMor(x, y, ())]
     if len(x.gset.levels) > len(y.gset.levels):
+        return []
+    if not all(
+        any(a <= c and b <= d for c, d in cover)
+        for need, cover in zip(_reach_frontier(x), _reach_frontier(y))
+        for a, b in need
+    ):
         return []
     found = search_maps(x, range(y.gset.levels[0]), cells_by_ends(y))
     return [GlobMor(x, y, level_maps) for level_maps in found]
@@ -329,6 +341,56 @@ def cells_by_ends(
             cells.setdefault(ends, []).append(j)
         tables.append({ends: tuple(js) for ends, js in cells.items()})
     return tuple(tables)
+
+
+# One object per reach pair and per row of frontier pairs, shared by the
+# frontiers of every cardinal, which keeps their memo small.
+_SHARED: dict[tuple, tuple] = {}
+
+
+def _share(value: tuple) -> tuple:
+    return _SHARED.setdefault(value, value)
+
+
+def _reach(x: GlobCard) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """``[k][i]``: the highest dimension of a cell of ``x`` whose iterated
+    source at dimension ``k`` is cell ``(k, i)``, and the same for
+    iterated targets; each cell is its own iterated source and target.
+
+    A globular morphism commutes with iterated sources and targets and
+    keeps dimensions, so it sends each cell to one whose pair is at least
+    as high in both entries.  Computed top down, once per cardinal, by
+    the memoized :func:`_reach_frontier`, which keeps only what the test
+    of :func:`enumerate_glob_morphisms` reads.
+    """
+    gset = x.gset
+    reach = [[[k, k] for _ in range(size)] for k, size in enumerate(gset.levels)]
+    for k in range(gset.dim, 0, -1):
+        for i, (s, t) in enumerate(zip(gset.src[k - 1], gset.tgt[k - 1])):
+            high_s, high_t = reach[k][i]
+            below_s, below_t = reach[k - 1][s], reach[k - 1][t]
+            below_s[0] = max(below_s[0], high_s)
+            below_t[1] = max(below_t[1], high_t)
+    return tuple(tuple(_share(tuple(p)) for p in level) for level in reach)
+
+
+@lru_cache(maxsize=None)
+def _reach_frontier(x: GlobCard) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """Per dimension, the :func:`_reach` pairs of ``x`` that no other pair
+    of that dimension matches or exceeds in both entries, ascending.  Each
+    pair of the dimension is at most one of these, so a map into ``y``
+    meets every pair of ``x`` iff each of these is at most a pair of
+    ``y``'s frontier in both entries."""
+    return tuple(
+        _share(
+            tuple(
+                p
+                for p in sorted(set(level))
+                if not any(q != p and q[0] >= p[0] and q[1] >= p[1] for q in level)
+            )
+        )
+        for level in _reach(x)
+    )
 
 
 @lru_cache(maxsize=None)

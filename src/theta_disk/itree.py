@@ -206,10 +206,11 @@ _MARKER_RULE = (
 
 @lru_cache(maxsize=None)
 def _child_ends(dom: ITreeObj, cod: ITreeObj, root_map: OrdMap | None) -> tuple:
-    """``(domains, codomains)`` of the children of a morphism of this shape,
-    after every check that depends only on the shape.  The index end's
-    side is its own ``children`` tuple, the other the routed value-end
-    children."""
+    """``(root_map, domains, codomains)``: the root map, as the router of
+    ``slot_recursion`` hands it on, and the ends of the children of a
+    morphism of this shape, after every check that depends only on the
+    shape.  The index end's side is its own ``children`` tuple, the other
+    the routed value-end children."""
     if dom.flavor != cod.flavor:
         raise ValueError("morphism ends must share a flavor")
     spec = FLAVORS[dom.flavor]
@@ -217,7 +218,7 @@ def _child_ends(dom: ITreeObj, cod: ITreeObj, root_map: OrdMap | None) -> tuple:
     if root_map is None:
         if not value.is_trivial:
             raise ValueError(_MARKER_RULE)
-        return (), ()
+        return None, (), ()
     if index.is_trivial or value.is_trivial:
         raise ValueError(
             "morphisms touching the trivial object use the marker form"
@@ -226,7 +227,8 @@ def _child_ends(dom: ITreeObj, cod: ITreeObj, root_map: OrdMap | None) -> tuple:
         raise ValueError("root map has the wrong ends")
     if dom.flavor == INTERVAL:
         require_interval(root_map)
-    return spec.orient(index.children, tuple(spec.routed(root_map, value.children)))
+    routed = tuple(spec.routed(root_map, value.children))
+    return root_map, *spec.orient(index.children, routed)
 
 
 class ITreeMor(tuple):
@@ -257,7 +259,7 @@ class ITreeMor(tuple):
 
     def __post_init__(self) -> None:
         dom, cod, root_map, children = self
-        doms, cods = _child_ends(dom, cod, root_map)
+        _, doms, cods = _child_ends(dom, cod, root_map)
         if len(children) != len(doms):
             if root_map is None:
                 raise ValueError(_MARKER_RULE)

@@ -497,21 +497,27 @@ def count_labeled_mors(a: LabeledTree, b: LabeledTree) -> int:
 @lru_cache(maxsize=None)
 def _grid(flavor: str, a: LevelTree, b: LevelTree) -> tuple:
     """The flavor of ``a -> b``, the root-child subtrees of its index and
-    value ends, and their router; memoized per pair, for ``_glue`` reads
-    it for every glued map."""
+    value ends, and their router, which hands ``_glue`` the value child
+    of each index child; memoized per pair, for ``_glue`` reads it for
+    every glued map."""
     spec = FLAVORS[flavor]
     index, value = (
         tuple([restrict(t, (1, i)) for i in range(t.levels[1])]) if t.depth else ()
         for t in spec.orient(a, b)
     )
-    return spec, index, value, lambda root: spec.orient(index, spec.routed(root, value))
+
+    def route(root):
+        slots = spec.slot_map(root).images
+        return slots, *spec.orient(index, [value[j] for j in slots])
+
+    return spec, index, value, route
 
 
-def _glue(flavor: str, a: LevelTree, b: LevelTree, root, subs) -> LevelMaps:
+def _glue(flavor: str, a: LevelTree, b: LevelTree, slots, subs) -> LevelMaps:
     spec, index, value, _ = _grid(flavor, a, b)
-    if root is None:
+    if slots is None:
         return tuple((0,) * size for size in spec.orient(a, b)[0].levels)
-    return glue_level_maps(index, value, spec.slot_map(root).images, subs)
+    return glue_level_maps(index, value, slots, subs)
 
 
 # Per flavor, ``(enumerate, count)`` of the level maps of the morphisms

@@ -27,9 +27,11 @@ search of ``globular.search_maps``), and ``hom_graph_count`` counts them
 without listing.
 
 Cells and enriched cells are interned, so the work on them is memoized
-per distinct value: boundaries, composites (``_composite``, one per
-composable triple, on top of ``_glue``, one per shape triple) and the
-comparison ``comparison_L``.
+per distinct value: each cell's m-sources and m-targets (``m_source``
+and ``m_target``, one lookup each, on top of ``_face``, one face
+inclusion per shape, dimension and side), composites (``_composite``,
+one per composable triple, on top of ``_glue``, one per shape triple)
+and the comparison ``comparison_L``.
 """
 
 from __future__ import annotations
@@ -138,11 +140,12 @@ def enumerate_cells(x: GlobCard, n: int) -> tuple[Cell, ...]:
     return tuple(out)
 
 
+@lru_cache(maxsize=None)
 def _face(shape: GlobCard, m: int, least: bool) -> GlobMor:
     """The inclusion of the m-source (``least``) or m-target of a shape:
     every cell below dimension ``m`` and the least or greatest cell of
     each band at ``m``.  A shape of dimension at most ``m`` is its own
-    m-boundary."""
+    m-boundary.  Built once per shape, dimension and side."""
     if m >= shape.dim:
         return identity_glob_mor(shape)
     keep = [range(size) for size in shape.gset.levels[:m]]
@@ -154,7 +157,6 @@ def _face(shape: GlobCard, m: int, least: bool) -> GlobMor:
     return sub_globcard(shape, keep)[1]
 
 
-@lru_cache(maxsize=None)
 def _boundary(c: Cell, m: int, least: bool) -> Cell:
     if not 0 <= m < c.nominal_dim:
         raise ValueError("boundary dimension out of range")
@@ -162,14 +164,16 @@ def _boundary(c: Cell, m: int, least: bool) -> Cell:
     return Cell(c.base, incl.dom, compose_glob_mors(c.map, incl), m)
 
 
+@lru_cache(maxsize=None)
 def m_source(c: Cell, m: int) -> Cell:
     """The m-dimensional source: least cell of each band at level ``m``."""
-    return _boundary(c, m, least=True)
+    return _boundary(c, m, True)
 
 
+@lru_cache(maxsize=None)
 def m_target(c: Cell, m: int) -> Cell:
     """The m-dimensional target: greatest cell of each band at level ``m``."""
-    return _boundary(c, m, least=False)
+    return _boundary(c, m, False)
 
 
 def compose_cells(beta: Cell, alpha: Cell, m: int) -> Cell:
@@ -235,9 +239,9 @@ def _glue(
     that they share their objects and are glued pairwise at ``m - 1``.
     """
     if y.dim <= m:
-        return z, _face(z, m, least=True), identity_glob_mor(z)
+        return z, _face(z, m, True), identity_glob_mor(z)
     if z.dim <= m:
-        return y, identity_glob_mor(y), _face(y, m, least=False)
+        return y, identity_glob_mor(y), _face(y, m, False)
     ys = [c for c, _ in desuspend(y)]
     zs = [c for c, _ in desuspend(z)]
     if m == 0:

@@ -420,9 +420,10 @@ def slot_recursion(grid, build):
     """``hom_recursion`` for trees: ``grid(a, b)`` gives the flavor of
     ``a -> b`` (an ``itree.Flavor``), the children of its index and value
     ends, none at a trivial end, and a router.  ``route(root_map)`` is the
-    ``(domains, codomains)`` of the root map's child morphisms, index child
-    ``i`` paired with value child ``s(i)`` for the slot map ``s``.  Root
-    maps are listed lazily and each is routed once, by the grid's router;
+    outer value that ``build`` receives for the root map, then the
+    ``(domains, codomains)`` of its child morphisms, index child ``i``
+    paired with value child ``s(i)`` for the slot map ``s``.  Root maps
+    are listed lazily and each is routed once, by the grid's router;
     the count sums ``prod_i c(i, s(i))`` over interval maps ``s`` by prefix
     sums instead, and routes nothing."""
 
@@ -434,7 +435,8 @@ def slot_recursion(grid, build):
             return []
         roots = [Ordinal(len(end) - 1 - spec.extra_slot) for end in (index, value)]
         return (
-            (root, zip(*route(root))) for root in spec.root_maps(*spec.orient(*roots))
+            (outer, zip(doms, cods))
+            for outer, doms, cods in map(route, spec.root_maps(*spec.orient(*roots)))
         )
 
     @lru_cache(maxsize=None)

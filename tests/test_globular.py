@@ -12,6 +12,7 @@ from itertools import permutations, product
 import pytest
 
 import theta_disk
+from theta_disk import globular
 from theta_disk.globular import (
     ARROW_CARDINAL,
     EMPTY_CARDINAL,
@@ -20,6 +21,7 @@ from theta_disk.globular import (
     GlobMor,
     GlobSet,
     _linear_order,
+    _reach,
     cells_by_ends,
     compose_glob_mors,
     desuspend,
@@ -27,6 +29,7 @@ from theta_disk.globular import (
     enumerate_glob_morphisms,
     identity_glob_mor,
     linearize,
+    search_maps,
     sub_globcard,
     suspend_gc,
     suspend_gc_mor,
@@ -52,6 +55,24 @@ def whisker() -> GlobCard:
     return GlobCard(
         GlobSet((3, 3, 1), ((0, 0, 1), (0,)), ((1, 1, 2), (1,)))
     )
+
+
+def reverse_whisker() -> GlobCard:
+    """A plain arrow followed by a 2-cell."""
+    return GlobCard(
+        GlobSet((3, 3, 1), ((0, 1, 1), (1,)), ((1, 2, 2), (2,)))
+    )
+
+
+def searched_glob_morphisms(x: GlobCard, y: GlobCard) -> list[GlobMor]:
+    """The morphisms ``x -> y`` as ``search_maps`` lists them, with only
+    the dimension test before it and no reach test."""
+    if not x.gset.levels:
+        return [GlobMor(x, y, ())]
+    if len(x.gset.levels) > len(y.gset.levels):
+        return []
+    found = search_maps(x, range(y.gset.levels[0]), cells_by_ends(y))
+    return [GlobMor(x, y, level_maps) for level_maps in found]
 
 
 def is_incremental(values) -> bool:
@@ -353,6 +374,56 @@ class TestGlobMor:
     def test_serialization(self):
         f = enumerate_glob_morphisms(ARROW_CARDINAL, chain2())[0]
         assert GlobMor.from_dict(f.to_dict()) == f
+
+
+class TestReach:
+    def test_whisker_reach(self):
+        # Object 0 is the iterated source of the 2-cell and the target of
+        # nothing; 1-cell 2 is its own source and target only.
+        x = whisker()
+        assert _reach(x) == (
+            ((2, 0), (1, 2), (0, 1)),
+            ((2, 1), (1, 2), (1, 1)),
+            ((2, 2),),
+        )
+        frontier = globular._reach_frontier(x)
+        assert frontier == (((1, 2), (2, 0)), ((1, 2), (2, 1)), ((2, 2),))
+        assert globular._reach_frontier(x) is frontier
+
+    def test_settles_the_reversed_whisker(self, monkeypatch):
+        # Both have cells in every dimension, but the 2-cell's gap of the
+        # whisker has no gap before it in the reversed whisker.
+        monkeypatch.setattr(globular, "search_maps", None)
+        assert enumerate_glob_morphisms(whisker(), reverse_whisker()) == []
+        assert enumerate_glob_morphisms(reverse_whisker(), whisker()) == []
+
+    @pytest.mark.parametrize(
+        "vertices, dim, settled",
+        [(9, 9, 196), (7, 3, 20)],
+        ids=["vertices9", "vertices7-dim3"],
+    )
+    def test_settles_only_empty_pairs_and_before_the_search(
+        self, monkeypatch, vertices, dim, settled
+    ):
+        cards = [gamma_prime(g) for g in enumerate_ographs(vertices, dim)]
+        searched = []
+
+        def search(x, *args, real=search_maps):
+            searched.append(x)
+            return real(x, *args)
+
+        monkeypatch.setattr(globular, "search_maps", search)
+        unsearched = 0
+        for x in cards:
+            for y in cards:
+                expected = searched_glob_morphisms(x, y)
+                before = len(searched)
+                assert enumerate_glob_morphisms(x, y) == expected
+                fits = 0 < len(x.gset.levels) <= len(y.gset.levels)
+                if fits and len(searched) == before:
+                    assert expected == []
+                    unsearched += 1
+        assert unsearched == settled
 
 
 class TestInterning:

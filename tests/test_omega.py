@@ -69,6 +69,7 @@ from theta_disk.omega import (
     psi_obj,
 )
 from theta_disk.ordinal import _InternTable
+from theta_disk.verify import _graph_cells, parse_bounds
 
 ARROW_OGRAPH = OGraph(2, (POINT_OGRAPH,))
 CHAIN2_OGRAPH = OGraph(3, (POINT_OGRAPH, POINT_OGRAPH))
@@ -89,6 +90,28 @@ def total_cell(x: GlobCard, n: int | None = None) -> Cell:
     """The cell whose shape is the whole base."""
     dim = x.dim if n is None else n
     return Cell(x, x, identity_glob_mor(x), dim)
+
+
+def reference_boundary(c: Cell, m: int, least: bool) -> Cell:
+    """The m-source (``least``) or m-target of a cell, cut out of its shape
+    by ``sub_globcard``: every cell below dimension ``m`` and, of the
+    dimension-``m`` cells with the same ends, the lowest or highest
+    numbered.  A shape of dimension at most ``m`` is kept whole."""
+    levels = c.shape.gset.levels
+    if m >= len(levels) - 1:
+        return Cell(c.base, c.shape, c.map, m)
+    if m == 0:
+        bands = {(): list(range(levels[0]))}
+    else:
+        bands = {}
+        ends = zip(c.shape.gset.src[m - 1], c.shape.gset.tgt[m - 1])
+        for i, pair in enumerate(ends):
+            bands.setdefault(pair, []).append(i)
+    pick = min if least else max
+    keep = [range(size) for size in levels[:m]]
+    keep.append([pick(band) for band in bands.values()])
+    face, incl = sub_globcard(c.shape, keep)
+    return Cell(c.base, face, compose_glob_mors(c.map, incl), m)
 
 
 def between_rows(
@@ -141,8 +164,8 @@ def raw_glue(
     """Reference gluing: the cells of ``y`` keep their indices, the cells
     of ``z`` off the shared m-boundary follow them in order, and the raw
     globular set is renumbered along its linear order."""
-    keep_y = omega._face(y, m, least=False).level_maps
-    keep_z = omega._face(z, m, least=True).level_maps
+    keep_y = omega._face(y, m, False).level_maps
+    keep_z = omega._face(z, m, True).level_maps
     depth = max(len(y.gset.levels), len(z.gset.levels))
     missing = depth - len(y.gset.levels)
     levels = list(y.gset.levels) + [0] * missing
@@ -372,11 +395,28 @@ class TestEnumerateCells:
 
 class TestBoundaries:
     def test_range_errors(self):
+        # A boundary that fails is not stored, so it fails on every call.
         c = total_cell(ARROW)
-        with pytest.raises(ValueError):
-            m_source(c, 1)
-        with pytest.raises(ValueError):
-            m_target(c, -1)
+        for boundary, m in product((m_source, m_target), (1, 2, -1)):
+            for _ in range(2):
+                with pytest.raises(ValueError, match="out of range"):
+                    boundary(c, m)
+
+    @pytest.mark.parametrize(
+        "bounds, boundaries",
+        [("vertices=7,dim=3", 347), ("vertices=9,dim=2", 497)],
+    )
+    def test_boundaries_match_the_faces_cut_by_sub_globcard(
+        self, bounds, boundaries
+    ):
+        checked = 0
+        for _, n, cells in _graph_cells(parse_bounds(bounds), 1):
+            for c in cells:
+                for m in range(n):
+                    assert m_source(c, m) is reference_boundary(c, m, True)
+                    assert m_target(c, m) is reference_boundary(c, m, False)
+                    checked += 1
+        assert checked == boundaries
 
     def test_degenerate_boundary_is_underlying_cell(self):
         c = total_cell(ARROW)
@@ -572,8 +612,8 @@ class TestCompose:
         ]
         glued = 0
         for y, z in product(shapes, repeat=2):
-            target = omega._face(y, m, least=False).dom
-            if target is omega._face(z, m, least=True).dom:
+            target = omega._face(y, m, False).dom
+            if target is omega._face(z, m, True).dom:
                 assert omega._glue(y, z, m) == raw_glue(y, z, m)
                 glued += 1
         assert glued > len(shapes)

@@ -399,7 +399,10 @@ def tuple_trees(depth: int, width: int) -> list[tuple]:
 def _tuple_grid(flavor: str, a: tuple, b: tuple) -> tuple:
     spec = FLAVORS[flavor]
     index, value = spec.orient(a, b)
-    return spec, index, value, lambda root: spec.orient(index, spec.routed(root, value))
+    return spec, index, value, lambda root: (
+        root,
+        *spec.orient(index, spec.routed(root, value)),
+    )
 
 
 def tree_family(name: str) -> tuple:

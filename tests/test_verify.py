@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+from itertools import product
 
 import pytest
 
@@ -23,12 +24,13 @@ from theta_disk.labeled import (
     xi_interval,
     xi_inverse,
 )
-from theta_disk.ograph import EMPTY_OGRAPH, gamma
+from theta_disk.ograph import EMPTY_OGRAPH, gamma, gamma_prime
 from theta_disk.omega import (
     EnrichedCell,
     comparison_L,
     compose_cells,
     enriched_m_target,
+    enumerate_cells,
     m_source,
     m_target,
     promote_cell,
@@ -376,6 +378,21 @@ def proper_composite_as_first(real):
     return composite
 
 
+def proper_after_smaller_as_first(real):
+    """Corrupt ``compose_cells``: a proper cell after a proper cell of a
+    smaller shape comes out as that first factor ``alpha``.  For three
+    proper cells of one shape, ``(gamma after beta) after alpha`` is such
+    a composite and ``gamma after (beta after alpha)`` is not."""
+
+    def composite(beta, alpha, m):
+        proper = beta.is_proper and alpha.is_proper
+        if proper and beta.shape.size() > alpha.shape.size():
+            return alpha
+        return real(beta, alpha, m)
+
+    return composite
+
+
 # Controls for laws that no seam reaches: the check, the ``verify`` global
 # to corrupt, the corruption of it and the law the check must fail.
 GLOBAL_CONTROLS = {
@@ -429,6 +446,12 @@ GLOBAL_CONTROLS = {
         low_source_as_target,
         "globularity",
     ),
+    "omega-laws-associativity": (
+        check_omega_laws,
+        "compose_cells",
+        proper_after_smaller_as_first,
+        "associativity",
+    ),
     "omega-laws-right-unit": (
         check_omega_laws,
         "compose_cells",
@@ -460,6 +483,29 @@ GLOBAL_CONTROLS = {
         "duality-square",
     ),
 }
+
+
+# The bounds of a control whose law ``Bounds()`` never tests on the cells
+# the corruption changes: at the defaults no associativity check composes
+# three proper cells (see ``TestNegativeControls``).
+CONTROL_BOUNDS = {"omega-laws-associativity": parse_bounds("vertices=9,dim=2")}
+
+
+def proper_triples(bounds: Bounds) -> int:
+    """The triples of proper cells, each composable after the one before
+    along some dimension, over the cardinals of the ``ograph`` pool."""
+    found = 0
+    for g in verify.POOLS["ograph"](bounds):
+        x = gamma_prime(g)
+        for n in range(1, bounds.max_dim + 1):
+            proper = [c for c in enumerate_cells(x, n) if c.is_proper]
+            for m in range(n):
+                found += sum(
+                    m_target(a, m) == m_source(b, m)
+                    and m_target(b, m) == m_source(c, m)
+                    for a, b, c in product(proper, repeat=3)
+                )
+    return found
 
 
 class TestBounds:
@@ -729,11 +775,19 @@ class TestNegativeControls:
     @pytest.mark.parametrize("control", sorted(GLOBAL_CONTROLS))
     def test_corrupted_global_fails_its_law(self, monkeypatch, control):
         check, name, corrupt, law = GLOBAL_CONTROLS[control]
-        assert check(Bounds()).passed
+        bounds = CONTROL_BOUNDS.get(control, Bounds())
+        assert check(bounds).passed
         monkeypatch.setattr(verify, name, corrupt(getattr(verify, name)))
-        report = check(Bounds())
+        report = check(bounds)
         assert not report.passed
         assert report.counterexample["law"] == law
+
+    def test_associativity_composes_proper_cells_only_above_the_defaults(self):
+        assert proper_triples(Bounds()) == 0
+        assert proper_triples(CONTROL_BOUNDS["omega-laws-associativity"]) == 13
+        # So the control's corruption goes unseen there.
+        corrupt = proper_after_smaller_as_first(compose_cells)
+        assert check_omega_laws(Bounds(), compose_fn=corrupt).passed
 
 
 class TestPools:
