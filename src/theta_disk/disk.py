@@ -5,9 +5,10 @@ by their interval order, and the fibers of a level are concatenated in the
 order of their parent vertices, so the parent maps are monotone and the
 endpoint sections are simply the first and last element of each fiber.
 Structural equality of the canonical form then decides disk isomorphism.
-Fibers are read from the tree's shared table ``forest.fibers``, and a
-disk is built from the disks over its root's children by grafting their
-trees onto a new root (``forest.graft``).
+Fibers are read through ``forest.fibers`` and their sizes through
+``forest.fiber_sizes``, and a disk is built from the disks over its
+root's children by grafting their trees onto a new root
+(``forest.graft``).
 
 A disk is the cropped interval tree on its tree (see
 :mod:`theta_disk.labeled`), whose labels are its fiber sizes, so its
@@ -40,8 +41,8 @@ from theta_disk.forest import (
     LevelTree,
     TreeMap,
     compose_tree_maps,
+    fiber_sizes,
     fiber_slots,
-    fibers,
     graft,
     identity_tree_map,
 )
@@ -67,15 +68,18 @@ class Disk:
     def is_trivial(self) -> bool:
         return self.degree == 0
 
+    @property
+    def fiber_sizes(self) -> tuple[tuple[int, ...], ...]:
+        """``[n][i]``: the size of the fiber over vertex ``(n, i)``, for
+        every level below the degree."""
+        return tuple(tuple(fiber_sizes(self.tree, n)) for n in range(self.degree))
+
     def to_dict(self) -> dict:
         return {
             "kind": "disk",
             "levels": list(self.tree.levels),
             "parents": [list(p) for p in self.tree.parents],
-            "fiber_sizes": [
-                [len(fib) for fib in fibers(self.tree, n)]
-                for n in range(self.degree)
-            ],
+            "fiber_sizes": [list(row) for row in self.fiber_sizes],
         }
 
     @staticmethod
@@ -83,10 +87,7 @@ class Disk:
         d = Disk(LevelTree.from_dict(data, "disk"))
         if "fiber_sizes" in data:
             declared = json_field(data, "disk", "fiber_sizes", depth=2)
-            actual = tuple(
-                tuple(len(fib) for fib in fibers(d.tree, n)) for n in range(d.degree)
-            )
-            if declared != actual:
+            if declared != d.fiber_sizes:
                 raise ValueError("declared fiber sizes disagree with parents")
         return d
 

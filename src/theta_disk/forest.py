@@ -12,16 +12,19 @@ modules that add interval structure on fibers.
 
 Level trees are interned (see :class:`theta_disk.ordinal.Interned`):
 equal trees are one object, so each is validated once and stores its
-depth once, and its fiber table :func:`fibers`, the one reader of a
-vertex's children, its subtree rows and restrictions are computed once
-and kept for the life of the process.  :func:`graft` builds a tree from
-the trees over its root's children, the suspension of their coproduct,
-in one step: each level lists the children's rows as consecutive
-blocks.  :func:`glue_level_maps` glues a tree map between grafted trees
-from maps between their children, shifting each by its target's block
-offset.  Tree maps keep value equality and are not interned; a tree map
-commutes with the parent maps when, at each level, the parent row of
-the images equals the image of the parent row.
+depth once.  :func:`fibers` is the one reader of a vertex's children;
+its table is computed once per tree and level and kept for the life of
+the process.  :func:`fiber_sizes` counts the same children without
+listing or keeping them.  :func:`graft` builds a tree from the trees
+over its root's children, the suspension of their coproduct, in one
+step: each level lists the children's rows as consecutive blocks.
+:func:`restrict` is its inverse and the one place a tree is taken
+apart, kept once per tree.  :func:`glue_level_maps` glues a tree map
+between grafted trees from maps between their children, shifting each
+by where its target's block starts in the value tree.  Tree maps keep
+value equality and are not interned; a tree map commutes with the
+parent maps when, at each level, the parent row of the images equals
+the image of the parent row.
 
 The interval structures built on these trees -- disks and cropped labeled
 trees -- number each fiber consecutively in parent order, and their
@@ -118,6 +121,19 @@ def fibers(a: LevelTree, level: int) -> tuple[tuple[int, ...], ...]:
     return tuple(map(tuple, table))
 
 
+def fiber_sizes(a: LevelTree, level: int) -> list[int]:
+    """``[i]``: the number of children of vertex ``(level, i)``, the
+    lengths of :func:`fibers` counted off the same parent row.  Nothing is
+    listed or kept: trees that are only checked or labeled, most of those
+    a cropped-tree listing builds, need no fiber table."""
+    if level >= a.depth:
+        return [1] * a.level_size(level)
+    sizes = [0] * a.levels[level]
+    for p in a.parents[level]:
+        sizes[p] += 1
+    return sizes
+
+
 def make_level_tree(
     levels: tuple[int, ...], parents: tuple[tuple[int, ...], ...]
 ) -> LevelTree:
@@ -135,46 +151,34 @@ POINT_TREE = LevelTree((1,), ())
 
 
 @lru_cache(maxsize=None)
-def subtree_rows(a: LevelTree, x: Vertex) -> tuple[tuple[int, ...], ...]:
-    """Per-level original indices of the subtree over ``x`` (stored part).
+def restrict(a: LevelTree) -> tuple[LevelTree, ...]:
+    """The trees over the vertices of level 1, in order, each truncated at
+    its own degree; none on a tree of depth 0.  Computed once per tree.
 
-    ``rows[k]`` lists the descendants of ``x`` at level ``x[0] + k``.
-    Vertices beyond the stored depth belong to the implicit chain
-    continuation, so their subtree is a single chain.  The rows are
-    computed once per tree and vertex and shared, hence tuples.
+    It inverts :func:`graft`: ``restrict(graft(ts))`` is ``ts`` for any
+    trees but a lone point, and ``graft(restrict(t))`` is ``t`` for a tree
+    of positive depth that stores its fibers in parent order.  One walk
+    down the levels carries, per vertex, the level-1 vertex over which it
+    lies and its index in that vertex's tree, so it takes apart trees that
+    store their fibers in any order.
     """
-    n, i = x
-    if not (0 <= n and 0 <= i < a.level_size(n)):
-        raise ValueError(f"unknown vertex {x}")
-    if n >= a.depth:
-        return ((i,),)
-    keep = [(i,)]
-    for lvl in range(n, a.depth):
-        table = fibers(a, lvl)
-        keep.append(tuple(sorted(j for p in keep[-1] for j in table[p])))
-    return tuple(keep)
-
-
-def restrict(a: LevelTree, x: Vertex) -> LevelTree:
-    """The subtree rooted at vertex ``x``, re-truncated at its own degree.
-
-    Computed once per tree and vertex; the tree is interned.
-    """
-    return _restrict(a, x)
-
-
-@lru_cache(maxsize=None)
-def _restrict(a: LevelTree, x: Vertex) -> LevelTree:
-    keep = subtree_rows(a, x)
-    n = x[0]
-    levels = tuple(len(part) for part in keep)
-    parents = []
-    for lvl in range(1, len(keep)):
-        pos = {old: new for new, old in enumerate(keep[lvl - 1])}
-        parents.append(
-            tuple(pos[a.parents[n + lvl - 1][j]] for j in keep[lvl])
-        )
-    return make_level_tree(levels, tuple(parents))
+    kids = range(a.levels[1] if a.depth else 0)
+    owner, place = list(kids), [0] * len(kids)
+    parents: list[list[list[int]]] = [[] for _ in kids]
+    for pmap in a.parents[1:]:
+        rows: list[list[int]] = [[] for _ in kids]
+        next_owner, next_place = [], []
+        for p in pmap:
+            row = rows[owner[p]]
+            next_owner.append(owner[p])
+            next_place.append(len(row))
+            row.append(place[p])
+        owner, place = next_owner, next_place
+        for kid, row in zip(parents, rows):
+            kid.append(row)
+    return tuple(
+        make_level_tree((1, *map(len, rows)), rows) for rows in parents
+    )
 
 
 def graft(trees: Sequence[LevelTree]) -> LevelTree:
@@ -297,23 +301,23 @@ def compose_tree_maps(g: TreeMap, f: TreeMap) -> TreeMap:
 
 
 def glue_level_maps(
-    index: Sequence[LevelTree],
-    value: Sequence[LevelTree],
+    index: LevelTree,
+    value: LevelTree,
     slots: Sequence[int],
     subs: Sequence[LevelMaps],
 ) -> LevelMaps:
-    """The level maps of the tree map ``graft(index) -> graft(value)`` that
-    sends the root to the root and the tree ``index[j]`` into the tree
-    ``value[slots[j]]`` by the level maps ``subs[j]``.
+    """The level maps of the tree map ``index -> value`` that sends the
+    root to the root and the tree over index child ``j`` into the tree over
+    value child ``slots[j]`` by the level maps ``subs[j]``.
 
     Each row lists the children's maps in order, each shifted to where
-    its target's block starts, as :func:`graft` lays the blocks out.  Both
-    roots have at least two children, or one that is not a point, so that
-    ``graft`` stores the level below each root.
+    its target's block starts in ``value``, as :func:`graft` lays the
+    blocks out.  Neither tree is a point, so each stores the level below
+    its root.
     """
     level_maps: list[tuple[int, ...]] = [(0,)]
-    blocks = _block_starts(tuple(value))
-    for n in range(max([t.depth for t in (*index, *value)]) + 1):
+    blocks = _block_starts(value)
+    for n in range(max(index.depth, value.depth)):
         starts = blocks[min(n, len(blocks) - 1)]
         row: list[int] = []
         for j, sub in enumerate(subs):
@@ -323,11 +327,12 @@ def glue_level_maps(
 
 
 @lru_cache(maxsize=None)
-def _block_starts(trees: tuple[LevelTree, ...]) -> tuple[tuple[int, ...], ...]:
-    """``[n][k]``: where the level ``n`` block of ``trees[k]`` starts in the
-    level ``n + 1`` row of ``graft(trees)``, for every level the deepest
-    stores; below, each tree continues by chains.  Kept per tuple of trees."""
+def _block_starts(t: LevelTree) -> tuple[tuple[int, ...], ...]:
+    """``[n][k]``: where the level ``n`` block of the tree over root child
+    ``k`` starts in the level ``n + 1`` row of ``t``, for every level below
+    ``t``'s depth; each tree continues by chains.  Kept per tree."""
+    kids = restrict(t)
     return tuple(
-        tuple(accumulate([t.level_size(n) for t in trees], initial=0))
-        for n in range(max([t.depth for t in trees]) + 1)
+        tuple(accumulate([c.level_size(n) for c in kids], initial=0))
+        for n in range(t.depth)
     )

@@ -41,19 +41,19 @@ of the children onto a new root (``forest.graft``).
 
 Labeled trees are interned (see :class:`theta_disk.ordinal.Interned`),
 so each is validated once and equality is identity.  Everything that
-reads a cropped tree reads its level tree: the inductive-tree images
-(``xi_obj``, keyed by flavor and level tree) and the level maps and
-counts of the subtree hom-sets (``LEVEL_MAPS``: per flavor, the
-inductive trees' ``slot_recursion`` over the subtrees of the root's
-children) are memoized for the life of the process, as are the label of
-each fiber size and the components of each slot map.  A hom-set's
-root-child subtrees are read once per pair, and a level map is glued
-from its children's by the block offsets ``graft`` lays them out at
-(``forest.glue_level_maps``).  Disks are the interval case of all of
-these.  Morphisms are built afresh on every call, and only those
-returned are validated; the inductive-tree image of a morphism walks the
-children of the images of its ends, each child picked by the fiber
-slots its constructor keeps.
+reads a cropped tree reads its level tree, as its root fiber with the
+trees over the root's children (``forest.restrict``, kept once per
+tree): the inductive-tree images (``xi_obj``, keyed by flavor and level
+tree) and the level maps and counts of the subtree hom-sets
+(``LEVEL_MAPS``: per flavor, the inductive trees' ``slot_recursion``
+over those children) are memoized for the life of the process, as are
+the label of each fiber size and the components of each slot map.  A
+level map is glued from its children's by where ``graft`` starts the
+blocks of the value tree (``forest.glue_level_maps``).  Disks are the
+interval case of all of these.  Morphisms are built afresh on every
+call, and only those returned are validated; the inductive-tree image
+of a morphism walks the children of the images of its ends, each child
+picked by the fiber slots its constructor keeps.
 """
 
 from __future__ import annotations
@@ -69,6 +69,7 @@ from theta_disk.forest import (
     TreeMap,
     Vertex,
     compose_tree_maps,
+    fiber_sizes,
     fiber_slots,
     fibers,
     glue_level_maps,
@@ -130,7 +131,7 @@ def validate_cropped(tree: LevelTree) -> None:
             "invalid disk: level 0: the root fiber of a positive-degree "
             "disk has at least two elements"
         )
-    sizes = _fiber_sizes(tree)
+    sizes = [fiber_sizes(tree, n) for n in range(tree.depth + 1)]
     for n in range(1, tree.depth):
         if 0 in sizes[n]:
             raise ValueError(
@@ -149,19 +150,6 @@ def validate_cropped(tree: LevelTree) -> None:
                 f"are {_listed(singleton)} but the fiber endpoints from "
                 f"below are {_listed(ends)}"
             )
-
-
-def _fiber_sizes(tree: LevelTree) -> list[list[int]]:
-    """``[n][i]``: the number of children of stored vertex ``(n, i)``,
-    counted off the parent rows; one each at the stored depth."""
-    rows = []
-    for n, parents in enumerate(tree.parents):
-        sizes = [0] * tree.levels[n]
-        for p in parents:
-            sizes[p] += 1
-        rows.append(sizes)
-    rows.append([1] * tree.levels[-1])
-    return rows
 
 
 @dataclass(frozen=True, eq=False)
@@ -196,9 +184,12 @@ class LabeledTree(Interned):
 
     @cached_property
     def labels(self) -> tuple[tuple[Ordinal, ...], ...]:
-        """``[n][i]``: the label of stored vertex ``(n, i)``."""
+        """``[n][i]``: the label of stored vertex ``(n, i)``, read off the
+        size of its fiber."""
         root = partial(_root, self.flavor)
-        return tuple(tuple(map(root, row)) for row in _fiber_sizes(self.tree))
+        return tuple(
+            tuple(map(root, fiber_sizes(self.tree, n))) for n in range(self.depth + 1)
+        )
 
     def to_dict(self) -> dict:
         return {
@@ -391,7 +382,7 @@ def xi_obj(flavor: str, t: LevelTree) -> ITreeObj:
     labels are its fiber sizes; a disk's reading is the interval case."""
     if t.depth == 0:
         return trivial_obj(flavor)
-    kids = tuple(xi_obj(flavor, restrict(t, (1, j))) for j in range(t.levels[1]))
+    kids = tuple([xi_obj(flavor, c) for c in restrict(t)])
     return ITreeObj(flavor, _root(flavor, len(kids)), kids)
 
 
@@ -494,17 +485,12 @@ def count_labeled_mors(a: LabeledTree, b: LabeledTree) -> int:
     return LEVEL_MAPS[a.flavor][1](a.tree, b.tree)
 
 
-@lru_cache(maxsize=None)
 def _grid(flavor: str, a: LevelTree, b: LevelTree) -> tuple:
-    """The flavor of ``a -> b``, the root-child subtrees of its index and
-    value ends, and their router, which hands ``_glue`` the value child
-    of each index child; memoized per pair, for ``_glue`` reads it for
-    every glued map."""
+    """The flavor of ``a -> b``, the trees over the root's children of its
+    index and value ends (``forest.restrict``), and their router, which
+    hands ``_glue`` the value child of each index child."""
     spec = FLAVORS[flavor]
-    index, value = (
-        tuple([restrict(t, (1, i)) for i in range(t.levels[1])]) if t.depth else ()
-        for t in spec.orient(a, b)
-    )
+    index, value = map(restrict, spec.orient(a, b))
 
     def route(root):
         slots = spec.slot_map(root).images
@@ -514,9 +500,9 @@ def _grid(flavor: str, a: LevelTree, b: LevelTree) -> tuple:
 
 
 def _glue(flavor: str, a: LevelTree, b: LevelTree, slots, subs) -> LevelMaps:
-    spec, index, value, _ = _grid(flavor, a, b)
+    index, value = FLAVORS[flavor].orient(a, b)
     if slots is None:
-        return tuple((0,) * size for size in spec.orient(a, b)[0].levels)
+        return tuple((0,) * size for size in index.levels)
     return glue_level_maps(index, value, slots, subs)
 
 

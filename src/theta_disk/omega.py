@@ -330,24 +330,24 @@ free_on_ograph_cells = hom_recursion(
 )[0]
 
 
-def enriched_m_source(c: EnrichedCell, m: int) -> EnrichedCell:
+def _enriched_boundary(c: EnrichedCell, m: int, least: bool) -> EnrichedCell:
     if not 0 <= m < c.dim:
         raise ValueError("boundary dimension out of range")
     if m == 0:
-        return EnrichedCell(0, c.h, c.h)
-    return EnrichedCell(
-        m, c.h, c.k, tuple(enriched_m_source(p, m - 1) for p in c.parts)
-    )
+        end = c.h if least else c.k
+        return EnrichedCell(0, end, end)
+    parts = tuple(_enriched_boundary(p, m - 1, least) for p in c.parts)
+    return EnrichedCell(m, c.h, c.k, parts)
+
+
+def enriched_m_source(c: EnrichedCell, m: int) -> EnrichedCell:
+    """The m-dimensional source: the span's source end, or the parts'."""
+    return _enriched_boundary(c, m, True)
 
 
 def enriched_m_target(c: EnrichedCell, m: int) -> EnrichedCell:
-    if not 0 <= m < c.dim:
-        raise ValueError("boundary dimension out of range")
-    if m == 0:
-        return EnrichedCell(0, c.k, c.k)
-    return EnrichedCell(
-        m, c.h, c.k, tuple(enriched_m_target(p, m - 1) for p in c.parts)
-    )
+    """The m-dimensional target: the span's target end, or the parts'."""
+    return _enriched_boundary(c, m, False)
 
 
 def compose_enriched(

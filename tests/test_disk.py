@@ -29,7 +29,6 @@ from theta_disk.forest import (
     fibers,
     glue_level_maps,
     make_level_tree,
-    restrict,
 )
 from theta_disk.itree import (
     INTERVAL,
@@ -44,7 +43,12 @@ from theta_disk.itree import compose as compose_itree
 from theta_disk.labeled import enumerate_labeled_mors, xi_inverse
 from theta_disk.ordinal import OrdMap, Ordinal
 
-from tests.test_forest import EXAMPLE_LEVELS, EXAMPLE_PARENTS, restrict_map
+from tests.test_forest import (
+    EXAMPLE_LEVELS,
+    EXAMPLE_PARENTS,
+    restrict_at,
+    restrict_map,
+)
 from tests.test_labeled import accepts, brute_force_tree_maps
 
 
@@ -82,7 +86,7 @@ def brute_force_disk_morphisms(a: Disk, b: Disk) -> list[DiskMor]:
 
 def restrict_disk(d: Disk, i: int) -> Disk:
     """The disk over the ``i``-th element of the root fiber."""
-    return Disk(restrict(d.tree, (1, i)))
+    return Disk(restrict_at(d.tree, (1, i)))
 
 
 def restrict_disk_mor(f: DiskMor, i: int) -> DiskMor:

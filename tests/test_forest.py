@@ -16,6 +16,7 @@ from theta_disk.forest import (
     TreeMap,
     Vertex,
     compose_tree_maps,
+    fiber_sizes,
     fiber_slots,
     fibers,
     glue_level_maps,
@@ -23,7 +24,6 @@ from theta_disk.forest import (
     identity_tree_map,
     make_level_tree,
     restrict,
-    subtree_rows,
 )
 from theta_disk import labeled
 from theta_disk.itree import INTERVAL, ORDINAL
@@ -45,15 +45,46 @@ def example_tree() -> LevelTree:
     return LevelTree(EXAMPLE_LEVELS, EXAMPLE_PARENTS)
 
 
+def oracle_rows(a: LevelTree, x) -> list[list[int]]:
+    """Subtree rows recomputed from the parent maps alone."""
+    n, i = x
+    if n >= a.depth:
+        return [[i]]
+    rows = [[i]]
+    for lvl in range(n + 1, a.depth + 1):
+        rows.append([j for j, p in enumerate(a.parents[lvl - 1]) if p in rows[-1]])
+    return rows
+
+
+def oracle_restrict(a: LevelTree, x) -> tuple[tuple, tuple]:
+    """``(levels, parents)`` of the subtree over ``x``, truncated by hand."""
+    rows = oracle_rows(a, x)
+    levels = [len(row) for row in rows]
+    parents = [
+        tuple(rows[k - 1].index(a.parents[x[0] + k - 1][j]) for j in rows[k])
+        for k in range(1, len(rows))
+    ]
+    while parents and sorted(parents[-1]) == list(range(levels[-2])):
+        levels.pop()
+        parents.pop()
+    return tuple(levels), tuple(parents)
+
+
+def restrict_at(a: LevelTree, x: Vertex) -> LevelTree:
+    """Oracle: the subtree over any vertex ``x``, re-truncated at its own
+    degree."""
+    return make_level_tree(*oracle_restrict(a, x))
+
+
 def restrict_map(f: TreeMap, x: Vertex) -> TreeMap:
     """Oracle: the induced map between the subtree over ``x`` and the one
     over ``f(x)``, built and validated whole."""
     n = x[0]
     y = f(x)
-    sub_dom = restrict(f.dom, x)
-    sub_cod = restrict(f.cod, y)
-    keep_dom = subtree_rows(f.dom, x)
-    keep_cod = subtree_rows(f.cod, y)
+    sub_dom = restrict_at(f.dom, x)
+    sub_cod = restrict_at(f.cod, y)
+    keep_dom = oracle_rows(f.dom, x)
+    keep_cod = oracle_rows(f.cod, y)
     span = max(sub_dom.depth, sub_cod.depth) + 1
     maps = []
     for k in range(span):
@@ -146,73 +177,112 @@ class TestInterning:
         assert fibers(t, 7) is fibers(t, 7)
 
 
-def oracle_rows(a: LevelTree, x) -> list[list[int]]:
-    """Subtree rows recomputed from the parent maps alone."""
-    n, i = x
-    if n >= a.depth:
-        return [[i]]
-    rows = [[i]]
-    for lvl in range(n + 1, a.depth + 1):
-        rows.append([j for j, p in enumerate(a.parents[lvl - 1]) if p in rows[-1]])
-    return rows
+# Cropped trees of both flavors, 257 distinct level trees among them.
+CROPPED_POOLS = ((INTERVAL, 4, 4), (ORDINAL, 3, 4), (INTERVAL, 5, 3), (ORDINAL, 4, 3))
 
 
-def oracle_restrict(a: LevelTree, x) -> tuple[tuple, tuple]:
-    """``(levels, parents)`` of the subtree over ``x``, truncated by hand."""
-    rows = oracle_rows(a, x)
-    levels = [len(row) for row in rows]
-    parents = [
-        tuple(rows[k - 1].index(a.parents[x[0] + k - 1][j]) for j in rows[k])
-        for k in range(1, len(rows))
+def cropped_pool() -> list[LevelTree]:
+    """The distinct level trees of the cropped trees of ``CROPPED_POOLS``."""
+    trees = (t.tree for pool in CROPPED_POOLS for t in enumerate_cropped_trees(*pool))
+    return list(dict.fromkeys(trees))
+
+
+def assert_restrict_is_the_oracle(a: LevelTree) -> None:
+    """``restrict(a)`` is the oracle's subtree over each level-1 vertex."""
+    kids = restrict(a)
+    assert isinstance(kids, tuple)
+    assert len(kids) == (a.levels[1] if a.depth else 0)
+    for j, sub in enumerate(kids):
+        assert (sub.levels, sub.parents) == oracle_restrict(a, (1, j))
+
+
+# Fibers stored out of parent order, one of them empty.
+UNORDERED = LevelTree((1, 2, 3), ((0, 0), (1, 0, 0)))
+CHILDLESS = LevelTree((1, 3, 2), ((0, 0, 0), (2, 1)))
+BARE = LevelTree((1, 0), ((),))
+
+
+def shared_table_trees() -> list[LevelTree]:
+    """Disks, the example tree, and trees and forests of other shapes."""
+    return [d.tree for d in enumerate_disks(3, 3)] + [
+        example_tree(),
+        UNORDERED,
+        CHILDLESS,
+        LevelTree((2, 3), ((0, 1, 1),)),
+        BARE,
+        EMPTY_FOREST,
     ]
-    while parents and sorted(parents[-1]) == list(range(levels[-2])):
-        levels.pop()
-        parents.pop()
-    return tuple(levels), tuple(parents)
 
 
 class TestSharedTables:
-    def test_rows_and_restrictions_match_a_fresh_computation(self):
-        trees = [d.tree for d in enumerate_disks(3, 3)] + [
-            example_tree(),
-            LevelTree((1, 2, 3), ((0, 0), (1, 0, 0))),
-        ]
-        checked = 0
-        for a in trees:
-            beyond = [(a.depth + 1, i) for i in range(a.level_size(a.depth + 1))]
-            stored = [(n, i) for n, size in enumerate(a.levels) for i in range(size)]
-            for x in [*stored, *beyond]:
-                rows = subtree_rows(a, x)
-                assert isinstance(rows, tuple)
-                assert all(isinstance(row, tuple) for row in rows)
-                assert [list(row) for row in rows] == oracle_rows(a, x)
-                sub = restrict(a, x)
-                assert (sub.levels, sub.parents) == oracle_restrict(a, x)
-                assert restrict(a, x) is sub
-                checked += 1
-        assert checked > 80
+    def test_fiber_sizes_are_the_lengths_of_the_fibers(self):
+        for a in shared_table_trees():
+            for n in range(a.depth + 3):
+                assert fiber_sizes(a, n) == list(map(len, fibers(a, n)))
+
+    def test_restrictions_match_a_fresh_computation(self):
+        for a in shared_table_trees():
+            assert_restrict_is_the_oracle(a)
+            assert restrict(a) is restrict(a)
+        # Each vertex keeps its index order within the tree over its
+        # level-1 ancestor, and a childless level-1 vertex has the bare
+        # point over it.
+        fan = LevelTree((1, 2), ((0, 0),))
+        assert restrict(UNORDERED) == (fan, POINT_TREE)
+        assert restrict(CHILDLESS) == (BARE, POINT_TREE, POINT_TREE)
 
 
 class TestRestrict:
-    def test_restrict_at_root_is_identity(self):
-        t = example_tree()
-        assert restrict(t, (0, 0)) == t
-
     def test_restrict_example_subtree(self):
-        sub = restrict(example_tree(), (1, 1))
+        sub = restrict(example_tree())[1]
         assert sub.levels == (1, 4, 7, 8)
         assert sub.depth == 3
 
     def test_restrict_at_leaf_gives_chain(self):
-        t = example_tree()
-        for i in range(t.levels[-1]):
-            assert restrict(t, (t.depth, i)) == POINT_TREE
+        # The vertices of level 1 of a fan are leaves, the ends of the
+        # example tree's root fiber too; the tree over a leaf is a point.
+        fan = LevelTree((1, 3), ((0, 0, 0),))
+        assert restrict(fan) == (POINT_TREE,) * 3
+        t = restrict(example_tree())
+        assert (t[0], t[2]) == (POINT_TREE, POINT_TREE)
 
-    def test_restrict_unknown_vertex(self):
-        with pytest.raises(ValueError):
-            restrict(POINT_TREE, (0, 5))
-        # vertices in the implicit continuation are chains
-        assert restrict(POINT_TREE, (3, 0)) == POINT_TREE
+    def test_nothing_lies_over_a_point(self):
+        assert restrict(POINT_TREE) == ()
+        assert restrict(EMPTY_FOREST) == ()
+
+
+class TestInversePair:
+    # ``restrict`` takes apart what ``graft`` builds.
+    def test_restrict_matches_the_oracle_on_the_cropped_pools(self):
+        pool = cropped_pool()
+        assert len(pool) == 257
+        for t in pool:
+            assert_restrict_is_the_oracle(t)
+            assert restrict(t) is restrict(t)
+
+    def test_graft_of_restrict_is_the_tree(self):
+        grafted = 0
+        for t in cropped_pool():
+            if t is not POINT_TREE:
+                assert graft(restrict(t)) is t
+                grafted += 1
+        assert grafted == 256
+
+    def test_restrict_of_graft_gives_the_trees_back(self):
+        fan = LevelTree((1, 2), ((0, 0),))
+        shallow = [POINT_TREE, fan, LevelTree((1, 2, 3), ((0, 0), (0, 0, 1)))]
+        pool = cropped_pool()[:40]
+        cases = [
+            (),
+            (fan,),
+            *product(shallow, repeat=2),
+            *product(pool, repeat=2),
+            (example_tree(), POINT_TREE, BARE),
+        ]
+        for kids in cases:
+            assert restrict(graft(kids)) == tuple(kids)
+        # One point child grafts to the point, over which nothing lies.
+        assert restrict(graft([POINT_TREE])) == ()
 
 
 def suspend(forest: LevelTree) -> LevelTree:
@@ -274,9 +344,7 @@ class TestSuspendCoproduct:
         for collection in [trees[:2], trees[1:], trees]:
             s = graft(collection)
             assert s.levels[1] == len(collection)
-            for i, t in enumerate(collection):
-                back = restrict(s, (1, i))
-                assert back == t
+            assert restrict(s) == tuple(collection)
 
     def test_graft_matches_the_reference_on_the_cropped_pools(self):
         pool = [
@@ -286,7 +354,8 @@ class TestSuspendCoproduct:
         ]
         assert len(pool) == 28
         for t in pool:
-            kids = [restrict(t, (1, j)) for j in range(t.level_size(1))]
+            # Nothing lies over the point, which is the graft of a point.
+            kids = restrict(t) if t.depth else (POINT_TREE,)
             assert graft(kids) is t
             assert graft(kids) is suspend(coproduct(kids))
         for kids in product(pool, repeat=2):
@@ -440,14 +509,14 @@ class TestTreeMap:
         t = example_tree()
         ident = identity_tree_map(t)
         sub = restrict_map(ident, (1, 1))
-        assert sub.dom == restrict(t, (1, 1))
-        assert sub == identity_tree_map(restrict(t, (1, 1)))
+        assert sub.dom == restrict(t)[1]
+        assert sub == identity_tree_map(restrict(t)[1])
 
     def test_restrict_map_collapse(self):
         t = LevelTree((1, 2, 3), ((0, 0), (0, 0, 1)))
         collapse = TreeMap(t, POINT_TREE, ((0,), (0, 0), (0, 0, 0)))
         sub = restrict_map(collapse, (1, 0))
-        assert sub.dom == restrict(t, (1, 0))
+        assert sub.dom == restrict(t)[0]
         assert sub.cod == POINT_TREE
 
     def test_glue_restricted_maps(self):
@@ -459,12 +528,10 @@ class TestTreeMap:
             TreeMap(deep, shallow, ((0,), (0, 1), (0, 0, 1))),
         ]
         for f in maps:
-            index, value = (
-                [restrict(t, (1, j)) for j in range(t.level_size(1))]
-                for t in (f.dom, f.cod)
-            )
-            subs = [restrict_map(f, (1, j)).level_maps for j in range(len(index))]
-            glued = glue_level_maps(index, value, f.at_level(1), subs)
+            subs = [
+                restrict_map(f, (1, j)).level_maps for j in range(f.dom.levels[1])
+            ]
+            glued = glue_level_maps(f.dom, f.cod, f.at_level(1), subs)
             assert glued == f.level_maps
 
     @pytest.mark.parametrize("name", ["cropped-interval", "cropped-ordinal", "disk"])
@@ -491,9 +558,10 @@ class TestTreeMap:
                 ]
                 for subs in product(*homs):
                     glued += 1
+                    ends = spec.orient(a, b)
                     assert glue_level_maps(
-                        index, value, slot_map.images, subs
-                    ) == glue_by_subtree_rows(*spec.orient(a, b), slot_map, subs)
+                        *ends, slot_map.images, subs
+                    ) == glue_by_subtree_rows(*ends, slot_map, subs)
             listed += count(a, b)
         assert glued == listed > 100
 
@@ -520,8 +588,8 @@ def _glue_rows(dom: LevelTree, cod: LevelTree, children: int) -> tuple:
     """Per level ``1..``: the sizes of the first ``children`` subtrees over
     the root's children of ``dom``, and the vertices of each subtree over a
     root child of ``cod``; ``dom`` must list each level subtree by subtree."""
-    dom_rows = [subtree_rows(dom, (1, j)) for j in range(children)]
-    cod_rows = [subtree_rows(cod, (1, j)) for j in range(cod.level_size(1))]
+    dom_rows = [oracle_rows(dom, (1, j)) for j in range(children)]
+    cod_rows = [oracle_rows(cod, (1, j)) for j in range(cod.level_size(1))]
     table = []
     for lvl in range(1, max(dom.depth, cod.depth) + 1):
         here = [rows[min(lvl, dom.depth) - 1] for rows in dom_rows]

@@ -23,8 +23,6 @@ from theta_disk.forest import (
     glue_level_maps,
     graft,
     make_level_tree,
-    restrict,
-    subtree_rows,
 )
 from theta_disk.itree import (
     FLAVORS,
@@ -70,7 +68,7 @@ from theta_disk.ordinal import (
     wedge_obj,
 )
 
-from tests.test_forest import restrict_map
+from tests.test_forest import oracle_rows, restrict_at, restrict_map
 
 
 def o(n: int) -> Ordinal:
@@ -120,8 +118,8 @@ def restrict_labeled_mor(m: LabeledTreeMor, x: Vertex) -> LabeledTreeMor:
     """
     orient = FLAVORS[m.flavor].orient
     index, value = orient(m.dom, m.cod)
-    sub_index = LabeledTree(m.flavor, restrict(index.tree, x))
-    sub_value = LabeledTree(m.flavor, restrict(value.tree, m.tree_map(x)))
+    sub_index = LabeledTree(m.flavor, restrict_at(index.tree, x))
+    sub_value = LabeledTree(m.flavor, restrict_at(value.tree, m.tree_map(x)))
     return LabeledTreeMor(*orient(sub_index, sub_value), restrict_map(m.tree_map, x))
 
 
@@ -178,8 +176,8 @@ def xi_mor_by_restricted_ends(flavor: str, f: TreeMap, slots, x: Vertex) -> ITre
     over ``x`` and ``f(x)``, each end restricted and read by ``xi_obj``,
     its component read off the slots of ``x``'s children."""
     orient = FLAVORS[flavor].orient
-    here = labeled.xi_obj(flavor, restrict(f.dom, x))
-    there = labeled.xi_obj(flavor, restrict(f.cod, f(x)))
+    here = labeled.xi_obj(flavor, restrict_at(f.dom, x))
+    there = labeled.xi_obj(flavor, restrict_at(f.cod, f(x)))
     if there.is_trivial:
         return marker(*orient(here, there))
     n, i = x
@@ -382,10 +380,10 @@ class TestRestrict:
     # A restriction of a cropped tree is the cropped tree on the restricted
     # level tree.
     def test_restrict_at_root_is_identity(self):
-        assert LabeledTree(INTERVAL, restrict(DEEP_TREE, (0, 0))) is deep()
+        assert LabeledTree(INTERVAL, restrict_at(DEEP_TREE, (0, 0))) is deep()
 
     def test_restrict_at_branch_vertex(self):
-        sub = LabeledTree(INTERVAL, restrict(DEEP_TREE, (1, 1)))
+        sub = LabeledTree(INTERVAL, restrict_at(DEEP_TREE, (1, 1)))
         assert sub.tree == make_level_tree(
             (1, 4, 7, 8),
             ((0, 0, 0, 0), (0, 1, 1, 2, 2, 2, 3), (0, 1, 2, 3, 4, 4, 5, 6)),
@@ -399,22 +397,22 @@ class TestRestrict:
 
     def test_restrict_at_chain_vertex_collapses(self):
         for x in ((1, 0), (6, 9)):
-            sub = LabeledTree(INTERVAL, restrict(DEEP_TREE, x))
+            sub = LabeledTree(INTERVAL, restrict_at(DEEP_TREE, x))
             assert sub is trivial_labeled(INTERVAL)
 
     def test_restriction_preserves_cropped(self):
         t = deep()
         for n, size in enumerate(t.tree.levels):
             for i in range(size):
-                sub = LabeledTree(INTERVAL, restrict(t.tree, (n, i)))
-                assert sub.tree is restrict(t.tree, (n, i))
+                sub = LabeledTree(INTERVAL, restrict_at(t.tree, (n, i)))
+                assert sub.tree is restrict_at(t.tree, (n, i))
 
     def test_rows_are_the_vertex_labels(self):
         for t in (deep(), con_dualize(deep())):
             for n in range(t.depth + 2):
                 for i in range(t.tree.level_size(n)):
-                    sub = LabeledTree(t.flavor, restrict(t.tree, (n, i)))
-                    rows = subtree_rows(t.tree, (n, i))
+                    sub = LabeledTree(t.flavor, restrict_at(t.tree, (n, i)))
+                    rows = oracle_rows(t.tree, (n, i))
                     assert sub.labels == tuple(
                         tuple(t.label((n + k, j)) for j in rows[k])
                         for k in range(sub.depth + 1)

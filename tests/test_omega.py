@@ -709,6 +709,25 @@ class TestEnrichedCells:
         with pytest.raises(ValueError):
             compose_enriched(f, g, 0)
 
+    def test_boundaries_and_range_errors(self):
+        # The m-boundaries of a 2-cell of WHISKER: at m = 0 one end of the
+        # span, at m = 1 each part cut to that end, every call raising out
+        # of range.
+        for c in free_on_ograph_cells(WHISKER_OGRAPH, 2):
+            assert enriched_m_source(c, 0) == EnrichedCell(0, c.h, c.h)
+            assert enriched_m_target(c, 0) == EnrichedCell(0, c.k, c.k)
+            for boundary, end in ((enriched_m_source, "h"), (enriched_m_target, "k")):
+                cut = boundary(c, 1)
+                assert (cut.dim, cut.h, cut.k) == (1, c.h, c.k)
+                assert cut.parts == tuple(
+                    EnrichedCell(0, getattr(p, end), getattr(p, end))
+                    for p in c.parts
+                )
+                for m in (2, 3, -1):
+                    for _ in range(2):
+                        with pytest.raises(ValueError, match="out of range"):
+                            boundary(c, m)
+
     def test_serialization_round_trip(self):
         for c in free_on_ograph_cells(WHISKER_OGRAPH, 2):
             assert EnrichedCell.from_dict(c.to_dict()) == c
